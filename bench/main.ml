@@ -627,14 +627,7 @@ let append_ratio m =
 (* The acceptance bar for incremental learning: folding one observed
    image into a resident 10k-fleet learner must beat retraining from
    scratch by >= 10x, and the refreshed model must stay byte-identical
-   to the batch relearn.  A one-image append is under the learner's
-   1 % probe re-arm threshold, so the comparison measures what append
-   is designed to amortize: incremental maintenance against the full
-   batch pipeline, mining probe included.  The reduced cap keeps the
-   retrain leg's probe from dwarfing everything else at this fleet's
-   attribute width. *)
-let merge_mining_cap = 20_000
-
+   to the batch relearn. *)
 let measure_merge ~jobs =
   let n = Synthfleet.full_size in
   let images = Synthfleet.generate ~n () in
@@ -650,18 +643,13 @@ let measure_merge ~jobs =
     time_ns (fun () -> Encore.Pipeline.stats_of_images ~config ~shards images)
   in
   let learner =
-    match
-      Encore.Pipeline.learner_result ~config ~mining_cap:merge_mining_cap stats
-    with
+    match Encore.Pipeline.learner_result ~config stats with
     | Ok l -> l
     | Error d -> failwith d.Encore_util.Resilience.detail
   in
   let retrained, mg_retrain_ns =
     time_ns (fun () ->
-        match
-          Encore.Pipeline.learn_resilient ~config ~mining_cap:merge_mining_cap
-            grown
-        with
+        match Encore.Pipeline.learn_resilient ~config grown with
         | Ok (m, _) -> m
         | Error d -> failwith d.Encore_util.Resilience.detail)
   in

@@ -330,14 +330,7 @@ let learn_mergeable ~config ~custom ~shards ~stats_dir ~append_dir images =
       List.iter
         (fun r -> print_endline (Encore_rules.Template.rule_to_string r))
         model.Detector.rules;
-      (* same exit contract as the batch path: mining overflow degrades *)
-      if model.Detector.overflowed then begin
-        print_endline
-          "degraded: itemset mining overflowed; correlation rules may be \
-           incomplete";
-        3
-      end
-      else 0
+      0
 
 let learn seed profile app n custom mode max_retries chaos_frac jobs chunk
     shards stats_dir append_dir checkpoint_dir resume_dir deadline_s trace

@@ -50,7 +50,7 @@ let m_stale = Ometrics.counter "checkpoint.stale"
 (* Images and configs are plain data, so marshalling digests their full
    content — any change to the training population or to a parameter
    that reaches the learner invalidates every checkpoint. *)
-let fingerprint ~config ~custom ~mode ~max_retries ~mining_cap images =
+let fingerprint ~config ~custom ~mode ~max_retries images =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Digest.to_hex (Digest.string (Marshal.to_string (config : Config.t) [])));
@@ -61,7 +61,6 @@ let fingerprint ~config ~custom ~mode ~max_retries ~mining_cap images =
      | Some c -> Digest.to_hex (Digest.string c));
   Buffer.add_string buf
     (match max_retries with None -> "-" | Some n -> string_of_int n);
-  Buffer.add_string buf (string_of_int mining_cap);
   List.iter
     (fun (img : Image.t) ->
       Buffer.add_string buf

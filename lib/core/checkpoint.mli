@@ -44,7 +44,6 @@ val fingerprint :
   custom:string option ->
   mode:string ->
   max_retries:int option ->
-  mining_cap:int ->
   Encore_sysenv.Image.t list ->
   string
 (** Digest of the training population (every image's full content)

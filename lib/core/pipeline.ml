@@ -59,8 +59,8 @@ let stats_of_images ?(config = Config.default) ?pool ?shards images =
   with_configured_pool ~config pool (fun pool ->
       Encore_rules.Suffstats.of_images ?pool ?shards images)
 
-let learner_result ?(config = Config.default) ?custom ?pool
-    ?(mining_cap = 100_000) stats =
+let learner_result ?(config = Config.default) ?custom ?pool ?mining_cap:_
+    stats =
   match templates_result custom with
   | Error d -> Error d
   | Ok templates ->
@@ -69,8 +69,7 @@ let learner_result ?(config = Config.default) ?custom ?pool
              Encore_rules.Suffstats.learner_of ?pool
                ~params:(Config.rule_params config)
                ~templates
-               ~entropy_threshold:config.Config.entropy_threshold
-               ~mining_frac:config.Config.min_support_frac ~mining_cap stats))
+               ~entropy_threshold:config.Config.entropy_threshold stats))
 
 let learn_append ?(config = Config.default) ?pool learner images =
   with_configured_pool ~config pool (fun pool ->
@@ -79,9 +78,9 @@ let learn_append ?(config = Config.default) ?pool learner images =
 let model_of_learner learner =
   Detector.model_of_finalized (Encore_rules.Suffstats.current learner)
 
-let learn_sharded_result ?config ?custom ?pool ?shards ?mining_cap images =
+let learn_sharded_result ?config ?custom ?pool ?shards images =
   let stats = stats_of_images ?config ?pool ?shards images in
-  match learner_result ?config ?custom ?pool ?mining_cap stats with
+  match learner_result ?config ?custom ?pool stats with
   | Error d -> Error d
   | Ok learner -> Ok (model_of_learner learner, learner)
 
@@ -114,7 +113,6 @@ type ingest_report = {
   total_backoff_ms : int;
   warnings : Res.diagnostic list;
   histogram : (Res.error_kind * int) list;
-  mining_overflowed : bool;
   status : run_status;
 }
 
@@ -126,33 +124,6 @@ type outcome = {
 }
 
 let default_mining_cap = 100_000
-
-(* Mining capacity probe: the learning path itself mines rules pairwise,
-   but Table 3's failure mode — frequent-itemset blow-up past the
-   miner's cap — is what degrades real deployments.  Run the counting
-   miner against the assembled table so the model can carry the
-   degraded-mode bit. *)
-let mining_probe ~config ~mining_cap ?pool table =
-  let transactions, _dict =
-    Otrace.with_span "discretize" (fun () ->
-        Encore_dataset.Discretize.transactions table)
-  in
-  let n_tx = Array.length transactions in
-  if n_tx = 0 then false
-  else
-    let min_support =
-      max 2
-        (int_of_float
-           (ceil (config.Config.min_support_frac *. float_of_int n_tx)))
-    in
-    let _count, overflowed =
-      Otrace.with_span "fpgrowth"
-        ~attrs:[ ("transactions", Json.Int n_tx) ]
-        (fun () ->
-          Encore_mining.Fpgrowth.count_only ~max_itemsets:mining_cap ?pool
-            ~min_support transactions)
-    in
-    overflowed
 
 (* --- ingestion telemetry -------------------------------------------------- *)
 
@@ -178,13 +149,12 @@ let emit_report_telemetry report =
         ("quarantined", Json.Int (List.length report.quarantined));
         ("retried", Json.Int report.retried);
         ("backoff_ms", Json.Int report.total_backoff_ms);
-        ("mining_overflowed", Json.Bool report.mining_overflowed);
         ("status", Json.Str (run_status_to_string report.status));
       ]
 
 let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
-    ?max_retries ?flaky ?(mining_cap = default_mining_cap) ?pool ?checkpoint
-    ?resume ?(deadline = Encore_util.Deadline.none) ?kill_after images =
+    ?max_retries ?flaky ?pool ?checkpoint ?resume
+    ?(deadline = Encore_util.Deadline.none) ?kill_after images =
   with_configured_pool ~config pool
   @@ fun pool ->
   Otrace.with_span "learn"
@@ -194,7 +164,7 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
   let* templates = templates_result custom in
   let fp =
     Checkpoint.fingerprint ~config ~custom ~mode:(mode_to_string mode)
-      ~max_retries ~mining_cap images
+      ~max_retries images
   in
   let resumed = ref [] and checkpointed = ref [] in
   (* Persist runs after a stage completes; the kill-at-checkpoint hook
@@ -351,7 +321,7 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
   let ingest_state : Checkpoint.ingest_state option ref = ref None in
   (* One report builder for every way a run can end, so the histogram
      and the metric counters always reconcile with the diagnostics. *)
-  let build_report ~status ~mining_overflowed ~extra_warnings () =
+  let build_report ~status ~extra_warnings () =
     let quarantined, base_warnings, ret, back, ok =
       match !ingest_state with
       | Some st ->
@@ -370,7 +340,6 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
       total_backoff_ms = back;
       warnings;
       histogram = Res.histogram all_diags;
-      mining_overflowed;
       status;
     }
   in
@@ -430,8 +399,7 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
     | [] ->
         ignore
           (finalize
-             (build_report ~status:Completed ~mining_overflowed:false
-                ~extra_warnings:[] ()));
+             (build_report ~status:Completed ~extra_warnings:[] ()));
         Error
           (Res.diag Res.Corrupt_image ~subject:"training population"
              (Printf.sprintf
@@ -464,7 +432,7 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
                   Checkpoint.save_assemble ck ~fingerprint:sfp a);
               a
         in
-        (* --- stage 3: model + mining probe -------------------------- *)
+        (* --- stage 3: model ----------------------------------------- *)
         current := Checkpoint.Model;
         Encore_util.Deadline.raise_if_expired deadline;
         let model =
@@ -485,30 +453,12 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
                   ~entropy_threshold:config.Config.entropy_threshold ?pool
                   ~types:assembled.Assemble.types training
               in
-              let mining_overflowed =
-                Otrace.with_span "mining-probe" (fun () ->
-                    mining_probe ~config ~mining_cap ?pool
-                      assembled.Assemble.table)
-              in
-              let model =
-                { model with Detector.overflowed = mining_overflowed }
-              in
               persist Checkpoint.Model (fun ck ->
                   Checkpoint.save_model ck ~fingerprint:sfp model);
               model
         in
-        let extra_warnings =
-          if model.Detector.overflowed then
-            [
-              Res.diag Res.Overflow ~subject:"fp-growth"
-                (Printf.sprintf "frequent itemsets exceeded cap %d" mining_cap);
-            ]
-          else []
-        in
         let report =
-          finalize
-            (build_report ~status:Completed
-               ~mining_overflowed:model.Detector.overflowed ~extra_warnings ())
+          finalize (build_report ~status:Completed ~extra_warnings:[] ())
         in
         Ok
           {
@@ -541,7 +491,7 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
       in
       let report =
         finalize
-          (build_report ~status:(Timed_out_at stage) ~mining_overflowed:false
+          (build_report ~status:(Timed_out_at stage)
              ~extra_warnings:[ timeout_warning ] ())
       in
       Ok
@@ -552,12 +502,8 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
           checkpointed = !checkpointed;
         }
 
-let learn_resilient ?config ?custom ?mode ?max_retries ?flaky ?mining_cap ?pool
-    images =
-  match
-    learn_durable ?config ?custom ?mode ?max_retries ?flaky ?mining_cap ?pool
-      images
-  with
+let learn_resilient ?config ?custom ?mode ?max_retries ?flaky ?pool images =
+  match learn_durable ?config ?custom ?mode ?max_retries ?flaky ?pool images with
   | Error d -> Error d
   | Ok { model = Some model; report; _ } -> Ok (model, report)
   | Ok { model = None; _ } ->
@@ -569,12 +515,7 @@ let learn_resilient ?config ?custom ?mode ?max_retries ?flaky ?mining_cap ?pool
 let exit_code = function
   | Error _ -> 1
   | Ok { report; _ } ->
-      if
-        report.status <> Completed
-        || report.quarantined <> []
-        || report.mining_overflowed
-      then 3
-      else 0
+      if report.status <> Completed || report.quarantined <> [] then 3 else 0
 
 let report_to_string r =
   let buf = Buffer.create 512 in
@@ -602,10 +543,6 @@ let report_to_string r =
       Buffer.add_string buf
         (Printf.sprintf "quarantined %s: %s\n" subject cause))
     r.quarantined;
-  if r.mining_overflowed then
-    Buffer.add_string buf
-      "degraded: itemset mining overflowed; correlation rules may be \
-       incomplete\n";
   (match r.status with
    | Completed -> ()
    | Timed_out_at stage ->
@@ -786,10 +723,6 @@ let check_degraded ?config ?report model img =
   in
   let notes = ref [] in
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
-  if model.Detector.overflowed then
-    note
-      "itemset mining hit its cap during learning: correlation rules may be \
-       incomplete";
   (match report with
   | Some r when r.quarantined <> [] ->
       note

@@ -56,8 +56,12 @@ val learner_result :
   (Encore_rules.Suffstats.learner, Encore_util.Resilience.diagnostic) result
 (** Finalize statistics into a resident learner under the configured
     thresholds (and optional customization file, as {!learn_result}).
-    The learner's model matches {!learn_resilient}'s on the same
-    corpus, mining-overflow bit included. *)
+    The learner's model is byte-identical to {!learn_resilient}'s on
+    the same corpus.
+
+    [mining_cap] is accepted and ignored: learning no longer runs an
+    FP-growth probe, and the argument stays only because the frozen
+    benchmark (perfbench/) still passes it. *)
 
 val learn_append :
   ?config:Config.t -> ?pool:Encore_util.Pool.t ->
@@ -72,7 +76,7 @@ val model_of_learner : Encore_rules.Suffstats.learner -> model
 
 val learn_sharded_result :
   ?config:Config.t -> ?custom:string -> ?pool:Encore_util.Pool.t ->
-  ?shards:int -> ?mining_cap:int -> Encore_sysenv.Image.t list ->
+  ?shards:int -> Encore_sysenv.Image.t list ->
   (model * Encore_rules.Suffstats.learner,
    Encore_util.Resilience.diagnostic) result
 (** [stats_of_images] then [learner_result]: the [learn --shards]
@@ -112,15 +116,17 @@ type ingest_report = {
   total_backoff_ms : int; (** virtual backoff accumulated by retries *)
   warnings : Encore_util.Resilience.diagnostic list;
       (** recoverable diagnostics: skipped config lines, dropped or
-          truncated metadata records, mining overflow *)
+          truncated metadata records, an expired deadline *)
   histogram : (Encore_util.Resilience.error_kind * int) list;
       (** every diagnostic of the run (fatal and recoverable) counted
           by kind; total = quarantine diagnostics + warnings *)
-  mining_overflowed : bool;
   status : run_status;
 }
 
 val default_mining_cap : int
+(** The itemset cap learning's FP-growth probe used to run with.
+    Learning no longer reads it; it stays because the frozen benchmark
+    (perfbench/) still sizes its mining metrics by it. *)
 
 type outcome = {
   model : model option;
@@ -139,7 +145,6 @@ val learn_durable :
   ?mode:mode ->
   ?max_retries:int ->
   ?flaky:Encore_sysenv.Flaky.t ->
-  ?mining_cap:int ->
   ?pool:Encore_util.Pool.t ->
   ?checkpoint:Checkpoint.t ->
   ?resume:Checkpoint.t ->
@@ -171,8 +176,8 @@ val learn_durable :
 
 val exit_code : (outcome, Encore_util.Resilience.diagnostic) result -> int
 (** Process exit code for a durable run: [0] for a clean completed run,
-    [3] for a degraded one (timed out, quarantined images or mining
-    overflow), [1] for a failed one.  [2] is reserved for usage errors
+    [3] for a degraded one (timed out or quarantined images), [1] for a
+    failed one.  [2] is reserved for usage errors
     (set by the CLI's argument parser). *)
 
 val learn_resilient :
@@ -181,7 +186,6 @@ val learn_resilient :
   ?mode:mode ->
   ?max_retries:int ->
   ?flaky:Encore_sysenv.Flaky.t ->
-  ?mining_cap:int ->
   ?pool:Encore_util.Pool.t ->
   Encore_sysenv.Image.t list ->
   (model * ingest_report, Encore_util.Resilience.diagnostic) result
@@ -191,18 +195,18 @@ val learn_resilient :
     the diagnostic lens registry.  Images whose probe never succeeds or
     whose config payload is damaged are quarantined ([Keep_going],
     default) or returned as [Error] ([Fail_fast]).  The model is
-    trained on the survivors; an FP-growth capacity probe (cap
-    [mining_cap], default {!default_mining_cap}) sets the model's
-    [overflowed] bit.  [Error] in keep-going mode only for a malformed
-    customization file or a fully-quarantined population.  Never
-    raises.
+    trained on the survivors.  [Error] in keep-going mode only for a
+    malformed customization file or a fully-quarantined population.
+    Never raises.
 
     Parallelism follows the same rule as {!learn_result}: an explicit
-    [pool], else a transient pool of [config.jobs] workers.  Probing
-    stays sequential (the flaky simulator's PRNG draw order defines
-    reproducibility); parsing, assembly and rule inference fan out.
-    The model and ingest report are byte-identical for any pool
-    size. *)
+    [pool], else a transient pool of [config.jobs] workers.  In
+    keep-going mode probing, parsing, assembly and rule inference all
+    fan out; each image probes against its own fork of the flaky
+    simulator's PRNG stream, taken in image order, so draws do not
+    depend on scheduling.  Fail-fast mode probes sequentially, so no
+    draw is made past the first failure.  The model and ingest report
+    are byte-identical for any pool size. *)
 
 val report_to_string : ingest_report -> string
 
@@ -279,6 +283,6 @@ type degraded_check = {
 val check_degraded :
   ?config:Config.t -> ?report:ingest_report -> model ->
   Encore_sysenv.Image.t -> degraded_check
-(** {!check}, annotated with what the model {e cannot} see: mining
-    overflow, quarantined training images, failed custom lenses, and
-    predefined template classes for which no rule survived learning. *)
+(** {!check}, annotated with what the model {e cannot} see:
+    quarantined training images, failed custom lenses, and predefined
+    template classes for which no rule survived learning. *)

@@ -84,7 +84,7 @@ let model_of_finalized (f : Encore_rules.Suffstats.finalized) =
     value_stats = f.f_value_stats;
     known_attrs = f.f_known_attrs;
     training_count = f.f_training_count;
-    overflowed = f.f_overflowed;
+    overflowed = false;
   }
 
 let learn ?params ?templates ?entropy_threshold ?pool images =

@@ -30,10 +30,11 @@ type model = Engine.model = {
   known_attrs : string list;
   training_count : int;
   overflowed : bool;
-      (** true when itemset mining hit its capacity cap during learning,
-          so the rule set may be incomplete (degraded mode).  Constructors
-          set [false]; the resilient pipeline flips it after its mining
-          capacity probe. *)
+      (** Always [false] from learning, which no longer runs an FP-growth
+          capacity probe.  The field stays because the frozen benchmark
+          (perfbench/) still reads it; {!Model_io} keeps reading and
+          writing its optional marker, so older model files that carry
+          it still load and round-trip.  No check reads it. *)
 }
 
 val learn :

@@ -39,8 +39,8 @@ type model = {
   known_attrs : string list;
   training_count : int;
   overflowed : bool;
-      (** true when itemset mining hit its capacity cap during learning,
-          so the rule set may be incomplete (degraded mode). *)
+      (** Always [false] from learning; kept for the frozen benchmark
+          (see [Detector.model]). *)
 }
 
 type checks = {

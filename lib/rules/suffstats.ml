@@ -6,7 +6,6 @@ module Bitcol = Encore_dataset.Bitcol
 module Bitset = Bitcol.Bitset
 module Assemble = Encore_dataset.Assemble
 module Augment = Encore_dataset.Augment
-module Discretize = Encore_dataset.Discretize
 module Tinfer = Encore_typing.Infer
 module Ctype = Encore_typing.Ctype
 module Rinfer = Infer
@@ -163,7 +162,6 @@ type finalized = {
   f_value_stats : (string * string list) list;
   f_known_attrs : string list;
   f_training_count : int;
-  f_overflowed : bool;
 }
 
 (* [Tinfer.infer] over the raw rows, from the tallies: same decision
@@ -217,89 +215,6 @@ let value_stats_of view =
       (attr, Stats.distinct stream_rev))
     (Colview.attrs view)
 
-(* --- mining cache --------------------------------------------------------- *)
-
-type numsum = { nvals : int; nparsed : int; lo : float; hi : float }
-
-let empty_sum = { nvals = 0; nparsed = 0; lo = infinity; hi = neg_infinity }
-
-let sum_add s v =
-  match Encore_util.Strutil.parse_number v with
-  | Some f ->
-      { nvals = s.nvals + 1; nparsed = s.nparsed + 1;
-        lo = min s.lo f; hi = max s.hi f }
-  | None -> { s with nvals = s.nvals + 1 }
-
-let kind_of_sum s : Discretize.column_kind =
-  if s.nvals > 0 && s.nparsed = s.nvals then Discretize.Numeric (s.lo, s.hi)
-  else Discretize.Text
-
-let summaries_of view =
-  List.fold_left
-    (fun (acc, a) attr ->
-      let s =
-        Array.fold_left
-          (fun s cell -> List.fold_left sum_add s cell)
-          empty_sum (Colview.column view a)
-      in
-      (Smap.add attr s acc, a + 1))
-    (Smap.empty, 0) (Colview.attrs view)
-  |> fst
-
-let summaries_add summaries rows =
-  List.fold_left
-    (fun acc row ->
-      List.fold_left
-        (fun acc (attr, v) ->
-          let s =
-            match Smap.find_opt attr acc with Some s -> s | None -> empty_sum
-          in
-          Smap.add attr (sum_add s v) acc)
-        acc (Row.to_list row))
-    summaries rows
-
-let encode_tx tab items =
-  Array.of_list
-    (List.sort_uniq compare
-       (List.map (Encore_util.Symtab.intern tab) items))
-
-(* item strings of rows [from_row ..] straight off the view — the same
-   (attribute, value) multiset per row as the batch discretizer's
-   [Row.to_list] walk, and the items are sort_uniq'd, so the encoded
-   transaction is the same item set *)
-let transactions_of_view ~summaries ~tab ~from_row view =
-  let n_rows = Colview.n_rows view in
-  let items = Array.make (max 0 (n_rows - from_row)) [] in
-  List.iteri
-    (fun a attr ->
-      let kind =
-        kind_of_sum
-          (match Smap.find_opt attr summaries with
-           | Some s -> s
-           | None -> empty_sum)
-      in
-      let col = Colview.column view a in
-      for i = from_row to n_rows - 1 do
-        List.iter
-          (fun v ->
-            items.(i - from_row) <-
-              Discretize.item_of attr kind v :: items.(i - from_row))
-          col.(i)
-      done)
-    (Colview.attrs view);
-  Array.map (encode_tx tab) items
-
-let mining_overflow ?pool ~mining_frac ~mining_cap tx =
-  let n_tx = Array.length tx in
-  if n_tx = 0 then false
-  else
-    let min_support =
-      max 2 (int_of_float (ceil (mining_frac *. float_of_int n_tx)))
-    in
-    snd
-      (Encore_mining.Fpgrowth.count_only ~max_itemsets:mining_cap ?pool
-         ~min_support tx)
-
 (* --- the resident learner ------------------------------------------------- *)
 
 type learner = {
@@ -308,8 +223,6 @@ type learner = {
   templates : Template.t list;
   etemplates : Template.t list;  (* polarity-expanded, cached *)
   entropy_threshold : float option;
-  mining_frac : float;
-  mining_cap : int;
   (* derived caches, all consistent with [stats] *)
   env : Tinfer.env;
   raw_ctypes : (string * Ctype.t) list;
@@ -318,10 +231,6 @@ type learner = {
   view : Colview.t;
   bits : Bitcol.t;
   counts : (int * string * string, int * int) Hashtbl.t;
-  m_summaries : numsum Smap.t;
-  m_tab : Encore_util.Symtab.t;
-  m_tx : Encore_mining.Itemset.t array;
-  last_probe_n : int;  (* corpus size at the last full mining probe *)
   result : finalized;
 }
 
@@ -398,8 +307,7 @@ let capture_counts ?pool engine cands =
   List.iter (fun (key, cnt) -> Hashtbl.replace tbl key cnt) results;
   tbl
 
-let build ?pool ~params ~templates ~etemplates ~entropy_threshold ~mining_frac
-    ~mining_cap stats =
+let build ?pool ~params ~templates ~etemplates ~entropy_threshold stats =
   Otrace.with_span "suffstats-finalize" @@ fun () ->
   let parsed = List.rev stats.images_rev in
   let cfg_types = config_types stats in
@@ -423,16 +331,10 @@ let build ?pool ~params ~templates ~etemplates ~entropy_threshold ~mining_frac
     finalize_from ~params ~entropy_threshold ~n:stats.n ~training ~view engine
       cands counts
   in
-  let m_summaries = summaries_of view in
-  let m_tab = Encore_util.Symtab.create ~size:256 () in
-  let m_tx = transactions_of_view ~summaries:m_summaries ~tab:m_tab ~from_row:0 view in
-  let overflowed = mining_overflow ?pool ~mining_frac ~mining_cap m_tx in
   {
-    stats; params; templates; etemplates; entropy_threshold; mining_frac;
-    mining_cap; env;
+    stats; params; templates; etemplates; entropy_threshold; env;
     raw_ctypes = List.map (fun (a, d) -> (a, d.Tinfer.ctype)) cfg_types;
-    training; ctxs; view; bits; counts; m_summaries; m_tab; m_tx;
-    last_probe_n = stats.n;
+    training; ctxs; view; bits; counts;
     result =
       {
         f_types = env;
@@ -440,34 +342,18 @@ let build ?pool ~params ~templates ~etemplates ~entropy_threshold ~mining_frac
         f_value_stats = value_stats_of view;
         f_known_attrs = Colview.attrs view;
         f_training_count = stats.n;
-        f_overflowed = overflowed;
       };
   }
 
 let learner_of ?pool ?(params = Rinfer.default_params)
-    ?(templates = Template.predefined) ?entropy_threshold ?mining_frac
-    ?(mining_cap = 100_000) stats =
-  let mining_frac =
-    match mining_frac with Some f -> f | None -> params.Rinfer.min_support_frac
-  in
+    ?(templates = Template.predefined) ?entropy_threshold stats =
   build ?pool ~params ~templates
     ~etemplates:(Rinfer.expand_polarities templates)
-    ~entropy_threshold ~mining_frac ~mining_cap stats
+    ~entropy_threshold stats
 
 let rec take k = function
   | x :: rest when k > 0 -> x :: take (k - 1) rest
   | _ -> []
-
-(* Numeric discretization bins are corpus bounds; a shifted bound (or a
-   column degrading to text) re-labels existing rows' items, so only an
-   unchanged kind keeps the cached transactions valid. *)
-let kinds_stable ~before ~after =
-  Smap.for_all
-    (fun attr s ->
-      match Smap.find_opt attr after with
-      | None -> false
-      | Some s' -> kind_of_sum s = kind_of_sum s')
-    before
 
 let append ?pool learner images =
   if images = [] then learner
@@ -487,8 +373,7 @@ let append ?pool learner images =
          what a batch run over the grown corpus would assemble *)
       build ?pool ~params:learner.params ~templates:learner.templates
         ~etemplates:learner.etemplates
-        ~entropy_threshold:learner.entropy_threshold
-        ~mining_frac:learner.mining_frac ~mining_cap:learner.mining_cap stats'
+        ~entropy_threshold:learner.entropy_threshold stats'
     else begin
       Otrace.with_span "suffstats-append" @@ fun () ->
       let old_n = Array.length learner.ctxs in
@@ -499,8 +384,9 @@ let append ?pool learner images =
             (img, Assemble.augment_row ~types:cfg_types' img raw))
           new_parsed
       in
-      let new_rows = List.map snd new_training in
-      let view = Colview.append_rows learner.view new_rows in
+      let view =
+        Colview.append_rows learner.view (List.map snd new_training)
+      in
       let bits = Bitcol.append learner.bits view in
       let ctxs =
         Array.append learner.ctxs
@@ -536,41 +422,12 @@ let append ?pool learner images =
           ~entropy_threshold:learner.entropy_threshold ~n:stats'.n ~training
           ~view engine cands counts
       in
-      let m_summaries = summaries_add learner.m_summaries new_rows in
-      let m_tx =
-        if kinds_stable ~before:learner.m_summaries ~after:m_summaries then
-          Array.append learner.m_tx
-            (transactions_of_view ~summaries:m_summaries ~tab:learner.m_tab
-               ~from_row:old_n view)
-        else
-          transactions_of_view ~summaries:m_summaries ~tab:learner.m_tab
-            ~from_row:0 view
-      in
-      (* The probe is the one diagnostic that is not decomposable:
-         FP-growth itemset counts cannot be maintained under corpus
-         concatenation, so a fresh probe costs a full mining pass.
-         Re-arm it only once the corpus has grown >= 1 % past the last
-         probed size — small-corpus appends (every identity test)
-         always re-probe, while a single image folded into a large
-         fleet keeps append sublinear and the degraded flag at worst
-         1 % of corpus growth stale. *)
-      let refresh_probe =
-        stats'.n - learner.last_probe_n >= max 1 (learner.last_probe_n / 100)
-      in
-      let overflowed =
-        if refresh_probe then
-          mining_overflow ?pool ~mining_frac:learner.mining_frac
-            ~mining_cap:learner.mining_cap m_tx
-        else learner.result.f_overflowed
-      in
       {
         learner with
         stats = stats';
         env;
         raw_ctypes = List.map (fun (a, d) -> (a, d.Tinfer.ctype)) cfg_types';
-        training; ctxs; view; bits; counts; m_summaries; m_tx;
-        last_probe_n =
-          (if refresh_probe then stats'.n else learner.last_probe_n);
+        training; ctxs; view; bits; counts;
         result =
           {
             f_types = env;
@@ -578,7 +435,6 @@ let append ?pool learner images =
             f_value_stats = value_stats_of view;
             f_known_attrs = Colview.attrs view;
             f_training_count = stats'.n;
-            f_overflowed = overflowed;
           };
       }
     end

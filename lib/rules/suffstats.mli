@@ -2,8 +2,7 @@
 
     Every model quantity — per-attribute typing tallies and
     distinct-value summaries, candidate-rule (applicable, valid)
-    counts, discretization summaries for the mining probe — derives
-    from a value of type {!t} with the algebra
+    counts — derives from a value of type {!t} with the algebra
 
     {[ empty   add_image   merge   finalize ]}
 
@@ -15,7 +14,7 @@
 
     On top of the algebra sits a resident {!learner} that keeps the
     derived caches (columnar view, bitset overlay, per-candidate
-    counts, mining transactions) alive so {!append} folds new images
+    counts) alive so {!append} folds new images
     in sublinear time: only appended rows are scanned unless a type
     decision shifts, in which case it transparently falls back to a
     full rebuild — the result is identical either way. *)
@@ -56,7 +55,6 @@ type finalized = {
   f_value_stats : (string * string list) list;
   f_known_attrs : string list;
   f_training_count : int;
-  f_overflowed : bool;  (** mining probe hit its itemset cap *)
 }
 
 type learner
@@ -68,13 +66,9 @@ val learner_of :
   ?params:Infer.params ->
   ?templates:Template.t list ->
   ?entropy_threshold:float ->
-  ?mining_frac:float ->
-  ?mining_cap:int ->
   t -> learner
 (** Finalize: assemble the corpus under the tallied type decisions,
-    judge every candidate through the counts engine, filter, and run
-    the mining probe.  [mining_frac] defaults to
-    [params.min_support_frac]; [mining_cap] to 100_000 itemsets. *)
+    judge every candidate through the counts engine, and filter. *)
 
 val append :
   ?pool:Encore_util.Pool.t ->
@@ -82,14 +76,9 @@ val append :
 (** Fold new images into the statistics and refresh the model.  When
     every previously-decided raw column keeps its type, only the new
     rows are assembled and scanned (candidate counts extend by their
-    row-range delta, mining transactions append); otherwise the
-    learner rebuilds from the merged statistics.  In both cases the
-    result equals [learner_of (fold add_image stats images)], with one
-    amortization: the mining overflow probe — the lone diagnostic that
-    cannot be maintained incrementally — re-runs only once the corpus
-    has grown at least 1 % past its last probed size, so
-    [f_overflowed] can lag by up to that much growth on very large
-    corpora (appends into small corpora always re-probe). *)
+    row-range delta); otherwise the learner rebuilds from the merged
+    statistics.  In both cases the result equals
+    [learner_of (fold add_image stats images)]. *)
 
 val stats : learner -> t
 val current : learner -> finalized

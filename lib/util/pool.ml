@@ -1,4 +1,5 @@
 let m_tasks = Encore_obs.Metrics.counter "pool.tasks"
+let m_spawned = Encore_obs.Metrics.counter "pool.domains_spawned"
 let g_busy = Encore_obs.Metrics.gauge "pool.domains_busy"
 
 type t = {
@@ -8,7 +9,8 @@ type t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
   mutable stopping : bool;
-  mutable workers : unit Domain.t list;
+  mutable attached : int;  (* workers still serving this pool *)
+  detached : Condition.t;  (* signalled as each worker leaves *)
   busy : int Atomic.t;
   high_water : int Atomic.t;
   deadline : Deadline.t option Atomic.t;
@@ -44,6 +46,38 @@ let rec worker_loop t =
       ignore (Atomic.fetch_and_add t.busy (-1));
       worker_loop t
 
+(* Worker domains outlive the pools they serve.  [shutdown] parks its
+   workers here instead of joining them, and [create] adopts parked
+   workers before spawning new ones, so the number of domains a process
+   ever spawns is its peak number of concurrent workers.  Joining
+   instead leaks heap on OCaml 5.1, which has no compaction: any value
+   a dead domain allocated that outlives it (a learned model, say)
+   pins that domain's heap pools, so a transient pool per call grows
+   the heap with every call. *)
+let park_mutex = Mutex.create ()
+let park_cond = Condition.create ()
+let parked = ref 0  (* idle workers no [create] has claimed yet *)
+let adoptions : t Queue.t = Queue.create ()  (* claimed: the pool to serve *)
+
+(* Serve [t] until it shuts down, then detach. *)
+let serve t =
+  worker_loop t;
+  Mutex.lock t.mutex;
+  t.attached <- t.attached - 1;
+  Condition.broadcast t.detached;
+  Mutex.unlock t.mutex
+
+let rec park () =
+  Mutex.lock park_mutex;
+  incr parked;
+  while Queue.is_empty adoptions do
+    Condition.wait park_cond park_mutex
+  done;
+  let t = Queue.pop adoptions in
+  Mutex.unlock park_mutex;
+  serve t;
+  park ()
+
 (* A few chunks per worker balances the load when item costs are
    skewed, without paying queue synchronization per item. *)
 let default_chunk_factor = 4
@@ -62,28 +96,42 @@ let create ?(chunk = default_chunk_factor) ~jobs () =
       mutex = Mutex.create ();
       nonempty = Condition.create ();
       stopping = false;
-      workers = [];
+      attached = 0;
+      detached = Condition.create ();
       busy = Atomic.make 0;
       high_water = Atomic.make 0;
       deadline = Atomic.make None;
     }
   in
-  if t.n_jobs > 1 then
-    t.workers <-
-      List.init t.n_jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  if t.n_jobs > 1 then begin
+    t.attached <- t.n_jobs;
+    Mutex.lock park_mutex;
+    let adopted = min !parked t.n_jobs in
+    parked := !parked - adopted;
+    for _ = 1 to adopted do
+      Queue.add t adoptions
+    done;
+    Condition.broadcast park_cond;
+    Mutex.unlock park_mutex;
+    for _ = adopted + 1 to t.n_jobs do
+      Encore_obs.Metrics.incr m_spawned;
+      ignore
+        (Domain.spawn (fun () ->
+             serve t;
+             park ())
+          : unit Domain.t)
+    done
+  end;
   t
 
 let shutdown t =
-  let workers =
-    Mutex.lock t.mutex;
-    t.stopping <- true;
-    Condition.broadcast t.nonempty;
-    let ws = t.workers in
-    t.workers <- [];
-    Mutex.unlock t.mutex;
-    ws
-  in
-  List.iter Domain.join workers
+  Mutex.lock t.mutex;
+  t.stopping <- true;
+  Condition.broadcast t.nonempty;
+  while t.attached > 0 do
+    Condition.wait t.detached t.mutex
+  done;
+  Mutex.unlock t.mutex
 
 let with_pool ?chunk ~jobs f =
   let t = create ?chunk ~jobs () in

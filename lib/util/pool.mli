@@ -1,11 +1,20 @@
 (** Fixed domain pool with a chunked task queue.
 
-    One pool owns [jobs] worker domains for its whole lifetime, so
+    One pool holds [jobs] worker domains for its whole lifetime, so
     consecutive parallel stages (ingest parse, dataset augmentation,
     candidate-rule evaluation) reuse the same domains instead of paying
     a spawn/join per stage — the ad-hoc [Domain.spawn] fan-out this
     module replaces.  [Domain.spawn] elsewhere in [lib/] is banned by
     the lint gate.
+
+    Worker domains also outlive pools: {!shutdown} parks them, and
+    {!create} adopts parked domains before spawning new ones, so a
+    process spawns only as many domains as it ever runs concurrently,
+    however many transient pools it creates.  (On OCaml 5.1 a joined
+    domain's heap pools stay pinned by whatever it allocated that is
+    still live, so spawning per pool grows the heap per call.)  Each
+    pool still has its own queue, deadline and shutdown, and pools may
+    nest: a task may create, use and shut down a pool of its own.
 
     Determinism contract: {!map} and {!map_reduce} return results in
     input order regardless of which worker ran which chunk, and an
@@ -18,8 +27,9 @@
     synchronization; chunk boundaries are invisible in the results.
 
     Telemetry: every submitted chunk increments the [pool.tasks]
-    counter, and [pool.domains_busy] records the high-water mark of
-    concurrently busy workers.
+    counter, every domain spawned increments [pool.domains_spawned],
+    and [pool.domains_busy] records the high-water mark of concurrently
+    busy workers.
 
     Pools are not reentrant: calling {!map} on a pool from inside one
     of its own tasks would deadlock with every worker waiting.  Submit
@@ -28,7 +38,8 @@
 type t
 
 val create : ?chunk:int -> jobs:int -> unit -> t
-(** Spawn the workers.  [jobs <= 1] spawns none (inline execution).
+(** Attach the workers: parked worker domains first, newly spawned
+    ones for the rest.  [jobs <= 1] attaches none (inline execution).
     The worker count is capped at [Domain.recommended_domain_count ()]:
     oversubscribing cores only adds contention, so a request for more
     workers than the hardware can schedule degrades gracefully — down
@@ -48,8 +59,9 @@ val chunk : t -> int
 (** The per-worker chunk factor this pool was created with. *)
 
 val shutdown : t -> unit
-(** Drain and join the workers.  Idempotent; the pool runs inline
-    afterwards. *)
+(** Drain the queue, then detach the workers and park their domains
+    for a later {!create}; returns once every worker has left this
+    pool.  Idempotent; the pool runs inline afterwards. *)
 
 val with_pool : ?chunk:int -> jobs:int -> (t -> 'a) -> 'a
 (** [create], run, then {!shutdown} — even on exceptions. *)

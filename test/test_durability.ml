@@ -374,8 +374,7 @@ let test_checkpoint_damaged_is_absent () =
 let test_fingerprint_sensitivity () =
   let images = training 4 in
   let fp ~config ~mode images =
-    Checkpoint.fingerprint ~config ~custom:None ~mode ~max_retries:None
-      ~mining_cap:100 images
+    Checkpoint.fingerprint ~config ~custom:None ~mode ~max_retries:None images
   in
   let base = fp ~config:Config.default ~mode:"keep-going" images in
   check Alcotest.string "deterministic" base

@@ -314,8 +314,8 @@ let test_fleet_deadline_degrades () =
 
 (* --- degraded-check annotations -------------------------------------------- *)
 
-let test_degraded_notes_overflow_and_quarantine () =
-  let m = { (model ()) with Detector.overflowed = true } in
+let test_degraded_notes_quarantine () =
+  let m = model () in
   let img =
     Population.generator_for Image.Mysql Profile.ec2 (Prng.create 3) ~id:"deg"
   in
@@ -329,7 +329,6 @@ let test_degraded_notes_overflow_and_quarantine () =
       total_backoff_ms = 0;
       warnings = [];
       histogram = [];
-      mining_overflowed = false;
       status = Pipeline.Completed;
     }
   in
@@ -337,7 +336,6 @@ let test_degraded_notes_overflow_and_quarantine () =
   let has needle =
     List.exists (fun n -> Strutil.contains_sub n needle) d.Pipeline.notes
   in
-  check Alcotest.bool "overflow note" true (has "itemset mining hit its cap");
   check Alcotest.bool "quarantine note" true (has "2 of 5 training image(s)");
   check Alcotest.bool "missing template classes note" true
     (has "no rules learned for template class(es)");
@@ -350,10 +348,6 @@ let test_degraded_no_spurious_notes () =
     Population.generator_for Image.Mysql Profile.ec2 (Prng.create 4) ~id:"ok"
   in
   let d = Pipeline.check_degraded m img in
-  check Alcotest.bool "no overflow note without overflow" false
-    (List.exists
-       (fun n -> Strutil.contains_sub n "itemset mining")
-       d.Pipeline.notes);
   check Alcotest.bool "no quarantine note without report" false
     (List.exists
        (fun n -> Strutil.contains_sub n "quarantined")
@@ -460,8 +454,8 @@ let () =
         ] );
       ( "degraded",
         [
-          Alcotest.test_case "notes for overflow and quarantine" `Quick
-            test_degraded_notes_overflow_and_quarantine;
+          Alcotest.test_case "notes for quarantine" `Quick
+            test_degraded_notes_quarantine;
           Alcotest.test_case "no spurious notes" `Quick
             test_degraded_no_spurious_notes;
         ] );

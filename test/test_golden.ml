@@ -3,7 +3,8 @@
    learned model, the JSONL lines of a fleet check — for fixed seeds,
    so any refactor of the learning core that changes a single rule,
    type, value statistic or warning fails here.  The pins were
-   computed with [Pipeline.learn_result]. *)
+   computed with [Pipeline.learn_result]; every other learning entry
+   point must produce the same bytes. *)
 
 module Pipeline = Encore.Pipeline
 module Config = Encore.Config
@@ -43,6 +44,29 @@ let test_model_pin (app, n, pin) () =
     pin
     (md5 (Model_io.to_string model))
 
+(* The batch learner with ingest, the resilient wrapper and the
+   mergeable-statistics learner, each against the same pin. *)
+let test_entry_points (app, n, pin) () =
+  let images = training app ~n in
+  let durable =
+    match model_or_fail (Pipeline.learn_durable images) with
+    | { Pipeline.model = Some m; _ } -> m
+    | { Pipeline.model = None; _ } -> Alcotest.fail "learn_durable: no model"
+  in
+  let resilient, _report = model_or_fail (Pipeline.learn_resilient images) in
+  let merged =
+    Pipeline.model_of_learner
+      (model_or_fail (Pipeline.learner_result (Pipeline.stats_of_images images)))
+  in
+  List.iter
+    (fun (name, model) ->
+      check Alcotest.string
+        (Printf.sprintf "%s %s model bytes" (Image.app_to_string app) name)
+        pin
+        (md5 (Model_io.to_string model)))
+    [ ("learn_durable", durable); ("learn_resilient", resilient);
+      ("suffstats learner", merged) ]
+
 (* A mysql model checked against held-out images, every third carrying
    one ConfErr error; the pin covers every streamed report line. *)
 let fleet_pin = "281f6796c2866a5f4134f3c3087d97a4"
@@ -80,6 +104,12 @@ let () =
           (fun ((app, _, _) as pin) ->
             Alcotest.test_case (Image.app_to_string app) `Quick
               (test_model_pin pin))
+          model_pins );
+      ( "entry-points",
+        List.map
+          (fun ((app, _, _) as pin) ->
+            Alcotest.test_case (Image.app_to_string app) `Quick
+              (test_entry_points pin))
           model_pins );
       ("fleet-check", [ Alcotest.test_case "mysql jsonl" `Quick test_fleet_pin ]);
     ]

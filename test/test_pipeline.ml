@@ -98,8 +98,8 @@ let test_jobs_resilient_identical () =
 (* Randomized extension of the fixed-corpus determinism tests above:
    any workload (study population or reduced-scale synthetic fleet),
    any seed, the learned model must be byte-identical at jobs 1/2/8 —
-   sharded rule inference, the parallel mining probe and the forked
-   per-image PRNG streams may not let the job count leak into output. *)
+   sharded rule inference and the forked per-image PRNG streams may
+   not let the job count leak into output. *)
 let prop_jobs_identical_random =
   let gen =
     QCheck.Gen.(
@@ -199,42 +199,39 @@ let test_training_soundness () =
    [exit_code]).  Drive [learn_durable] into each terminal state and
    assert the mapping. *)
 
-(* Generated app populations legitimately overflow the mining cap —
-   dozens of fully-correlated columns make the frequent-itemset count
-   exponential, which is exactly Table 3's failure mode — so a
-   non-degraded exit-0 run needs a small synthetic population with a
-   bounded attribute surface. *)
-let tiny_image i =
-  let text =
-    Printf.sprintf "Port 22\nListenAddress 10.0.0.%d\nPermitRootLogin no\n"
-      (i + 1)
-  in
-  Image.make
-    ~id:(Printf.sprintf "tiny-%d" i)
-    [ { Image.app = Image.Sshd; path = "/etc/ssh/sshd_config"; text } ]
+(* ten clean generated mysql images *)
+let ten_mysql () = List.filteri (fun i _ -> i < 10) (training Image.Mysql 20)
 
 let test_exit_code_ok () =
-  let result =
-    Pipeline.learn_durable ~mining_cap:10_000_000 (List.init 4 tiny_image)
-  in
+  let result = Pipeline.learn_durable (ten_mysql ()) in
   (match result with
    | Ok o ->
        check Alcotest.bool "model produced" true (o.Pipeline.model <> None);
        check Alcotest.bool "completed" true
-         (o.Pipeline.report.Pipeline.status = Pipeline.Completed)
+         (o.Pipeline.report.Pipeline.status = Pipeline.Completed);
+       check Alcotest.bool "no degraded note" false
+         (Encore_util.Strutil.contains_sub
+            (Pipeline.report_to_string o.Pipeline.report)
+            "degraded:")
    | Error d ->
        Alcotest.failf "clean run failed: %s"
          (Encore_util.Resilience.diagnostic_to_string d));
   check Alcotest.int "clean completed run is 0" 0 (Pipeline.exit_code result)
 
 let test_exit_code_degraded () =
-  (* a mining cap of 1 always overflows: degraded but still Ok *)
-  let result = Pipeline.learn_durable ~mining_cap:1 (training Image.Mysql 10) in
+  (* one image whose probe always flaps is quarantined: degraded but
+     still Ok *)
+  let images =
+    List.mapi
+      (fun i img -> if i = 3 then Image.with_flakiness img 1.0 else img)
+      (ten_mysql ())
+  in
+  let result = Pipeline.learn_durable images in
   (match result with
    | Ok o ->
        check Alcotest.bool "still yields a model" true (o.Pipeline.model <> None);
-       check Alcotest.bool "overflow recorded" true
-         o.Pipeline.report.Pipeline.mining_overflowed
+       check Alcotest.bool "quarantine recorded" true
+         (o.Pipeline.report.Pipeline.quarantined <> [])
    | Error d ->
        Alcotest.failf "degraded run failed: %s"
          (Encore_util.Resilience.diagnostic_to_string d));

@@ -1,5 +1,6 @@
 (* Tests for Encore_util.Pool: deterministic ordering, exception
-   propagation, worker reuse across calls, map_reduce, deadline
+   propagation, worker reuse across calls, worker domains recycled
+   across pools (nested pools included), map_reduce, deadline
    cancellation firing inside worker domains, and the map = List.map
    property at every pool size. *)
 
@@ -75,6 +76,35 @@ let test_shutdown_idempotent_then_inline () =
   Pool.shutdown p;
   Pool.shutdown p;
   check ints "inline after shutdown" [ 1; 2 ] (Pool.map p succ [ 0; 1 ])
+
+(* --- domain recycling across pools ----------------------------------------- *)
+
+let spawned () =
+  Encore_obs.Metrics.count (Encore_obs.Metrics.counter "pool.domains_spawned")
+
+let test_sequential_pools_recycle_domains () =
+  let before = spawned () in
+  for i = 1 to 50 do
+    Pool.with_pool ~jobs:2 (fun p ->
+        check ints (Printf.sprintf "cycle %d" i) [ i + 1; i + 2 ]
+          (Pool.map p succ [ i; i + 1 ]))
+  done;
+  let bound = min 2 (Domain.recommended_domain_count ()) in
+  let n = spawned () - before in
+  check Alcotest.bool
+    (Printf.sprintf "50 pools spawned %d domain(s), at most %d" n bound)
+    true (n <= bound)
+
+let test_nested_pool_in_task () =
+  Pool.with_pool ~jobs:2 @@ fun outer ->
+  let xs = List.init 8 Fun.id in
+  let expected x = List.map (fun y -> (100 * x) + y) [ 1; 2; 3 ] in
+  let inner x =
+    Pool.with_pool ~jobs:2 (fun p ->
+        Pool.map p (fun y -> (100 * x) + y) [ 1; 2; 3 ])
+  in
+  check (Alcotest.list ints) "inner pool results" (List.map expected xs)
+    (Pool.map outer inner xs)
 
 (* --- map_reduce ----------------------------------------------------------- *)
 
@@ -192,6 +222,13 @@ let () =
         [
           Alcotest.test_case "many calls, one pool" `Quick test_reuse_across_calls;
           Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent_then_inline;
+        ] );
+      ( "recycling",
+        [
+          Alcotest.test_case "sequential pools reuse domains" `Quick
+            test_sequential_pools_recycle_domains;
+          Alcotest.test_case "pool nested in a task" `Quick
+            test_nested_pool_in_task;
         ] );
       ( "map_reduce",
         [

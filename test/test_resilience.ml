@@ -350,12 +350,10 @@ let test_flaky_drops_records_with_diags () =
 
 (* --- resilient learning ---------------------------------------------------- *)
 
-let mining_cap = 5_000
-
 let test_learn_resilient_clean_matches_learn () =
   let images = training ~seed:7 10 in
   let strict = Pipeline.learn images in
-  match Pipeline.learn_resilient ~mining_cap images with
+  match Pipeline.learn_resilient images with
   | Error d -> Alcotest.failf "clean learn failed: %s" (Res.diagnostic_to_string d)
   | Ok (model, report) ->
       check Alcotest.int "same rules" (List.length strict.Detector.rules)
@@ -378,7 +376,7 @@ let storm_and_learn ~fault ~seed ~n ~fraction =
   let images = training ~seed n in
   let rng = Prng.create (seed + 1) in
   let stormed = Chaos.storm ~fraction ~faults:[ fault ] ~rng images in
-  (stormed, Pipeline.learn_resilient ~mining_cap stormed.Chaos.images)
+  (stormed, Pipeline.learn_resilient stormed.Chaos.images)
 
 let assert_chaos_contained fault seed =
   let stormed, outcome = storm_and_learn ~fault ~seed ~n:10 ~fraction:0.3 in
@@ -437,8 +435,7 @@ let test_fail_fast_surfaces_first_fault () =
     Chaos.storm ~fraction:0.3 ~faults:[ Fault.Garbage_bytes ] ~rng images
   in
   match
-    Pipeline.learn_resilient ~mode:Pipeline.Fail_fast ~mining_cap
-      stormed.Chaos.images
+    Pipeline.learn_resilient ~mode:Pipeline.Fail_fast stormed.Chaos.images
   with
   | Error d ->
       check Alcotest.string "fatal kind surfaced" "corrupt-image"
@@ -447,7 +444,7 @@ let test_fail_fast_surfaces_first_fault () =
 
 let test_all_quarantined_is_error_not_raise () =
   let images = List.map (fun img -> Image.with_flakiness img 1.0) (training ~seed:43 4) in
-  match Pipeline.learn_resilient ~mining_cap images with
+  match Pipeline.learn_resilient images with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a fully-flapping population cannot train"
 

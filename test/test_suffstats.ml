@@ -17,20 +17,14 @@ let check = Alcotest.check
 
 let fleet = Synthfleet.generate ~seed:7 ~n:60 ()
 
-(* The synthetic fleet's attribute universe makes the mining probe the
-   dominant cost at the default cap; a small cap keeps every finalize
-   cheap and still exercises the overflow bit (it overflows here). *)
-let mining_cap = 2_000
-
 let payload t = Suffstats.to_payload t
 
 let model_string learner =
   Model_io.to_string (Detector.model_of_finalized (Suffstats.current learner))
 
-(* Batch reference with the mining probe, as [learn_resilient] runs it:
-   the suffstats learner always carries the probe's overflow bit. *)
+(* Batch reference: the model [learn_resilient] learns. *)
 let batch_model_string images =
-  match Pipeline.learn_resilient ~mining_cap images with
+  match Pipeline.learn_resilient images with
   | Ok (model, _report) -> Model_io.to_string model
   | Error d -> Alcotest.failf "learn_resilient: %s" d.Encore_util.Resilience.detail
 
@@ -102,7 +96,7 @@ let test_finalize_matches_batch () =
   List.iter
     (fun (jobs, shards) ->
       let config = { Config.default with Config.jobs = jobs } in
-      match Pipeline.learn_sharded_result ~config ~shards ~mining_cap fleet with
+      match Pipeline.learn_sharded_result ~config ~shards fleet with
       | Error d -> Alcotest.failf "learn_sharded_result: %s" d.Encore_util.Resilience.detail
       | Ok (model, _) ->
           check Alcotest.string
@@ -114,7 +108,7 @@ let test_finalize_matches_batch () =
 (* --- incremental append ---------------------------------------------------- *)
 
 let learner_of_images images =
-  Suffstats.learner_of ~mining_cap (Suffstats.of_images images)
+  Suffstats.learner_of (Suffstats.of_images images)
 
 let test_append_matches_batch () =
   match split_at [ 40; 50 ] fleet with
@@ -221,8 +215,8 @@ let test_store_roundtrip () =
           check Alcotest.string "store round-trips" (payload t) (payload t');
           (* the reloaded statistics finalize to the same model *)
           check Alcotest.string "reloaded stats finalize identically"
-            (model_string (Suffstats.learner_of ~mining_cap t))
-            (model_string (Suffstats.learner_of ~mining_cap t')))
+            (model_string (Suffstats.learner_of t))
+            (model_string (Suffstats.learner_of t')))
 
 let test_envelope_rejects_foreign_schema () =
   let path = Filename.temp_file "encore-suffstats" ".snap" in
