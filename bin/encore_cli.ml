@@ -77,9 +77,10 @@ let custom_arg =
 let jobs_arg =
   Arg.(value & opt int (Domain.recommended_domain_count ())
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the learning pipeline (default: the \
-                 machine's recommended domain count; 1 = sequential). \
-                 Learned models are identical for every value.")
+           ~doc:"Domains for the learning pipeline, the calling one \
+                 included (default: the machine's recommended domain \
+                 count; 1 = sequential). Learned models are identical for \
+                 every value.")
 
 let chunk_arg =
   Arg.(value & opt (some int) None

@@ -12,8 +12,8 @@ type t = {
       (** a warning counts as a detection when its score reaches this *)
   seed : int;  (** master seed for the deterministic experiments *)
   jobs : int;
-      (** worker domains for the learning pipeline (default 1 =
-          sequential; the CLI defaults its [-j] flag to
+      (** domains for the learning pipeline, the calling one included
+          (default 1 = sequential; the CLI defaults its [-j] flag to
           [Domain.recommended_domain_count]).  Learned models are
           identical for every value. *)
   chunk : int option;

@@ -13,19 +13,6 @@ type item = string
 val numeric_bins : int
 (** Number of equal-width bins for numeric columns (4). *)
 
-type column_kind =
-  | Text
-  | Numeric of float * float
-      (** corpus-wide (lo, hi) bounds fixing the bin edges *)
-(** Per-column rendering decision: a column is [Numeric] when it is
-    non-empty and every value parses as a number. *)
-
-val item_of : string -> column_kind -> string -> item
-(** [item_of attr kind v] is the item label of one cell — ["attr=v"]
-    for text, the bin label for numerics.  Exposed so incremental
-    callers can re-derive items from cached per-column kinds; agrees
-    with {!items_of_table} when [kind] matches the column's. *)
-
 val items_of_table :
   ?numeric:bool -> Table.t -> item list * item list array
 (** [items_of_table t] returns the universe of items and, per row, the

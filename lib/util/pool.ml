@@ -24,6 +24,11 @@ let rec record_high_water t busy_now =
   if busy_now > hw && not (Atomic.compare_and_set t.high_water hw busy_now)
   then record_high_water t busy_now
 
+let run_task t run =
+  record_high_water t (1 + Atomic.fetch_and_add t.busy 1);
+  run ();
+  ignore (Atomic.fetch_and_add t.busy (-1))
+
 let rec worker_loop t =
   Mutex.lock t.mutex;
   let rec next () =
@@ -41,9 +46,7 @@ let rec worker_loop t =
   match task with
   | None -> ()
   | Some run ->
-      record_high_water t (1 + Atomic.fetch_and_add t.busy 1);
-      run ();
-      ignore (Atomic.fetch_and_add t.busy (-1));
+      run_task t run;
       worker_loop t
 
 (* Worker domains outlive the pools they serve.  [shutdown] parks its
@@ -104,16 +107,19 @@ let create ?(chunk = default_chunk_factor) ~jobs () =
     }
   in
   if t.n_jobs > 1 then begin
-    t.attached <- t.n_jobs;
+    (* the submitting domain is the last of the [n_jobs]: it runs
+       chunks itself while it waits (see [submit_and_wait]) *)
+    let workers = t.n_jobs - 1 in
+    t.attached <- workers;
     Mutex.lock park_mutex;
-    let adopted = min !parked t.n_jobs in
+    let adopted = min !parked workers in
     parked := !parked - adopted;
     for _ = 1 to adopted do
       Queue.add t adoptions
     done;
     Condition.broadcast park_cond;
     Mutex.unlock park_mutex;
-    for _ = adopted + 1 to t.n_jobs do
+    for _ = adopted + 1 to workers do
       Encore_obs.Metrics.incr m_spawned;
       ignore
         (Domain.spawn (fun () ->
@@ -161,7 +167,11 @@ let chunk_bounds n n_chunks =
 
 (* Run every closure on the pool and wait for all of them.  Closures
    must not raise; worker spans nest under the caller's current span
-   via the captured trace context. *)
+   via the captured trace context.  The caller takes chunks off the
+   queue too instead of blocking until the workers finish: every idle
+   domain must still be woken for each stop-the-world minor
+   collection, which on a 2-core host made allocation-heavy work up to
+   ~75 % slower, so a pool computes on all its domains at once. *)
 let submit_and_wait t closures =
   let n = List.length closures in
   let done_mutex = Mutex.create () in
@@ -179,6 +189,17 @@ let submit_and_wait t closures =
   List.iter (fun body -> Queue.add (wrap body) t.queue) closures;
   Condition.broadcast t.nonempty;
   Mutex.unlock t.mutex;
+  let rec help () =
+    Mutex.lock t.mutex;
+    let task = Queue.take_opt t.queue in
+    Mutex.unlock t.mutex;
+    match task with
+    | Some run ->
+        run_task t run;
+        help ()
+    | None -> ()
+  in
+  help ();
   Mutex.lock done_mutex;
   while !remaining > 0 do
     Condition.wait done_cond done_mutex

@@ -1,7 +1,9 @@
 (** Fixed domain pool with a chunked task queue.
 
-    One pool holds [jobs] worker domains for its whole lifetime, so
-    consecutive parallel stages (ingest parse, dataset augmentation,
+    A pool of [jobs] runs its work on [jobs] domains: [jobs - 1] worker
+    domains it holds for its whole lifetime, plus the submitting
+    domain, which runs queued chunks itself while it waits.
+    Consecutive parallel stages (ingest parse, dataset augmentation,
     candidate-rule evaluation) reuse the same domains instead of paying
     a spawn/join per stage — the ad-hoc [Domain.spawn] fan-out this
     module replaces.  [Domain.spawn] elsewhere in [lib/] is banned by
@@ -29,22 +31,21 @@
     Telemetry: every submitted chunk increments the [pool.tasks]
     counter, every domain spawned increments [pool.domains_spawned],
     and [pool.domains_busy] records the high-water mark of concurrently
-    busy workers.
+    busy domains, the submitting one included.
 
-    Pools are not reentrant: calling {!map} on a pool from inside one
-    of its own tasks would deadlock with every worker waiting.  Submit
-    only from outside the pool. *)
+    Pools are not reentrant: submit only from outside the pool. *)
 
 type t
 
 val create : ?chunk:int -> jobs:int -> unit -> t
-(** Attach the workers: parked worker domains first, newly spawned
-    ones for the rest.  [jobs <= 1] attaches none (inline execution).
-    The worker count is capped at [Domain.recommended_domain_count ()]:
+(** Attach [jobs - 1] workers: parked worker domains first, newly
+    spawned ones for the rest.  [jobs <= 1] attaches none (inline
+    execution).
+    [jobs] is capped at [Domain.recommended_domain_count ()]:
     oversubscribing cores only adds contention, so a request for more
-    workers than the hardware can schedule degrades gracefully — down
+    domains than the hardware can schedule degrades gracefully — down
     to inline execution on a single-core host.  Results never depend
-    on the effective worker count.
+    on the effective domain count.
 
     [chunk] is the number of chunks each worker gets per {!map} /
     {!map_reduce} round (default 4, clamped to >= 1).  Small values
