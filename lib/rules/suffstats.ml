@@ -204,15 +204,37 @@ let aug_types t ~cfg_types view bits =
     (Colview.attrs view)
 
 (* distinct values per attribute over the reverse instance stream — the
-   order [Detector.model_of_training]'s hashtable walk produces *)
-let value_stats_of view =
+   order [Detector.model_of_training]'s hashtable walk produces.  [prev]
+   holds the statistics of the view's first [from_row] rows, whose
+   attributes are a prefix of the view's in the same order: their part
+   of the stream trails the newer rows' part, so their values follow
+   the newer rows' distinct values, and a column the newer rows leave
+   empty keeps its list.  Appending one image to a large corpus then
+   scans one row, not the corpus. *)
+let value_stats_of ?(from_row = 0) ?(prev = []) view =
+  let prev = ref prev in
   List.mapi
     (fun a attr ->
-      let col = Colview.column view a in
-      let stream_rev =
-        Array.fold_left (fun acc cell -> List.rev_append cell acc) [] col
+      let old =
+        match !prev with
+        | (_, d) :: rest ->
+            prev := rest;
+            d
+        | [] -> []
       in
-      (attr, Stats.distinct stream_rev))
+      let col = Colview.column view a in
+      let fresh = ref [] in
+      for i = from_row to Array.length col - 1 do
+        fresh := List.rev_append col.(i) !fresh
+      done;
+      match (!fresh, old) with
+      | [], _ -> (attr, old)
+      | fresh, [] -> (attr, Stats.distinct fresh)
+      | fresh, _ ->
+          let d = Stats.distinct fresh in
+          let seen = Hashtbl.create 8 in
+          List.iter (fun v -> Hashtbl.replace seen v ()) d;
+          (attr, d @ List.filter (fun v -> not (Hashtbl.mem seen v)) old))
     (Colview.attrs view)
 
 (* --- the resident learner ------------------------------------------------- *)
@@ -432,7 +454,9 @@ let append ?pool learner images =
           {
             f_types = env;
             f_rules = rules;
-            f_value_stats = value_stats_of view;
+            f_value_stats =
+              value_stats_of ~from_row:old_n
+                ~prev:learner.result.f_value_stats view;
             f_known_attrs = Colview.attrs view;
             f_training_count = stats'.n;
           };
