@@ -211,7 +211,7 @@ let aug_types t ~cfg_types view bits =
    the newer rows' distinct values, and a column the newer rows leave
    empty keeps its list.  Appending one image to a large corpus then
    scans one row, not the corpus. *)
-let value_stats_of ?(from_row = 0) ?(prev = []) view =
+let value_stats_of ~from_row ~prev view =
   let prev = ref prev in
   List.mapi
     (fun a attr ->
@@ -361,7 +361,7 @@ let build ?pool ~params ~templates ~etemplates ~entropy_threshold stats =
       {
         f_types = env;
         f_rules = rules;
-        f_value_stats = value_stats_of view;
+        f_value_stats = value_stats_of ~from_row:0 ~prev:[] view;
         f_known_attrs = Colview.attrs view;
         f_training_count = stats.n;
       };
