@@ -288,6 +288,7 @@ type check_measurement = {
   check_jobs : int;
   single_loop_ns : int;  (* Pipeline.check per image: compile every call *)
   fleet_ns : int;        (* Pipeline.check_fleet: compile once, pooled *)
+  fleet_seq_ns : int;    (* Pipeline.check_fleet at jobs=1 *)
 }
 
 let images_per_s ~fleet_size ns =
@@ -297,12 +298,18 @@ let check_speedup m =
   if m.fleet_ns <= 0 then 0.0
   else float_of_int m.single_loop_ns /. float_of_int m.fleet_ns
 
+(* The pool's own gain: check_fleet at jobs=N against itself at jobs=1.
+   Reported, not gated: it depends on the host's free cores. *)
+let fleet_parallel_speedup m =
+  if m.fleet_ns <= 0 then 0.0
+  else float_of_int m.fleet_seq_ns /. float_of_int m.fleet_ns
+
 (* Serving-path cost at paper scale: check [fleet_size] held-out images
    against a paper-scale mysql model, once through the naive
    single-image loop (Pipeline.check compiles the engine on every
    call) and once through Pipeline.check_fleet (one Engine.compile,
-   worker pool).  Both paths produce identical warnings; only the
-   throughput differs. *)
+   worker pool), the latter both at [jobs] and at jobs=1.  Every path
+   produces identical warnings; only the throughput differs. *)
 let measure_check ~jobs =
   let images =
     Population.clean (Population.generate ~seed:7 Image.Mysql ~n:paper_n)
@@ -316,9 +323,11 @@ let measure_check ~jobs =
           ~id:(Printf.sprintf "fleet-%03d" i))
   in
   let config = { Encore.Config.default with Encore.Config.jobs = jobs } in
-  (* warm both paths outside the timed region *)
+  let seq_config = { config with Encore.Config.jobs = 1 } in
+  (* warm every path outside the timed region *)
   List.iter (fun img -> ignore (Encore.Pipeline.check model img)) fleet;
   ignore (Encore.Pipeline.check_fleet ~config model fleet);
+  ignore (Encore.Pipeline.check_fleet ~config:seq_config model fleet);
   (* best of N rounds per path: throughput is a property of the code,
      not of whatever else the host scheduler ran during one pass *)
   let best f =
@@ -337,7 +346,11 @@ let measure_check ~jobs =
   let fleet_ns =
     best (fun () -> ignore (Encore.Pipeline.check_fleet ~config model fleet))
   in
-  { fleet_size; check_jobs = jobs; single_loop_ns; fleet_ns }
+  let fleet_seq_ns =
+    best (fun () ->
+        ignore (Encore.Pipeline.check_fleet ~config:seq_config model fleet))
+  in
+  { fleet_size; check_jobs = jobs; single_loop_ns; fleet_ns; fleet_seq_ns }
 
 let print_check_times ~jobs =
   let m = measure_check ~jobs in
@@ -347,10 +360,15 @@ let print_check_times ~jobs =
     m.fleet_size paper_n;
   Printf.printf "  single-image loop (compile per check)  %12d ns  (%8.1f images/s)\n"
     m.single_loop_ns (images_per_s ~fleet_size:m.fleet_size m.single_loop_ns);
+  Printf.printf "  check_fleet, jobs=1  (compile once)    %12d ns  (%8.1f images/s)\n"
+    m.fleet_seq_ns
+    (images_per_s ~fleet_size:m.fleet_size m.fleet_seq_ns);
   Printf.printf "  check_fleet, jobs=%-2d (compile once)    %12d ns  (%8.1f images/s)\n"
     m.check_jobs m.fleet_ns
     (images_per_s ~fleet_size:m.fleet_size m.fleet_ns);
-  Printf.printf "  fleet speedup                          %12.2fx\n" (check_speedup m)
+  Printf.printf "  fleet speedup                          %12.2fx\n" (check_speedup m);
+  Printf.printf "  parallel speedup (jobs=%d / jobs=1)     %12.2fx\n" m.check_jobs
+    (fleet_parallel_speedup m)
 
 (* --- serve daemon throughput + latency -------------------------------------- *)
 
@@ -787,7 +805,10 @@ let write_json ~jobs path =
                 (images_per_s ~fleet_size:chk.fleet_size chk.single_loop_ns));
              ("fleet_images_per_s",
               Json.Float (images_per_s ~fleet_size:chk.fleet_size chk.fleet_ns));
-             ("fleet_speedup", Json.Float (check_speedup chk)) ]);
+             ("fleet_speedup", Json.Float (check_speedup chk));
+             ("fleet_seq_ns", Json.Int chk.fleet_seq_ns);
+             ("fleet_parallel_speedup",
+              Json.Float (fleet_parallel_speedup chk)) ]);
         ("learn",
          Json.Obj
            [ ("jobs", Json.Int lrn.learn_jobs);

@@ -621,34 +621,18 @@ let check_fleet ?(config = Config.default) ?pool
              ws);
     }
   in
-  let emit_batch rs =
+  let emit rs =
     match stream with
     | None -> ()
     | Some out -> List.iter (fun r -> out (fleet_image_line r)) rs
   in
+  let check_all p =
+    Encore_util.Pool.map_prefix p ~deadline ~yield:emit check_one targets
+  in
   let result =
     match pool with
-    | Some p ->
-        Encore_util.Pool.map_batched p ~deadline ~yield:emit_batch check_one
-          targets
-    | None ->
-        (* sequential serving: the deadline stops between images, so the
-           partial report covers a prefix of the targets — the same
-           shape the pooled path produces at batch granularity *)
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | img :: rest -> (
-              match
-                Encore_util.Deadline.raise_if_expired deadline;
-                check_one img
-              with
-              | r ->
-                  emit_batch [ r ];
-                  go (r :: acc) rest
-              | exception Encore_util.Deadline.Expired _ ->
-                  Error (List.rev acc))
-        in
-        go [] targets
+    | Some p -> check_all p
+    | None -> Encore_util.Pool.with_pool ~jobs:1 check_all
   in
   let images, status =
     match result with

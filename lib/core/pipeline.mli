@@ -258,13 +258,15 @@ val check_fleet :
     the rendered output is byte-identical for any pool size.
 
     [stream] receives each completed image's {!fleet_image_line} in
-    target order, as soon as its batch completes — a JSONL sink for
-    fleets too large to hold a report in memory.
+    target order, as soon as every earlier image is checked too — a
+    JSONL sink for fleets too large to hold a report in memory.
 
-    With [deadline], expiry is graceful: checking stops at a batch
-    boundary (per image when sequential), the report covers the
-    completed prefix with [fleet_status = Fleet_timed_out], and a
-    [deadline] event is emitted.  A [fleet_report] event plus the
+    With [deadline], expiry is graceful: checking stops at an image
+    ({!Encore_util.Pool.map_prefix} polls the deadline once per image,
+    in target order), the report covers the completed prefix with
+    [fleet_status = Fleet_timed_out], and a [deadline] event is
+    emitted.  A poll-counted deadline leaves the same prefix at every
+    pool size.  A [fleet_report] event plus the
     [fleet.images_checked] / [fleet.warnings] counters account for
     every run. *)
 

@@ -83,13 +83,14 @@ let normalize path =
 
 let parent path = Encore_util.Strutil.dirname path
 
+(* Every constructor keeps all ancestors of a present path present, so
+   the walk up stops at the first present one.  Missing ancestors are
+   added top-down. *)
 let rec ensure_dirs fs path =
-  if path = "/" then fs
+  if path = "/" || Smap.mem path fs then fs
   else
-    let fs = ensure_dirs fs (parent path) in
-    match Smap.find_opt path fs with
-    | Some _ -> fs
-    | None -> Smap.add path { root_meta with kind = Directory } fs
+    Smap.add path { root_meta with kind = Directory }
+      (ensure_dirs fs (parent path))
 
 let add fs path meta =
   let path = normalize path in

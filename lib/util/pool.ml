@@ -167,12 +167,14 @@ let chunk_bounds n n_chunks =
 
 (* Run every closure on the pool and wait for all of them.  Closures
    must not raise; worker spans nest under the caller's current span
-   via the captured trace context.  The caller takes chunks off the
-   queue too instead of blocking until the workers finish: every idle
-   domain must still be woken for each stop-the-world minor
-   collection, which on a 2-core host made allocation-heavy work up to
-   ~75 % slower, so a pool computes on all its domains at once. *)
-let submit_and_wait t closures =
+   via the captured trace context.  The caller first runs [lead] (a
+   share of the work of its own, which must not raise either), then
+   takes chunks off the queue too instead of blocking until the
+   workers finish: every idle domain must still be woken for each
+   stop-the-world minor collection, which on a 2-core host made
+   allocation-heavy work up to ~75 % slower, so a pool computes on all
+   its domains at once.  [lead] counts as one task. *)
+let submit_and_wait ?lead t closures =
   let n = List.length closures in
   let done_mutex = Mutex.create () in
   let done_cond = Condition.create () in
@@ -189,6 +191,13 @@ let submit_and_wait t closures =
   List.iter (fun body -> Queue.add (wrap body) t.queue) closures;
   Condition.broadcast t.nonempty;
   Mutex.unlock t.mutex;
+  let own =
+    match lead with
+    | None -> 0
+    | Some lead ->
+        run_task t lead;
+        1
+  in
   let rec help () =
     Mutex.lock t.mutex;
     let task = Queue.take_opt t.queue in
@@ -205,7 +214,7 @@ let submit_and_wait t closures =
     Condition.wait done_cond done_mutex
   done;
   Mutex.unlock done_mutex;
-  Encore_obs.Metrics.incr ~by:n m_tasks;
+  Encore_obs.Metrics.incr ~by:(n + own) m_tasks;
   Encore_obs.Metrics.set_max g_busy (float_of_int (Atomic.get t.high_water))
 
 let inline t = t.n_jobs <= 1 || t.stopping
@@ -242,37 +251,110 @@ let map t f xs =
          | None -> assert false)
   end
 
-(* First [n] items of [xs] (all of them when fewer), plus the rest.
-   Batches are a few dozen items, so plain recursion is fine. *)
-let rec take n xs =
-  if n = 0 then ([], xs)
-  else
-    match xs with
-    | [] -> ([], [])
-    | x :: rest ->
-        let batch, rest = take (n - 1) rest in
-        (x :: batch, rest)
+type 'b slot = Pending | Done of 'b | Raised of exn * Printexc.raw_backtrace
 
-let map_batched t ~deadline ?batch ?yield f xs =
-  let batch_size =
-    match batch with Some b -> max 1 b | None -> max 1 (t.n_jobs * t.chunk)
+let map_prefix t ~deadline ?yield f xs =
+  let items = Array.of_list xs in
+  let n = Array.length items in
+  let results = Array.make n Pending in
+  (* [lock] guards [results], [next] and [stopped].  The deadline is
+     polled only under it, once per claimed item, so polls follow claim
+     order and expiry always leaves a prefix. *)
+  let lock = Mutex.create () in
+  let next = ref 0 in
+  let stopped = ref false in  (* expired, an item raised, or yield did *)
+  let run i =
+    match f items.(i) with
+    | v -> Done v
+    | exception e -> Raised (e, Printexc.get_raw_backtrace ())
   in
-  let emit rs = match yield with None -> () | Some y -> y rs in
-  let rec go acc xs =
-    match xs with
-    | [] -> Ok (List.concat (List.rev acc))
-    | _ -> (
-        let b, rest = take batch_size xs in
-        match
-          Deadline.raise_if_expired deadline;
-          with_deadline t deadline (fun () -> map t f b)
-        with
-        | rs ->
-            emit rs;
-            go (rs :: acc) rest
-        | exception Deadline.Expired _ -> Error (List.concat (List.rev acc)))
+  (* Under [lock]: record the item just run, then claim the next. *)
+  let settle_and_claim settled =
+    (match settled with
+     | Some (i, r) ->
+         results.(i) <- r;
+         (match r with Raised _ -> stopped := true | Pending | Done _ -> ())
+     | None -> ());
+    if !stopped || !next >= n then None
+    else if Deadline.expired deadline then begin
+      stopped := true;
+      None
+    end
+    else begin
+      let i = !next in
+      incr next;
+      Some i
+    end
   in
-  go [] xs
+  let rec work settled =
+    match Mutex.protect lock (fun () -> settle_and_claim settled) with
+    | None -> ()
+    | Some i -> work (Some (i, run i))
+  in
+  (* The caller streams: after each of its own items it yields the
+     results finished since its last yield.  Slots below the frontier
+     were filled under [lock] before the caller took it and are never
+     written again, so they are read without it. *)
+  let yielded = ref 0 in
+  let frontier () =
+    let j = ref !yielded in
+    while
+      !j < n
+      && match results.(!j) with Done _ -> true | Pending | Raised _ -> false
+    do
+      incr j
+    done;
+    !j
+  in
+  let done_at i =
+    match results.(i) with Done v -> v | Pending | Raised _ -> assert false
+  in
+  let yield_upto upto =
+    let from = !yielded in
+    yielded := upto;
+    match yield with
+    | Some y when upto > from ->
+        y (List.init (upto - from) (fun k -> done_at (from + k)))
+    | Some _ | None -> ()
+  in
+  let rec lead_from = function
+    | None -> ()
+    | Some i ->
+        let r = run i in
+        let claim, upto =
+          Mutex.protect lock (fun () ->
+              let claim = settle_and_claim (Some (i, r)) in
+              (claim, frontier ()))
+        in
+        yield_upto upto;
+        lead_from claim
+  in
+  (* claimed before any worker starts, so the caller runs the first
+     item itself *)
+  let first = Mutex.protect lock (fun () -> settle_and_claim None) in
+  let yield_failure = ref None in
+  let lead () =
+    try lead_from first
+    with e ->
+      yield_failure := Some (e, Printexc.get_raw_backtrace ());
+      Mutex.protect lock (fun () -> stopped := true)
+  in
+  let workers = if inline t then 0 else min t.n_jobs n - 1 in
+  if workers <= 0 then lead ()
+  else submit_and_wait ~lead t (List.init workers (fun _ () -> work None));
+  (* every claimed item has settled: the lowest-index failure wins *)
+  (match !yield_failure with
+   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+   | None -> ());
+  let claimed = !next in
+  for i = 0 to claimed - 1 do
+    match results.(i) with
+    | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
+    | Pending | Done _ -> ()
+  done;
+  yield_upto claimed;
+  let prefix = List.init claimed done_at in
+  if claimed = n then Ok prefix else Error prefix
 
 let map_reduce t ~map:fm ~reduce ~init xs =
   if inline t || (match xs with [] | [ _ ] -> true | _ -> false) then

@@ -28,10 +28,11 @@
     Work is queued as chunks (several items per task) to amortize queue
     synchronization; chunk boundaries are invisible in the results.
 
-    Telemetry: every submitted chunk increments the [pool.tasks]
-    counter, every domain spawned increments [pool.domains_spawned],
-    and [pool.domains_busy] records the high-water mark of concurrently
-    busy domains, the submitting one included.
+    Telemetry: every submitted chunk (one per domain for
+    {!map_prefix}) increments the [pool.tasks] counter, every domain
+    spawned increments [pool.domains_spawned], and [pool.domains_busy]
+    records the high-water mark of concurrently busy domains, the
+    submitting one included.
 
     Pools are not reentrant: submit only from outside the pool. *)
 
@@ -78,26 +79,36 @@ val with_deadline : t -> Deadline.t -> (unit -> 'a) -> 'a
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Like [List.map f], with [f] applied by the workers. *)
 
-val map_batched :
+val map_prefix :
   t ->
   deadline:Deadline.t ->
-  ?batch:int ->
   ?yield:('b list -> unit) ->
   ('a -> 'b) ->
   'a list ->
   ('b list, 'b list) result
 (** Deadline-aware {!map} that survives expiry with a partial result.
-    The input is processed in batches of [batch] items (default: a full
-    round of chunks, [jobs * chunk factor]); the deadline is polled
-    before each batch and, via {!with_deadline}, at every item within
-    it.  [Ok results] when every item completed; [Error prefix] when
-    the deadline expired, where [prefix] holds the results of the
-    batches completed before expiry (the interrupted batch is
-    discarded whole, so the prefix length is a multiple of the batch
-    size).  Either way, results are in input order.  [yield] is called
-    in the caller's domain with each completed batch's results, in
-    input order — a streaming hook that sees exactly the items the
-    final result will contain. *)
+    Every domain of the pool, the caller included, claims the next
+    item under one lock, which also polls [deadline] once per claimed
+    item and records each result; the call waits at a single barrier.
+    Polls thus follow input order, so expiry leaves a prefix: [Ok
+    results] when every item completed, [Error prefix] when the
+    deadline expired, where [prefix] holds the results of every item
+    claimed before expiry.  A poll-counted deadline
+    ({!Deadline.after_polls}[ k]) leaves the same [k]-item prefix at
+    every pool size.  If [f] raises, no further item is claimed, and
+    the exception of the lowest failing index is re-raised once the
+    claimed items have finished.
+
+    [yield] is called in the caller's domain, in input order: after
+    each item the caller runs itself, with the results finished since
+    the previous call, and once more at the end.  When the call
+    returns, the concatenation of its arguments is exactly the
+    returned list.  An exception from [yield] stops the claims and is
+    re-raised after the barrier.
+
+    The installed {!with_deadline} token is not polled; [deadline] is
+    the only one.  A call on worker domains counts one [pool.tasks]
+    task per domain it runs on; an inline call counts none. *)
 
 val map_reduce :
   t -> map:('a -> 'b) -> reduce:('b -> 'b -> 'b) -> init:'b -> 'a list -> 'b

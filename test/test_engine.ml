@@ -312,6 +312,36 @@ let test_fleet_deadline_degrades () =
     (List.length r.Pipeline.fleet_images);
   check Alcotest.int "exit code 3" 3 (Pipeline.fleet_exit_code r)
 
+let test_fleet_deadline_prefix_across_jobs () =
+  (* the deadline is polled once per image, in target order, at every
+     pool size: a k-poll budget checks the first k images *)
+  let m = model () in
+  let imgs = targets 2100 40 in
+  let lines ~jobs k =
+    let config = { Config.default with Config.jobs } in
+    let r =
+      Pipeline.check_fleet ~config ~deadline:(Deadline.after_polls k) m imgs
+    in
+    check Alcotest.bool
+      (Printf.sprintf "k=%d jobs=%d timed out" k jobs)
+      true
+      (r.Pipeline.fleet_status = Pipeline.Fleet_timed_out);
+    List.map Pipeline.fleet_image_line r.Pipeline.fleet_images
+  in
+  List.iter
+    (fun k ->
+      let l1 = lines ~jobs:1 k in
+      check Alcotest.int (Printf.sprintf "k=%d: jobs=1 checks k images" k) k
+        (List.length l1);
+      List.iter
+        (fun jobs ->
+          check
+            Alcotest.(list string)
+            (Printf.sprintf "k=%d: jobs=%d = jobs=1" k jobs)
+            l1 (lines ~jobs k))
+        [ 2; 4 ])
+    [ 3; 12; 25 ]
+
 (* --- degraded-check annotations -------------------------------------------- *)
 
 let test_degraded_notes_quarantine () =
@@ -451,6 +481,8 @@ let () =
             test_fleet_report_accounting;
           Alcotest.test_case "deadline degrades to prefix" `Quick
             test_fleet_deadline_degrades;
+          Alcotest.test_case "deadline prefix identical across jobs" `Quick
+            test_fleet_deadline_prefix_across_jobs;
         ] );
       ( "degraded",
         [

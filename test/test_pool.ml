@@ -1,8 +1,9 @@
 (* Tests for Encore_util.Pool: deterministic ordering, exception
    propagation, worker reuse across calls, worker domains recycled
    across pools (nested pools included), map_reduce, deadline
-   cancellation firing inside worker domains, and the map = List.map
-   property at every pool size. *)
+   cancellation firing inside worker domains, map_prefix's
+   deadline-bounded prefix and streaming, and the map = List.map
+   properties at every pool size. *)
 
 module Pool = Encore_util.Pool
 module Deadline = Encore_util.Deadline
@@ -137,60 +138,120 @@ let test_with_deadline_aborts_whole_map () =
   | exception Deadline.Expired Deadline.Timed_out -> ());
   check ints "pool survives the abort" [ 2; 3 ] (Pool.map p succ [ 1; 2 ])
 
-let test_map_batched_partial_prefix () =
-  Pool.with_pool ~jobs:4 @@ fun p ->
+let prefix_of = function
+  | Ok _ -> Alcotest.fail "expected expiry"
+  | Error prefix -> prefix
+
+let test_map_prefix_partial_prefix () =
+  (* one poll per claimed item, in claim order: a 150-poll budget
+     checks exactly the first 150 items however many domains race *)
   let xs = List.init 500 Fun.id in
   let f x = (3 * x) + 1 in
-  let full = List.map f xs in
-  match Pool.map_batched p ~deadline:(Deadline.after_polls 150) ~batch:32 f xs with
-  | Ok _ -> Alcotest.fail "a 150-poll budget cannot cover 500 items"
-  | Error prefix ->
-      let n = List.length prefix in
-      check Alcotest.bool "strict prefix" true (n > 0 && n < 500);
-      check Alcotest.int "whole batches only" 0 (n mod 32);
-      check ints "prefix of the full result"
-        (List.filteri (fun i _ -> i < n) full)
-        prefix
+  let expected = List.filteri (fun i _ -> i < 150) (List.map f xs) in
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun p ->
+          check ints
+            (Printf.sprintf "jobs=%d: the first 150 results" jobs)
+            expected
+            (prefix_of
+               (Pool.map_prefix p ~deadline:(Deadline.after_polls 150) f xs))))
+    [ 1; 2; 4; 8 ]
 
-let test_map_batched_prefix_deterministic_across_jobs () =
-  (* [after_polls] counts polls globally, so expiry lands at the same
-     batch boundary no matter how many domains race on it: the partial
-     result is a deterministic function of the budget, not of worker
-     scheduling *)
+let test_map_prefix_deterministic_across_jobs () =
   let xs = List.init 500 Fun.id in
   let f x = (2 * x) - 5 in
-  let run jobs =
+  let run jobs k =
     Pool.with_pool ~jobs (fun p ->
-        Pool.map_batched p ~deadline:(Deadline.after_polls 200) ~batch:25 f xs)
+        Pool.map_prefix p ~deadline:(Deadline.after_polls k) f xs)
   in
-  let prefix = function
-    | Ok _ -> Alcotest.fail "expected expiry"
-    | Error prefix -> prefix
-  in
-  let p1 = prefix (run 1) in
-  check ints "jobs=4 = jobs=1" p1 (prefix (run 4));
-  check ints "jobs=8 = jobs=1" p1 (prefix (run 8));
-  check ints "repeat run identical" p1 (prefix (run 4))
+  List.iter
+    (fun k ->
+      let r1 = run 1 k in
+      List.iter
+        (fun jobs ->
+          check Alcotest.bool
+            (Printf.sprintf "k=%d: jobs=%d = jobs=1" k jobs)
+            true
+            (run jobs k = r1))
+        [ 2; 4; 8 ])
+    [ 0; 1; 37; 200; 499 ];
+  (* a budget of exactly one poll per item completes: no poll follows
+     the last item *)
+  check Alcotest.bool "500 polls cover 500 items" true
+    (run 4 500 = Ok (List.map f xs))
 
-let test_map_batched_completes_under_generous_budget () =
+let test_map_prefix_completes_under_generous_budget () =
   Pool.with_pool ~jobs:4 @@ fun p ->
   let xs = List.init 200 Fun.id in
-  match Pool.map_batched p ~deadline:Deadline.none Fun.id xs with
+  match Pool.map_prefix p ~deadline:Deadline.none Fun.id xs with
   | Ok ys -> check ints "all items" xs ys
   | Error _ -> Alcotest.fail "unlimited deadline expired"
 
-let test_map_batched_yield_streams_final_prefix () =
-  Pool.with_pool ~jobs:4 @@ fun p ->
+let test_map_prefix_yield_streams_final_prefix () =
   let xs = List.init 300 Fun.id in
-  let streamed = ref [] in
-  let yield batch = streamed := !streamed @ batch in
-  match
-    Pool.map_batched p ~deadline:(Deadline.after_polls 120) ~batch:20
-      ~yield succ xs
-  with
-  | Ok _ -> Alcotest.fail "expected expiry"
-  | Error prefix ->
-      check ints "yield saw exactly the surviving prefix" prefix !streamed
+  List.iter
+    (fun (jobs, deadline) ->
+      Pool.with_pool ~jobs (fun p ->
+          let calls = ref 0 and streamed = ref [] in
+          let yielded = Atomic.make false in
+          let yield rs =
+            Atomic.set yielded true;
+            incr calls;
+            streamed := List.rev_append rs !streamed
+          in
+          (* the caller runs item 0 itself; holding every later item
+             until its first yield keeps that yield from covering the
+             whole run *)
+          let f x =
+            while x > 0 && not (Atomic.get yielded) do
+              Domain.cpu_relax ()
+            done;
+            succ x
+          in
+          let prefix =
+            match Pool.map_prefix p ~deadline ~yield f xs with
+            | Ok rs | Error rs -> rs
+          in
+          let ctx = Printf.sprintf "jobs=%d" jobs in
+          check Alcotest.bool (ctx ^ ": yield called more than once") true
+            (!calls > 1);
+          check ints (ctx ^ ": yield saw exactly the returned prefix") prefix
+            (List.rev !streamed)))
+    [ (2, Deadline.after_polls 120); (4, Deadline.after_polls 120);
+      (2, Deadline.none); (4, Deadline.none) ]
+
+let test_map_prefix_exception_lowest_index () =
+  Pool.with_pool ~jobs:4 @@ fun p ->
+  let xs = List.init 200 Fun.id in
+  let f x = if x = 57 || x = 12 || x = 199 then raise (Boom x) else x in
+  Alcotest.check_raises "lowest failing index wins" (Boom 12) (fun () ->
+      ignore (Pool.map_prefix p ~deadline:Deadline.none f xs));
+  Alcotest.check_raises "a raising yield is re-raised" (Boom (-1)) (fun () ->
+      ignore
+        (Pool.map_prefix p ~deadline:Deadline.none
+           ~yield:(fun _ -> raise (Boom (-1)))
+           succ xs));
+  check ints "pool survives both" [ 2; 3 ] (Pool.map p succ [ 1; 2 ])
+
+let tasks () =
+  Encore_obs.Metrics.count (Encore_obs.Metrics.counter "pool.tasks")
+
+let test_map_prefix_one_task_per_domain () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun p ->
+          let before = tasks () in
+          ignore
+            (Pool.map_prefix p ~deadline:Deadline.none succ
+               (List.init 1000 Fun.id));
+          let n = tasks () - before in
+          check Alcotest.bool
+            (Printf.sprintf "jobs=%d: %d task(s) for 1000 items, at most %d"
+               jobs n (Pool.jobs p))
+            true
+            (n <= Pool.jobs p)))
+    [ 1; 2; 4 ]
 
 (* --- map = List.map at every pool size ------------------------------------ *)
 
@@ -201,6 +262,14 @@ let prop_map_matches_list_map =
       Pool.with_pool ~jobs (fun p ->
           Pool.map p (fun x -> (2 * x) - 1) xs
           = List.map (fun x -> (2 * x) - 1) xs))
+
+let prop_map_prefix_matches_list_map =
+  QCheck.Test.make ~name:"Pool.map_prefix = List.map for any jobs" ~count:60
+    QCheck.(pair (int_range 1 6) (small_list int))
+    (fun (jobs, xs) ->
+      Pool.with_pool ~jobs (fun p ->
+          Pool.map_prefix p ~deadline:Deadline.none (fun x -> x lxor 5) xs
+          = Ok (List.map (fun x -> x lxor 5) xs)))
 
 let () =
   Alcotest.run "encore_pool"
@@ -239,14 +308,20 @@ let () =
         [
           Alcotest.test_case "with_deadline aborts whole map" `Quick
             test_with_deadline_aborts_whole_map;
-          Alcotest.test_case "map_batched partial prefix" `Quick
-            test_map_batched_partial_prefix;
+          Alcotest.test_case "map_prefix partial prefix" `Quick
+            test_map_prefix_partial_prefix;
           Alcotest.test_case "prefix deterministic across jobs" `Quick
-            test_map_batched_prefix_deterministic_across_jobs;
+            test_map_prefix_deterministic_across_jobs;
           Alcotest.test_case "completes under unlimited budget" `Quick
-            test_map_batched_completes_under_generous_budget;
+            test_map_prefix_completes_under_generous_budget;
           Alcotest.test_case "yield streams the final prefix" `Quick
-            test_map_batched_yield_streams_final_prefix;
+            test_map_prefix_yield_streams_final_prefix;
+          Alcotest.test_case "map_prefix re-raises the lowest index" `Quick
+            test_map_prefix_exception_lowest_index;
+          Alcotest.test_case "map_prefix: one task per domain" `Quick
+            test_map_prefix_one_task_per_domain;
         ] );
-      ("properties", [ qtest prop_map_matches_list_map ]);
+      ( "properties",
+        [ qtest prop_map_matches_list_map;
+          qtest prop_map_prefix_matches_list_map ] );
     ]

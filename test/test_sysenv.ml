@@ -114,6 +114,77 @@ let prop_fs_add_then_exists =
     (QCheck.make path_gen)
     (fun path -> Fs.exists (Fs.add_file Fs.empty path) path)
 
+(* [Fs.add] against a reference model: a string map that adds each
+   missing ancestor as a root-owned directory, leaves present paths
+   alone, and lets a later explicit add win.  Segments come from a
+   small alphabet, so paths share ancestors and some recur; a quarter
+   of the adds re-add an earlier path with new metadata. *)
+let prop_fs_add_matches_reference =
+  let module M = Map.Make (String) in
+  let open QCheck.Gen in
+  let path =
+    map
+      (fun segs -> "/" ^ String.concat "/" segs)
+      (list_size (int_range 1 8) (oneofl [ "a"; "b"; "etc"; "x1" ]))
+  in
+  let meta =
+    map4
+      (fun owner perm size kind -> { Fs.owner; group = owner; perm; size; kind })
+      (oneofl [ "root"; "mysql"; "www" ])
+      (int_bound 0o777) (int_bound 4096)
+      (oneofl [ Fs.Regular; Fs.Directory; Fs.Symlink "/etc" ])
+  in
+  let resolve ops =
+    List.rev
+      (List.fold_left
+         (fun acc (target, m) ->
+           match (target, acc) with
+           | Either.Left p, _ -> (p, m) :: acc
+           | Either.Right k, _ :: _ ->
+               (fst (List.nth acc (k mod List.length acc)), m) :: acc
+           | Either.Right _, [] -> acc)
+         [] ops)
+  in
+  let ops =
+    map resolve
+      (list_size (int_range 0 40)
+         (pair
+            (frequency [ (3, map Either.left path); (1, map Either.right nat) ])
+            meta))
+  in
+  let ancestors p =
+    let comps = String.split_on_char '/' p |> List.tl in
+    let rec go prefix = function
+      | [] | [ _ ] -> []
+      | c :: rest ->
+          let a = prefix ^ "/" ^ c in
+          a :: go a rest
+    in
+    go "" comps
+  in
+  let dir =
+    { Fs.owner = "root"; group = "root"; perm = 0o755; size = 0;
+      kind = Fs.Directory }
+  in
+  let reference ops =
+    List.fold_left
+      (fun model (p, m) ->
+        List.fold_left
+          (fun model a -> if M.mem a model then model else M.add a dir model)
+          model (ancestors p)
+        |> M.add p m)
+      M.empty ops
+  in
+  QCheck.Test.make ~name:"Fs.add matches a reference map" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (fun (p, (m : Fs.meta)) ->
+                  Printf.sprintf "%s %s %o" p m.Fs.owner m.Fs.perm))
+       ops)
+    (fun ops ->
+      let fs = List.fold_left (fun fs (p, m) -> Fs.add fs p m) Fs.empty ops in
+      List.rev (Fs.fold (fun p m acc -> (p, m) :: acc) fs [])
+      = M.bindings (reference ops))
+
 (* --- Accounts ----------------------------------------------------------- *)
 
 let test_accounts_base () =
@@ -261,6 +332,7 @@ let () =
           Alcotest.test_case "readable_by" `Quick test_fs_readable_by;
           Alcotest.test_case "fold" `Quick test_fs_fold_counts;
           qtest prop_fs_add_then_exists;
+          qtest prop_fs_add_matches_reference;
         ] );
       ( "accounts",
         [
