@@ -509,7 +509,7 @@ module Rinfer = Encore_rules.Infer
 
 type learn_point = {
   lp_images : int;
-  lp_reference_ns : int;  (* Infer.infer_reference, sequential *)
+  lp_reference_ns : int;  (* Oracle.infer_reference, sequential *)
   lp_sharded_ns : int;    (* Infer.infer: bitset + sharded fan-out *)
 }
 
@@ -530,10 +530,11 @@ let training_of images =
   ( assembled.Assemble.types,
     List.map2 (fun img (_, row) -> (img, row)) images rows )
 
-(* Rule-learning cost, old evaluator vs new: [infer_reference] is the
-   pre-bitset path (one task per candidate, every candidate walking the
-   full row range through Relation.eval) run sequentially — what
-   "learning" cost before this optimization — while [infer] is the
+(* Rule-learning cost, reference evaluator vs engine: the test oracle's
+   [infer_reference] is the pre-bitset path (one task per candidate,
+   every candidate walking the full row range through Relation.eval)
+   run sequentially — what "learning" cost before the counts engine —
+   while [infer] is the
    sharded bitset path under a [jobs]-domain pool.  Both paths are
    handed the same prebuilt columnar view, so the comparison isolates
    the evaluation strategy from shared data loading.  Each timed round
@@ -570,7 +571,7 @@ let measure_learn ~jobs =
         Gc.compact ();
         let lp_reference_ns =
           best rounds (fun () ->
-              ignore (Rinfer.infer_reference ~view ~types training))
+              ignore (Oracle.infer_reference ~view ~types training))
         in
         (* the sharded runs are two orders of magnitude shorter, so a
            single stray GC slice or scheduler stall moves a point far

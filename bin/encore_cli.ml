@@ -248,90 +248,64 @@ let deadline_arg =
 let shards_arg =
   Arg.(value & opt int 1
        & info [ "shards" ] ~docv:"K"
-           ~doc:"Partition the corpus into $(docv) shards, learn each \
-                 shard's sufficient statistics on the worker pool and \
-                 recombine them with an order-preserving merge.  The model \
-                 is byte-identical for every shard count.")
+           ~doc:"Fold the surviving images' sufficient statistics in \
+                 $(docv) contiguous shards on the worker pool and merge \
+                 them in order.  The model is byte-identical for every \
+                 shard count.")
 
 let stats_arg =
   Arg.(value & opt (some string) None
        & info [ "stats" ] ~docv:"DIR"
-           ~doc:"Persist the run's sufficient statistics as a snapshot \
-                 under $(docv) (versioned envelope, atomic write); a later \
+           ~doc:"Persist the sufficient statistics of the images that \
+                 survived ingestion as a snapshot under $(docv) \
+                 (versioned envelope, atomic write); a later \
                  $(b,--append) run or the serve daemon's $(b,--learn-stats) \
-                 extends them without retraining.")
+                 extends them.")
 
 let append_arg =
   Arg.(value & opt (some string) None
        & info [ "append" ] ~docv:"DIR"
            ~doc:"Incremental learning: load the newest statistics snapshot \
-                 under $(docv), fold this run's population into it in \
-                 sublinear time, write the grown statistics back and print \
-                 the refreshed model — byte-identical to retraining on the \
-                 union corpus.")
+                 under $(docv), merge the statistics of this run's \
+                 surviving images into it, write the grown statistics back \
+                 and print the model finalized over the merged corpus — \
+                 byte-identical to retraining on the union corpus.")
 
-(* the suffstats face of learn: shard-merge batch learning and
-   incremental append, both byte-identical to the batch pipeline *)
-let learn_mergeable ~config ~custom ~shards ~stats_dir ~append_dir images =
+(* --append DIR: load the newest statistics snapshot under DIR before
+   learning, so an unreadable store fails the run up front *)
+let load_base_stats = function
+  | None -> Ok None
+  | Some dir -> (
+      let store = Encore.Stats_io.Store.create ~dir () in
+      match Encore.Stats_io.Store.load_latest store with
+      | Ok (stats, _) -> Ok (Some (store, stats))
+      | Error e ->
+          Error
+            (Encore_util.Resilience.diag Encore_util.Resilience.Corrupt_image
+               ~subject:dir
+               ("cannot load statistics: "
+               ^ Encore.Stats_io.load_error_to_string e)))
+
+(* --append: merge the run's folded statistics into the loaded snapshot,
+   finalize the merged corpus and write it back *)
+let append_to_base ~config ~custom base (o : Encore.Pipeline.outcome) =
   let module Suffstats = Encore_rules.Suffstats in
-  let save_stats learner =
-    match stats_dir with
-    | None -> ()
-    | Some dir ->
-        let store = Encore.Stats_io.Store.create ~dir () in
-        let path = Encore.Stats_io.Store.save store (Suffstats.stats learner) in
-        Printf.printf "statistics snapshot: %s (%d image(s))\n" path
-          (Suffstats.n_images (Suffstats.stats learner))
-  in
-  let learned =
-    match append_dir with
-    | None ->
-        Result.map
-          (fun (model, learner) -> (model, learner, 0))
-          (Encore.Pipeline.learn_sharded_result ~config ?custom ~shards images)
-    | Some dir -> (
-        let store = Encore.Stats_io.Store.create ~dir () in
-        match Encore.Stats_io.Store.load_latest store with
-        | Error e ->
-            Error
-              (Encore_util.Resilience.diag Encore_util.Resilience.Corrupt_image
-                 ~subject:dir
-                 ("cannot load statistics: "
-                 ^ Encore.Stats_io.load_error_to_string e))
-        | Ok (stats, _) -> (
-            let before = Suffstats.n_images stats in
-            match Encore.Pipeline.learner_result ~config ?custom stats with
-            | Error d -> Error d
-            | Ok learner ->
-                let learner =
-                  Encore.Pipeline.learn_append ~config learner images
-                in
-                let path =
-                  Encore.Stats_io.Store.save store (Suffstats.stats learner)
-                in
-                Printf.printf "statistics snapshot: %s\n" path;
-                Ok (Encore.Pipeline.model_of_learner learner, learner, before)))
-  in
-  match learned with
-  | Error d ->
-      prerr_endline
-        ("learning failed: " ^ Encore_util.Resilience.diagnostic_to_string d);
-      1
-  | Ok (model, learner, before) ->
-      save_stats learner;
-      if before > 0 then
-        Printf.printf "appended %d image(s) to a %d-image corpus\n"
-          (List.length images) before
-      else if shards > 1 then
-        Printf.printf "merged %d shard(s)\n" shards;
-      Printf.printf "\nlearned from %d image(s): %d types, %d rules\n\n"
-        model.Detector.training_count
-        (List.length model.Detector.types)
-        (List.length model.Detector.rules);
-      List.iter
-        (fun r -> print_endline (Encore_rules.Template.rule_to_string r))
-        model.Detector.rules;
-      0
+  match (base, o.Encore.Pipeline.stats, o.Encore.Pipeline.model) with
+  | Some (store, before), Some stats, Some _ -> (
+      let merged = Suffstats.merge before stats in
+      match Encore.Pipeline.learner_result ~config ?custom merged with
+      | Error d -> Error d
+      | Ok learner ->
+          Printf.printf "statistics snapshot: %s\n"
+            (Encore.Stats_io.Store.save store merged);
+          Printf.printf "appended %d image(s) to a %d-image corpus\n"
+            (Suffstats.n_images stats) (Suffstats.n_images before);
+          Ok
+            { o with
+              Encore.Pipeline.model =
+                Some (Encore.Pipeline.model_of_learner learner);
+              stats = Some merged })
+  | _ -> Ok o
 
 let learn seed profile app n custom mode max_retries chaos_frac jobs chunk
     shards stats_dir append_dir checkpoint_dir resume_dir deadline_s trace
@@ -351,9 +325,6 @@ let learn seed profile app n custom mode max_retries chaos_frac jobs chunk
     else (images, 0)
   in
   let custom = Option.map read_file custom in
-  if shards > 1 || stats_dir <> None || append_dir <> None then
-    learn_mergeable ~config ~custom ~shards ~stats_dir ~append_dir images
-  else begin
   let checkpoint =
     Option.map (fun dir -> Encore.Checkpoint.create ~dir) checkpoint_dir
   in
@@ -361,36 +332,47 @@ let learn seed profile app n custom mode max_retries chaos_frac jobs chunk
     Option.map (fun dir -> Encore.Checkpoint.create ~dir) resume_dir
   in
   let deadline = Option.map Encore_util.Deadline.of_budget_s deadline_s in
+  let ( let* ) = Result.bind in
   let result =
-    Encore.Pipeline.learn_durable ~config ?custom ~mode ~max_retries
-      ?checkpoint ?resume ?deadline images
+    let* base = load_base_stats append_dir in
+    let* o =
+      Encore.Pipeline.learn_durable ~config ?custom ~mode ~max_retries ~shards
+        ?checkpoint ?resume ?deadline images
+    in
+    if stormed > 0 then Printf.printf "chaos: stormed %d image(s)\n" stormed;
+    (match o.Encore.Pipeline.resumed with
+     | [] -> ()
+     | stages ->
+         Printf.printf "resumed from checkpoint: %s\n"
+           (String.concat ", "
+              (List.map Encore.Checkpoint.stage_to_string stages)));
+    print_string (Encore.Pipeline.report_to_string o.Encore.Pipeline.report);
+    append_to_base ~config ~custom base o
   in
   (match result with
    | Error d ->
        prerr_endline
          ("learning failed: " ^ Encore_util.Resilience.diagnostic_to_string d)
-   | Ok o ->
-       if stormed > 0 then Printf.printf "chaos: stormed %d image(s)\n" stormed;
-       (match o.Encore.Pipeline.resumed with
-        | [] -> ()
-        | stages ->
-            Printf.printf "resumed from checkpoint: %s\n"
-              (String.concat ", "
-                 (List.map Encore.Checkpoint.stage_to_string stages)));
-       let report = o.Encore.Pipeline.report in
-       print_string (Encore.Pipeline.report_to_string report);
-       (match o.Encore.Pipeline.model with
-        | Some model ->
-            Printf.printf "\nlearned from %d image(s): %d types, %d rules\n\n"
-              report.Encore.Pipeline.ok
-              (List.length model.Detector.types)
-              (List.length model.Detector.rules);
-            List.iter
-              (fun r -> print_endline (Encore_rules.Template.rule_to_string r))
-              model.Detector.rules
-        | None -> ()));
+   | Ok o -> (
+       (match (stats_dir, o.Encore.Pipeline.stats) with
+        | Some dir, Some stats ->
+            let store = Encore.Stats_io.Store.create ~dir () in
+            Printf.printf "statistics snapshot: %s (%d image(s))\n"
+              (Encore.Stats_io.Store.save store stats)
+              (Encore_rules.Suffstats.n_images stats)
+        | _ -> ());
+       if shards > 1 then Printf.printf "merged %d shard(s)\n" shards;
+       match o.Encore.Pipeline.model with
+       | Some model ->
+           Printf.printf "\nlearned from %d image(s): %d types, %d rules\n\n"
+             model.Detector.training_count
+             (List.length model.Detector.types)
+             (List.length model.Detector.rules);
+           List.iter
+             (fun r -> print_endline (Encore_rules.Template.rule_to_string r))
+             model.Detector.rules
+       | None -> ()));
   Encore.Pipeline.exit_code result
-  end
 
 let learn_cmd =
   let doc = "Learn configuration rules from a generated population." in

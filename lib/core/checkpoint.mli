@@ -1,8 +1,8 @@
 (** Stage checkpoints for crash-safe learning.
 
     {!Pipeline.learn_durable} persists its intermediate artifacts —
-    the ingest survivor set, the assembled attribute table with its
-    type environment, and the learned model — after each stage, all
+    the ingest survivor set, the survivors' folded sufficient
+    statistics, and the learned model — after each stage, all
     through the atomic {!Encore_util.Snapshot} writer.  A run that is
     killed or times out can then resume, skip every completed stage,
     and still produce a byte-identical model: the stages downstream of
@@ -77,12 +77,15 @@ val save_ingest : t -> fingerprint:string -> ingest_state -> unit
 val load_ingest : t -> fingerprint:string -> ingest_state option
 
 val save_assemble :
-  t -> fingerprint:string -> Encore_dataset.Assemble.assembled -> unit
+  t -> fingerprint:string -> Encore_rules.Suffstats.t -> unit
+(** The assemble stage's artifact is the folded statistics, stored as
+    the statistics snapshot payload ([ENCORE-SUFFSTATS 1], see
+    {!Stats_io}). *)
 
 val load_assemble :
-  t -> fingerprint:string -> Encore_dataset.Assemble.assembled option
-(** Type-decision floats round-trip through hex notation, so the
-    restored environment is bit-identical to the saved one. *)
+  t -> fingerprint:string -> Encore_rules.Suffstats.t option
+(** A payload in any other format — such as the attribute table and
+    type list older versions stored — is stale. *)
 
 val save_model : t -> fingerprint:string -> Encore_detect.Detector.model -> unit
 val load_model : t -> fingerprint:string -> Encore_detect.Detector.model option

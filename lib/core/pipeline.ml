@@ -7,7 +7,6 @@ module Json = Encore_obs.Jsonenc
 module Image = Encore_sysenv.Image
 module Flaky = Encore_sysenv.Flaky
 module Registry = Encore_confparse.Registry
-module Assemble = Encore_dataset.Assemble
 module Detector = Encore_detect.Detector
 module Template = Encore_rules.Template
 
@@ -59,6 +58,12 @@ let stats_of_images ?(config = Config.default) ?pool ?shards images =
   with_configured_pool ~config pool (fun pool ->
       Encore_rules.Suffstats.of_images ?pool ?shards images)
 
+(* The finalize step every learning entry point ends in. *)
+let finalize_stats ~config ~templates ?pool stats =
+  Encore_rules.Suffstats.learner_of ?pool
+    ~params:(Config.rule_params config)
+    ~templates ~entropy_threshold:config.Config.entropy_threshold stats
+
 let learner_result ?(config = Config.default) ?custom ?pool ?mining_cap:_
     stats =
   match templates_result custom with
@@ -66,10 +71,7 @@ let learner_result ?(config = Config.default) ?custom ?pool ?mining_cap:_
   | Ok templates ->
       Ok
         (with_configured_pool ~config pool (fun pool ->
-             Encore_rules.Suffstats.learner_of ?pool
-               ~params:(Config.rule_params config)
-               ~templates
-               ~entropy_threshold:config.Config.entropy_threshold stats))
+             finalize_stats ~config ~templates ?pool stats))
 
 let learn_append ?(config = Config.default) ?pool learner images =
   with_configured_pool ~config pool (fun pool ->
@@ -77,12 +79,6 @@ let learn_append ?(config = Config.default) ?pool learner images =
 
 let model_of_learner learner =
   Detector.model_of_finalized (Encore_rules.Suffstats.current learner)
-
-let learn_sharded_result ?config ?custom ?pool ?shards images =
-  let stats = stats_of_images ?config ?pool ?shards images in
-  match learner_result ?config ?custom ?pool stats with
-  | Error d -> Error d
-  | Ok learner -> Ok (model_of_learner learner, learner)
 
 let check ?config:_ model img = Detector.check model img
 
@@ -118,6 +114,7 @@ type ingest_report = {
 
 type outcome = {
   model : Detector.model option;
+  stats : Encore_rules.Suffstats.t option;
   report : ingest_report;
   resumed : Checkpoint.stage list;
   checkpointed : Checkpoint.stage list;
@@ -153,7 +150,7 @@ let emit_report_telemetry report =
       ]
 
 let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
-    ?max_retries ?flaky ?pool ?checkpoint ?resume
+    ?max_retries ?flaky ?pool ?shards ?checkpoint ?resume
     ?(deadline = Encore_util.Deadline.none) ?kill_after images =
   with_configured_pool ~config pool
   @@ fun pool ->
@@ -163,8 +160,9 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
   let ( let* ) = Result.bind in
   let* templates = templates_result custom in
   let fp =
-    Checkpoint.fingerprint ~config ~custom ~mode:(mode_to_string mode)
-      ~max_retries images
+    Otrace.with_span "fingerprint" (fun () ->
+        Checkpoint.fingerprint ~config ~custom ~mode:(mode_to_string mode)
+          ~max_retries images)
   in
   let resumed = ref [] and checkpointed = ref [] in
   (* Persist runs after a stage completes; the kill-at-checkpoint hook
@@ -319,6 +317,7 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
   in
   let current = ref Checkpoint.Ingest in
   let ingest_state : Checkpoint.ingest_state option ref = ref None in
+  let folded = ref None in
   (* One report builder for every way a run can end, so the histogram
      and the metric counters always reconcile with the diagnostics. *)
   let build_report ~status ~extra_warnings () =
@@ -414,25 +413,25 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
             ~survivor_ids:st.Checkpoint.survivor_ids
             ~quarantined_ids:(List.map fst st.Checkpoint.quarantined)
         in
-        (* --- stage 2: assemble -------------------------------------- *)
+        (* --- stage 2: assemble — fold the survivors' statistics ----- *)
         current := Checkpoint.Assemble;
         Encore_util.Deadline.raise_if_expired deadline;
-        let assembled =
+        let stats =
           match
             restore Checkpoint.Assemble (fun ck ->
                 Checkpoint.load_assemble ck ~fingerprint:sfp)
           with
-          | Some a -> a
+          | Some st -> st
           | None ->
-              let a =
-                Otrace.with_span "assemble" (fun () ->
-                    Assemble.assemble_training ?pool survivors)
+              let st =
+                Encore_rules.Suffstats.of_images ?pool ?shards survivors
               in
               persist Checkpoint.Assemble (fun ck ->
-                  Checkpoint.save_assemble ck ~fingerprint:sfp a);
-              a
+                  Checkpoint.save_assemble ck ~fingerprint:sfp st);
+              st
         in
-        (* --- stage 3: model ----------------------------------------- *)
+        folded := Some stats;
+        (* --- stage 3: model — finalize the statistics --------------- *)
         current := Checkpoint.Model;
         Encore_util.Deadline.raise_if_expired deadline;
         let model =
@@ -442,16 +441,8 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
           with
           | Some m -> m
           | None ->
-              let rows = Encore_dataset.Table.rows assembled.Assemble.table in
-              let training =
-                List.map2 (fun img (_, row) -> (img, row)) survivors rows
-              in
               let model =
-                Detector.model_of_training
-                  ~params:(Config.rule_params config)
-                  ~templates
-                  ~entropy_threshold:config.Config.entropy_threshold ?pool
-                  ~types:assembled.Assemble.types training
+                model_of_learner (finalize_stats ~config ~templates ?pool stats)
               in
               persist Checkpoint.Model (fun ck ->
                   Checkpoint.save_model ck ~fingerprint:sfp model);
@@ -463,6 +454,7 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
         Ok
           {
             model = Some model;
+            stats = Some stats;
             report;
             resumed = !resumed;
             checkpointed = !checkpointed;
@@ -497,6 +489,7 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
       Ok
         {
           model = None;
+          stats = !folded;
           report;
           resumed = !resumed;
           checkpointed = !checkpointed;

@@ -2,13 +2,21 @@
     assembly, rule inference, anomaly detection — one facade over the
     substrate libraries, parameterized by {!Config}.
 
-    Two learning entry points are exposed.  {!learn} is the historical
-    strict path: it assumes a clean corpus and raises on a malformed
-    customization file.  {!learn_resilient} is total: every fallible
-    ingestion step reports through
-    {!Encore_util.Resilience.diagnostic}, damaged images are
-    quarantined instead of killing the run, and the returned
-    {!ingest_report} accounts for every failure. *)
+    Every model is built one way: the training images are folded into
+    sufficient statistics ({!Encore_rules.Suffstats}), which are then
+    finalized — types decided, rows assembled, candidates counted and
+    judged through the counts engine, rules filtered.  The entry points
+    differ only in what surrounds that path.  {!learn_result} assumes a
+    clean corpus.  {!learn_durable} (and its wrapper
+    {!learn_resilient}) is total: every fallible ingestion step reports
+    through {!Encore_util.Resilience.diagnostic}, damaged images are
+    quarantined instead of killing the run, the returned
+    {!ingest_report} accounts for every failure, and stages can be
+    checkpointed, resumed and bounded by a deadline.
+    {!stats_of_images}, {!learner_result} and {!learn_append} expose
+    the fold and the finalize step separately, for incremental
+    learning.  All of them produce byte-identical models on the same
+    corpus. *)
 
 type model = Encore_detect.Detector.model
 
@@ -21,8 +29,8 @@ val learn_result :
     its templates used in addition to the predefined ones.  A malformed
     customization file yields [Error] with kind [Custom_rule_error].
 
-    Parallelism: with [pool], assembly and candidate-rule evaluation run
-    on its worker domains.  Without [pool], a transient pool of
+    Parallelism: with [pool], the finalize step's row assembly and
+    candidate counting run on its worker domains.  Without [pool], a transient pool of
     [config.jobs] workers is used when [config.jobs > 1]; otherwise the
     pipeline is sequential.  The learned model is byte-identical in all
     cases. *)
@@ -33,13 +41,13 @@ val learn :
 (** Raising wrapper over {!learn_result}, kept for API compatibility.
     @raise Invalid_argument when the customization file is malformed. *)
 
-(** {1 Mergeable sufficient-statistics learning}
+(** {1 Fold and finalize, separately}
 
-    The incremental/sharded face of learning: statistics fold per image
-    and merge associatively ({!Encore_rules.Suffstats}), a resident
-    learner finalizes them into a model and extends in sublinear time.
-    All entry points produce models byte-identical to the batch path
-    under the same {!Config}. *)
+    The incremental face of learning: statistics fold per image and
+    merge associatively ({!Encore_rules.Suffstats}), a resident learner
+    finalizes them into a model and extends in sublinear time.  All
+    entry points produce models byte-identical to {!learn_result} under
+    the same {!Config}. *)
 
 val stats_of_images :
   ?config:Config.t -> ?pool:Encore_util.Pool.t -> ?shards:int ->
@@ -73,14 +81,6 @@ val learn_append :
     corpus. *)
 
 val model_of_learner : Encore_rules.Suffstats.learner -> model
-
-val learn_sharded_result :
-  ?config:Config.t -> ?custom:string -> ?pool:Encore_util.Pool.t ->
-  ?shards:int -> Encore_sysenv.Image.t list ->
-  (model * Encore_rules.Suffstats.learner,
-   Encore_util.Resilience.diagnostic) result
-(** [stats_of_images] then [learner_result]: the [learn --shards]
-    entry point. *)
 
 val check :
   ?config:Config.t -> model -> Encore_sysenv.Image.t ->
@@ -132,6 +132,10 @@ type outcome = {
   model : model option;
       (** [None] only when the run timed out before the model stage
           finished *)
+  stats : Encore_rules.Suffstats.t option;
+      (** the survivors' folded statistics, which the model finalizes;
+          [None] only when the run timed out before the assemble stage
+          finished *)
   report : ingest_report;
   resumed : Checkpoint.stage list;
       (** stages restored from checkpoints instead of recomputed *)
@@ -146,6 +150,7 @@ val learn_durable :
   ?max_retries:int ->
   ?flaky:Encore_sysenv.Flaky.t ->
   ?pool:Encore_util.Pool.t ->
+  ?shards:int ->
   ?checkpoint:Checkpoint.t ->
   ?resume:Checkpoint.t ->
   ?deadline:Encore_util.Deadline.t ->
@@ -153,7 +158,10 @@ val learn_durable :
   Encore_sysenv.Image.t list ->
   (outcome, Encore_util.Resilience.diagnostic) result
 (** {!learn_resilient} with durability.  The run proceeds in three
-    stages — ingest, assemble, model — and:
+    stages: ingest; assemble, which folds the survivors into sufficient
+    statistics (with [shards > 1], in that many contiguous chunks on
+    the pool, merged in order — the statistics are identical for every
+    shard count); and model, which finalizes them.  Further:
 
     - with [checkpoint], persists each completed stage's artifact
       through the atomic snapshot writer;

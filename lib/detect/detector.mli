@@ -43,10 +43,16 @@ val learn :
   ?entropy_threshold:float ->
   ?pool:Encore_util.Pool.t ->
   Encore_sysenv.Image.t list -> model
-(** Full learning pipeline: assemble the training set, infer rules from
-    the templates, apply support/confidence plus the entropy filter.
-    With [pool], assembly and candidate evaluation run on its worker
-    domains; the model is identical for any pool size. *)
+(** Full learning pipeline, the one every entry point shares: fold the
+    images into sufficient statistics ({!Encore_rules.Suffstats}), then
+    finalize them — decide types, assemble the training set, infer
+    rules from the templates through the counts engine, apply
+    support/confidence plus the redundancy and entropy filters.  With
+    [pool], the finalize step runs on its worker domains; the model is
+    identical for any pool size. *)
+
+val model_of_finalized : Encore_rules.Suffstats.finalized -> model
+(** Repackage a finalized sufficient-statistics model. *)
 
 val model_of_training :
   ?params:Encore_rules.Infer.params ->
@@ -55,13 +61,10 @@ val model_of_training :
   ?pool:Encore_util.Pool.t ->
   types:Encore_typing.Infer.env ->
   (Encore_sysenv.Image.t * Encore_dataset.Row.t) list -> model
-(** Same, from an already-assembled training set. *)
-
-val model_of_finalized : Encore_rules.Suffstats.finalized -> model
-(** Repackage a finalized sufficient-statistics model.  For any corpus,
-    [model_of_finalized (Suffstats.current (Suffstats.learner_of
-    (Suffstats.of_images imgs)))] equals [learn imgs] byte for byte —
-    the incremental learner's acceptance bar. *)
+(** {!Encore_rules.Suffstats.finalize_training} over an
+    already-assembled training set, repackaged.  Kept only because the
+    frozen benchmark (perfbench/) links it; learning goes through
+    {!learn}. *)
 
 type checks = Engine.checks = {
   check_names : bool;

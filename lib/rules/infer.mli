@@ -21,9 +21,10 @@ val default_params : params
 val instantiations :
   types:Encore_typing.Infer.env -> Template.t -> string list ->
   (string * string) list
-(** Eligible ordered attribute pairs for a template, excluding
-    self-pairs and pairs of augmented attributes sharing one base entry
-    (an entry trivially correlates with its own augmentation). *)
+(** Eligible ordered attribute pairs for a template, in [attrs] order,
+    excluding self-pairs and pairs of augmented attributes sharing one
+    base entry (an entry trivially correlates with its own
+    augmentation): the candidates {!infer} judges, by name. *)
 
 val expand_polarities : Template.t list -> Template.t list
 (** The predefined extended-boolean template names one relation but
@@ -49,12 +50,13 @@ val emit_metrics :
 
 (** {2 Counts engine}
 
-    The per-candidate arithmetic of {!infer} over a prebuilt columnar
-    view and bitset overlay, for callers (the sufficient-statistics
-    learner) that cache per-candidate [(applicable, valid)] counts and
-    re-derive verdicts without re-scanning the training rows.  Every
-    entry point reuses {!infer}'s own code paths, so verdicts computed
-    through the engine are byte-identical to the batch judge's. *)
+    The one candidate judge.  An engine is built once over a columnar
+    view and its bitset overlay; {!infer} and the sufficient-statistics
+    learner ({!Suffstats}) both count candidates through it and judge
+    the counts with {!engine_verdict}, so every learning path shares
+    one verdict code path.  The learner caches per-candidate
+    [(applicable, valid)] counts and re-derives verdicts without
+    re-scanning the training rows. *)
 
 type engine
 
@@ -105,15 +107,15 @@ val infer :
     The training set is lowered to a columnar interned view
     ({!Encore_dataset.Colview}, or [view] when the caller already built
     one over the same rows) plus a bitset/index overlay
-    ({!Encore_dataset.Bitcol}): per-attribute presence bitsets, dense
-    index arrays, interned single-value ids, truthy bitsets for boolean
-    columns and pre-parsed numeric/size arrays.  A candidate whose
-    co-presence popcount cannot reach minimum support is rejected
-    without evaluating its relation on any row; the equality, boolean
-    implication and numeric/size order relations then count support and
-    violations with popcounts and flat array scans, and only
-    environment-dependent relations (paths, accounts, subnets) fall
-    back to per-row {!Relation.eval} over the co-presence intersection.
+    ({!Encore_dataset.Bitcol}), and an engine ({!engine_of}) over both.
+    A vacuous implication, or a candidate whose co-presence popcount
+    cannot reach minimum support, is rejected without evaluating its
+    relation on any row; the others
+    are counted with {!engine_counts} — popcounts and flat array scans
+    for the equality, boolean implication and numeric/size order
+    relations, per-row {!Relation.eval} over the co-presence
+    intersection for the environment-dependent ones (paths, accounts,
+    subnets) — and judged with {!engine_verdict}.
 
     Candidates fan out to the pool in fixed-size shards, each folding
     into a domain-local accumulator (kept rules + rejection counters);
@@ -122,18 +124,8 @@ val infer :
     pool size and [jobs] value — the paper notes the instantiation loop
     "is highly parallelizable because there is zero state sharing"
     (section 5.1).  Without [pool], [jobs] (default 1) spins up a
-    transient pool of that many domains. *)
+    transient pool of that many domains.
 
-val infer_reference :
-  ?params:params -> ?templates:Template.t list -> ?jobs:int ->
-  ?pool:Encore_util.Pool.t -> ?view:Encore_dataset.Colview.t ->
-  types:Encore_typing.Infer.env -> training -> Template.rule list
-(** The pre-bitset evaluator: one task per candidate, each walking the
-    full columnar row range through {!Relation.eval}.  Kept as the
-    semantic reference — tests pin {!infer} to it, and the bench's
-    learn stage reports the bitset path's speedup against it.  Produces
-    the same rules as {!infer} on any training set. *)
-
-val evaluate_instantiation :
-  Template.t -> training -> a:string -> b:string -> int * int
-(** [(applicable, valid)] counts over the training set. *)
+    The string-keyed reference evaluator in [test/oracle] walks every
+    row of every candidate through {!Relation.eval}; a property test
+    pins {!infer} to it. *)

@@ -50,3 +50,8 @@ val same_type_required : t -> bool
 
 val eval : t -> ctx -> a:string list -> b:string list -> bool option
 (** Validation method on the instance lists of the two attributes. *)
+
+val truthy : string -> bool option
+(** The boolean reading of a value ([on]/[true]/[yes]/[1]/[enabled] and
+    their negations, case- and space-insensitive) that {!Bool_implies}
+    evaluates; [None] for any other value. *)

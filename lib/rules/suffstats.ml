@@ -136,6 +136,9 @@ let pmap pool f xs =
   match pool with Some p -> Encore_util.Pool.map p f xs | None -> List.map f xs
 
 let of_images ?pool ?(shards = 1) images =
+  Otrace.with_span "suffstats-fold"
+    ~attrs:[ ("images", Encore_obs.Jsonenc.Int (List.length images)) ]
+  @@ fun () ->
   if shards <= 1 || images = [] then List.fold_left add_image empty images
   else begin
     let arr = Array.of_list images in
@@ -203,14 +206,13 @@ let aug_types t ~cfg_types view bits =
         Some (col, Tinfer.decide ~samples:cs.samples cs.tally))
     (Colview.attrs view)
 
-(* distinct values per attribute over the reverse instance stream — the
-   order [Detector.model_of_training]'s hashtable walk produces.  [prev]
-   holds the statistics of the view's first [from_row] rows, whose
-   attributes are a prefix of the view's in the same order: their part
-   of the stream trails the newer rows' part, so their values follow
-   the newer rows' distinct values, and a column the newer rows leave
-   empty keeps its list.  Appending one image to a large corpus then
-   scans one row, not the corpus. *)
+(* distinct values per attribute over the reverse instance stream, in
+   view column order.  [prev] holds the statistics of the view's first
+   [from_row] rows, whose attributes are a prefix of the view's in the
+   same order: their part of the stream trails the newer rows' part, so
+   their values follow the newer rows' distinct values, and a column
+   the newer rows leave empty keeps its list.  Appending one image to a
+   large corpus then scans one row, not the corpus. *)
 let value_stats_of ~from_row ~prev view =
   let prev = ref prev in
   List.mapi
@@ -237,17 +239,11 @@ let value_stats_of ~from_row ~prev view =
           (attr, d @ List.filter (fun v -> not (Hashtbl.mem seen v)) old))
     (Colview.attrs view)
 
-(* --- the resident learner ------------------------------------------------- *)
+(* --- the finalize step ---------------------------------------------------- *)
 
-type learner = {
-  stats : t;
-  params : Rinfer.params;
-  templates : Template.t list;
-  etemplates : Template.t list;  (* polarity-expanded, cached *)
-  entropy_threshold : float option;
-  (* derived caches, all consistent with [stats] *)
-  env : Tinfer.env;
-  raw_ctypes : (string * Ctype.t) list;
+(* Everything a finalize derives from an assembled training set; a
+   resident learner keeps it to extend incrementally. *)
+type derived = {
   training : (Image.t * Row.t) list;  (* augmented rows, corpus order *)
   ctxs : Relation.ctx array;
   view : Colview.t;
@@ -256,8 +252,8 @@ type learner = {
   result : finalized;
 }
 
-let stats l = l.stats
-let current l = l.result
+let ctxs_of training =
+  Array.of_list (List.map (fun (image, row) -> { Relation.image; row }) training)
 
 let shard_list n xs =
   let rec go acc cur k = function
@@ -275,24 +271,25 @@ let indexed_candidates ~etemplates engine =
          List.map (fun c -> (ti, c)) (Rinfer.engine_instantiations engine tmpl))
        etemplates)
 
-let m_filtered_redundant = Ometrics.counter "rules.filtered_redundant"
-let m_filtered_entropy = Ometrics.counter "rules.filtered_entropy"
+let count_key engine (ti, (_, ia, ib)) =
+  (ti, Rinfer.engine_attr engine ia, Rinfer.engine_attr engine ib)
 
-(* Candidate verdicts from the cached counts, then the detector's
-   filter chain — the exact sequence of [Rinfer.infer] +
-   [Detector.model_of_training], fed from integers instead of row
-   scans. *)
-let finalize_from ~params ~entropy_threshold ~n ~training ~view engine cands
-    counts =
+let capture_counts ?pool engine cands =
+  let eval ((_, c) as cand) = (count_key engine cand, Rinfer.engine_counts engine c) in
+  let shards = shard_list 256 cands in
+  let results = List.concat (pmap pool (List.map eval) shards) in
+  let tbl = Hashtbl.create (2 * List.length results + 1) in
+  List.iter (fun (key, cnt) -> Hashtbl.replace tbl key cnt) results;
+  tbl
+
+(* Every candidate's verdict from its counts, in candidate order. *)
+let judge ~params ~n engine cands counts =
   let min_support = Rinfer.min_support_of ~params n in
   let kept_rev = ref [] and rej_support = ref 0 and rej_confidence = ref 0 in
   List.iter
-    (fun (ti, ((_, ia, ib) as c)) ->
+    (fun ((_, c) as cand) ->
       let applicable, valid =
-        match
-          Hashtbl.find_opt counts
-            (ti, Rinfer.engine_attr engine ia, Rinfer.engine_attr engine ib)
-        with
+        match Hashtbl.find_opt counts (count_key engine cand) with
         | Some c -> c
         | None -> assert false (* counts is built over this candidate list *)
       in
@@ -307,7 +304,12 @@ let finalize_from ~params ~entropy_threshold ~n ~training ~view engine cands
     ~candidates:(List.length cands)
     ~rej_support:!rej_support ~rej_confidence:!rej_confidence
     ~kept:(List.length !kept_rev);
-  let inferred = Rinfer.sort_rules (List.rev !kept_rev) in
+  Rinfer.sort_rules (List.rev !kept_rev)
+
+let m_filtered_redundant = Ometrics.counter "rules.filtered_redundant"
+let m_filtered_entropy = Ometrics.counter "rules.filtered_entropy"
+
+let filter ~entropy_threshold ~view training inferred =
   let reduced = Filters.reduce_redundant inferred in
   Ometrics.incr
     ~by:(List.length inferred - List.length reduced)
@@ -318,53 +320,95 @@ let finalize_from ~params ~entropy_threshold ~n ~training ~view engine cands
   Ometrics.incr ~by:(List.length dropped) m_filtered_entropy;
   kept
 
-let capture_counts ?pool engine cands =
-  let eval (ti, ((_, ia, ib) as c)) =
-    ( (ti, Rinfer.engine_attr engine ia, Rinfer.engine_attr engine ib),
-      Rinfer.engine_counts engine c )
+(* The finalize step over assembled rows: columnar view and overlay,
+   candidate counts through the engine, verdicts, the filter chain and
+   value statistics, each under the batch path's stage span.  [env]
+   decides the type environment once the view exists; [count] fills
+   the counts table (from scratch, or extending cached counts). *)
+let finalize_rows ~params ~etemplates ~entropy_threshold ~env ~view ~bits
+    ~ctxs ~count ~value_stats training =
+  let n = Array.length ctxs in
+  let env, counts, inferred =
+    Otrace.with_span "rule-infer" (fun () ->
+        let env = env view bits in
+        let engine = Rinfer.engine_of ~types:env ~ctxs ~view ~bits in
+        let cands = indexed_candidates ~etemplates engine in
+        let counts = count engine cands in
+        (env, counts, judge ~params ~n engine cands counts))
   in
-  let shards = shard_list 256 cands in
-  let results = List.concat (pmap pool (List.map eval) shards) in
-  let tbl = Hashtbl.create (2 * List.length results + 1) in
-  List.iter (fun (key, cnt) -> Hashtbl.replace tbl key cnt) results;
-  tbl
-
-let build ?pool ~params ~templates ~etemplates ~entropy_threshold stats =
-  Otrace.with_span "suffstats-finalize" @@ fun () ->
-  let parsed = List.rev stats.images_rev in
-  let cfg_types = config_types stats in
-  let training =
-    pmap pool
-      (fun (img, raw) -> (img, Assemble.augment_row ~types:cfg_types img raw))
-      parsed
-  in
-  let rows = List.map snd training in
-  let view = Colview.of_rows rows in
-  let bits = Bitcol.of_colview view in
-  let ctxs =
-    Array.of_list
-      (List.map (fun (image, row) -> { Relation.image; row }) training)
-  in
-  let env = cfg_types @ aug_types stats ~cfg_types view bits in
-  let engine = Rinfer.engine_of ~types:env ~ctxs ~view ~bits in
-  let cands = indexed_candidates ~etemplates engine in
-  let counts = capture_counts ?pool engine cands in
   let rules =
-    finalize_from ~params ~entropy_threshold ~n:stats.n ~training ~view engine
-      cands counts
+    Otrace.with_span "rule-filter" (fun () ->
+        filter ~entropy_threshold ~view training inferred)
   in
+  let f_value_stats = Otrace.with_span "value-stats" (fun () -> value_stats view) in
   {
-    stats; params; templates; etemplates; entropy_threshold; env;
-    raw_ctypes = List.map (fun (a, d) -> (a, d.Tinfer.ctype)) cfg_types;
     training; ctxs; view; bits; counts;
     result =
       {
         f_types = env;
         f_rules = rules;
-        f_value_stats = value_stats_of ~from_row:0 ~prev:[] view;
+        f_value_stats;
         f_known_attrs = Colview.attrs view;
-        f_training_count = stats.n;
+        f_training_count = n;
       };
+  }
+
+let columnar training =
+  Otrace.with_span "columnar" (fun () ->
+      let view = Colview.of_rows (List.map snd training) in
+      (view, Bitcol.of_colview view, ctxs_of training))
+
+let finalize_fresh ?pool ~params ~etemplates ~entropy_threshold ~env training =
+  let view, bits, ctxs = columnar training in
+  finalize_rows ~params ~etemplates ~entropy_threshold ~env ~view ~bits ~ctxs
+    ~count:(capture_counts ?pool)
+    ~value_stats:(value_stats_of ~from_row:0 ~prev:[])
+    training
+
+let finalize_training ?pool ?(params = Rinfer.default_params)
+    ?(templates = Template.predefined) ?entropy_threshold ~types training =
+  (finalize_fresh ?pool ~params
+     ~etemplates:(Rinfer.expand_polarities templates)
+     ~entropy_threshold ~env:(fun _ _ -> types) training)
+    .result
+
+(* --- the resident learner ------------------------------------------------- *)
+
+type learner = {
+  stats : t;
+  params : Rinfer.params;
+  templates : Template.t list;
+  etemplates : Template.t list;  (* polarity-expanded, cached *)
+  entropy_threshold : float option;
+  raw_ctypes : (string * Ctype.t) list;
+  derived : derived;  (* consistent with [stats] *)
+}
+
+let stats l = l.stats
+let current l = l.derived.result
+
+let raw_ctypes_of cfg_types =
+  List.map (fun (a, d) -> (a, d.Tinfer.ctype)) cfg_types
+
+let augment ?pool ~cfg_types parsed =
+  pmap pool
+    (fun (img, raw) -> (img, Assemble.augment_row ~types:cfg_types img raw))
+    parsed
+
+let build ?pool ~params ~templates ~etemplates ~entropy_threshold stats =
+  Otrace.with_span "suffstats-finalize" @@ fun () ->
+  let cfg_types, training =
+    Otrace.with_span "assemble" (fun () ->
+        let cfg_types = config_types stats in
+        (cfg_types, augment ?pool ~cfg_types (List.rev stats.images_rev)))
+  in
+  {
+    stats; params; templates; etemplates; entropy_threshold;
+    raw_ctypes = raw_ctypes_of cfg_types;
+    derived =
+      finalize_fresh ?pool ~params ~etemplates ~entropy_threshold
+        ~env:(fun view bits -> cfg_types @ aug_types stats ~cfg_types view bits)
+        training;
   }
 
 let learner_of ?pool ?(params = Rinfer.default_params)
@@ -380,7 +424,10 @@ let rec take k = function
 let append ?pool learner images =
   if images = [] then learner
   else begin
-    let stats' = List.fold_left add_image learner.stats images in
+    let stats' =
+      Otrace.with_span "suffstats-fold" (fun () ->
+          List.fold_left add_image learner.stats images)
+    in
     let cfg_types' = config_types stats' in
     let stable =
       List.for_all
@@ -398,68 +445,56 @@ let append ?pool learner images =
         ~entropy_threshold:learner.entropy_threshold stats'
     else begin
       Otrace.with_span "suffstats-append" @@ fun () ->
-      let old_n = Array.length learner.ctxs in
-      let new_parsed = List.rev (take (List.length images) stats'.images_rev) in
+      let old = learner.derived in
+      let old_n = Array.length old.ctxs in
       let new_training =
-        List.map
-          (fun (img, raw) ->
-            (img, Assemble.augment_row ~types:cfg_types' img raw))
-          new_parsed
+        Otrace.with_span "assemble" (fun () ->
+            augment ~cfg_types:cfg_types'
+              (List.rev (take (List.length images) stats'.images_rev)))
       in
-      let view =
-        Colview.append_rows learner.view (List.map snd new_training)
+      let view, bits, ctxs =
+        Otrace.with_span "columnar" (fun () ->
+            let view =
+              Colview.append_rows old.view (List.map snd new_training)
+            in
+            ( view,
+              Bitcol.append old.bits view,
+              Array.append old.ctxs (ctxs_of new_training) ))
       in
-      let bits = Bitcol.append learner.bits view in
-      let ctxs =
-        Array.append learner.ctxs
-          (Array.of_list
-             (List.map
-                (fun (image, row) -> { Relation.image; row })
-                new_training))
-      in
-      let training = learner.training @ new_training in
-      let env = cfg_types' @ aug_types stats' ~cfg_types:cfg_types' view bits in
-      let engine = Rinfer.engine_of ~types:env ~ctxs ~view ~bits in
-      let cands = indexed_candidates ~etemplates:learner.etemplates engine in
-      let counts = Hashtbl.create (2 * List.length cands + 1) in
-      List.iter
-        (fun (ti, ((_, ia, ib) as c)) ->
-          let key =
-            (ti, Rinfer.engine_attr engine ia, Rinfer.engine_attr engine ib)
-          in
-          let cnt =
-            match Hashtbl.find_opt learner.counts key with
-            | Some (a0, v0) ->
-                let da, dv = Rinfer.engine_counts_from engine ~from_row:old_n c in
-                (a0 + da, v0 + dv)
-            | None ->
-                (* newly eligible pair (fresh attribute or a non-raw
-                   type decision moved): count it over the full corpus *)
-                Rinfer.engine_counts engine c
-          in
-          Hashtbl.replace counts key cnt)
-        cands;
-      let rules =
-        finalize_from ~params:learner.params
-          ~entropy_threshold:learner.entropy_threshold ~n:stats'.n ~training
-          ~view engine cands counts
+      (* cached counts extend by the appended rows' delta; a newly
+         eligible pair (fresh attribute, or a non-raw type decision
+         moved) is counted over the full corpus *)
+      let count engine cands =
+        let counts = Hashtbl.create (2 * List.length cands + 1) in
+        List.iter
+          (fun ((_, c) as cand) ->
+            let key = count_key engine cand in
+            let cnt =
+              match Hashtbl.find_opt old.counts key with
+              | Some (a0, v0) ->
+                  let da, dv =
+                    Rinfer.engine_counts_from engine ~from_row:old_n c
+                  in
+                  (a0 + da, v0 + dv)
+              | None -> Rinfer.engine_counts engine c
+            in
+            Hashtbl.replace counts key cnt)
+          cands;
+        counts
       in
       {
         learner with
         stats = stats';
-        env;
-        raw_ctypes = List.map (fun (a, d) -> (a, d.Tinfer.ctype)) cfg_types';
-        training; ctxs; view; bits; counts;
-        result =
-          {
-            f_types = env;
-            f_rules = rules;
-            f_value_stats =
-              value_stats_of ~from_row:old_n
-                ~prev:learner.result.f_value_stats view;
-            f_known_attrs = Colview.attrs view;
-            f_training_count = stats'.n;
-          };
+        raw_ctypes = raw_ctypes_of cfg_types';
+        derived =
+          finalize_rows ~params:learner.params ~etemplates:learner.etemplates
+            ~entropy_threshold:learner.entropy_threshold
+            ~env:(fun view bits ->
+              cfg_types' @ aug_types stats' ~cfg_types:cfg_types' view bits)
+            ~view ~bits ~ctxs ~count
+            ~value_stats:
+              (value_stats_of ~from_row:old_n ~prev:old.result.f_value_stats)
+            (old.training @ new_training);
       }
     end
   end

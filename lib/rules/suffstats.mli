@@ -7,10 +7,16 @@
     {[ empty   add_image   merge   finalize ]}
 
     where [merge] is associative, [add_image t img = merge t
-    (add_image empty img)], and finalizing (through {!learner_of} /
-    {!current}) reproduces the batch learner byte-identically:
-    partitioning a corpus arbitrarily, folding each part and merging
-    in corpus order yields the exact model of a one-shot batch learn.
+    (add_image empty img)], and finalizing goes through {!learner_of} /
+    {!current}.  This is the one model builder: every learning entry
+    point folds its images and finalizes, so partitioning a corpus
+    arbitrarily, folding each part and merging in corpus order yields
+    the exact model of a one-shot learn.
+
+    Tracing: the fold runs under a [suffstats-fold] span; the finalize
+    step under [suffstats-finalize] (and an incremental refresh under
+    [suffstats-append]), each with the child stages [assemble],
+    [columnar], [rule-infer], [rule-filter] and [value-stats].
 
     On top of the algebra sits a resident {!learner} that keeps the
     derived caches (columnar view, bitset overlay, per-candidate
@@ -57,6 +63,19 @@ type finalized = {
   f_training_count : int;
 }
 
+val finalize_training :
+  ?pool:Encore_util.Pool.t ->
+  ?params:Infer.params ->
+  ?templates:Template.t list ->
+  ?entropy_threshold:float ->
+  types:Encore_typing.Infer.env ->
+  (Encore_sysenv.Image.t * Encore_dataset.Row.t) list -> finalized
+(** The finalize step alone, over a training set already assembled
+    under [types]: columnar view and bitset overlay, candidate counts
+    and verdicts through the counts engine, the redundancy and entropy
+    filters, value statistics.  {!learner_of} runs the same step after
+    deciding types and augmenting rows from the statistics. *)
+
 type learner
 (** Resident finalized state: the model plus the caches needed to
     extend it incrementally. *)
@@ -68,7 +87,9 @@ val learner_of :
   ?entropy_threshold:float ->
   t -> learner
 (** Finalize: assemble the corpus under the tallied type decisions,
-    judge every candidate through the counts engine, and filter. *)
+    count and judge every candidate through the counts engine
+    ({!Infer.engine_counts}, {!Infer.engine_verdict}), filter, and
+    collect value statistics. *)
 
 val append :
   ?pool:Encore_util.Pool.t ->

@@ -1,0 +1,62 @@
+(** The string-keyed reference evaluator for template-guided rule
+    inference (paper section 5.1, Figure 5).
+
+    Every candidate walks every training row through
+    {!Encore_rules.Relation.eval}; vacuity and lift are recounted per
+    candidate from the raw cells.  Nothing is shared with the counts
+    engine behind {!Encore_rules.Infer.infer} beyond candidate
+    generation, polarity expansion, the support threshold, the relation
+    semantics and the final rule order, so a property test pinning the
+    two together checks the engine's popcounts, typed value caches and
+    verdict arithmetic. *)
+
+type training = Encore_rules.Infer.training
+
+val evaluate_instantiation :
+  Encore_rules.Template.t -> training -> a:string -> b:string -> int * int
+(** [(applicable, valid)] counts over the training set, row by row. *)
+
+type columnar = {
+  cols : Encore_dataset.Colview.t;
+  ctxs : Encore_rules.Relation.ctx array;
+}
+(** Columnar training set: [Colview.column cols id] holds one instance
+    list per row, [ctxs.(row)] the row's evaluation context. *)
+
+val columnar_of_training :
+  ?view:Encore_dataset.Colview.t -> training -> columnar
+
+val evaluate_instantiation_cols :
+  Encore_rules.Template.t -> columnar ->
+  ca:string list array -> cb:string list array -> int * int
+(** {!evaluate_instantiation} over two columns. *)
+
+val antecedent_support_cols :
+  Encore_rules.Relation.t -> ca:string list array -> int option
+(** Rows whose A cell holds the implication's antecedent polarity;
+    [None] for relations other than [Bool_implies]. *)
+
+val consequent_base_rate_cols :
+  Encore_rules.Relation.t -> cb:string list array -> float option
+(** Share of rows carrying B whose every value already equals the
+    implied polarity; [None] for relations other than [Bool_implies]
+    or when B is never present. *)
+
+val evaluate_candidate :
+  params:Encore_rules.Infer.params -> min_support:int -> columnar ->
+  Encore_rules.Template.t * string * string -> Encore_rules.Infer.verdict
+(** One candidate's fate under the support, vacuity, confidence and
+    lift tests. *)
+
+val candidates_of :
+  types:Encore_typing.Infer.env -> templates:Encore_rules.Template.t list ->
+  string list -> (Encore_rules.Template.t * string * string) list
+
+val infer_reference :
+  ?params:Encore_rules.Infer.params ->
+  ?templates:Encore_rules.Template.t list -> ?jobs:int ->
+  ?pool:Encore_util.Pool.t -> ?view:Encore_dataset.Colview.t ->
+  types:Encore_typing.Infer.env -> training -> Encore_rules.Template.rule list
+(** The rules {!Encore_rules.Infer.infer} must learn, in its order:
+    one task per candidate, each walking the full row range.  With
+    [pool] or [jobs > 1] candidates are judged on worker domains. *)

@@ -12,6 +12,11 @@ module Prng = Encore_util.Prng
 module Image = Encore_sysenv.Image
 module Assemble = Encore_dataset.Assemble
 module Table = Encore_dataset.Table
+module Row = Encore_dataset.Row
+module Csvio = Encore_util.Csvio
+module Tinfer = Encore_typing.Infer
+module Ctype = Encore_typing.Ctype
+module Suffstats = Encore_rules.Suffstats
 module Detector = Encore_detect.Detector
 module Model_io = Encore_detect.Model_io
 module Chaos = Encore_inject.Chaos
@@ -347,19 +352,85 @@ let test_checkpoint_ingest_roundtrip () =
   check Alcotest.bool "fingerprint mismatch treated as absent" true
     (Checkpoint.load_ingest ck ~fingerprint:"fp-2" = None)
 
+let model_bytes_of_stats stats =
+  Model_io.to_string
+    (Detector.model_of_finalized (Suffstats.current (Suffstats.learner_of stats)))
+
 let test_checkpoint_assemble_roundtrip () =
   with_dir @@ fun dir ->
   let ck = Checkpoint.create ~dir in
-  let assembled = Assemble.assemble_training (training 6) in
-  Checkpoint.save_assemble ck ~fingerprint:"fp" assembled;
-  match Checkpoint.load_assemble ck ~fingerprint:"fp" with
-  | Some restored ->
-      check Alcotest.string "table round-trips verbatim"
-        (Table.to_csv assembled.Assemble.table)
-        (Table.to_csv restored.Assemble.table);
-      check Alcotest.bool "type environment bit-identical" true
-        (restored.Assemble.types = assembled.Assemble.types)
-  | None -> Alcotest.fail "assemble checkpoint did not load"
+  let stats = Suffstats.of_images (training 6) in
+  Checkpoint.save_assemble ck ~fingerprint:"fp" stats;
+  (match Checkpoint.load_assemble ck ~fingerprint:"fp" with
+   | Some restored ->
+       check Alcotest.string "statistics round-trip verbatim"
+         (Suffstats.to_payload stats)
+         (Suffstats.to_payload restored);
+       check Alcotest.string "restored statistics finalize to the same model"
+         (model_bytes_of_stats stats)
+         (model_bytes_of_stats restored)
+   | None -> Alcotest.fail "assemble checkpoint did not load");
+  check Alcotest.bool "fingerprint mismatch treated as absent" true
+    (Checkpoint.load_assemble ck ~fingerprint:"fp-2" = None)
+
+(* The assemble checkpoint's payload before it stored the statistics:
+   the type environment, then the assembled table pair by pair. *)
+let legacy_assemble_payload images =
+  let a = Assemble.assemble_training images in
+  let buf = Buffer.create 4096 in
+  let line fields =
+    Buffer.add_string buf (Csvio.row_to_string fields);
+    Buffer.add_char buf '\n'
+  in
+  Buffer.add_string buf "@types\n";
+  List.iter
+    (fun (attr, (d : Tinfer.decision)) ->
+      line
+        [ attr; Ctype.to_string d.Tinfer.ctype;
+          Printf.sprintf "%h" d.Tinfer.agreement;
+          string_of_int d.Tinfer.samples ])
+    a.Assemble.types;
+  Buffer.add_string buf "@table\n";
+  List.iter
+    (fun (id, row) ->
+      line [ "r"; id ];
+      List.iter (fun (attr, v) -> line [ "c"; attr; v ]) (Row.to_list row))
+    (Table.rows a.Assemble.table);
+  Buffer.contents buf
+
+let test_checkpoint_legacy_assemble_is_stale () =
+  with_dir @@ fun dir ->
+  let images = training 6 in
+  let ck = Checkpoint.create ~dir in
+  let reference =
+    match Pipeline.learn_durable ~checkpoint:ck images with
+    | Ok { Pipeline.model = Some m; _ } -> Model_io.to_string m
+    | _ -> Alcotest.fail "reference run failed"
+  in
+  (* keep the run's own stage fingerprint, swap in the legacy payload,
+     and drop the model checkpoint so the model must be recomputed *)
+  let path = Checkpoint.stage_path ck Checkpoint.Assemble in
+  let kind = "ckpt-assemble" in
+  let fingerprint =
+    match Snapshot.read ~kind path with
+    | Ok payload -> (
+        match String.index_opt payload '\n' with
+        | Some nl -> String.sub payload 0 nl
+        | None -> Alcotest.fail "assemble checkpoint has no fingerprint")
+    | Error e -> Alcotest.fail (Snapshot.error_to_string e)
+  in
+  Snapshot.write_atomic ~kind path
+    (fingerprint ^ "\n" ^ legacy_assemble_payload images);
+  Sys.remove (Checkpoint.stage_path ck Checkpoint.Model);
+  check Alcotest.bool "legacy payload loads as stale" true
+    (Checkpoint.load_assemble ck ~fingerprint = None);
+  match Pipeline.learn_durable ~resume:ck images with
+  | Ok { Pipeline.model = Some m; resumed; _ } ->
+      check (Alcotest.list Alcotest.string) "only ingest resumed" [ "ingest" ]
+        (List.map Checkpoint.stage_to_string resumed);
+      check Alcotest.string "recomputed model = reference" reference
+        (Model_io.to_string m)
+  | _ -> Alcotest.fail "resume over a legacy assemble checkpoint failed"
 
 let test_checkpoint_damaged_is_absent () =
   with_dir @@ fun dir ->
@@ -516,6 +587,8 @@ let () =
         [
           Alcotest.test_case "ingest roundtrip" `Quick test_checkpoint_ingest_roundtrip;
           Alcotest.test_case "assemble roundtrip" `Quick test_checkpoint_assemble_roundtrip;
+          Alcotest.test_case "legacy assemble is stale" `Quick
+            test_checkpoint_legacy_assemble_is_stale;
           Alcotest.test_case "damaged is absent" `Quick test_checkpoint_damaged_is_absent;
           Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
         ] );

@@ -598,6 +598,78 @@ let test_summary_of_file_empty_and_blank () =
 
 (* --- determinism under a seeded workload ----------------------------------- *)
 
+(* --- learning-path span coverage --------------------------------------------- *)
+
+(* The finalize step's stages, named as the batch path always named
+   them. *)
+let finalize_stages = [ "assemble"; "columnar"; "rule-infer"; "rule-filter"; "value-stats" ]
+
+let learn_images () =
+  Population.clean (Population.generate ~seed:11 Image.Mysql ~n:60)
+
+let traced_roots f =
+  Trace.set_sink Trace.Memory;
+  Trace.clear ();
+  ignore (f ());
+  Trace.roots ()
+
+let stage_names (s : Summary.t) =
+  List.sort compare (List.map (fun st -> st.Summary.stage_name) s.Summary.stages)
+
+let spans_named name roots =
+  let found = ref [] in
+  List.iter
+    (Trace.iter_tree (fun sp -> if sp.Trace.name = name then found := sp :: !found))
+    roots;
+  List.rev !found
+
+let check_finalize_span (sp : Trace.span) =
+  let s = Summary.of_spans [ sp ] in
+  check Alcotest.(list string) (sp.Trace.name ^ " stages")
+    (List.sort compare finalize_stages) (stage_names s);
+  check Alcotest.bool
+    (Printf.sprintf "%s coverage %.1f%% >= 95%%" sp.Trace.name
+       s.Summary.coverage_pct)
+    true (s.Summary.coverage_pct >= 95.0)
+
+let test_learn_durable_coverage () =
+  let roots = traced_roots (fun () -> Encore.Pipeline.learn_durable (learn_images ())) in
+  let s = Summary.of_spans roots in
+  check Alcotest.(list string) "learn stages"
+    [ "fingerprint"; "ingest"; "report"; "suffstats-finalize"; "suffstats-fold" ]
+    (stage_names s);
+  check Alcotest.bool
+    (Printf.sprintf "learn coverage %.1f%% >= 95%%" s.Summary.coverage_pct)
+    true (s.Summary.coverage_pct >= 95.0);
+  List.iter check_finalize_span (spans_named "suffstats-finalize" roots)
+
+let test_learner_result_coverage () =
+  let stats = Encore.Pipeline.stats_of_images (learn_images ()) in
+  match traced_roots (fun () -> Encore.Pipeline.learner_result stats) with
+  | [ root ] -> check_finalize_span root
+  | roots -> Alcotest.failf "expected one root span, got %d" (List.length roots)
+
+let test_append_spans () =
+  let images = learn_images () in
+  let base = List.filteri (fun i _ -> i < 30) images
+  and tail = List.filteri (fun i _ -> i >= 30) images in
+  match Encore.Pipeline.learner_result (Encore.Pipeline.stats_of_images base) with
+  | Error d ->
+      Alcotest.failf "finalize failed: %s"
+        (Encore_util.Resilience.diagnostic_to_string d)
+  | Ok learner -> (
+      let roots =
+        traced_roots (fun () -> Encore.Pipeline.learn_append learner tail)
+      in
+      check Alcotest.bool "the fold is spanned" true
+        (spans_named "suffstats-fold" roots <> []);
+      match
+        spans_named "suffstats-append" roots
+        @ spans_named "suffstats-finalize" roots
+      with
+      | [ sp ] -> check_finalize_span sp
+      | sps -> Alcotest.failf "expected one refresh span, got %d" (List.length sps))
+
 let seeded_snapshot () =
   Metrics.reset ();
   let profile = { Profile.ec2 with Profile.latent_error_rate = 0.0 } in
@@ -668,6 +740,12 @@ let () =
           t "of_spans truncated passthrough" test_summary_of_spans_truncated;
           t "of_file on empty and blank files"
             test_summary_of_file_empty_and_blank;
+        ] );
+      ( "learnspans",
+        [
+          t "learn_durable covers its wall time" test_learn_durable_coverage;
+          t "learner_result covers its wall time" test_learner_result_coverage;
+          t "append is spanned" test_append_spans;
         ] );
       ( "determinism",
         [ t "seeded metric snapshots are identical" test_snapshot_determinism ] );

@@ -14,6 +14,8 @@ module Warning = Encore_detect.Warning
 module Conferr = Encore_inject.Conferr
 module Image = Encore_sysenv.Image
 module Prng = Encore_util.Prng
+module Suffstats = Encore_rules.Suffstats
+module Model_io = Encore_detect.Model_io
 
 let check = Alcotest.check
 
@@ -192,6 +194,57 @@ let test_training_soundness () =
         (v /. n <= (1.0 -. r.Encore_rules.Template.confidence) +. 0.001))
     model.Detector.rules
 
+(* --- the folded statistics of a durable run -------------------------------- *)
+
+(* A population stormed with pipeline faults: the outcome's statistics
+   hold exactly the images that survived ingestion, and saving,
+   reloading and finalizing them reproduces the run's own model — what
+   [learn --stats] persists is what the run learned from. *)
+let test_stormed_stats_hold_survivors () =
+  let storm =
+    Encore_inject.Chaos.storm ~fraction:0.2 ~rng:(Prng.create 36)
+      (training Image.Mysql 60)
+  in
+  let result = Pipeline.learn_durable storm.Encore_inject.Chaos.images in
+  check Alcotest.int "stormed run is degraded" 3 (Pipeline.exit_code result);
+  match result with
+  | Ok { Pipeline.model = Some model; stats = Some stats; report; _ } ->
+      let quarantined = List.map fst report.Pipeline.quarantined in
+      check Alcotest.bool "the storm quarantined images" true
+        (quarantined <> []);
+      check Alcotest.int "n_images = report.ok" report.Pipeline.ok
+        (Suffstats.n_images stats);
+      check (Alcotest.list Alcotest.string) "statistics hold the survivors"
+        (List.filter_map
+           (fun img ->
+             let id = img.Image.image_id in
+             if List.mem id quarantined then None else Some id)
+           storm.Encore_inject.Chaos.images)
+        (List.map (fun img -> img.Image.image_id) (Suffstats.images stats));
+      let path = Filename.temp_file "encore-stats" ".snap" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Encore.Stats_io.save path stats;
+          match Encore.Stats_io.load path with
+          | Error e ->
+              Alcotest.failf "statistics did not reload: %s"
+                (Encore.Stats_io.load_error_to_string e)
+          | Ok restored -> (
+              match Pipeline.learner_result restored with
+              | Error d ->
+                  Alcotest.failf "finalize failed: %s"
+                    (Encore_util.Resilience.diagnostic_to_string d)
+              | Ok learner ->
+                  check Alcotest.string "reloaded statistics finalize to the \
+                                         durable model"
+                    (Model_io.to_string model)
+                    (Model_io.to_string (Pipeline.model_of_learner learner))))
+  | Ok _ -> Alcotest.fail "durable run returned no model or statistics"
+  | Error d ->
+      Alcotest.failf "stormed run failed: %s"
+        (Encore_util.Resilience.diagnostic_to_string d)
+
 (* --- exit codes ---------------------------------------------------------- *)
 
 (* The CLI's contract (README): 0 = success, 1 = failure, 3 = degraded
@@ -369,6 +422,11 @@ let () =
           Alcotest.test_case "custom template" `Quick test_custom_template_used;
           Alcotest.test_case "training soundness bound" `Quick test_training_soundness;
           Alcotest.test_case "custom file error" `Quick test_custom_file_error_raised;
+        ] );
+      ( "statistics",
+        [
+          Alcotest.test_case "stormed stats hold the survivors" `Quick
+            test_stormed_stats_hold_survivors;
         ] );
       ( "exit codes",
         [

@@ -258,6 +258,60 @@ let test_expand_polarities () =
   in
   check Alcotest.int "four polarities" 4 (List.length expanded)
 
+(* --- Inference against the reference oracle ----------------------------------- *)
+
+(* Training slices of the generated populations: every predefined app
+   plus the synthetic fleet, whose attributes span every relation the
+   engine counts with popcounts or typed value arrays as well as the
+   per-row fallbacks. *)
+let oracle_sources =
+  lazy
+    (List.map
+       (fun app ->
+         Encore_workloads.Population.clean
+           (Encore_workloads.Population.generate ~seed:23 app ~n:40))
+       [ Image.Mysql; Image.Apache; Image.Php; Image.Sshd ]
+     @ [ Encore_workloads.Synthfleet.generate ~seed:23 ~n:40 () ])
+
+(* one template from a customization file, with its own confidence
+   override *)
+let oracle_templates =
+  lazy
+    (match Customfile.parse "$$Template\n[A:Number] < [B:Number] -- 75%\n" with
+     | Ok t -> Template.predefined @ t.Customfile.templates
+     | Error e -> Alcotest.failf "custom template: %s" e.Customfile.message)
+
+let oracle_case =
+  QCheck.(
+    quad (int_bound 4)
+      (pair (int_bound 30) (int_range 2 25))
+      (pair (float_range 0.02 0.6) (float_range 0.5 1.0))
+      (int_range 1 2))
+
+let prop_infer_equals_oracle =
+  QCheck.Test.make ~count:40
+    ~name:"infer equals the reference oracle on population slices"
+    oracle_case
+    (fun (source, (start, len), (min_support_frac, min_confidence), jobs) ->
+      let images =
+        List.filteri
+          (fun i _ -> i >= start && i < start + len)
+          (List.nth (Lazy.force oracle_sources) source)
+      in
+      QCheck.assume (List.length images >= 2);
+      let assembled = Encore_dataset.Assemble.assemble_training images in
+      let training =
+        List.map2
+          (fun img (_, row) -> (img, row))
+          images
+          (Encore_dataset.Table.rows assembled.Encore_dataset.Assemble.table)
+      in
+      let types = assembled.Encore_dataset.Assemble.types in
+      let params = { Rinfer.min_support_frac; min_confidence } in
+      let templates = Lazy.force oracle_templates in
+      Rinfer.infer ~params ~templates ~jobs ~types training
+      = Oracle.infer_reference ~params ~templates ~types training)
+
 (* --- Filters --------------------------------------------------------------------- *)
 
 let test_entropy_filter () =
@@ -412,6 +466,7 @@ let () =
             test_parallel_equals_sequential;
           Alcotest.test_case "jobs exceed candidates" `Quick
             test_parallel_jobs_exceed_candidates;
+          QCheck_alcotest.to_alcotest prop_infer_equals_oracle;
         ] );
       ( "filters",
         [

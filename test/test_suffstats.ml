@@ -96,9 +96,10 @@ let test_finalize_matches_batch () =
   List.iter
     (fun (jobs, shards) ->
       let config = { Config.default with Config.jobs = jobs } in
-      match Pipeline.learn_sharded_result ~config ~shards fleet with
-      | Error d -> Alcotest.failf "learn_sharded_result: %s" d.Encore_util.Resilience.detail
-      | Ok (model, _) ->
+      match Pipeline.learn_durable ~config ~shards fleet with
+      | Error d -> Alcotest.failf "learn_durable: %s" d.Encore_util.Resilience.detail
+      | Ok { Pipeline.model = None; _ } -> Alcotest.fail "learn_durable: no model"
+      | Ok { Pipeline.model = Some model; _ } ->
           check Alcotest.string
             (Printf.sprintf "jobs=%d shards=%d model equals batch" jobs shards)
             expected
