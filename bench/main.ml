@@ -389,12 +389,13 @@ let percentile sorted q =
   else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
 
 (* The resident daemon under a change storm: [serve_images] mysql
-   targets each open a watch session, then replay ConfErr-mutated
-   config deltas (the incremental path) with a full inline check mixed
-   in every few requests (the full path).  The driver offers one line
-   and steps until its response appears, so per-request latency is the
-   daemon's processing cost — parse, delta re-check, encode — and
-   throughput counts one re-checked image per request. *)
+   targets each open a session with an inline check, then replay
+   ConfErr-mutated configs as watches with a full inline check mixed
+   in every few requests.  The driver offers one line and steps until
+   its response appears, so per-request latency is the daemon's
+   processing cost — parse, check, encode — and throughput counts one
+   checked image per request.  Every response must be ok: a refused
+   request checked nothing, so the stage fails on the first one. *)
 let measure_serve () =
   let images =
     Population.clean (Population.generate ~seed:7 Image.Mysql ~n:paper_n)
@@ -440,8 +441,7 @@ let measure_serve () =
     List.init serve_requests (fun i ->
         let k = i mod serve_images in
         let id = Printf.sprintf "r%04d" i in
-        if i < serve_images then watch_line ~id !(targets.(k))
-        else if i mod 7 = 0 then check_line ~id !(targets.(k))
+        if i < serve_images || i mod 7 = 0 then check_line ~id !(targets.(k))
         else begin
           let campaign =
             Encore_inject.Conferr.inject rng Image.Mysql !(targets.(k)) ~n:1
@@ -464,6 +464,15 @@ let measure_serve () =
                   | [] -> Encore_serve.Server.step srv
                   | rs -> rs)
             in
+            List.iter
+              (fun r ->
+                if Json.member "ok" r <> Some (Json.Bool true) then begin
+                  prerr_endline
+                    ("bench: serve request " ^ string_of_int i ^ " refused: "
+                   ^ Json.to_string r);
+                  exit 1
+                end)
+              rs;
             assert (rs <> []);
             lat.(i) <- float_of_int ns /. 1e3)
           lines)
@@ -492,7 +501,7 @@ let print_serve_times () =
   let m = measure_serve () in
   Printf.printf
     "=== Serve daemon: %d-request change storm over %d watched mysql \
-     targets, model n=%d (paper scale) ===\n\n"
+     targets, model n=%d (paper scale), every response ok ===\n\n"
     m.serve_requests m.serve_images paper_n;
   Printf.printf "  sustained throughput  %12.1f images/s\n" m.serve_images_per_s;
   Printf.printf "  request latency p50   %12.1f us\n" m.serve_p50_us;

@@ -481,10 +481,10 @@ let chaos_cmd =
                            a mid-storm reload) against the serve daemon and \
                            check its contract: load is shed but nothing \
                            crashes, every queued request is answered, the \
-                           alert ring stays inside its bound, incremental \
-                           watch verdicts match full checks byte-for-byte, \
-                           and shutdown drains cleanly.  Exit code 0 only \
-                           when every invariant holds.")
+                           alert ring stays inside its bound, every watch \
+                           verdict matches an independent full check \
+                           byte-for-byte, and shutdown drains cleanly.  \
+                           Exit code 0 only when every invariant holds.")
           $ Arg.(value & flag
                  & info [ "transport-storm" ]
                      ~doc:"Drive the multiplexed transport with \
@@ -865,8 +865,8 @@ let serve_cmd =
                  & info [ "watch-dir" ] ~docv:"DIR"
                      ~doc:"Poll $(docv) for config files named \
                            $(i,<image-id>@<app>.conf) and feed each change \
-                           as an incremental watch request against that \
-                           image's session.")
+                           as a watch request: a full check of that \
+                           image's session with the config replaced.")
           $ Arg.(value & opt (some int) None
                  & info [ "max-connections" ] ~docv:"N"
                      ~doc:"Concurrent socket clients served; further \

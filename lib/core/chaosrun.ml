@@ -371,8 +371,8 @@ let serve_storm ?(config = Config.default) ?(requests = 10_000) ?(n = 16)
   let profile = { Profile.ec2 with Profile.latent_error_rate = 0.0 } in
   let images = Population.images (Population.generate ~profile ~seed app ~n) in
   let model = Pipeline.learn ~config images in
-  (* independent compile of the same model: the oracle for watch-mode
-     byte-identity *)
+  (* independent compile of the same model: the oracle every watch
+     verdict is compared with *)
   let reference = Engine.compile model in
   let cache = Serve_cache.create ~provider:(fun ~app:_ -> Ok model) in
   let sconfig =
@@ -391,7 +391,7 @@ let serve_storm ?(config = Config.default) ?(requests = 10_000) ?(n = 16)
   let notes = ref [] in
   let note fmt = Printf.ksprintf (fun s -> notes := !notes @ [ s ]) fmt in
   let originals = Hashtbl.create 32 in
-  (* the server seeds sessions from the parsed dump, and the dump
+  (* the server keeps sessions from the parsed dump, and the dump
      round-trip canonicalizes the environment (implied primary groups
      etc.) — the verification shadow must mirror the parsed image, not
      the pre-serialization one, or reference checks drift *)
@@ -484,8 +484,8 @@ let serve_storm ?(config = Config.default) ?(requests = 10_000) ?(n = 16)
             if ok then
               match action with
               | `Check img ->
-                  (* a fresh check reseeds the session from the parsed
-                     dump — mirror exactly that image *)
+                  (* a fresh check replaces the session with the
+                     parsed dump — mirror exactly that image *)
                   Hashtbl.replace shadow img.Image.image_id img
               | `Watch (iid, wapp, cfg) -> (
                   match Hashtbl.find_opt shadow iid with
@@ -510,8 +510,8 @@ let serve_storm ?(config = Config.default) ?(requests = 10_000) ?(n = 16)
                       in
                       if got <> expect then begin
                         incr watch_mismatch;
-                        note "watch %s: incremental verdict diverged from \
-                              full check" iid
+                        note "watch %s: verdict diverged from an \
+                              independent full check" iid
                       end)))
   in
   let offer line =
@@ -546,7 +546,7 @@ let serve_storm ?(config = Config.default) ?(requests = 10_000) ?(n = 16)
         let iid = List.nth ids (Prng.int rng (List.length ids)) in
         let img = Hashtbl.find shadow iid in
         (* a realistic drift: ConfErr-mutate the current config, ship
-           the new text as the delta *)
+           the new text *)
         let campaign = Conferr.inject rng app img ~n:1 in
         let cfg =
           match Image.config_for campaign.Conferr.image app with
@@ -603,8 +603,8 @@ let serve_storm ?(config = Config.default) ?(requests = 10_000) ?(n = 16)
   for i = 0 to requests - 1 do
     let line =
       if i = requests / 2 then
-        (* mid-storm reload: every session re-seeds under the fresh
-           engine on its next delta *)
+        (* mid-storm reload: sessions survive it, and every later watch
+           is checked on the freshly compiled engine *)
         Json.to_string
           (Json.Obj [ ("op", Json.Str "reload"); ("id", Json.Str (req_id i)) ])
       else if i mod 20 = 3 then begin
@@ -726,7 +726,7 @@ let serve_outcome_to_string o =
        (if o.serve_ring_bound_ok then "held" else "EXCEEDED")
        o.serve_ring_dropped);
   Buffer.add_string buf
-    (Printf.sprintf "watch deltas: %d verified %s full checks\n"
+    (Printf.sprintf "watch verdicts: %d verified %s full checks\n"
        o.serve_watch_verified
        (if o.serve_watch_identical then "byte-identical to"
         else "DIVERGED from"));

@@ -94,9 +94,9 @@ val durability_outcome_to_string : durability_outcome -> string
     against an {!Encore_serve.Server} driven directly through
     [offer]/[step], and check the daemon's contract: it sheds load but
     never crashes, answers every request it queued, keeps the alert
-    ring inside its bound, keeps incremental watch verdicts
-    byte-identical to full checks of the mutated image, and drains
-    cleanly on shutdown.
+    ring inside its bound, answers every watch byte-identically to an
+    independent full check of the mutated image, and drains cleanly on
+    shutdown.
 
     The storm also exercises the telemetry verbs: [metrics] scrapes and
     [health] probes ride in the mix (including one right behind each

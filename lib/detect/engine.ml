@@ -8,6 +8,7 @@ module Semantic = Encore_typing.Semantic
 module Template = Encore_rules.Template
 module Relation = Encore_rules.Relation
 module Strutil = Encore_util.Strutil
+module Deadline = Encore_util.Deadline
 module Otrace = Encore_obs.Trace
 module Ometrics = Encore_obs.Metrics
 
@@ -29,6 +30,10 @@ type checks = {
 
 let all_checks =
   { check_names = true; check_rules = true; check_types = true; check_values = true }
+
+type verdict = Complete of Warning.t list | Partial of Warning.t list
+
+let warnings_of = function Complete ws | Partial ws -> ws
 
 (* --- compiled indices ---------------------------------------------------- *)
 
@@ -73,16 +78,10 @@ type t = {
      no-op when the slot-A attribute is absent) beats selecting
      per-attribute buckets and re-sorting them *)
   rules : Template.rule array;
-  (* attribute -> indices into [rules] of every rule that names it in
-     either slot, ascending: the delta-scoped re-check (serve watch
-     mode) walks only these instead of the whole array *)
-  rules_by_attr : (string, int list) Hashtbl.t;
   columns : (string, column) Hashtbl.t;
 }
 
 let model t = t.source
-
-let assemble_row t img = t.assemble img
 
 let m_compiles = Ometrics.counter "detect.compiles"
 
@@ -101,25 +100,6 @@ let compile source =
          (fun a -> (a, Encore_confparse.Kv.key_basename a))
          source.known_attrs)
   in
-  let rules = Array.of_list source.rules in
-  let rules_by_attr = Hashtbl.create (2 * Array.length rules + 1) in
-  Array.iteri
-    (fun i (r : Template.rule) ->
-      let note attr =
-        let prev =
-          Option.value ~default:[] (Hashtbl.find_opt rules_by_attr attr)
-        in
-        (* indices arrive ascending; avoid the duplicate when a rule
-           relates an attribute to itself *)
-        if prev = [] || List.hd prev <> i then
-          Hashtbl.replace rules_by_attr attr (i :: prev)
-      in
-      note r.Template.attr_a;
-      note r.Template.attr_b)
-    rules;
-  Hashtbl.iter
-    (fun attr idxs -> Hashtbl.replace rules_by_attr attr (List.rev idxs))
-    (Hashtbl.copy rules_by_attr);
   let columns = Hashtbl.create 256 in
   List.iter
     (fun (attr, (d : Tinfer.decision)) ->
@@ -171,8 +151,7 @@ let compile source =
     assemble = Assemble.target_assembler ~types:source.types;
     known;
     near_index;
-    rules;
-    rules_by_attr;
+    rules = Array.of_list source.rules;
     columns;
   }
 
@@ -186,29 +165,36 @@ let compile source =
 let is_config_attr attr =
   (not (Augment.is_augmented attr)) && Strutil.contains_char attr '/'
 
-(* First known attribute at minimum edit distance, in training order —
-   the same winner as a full fold, with candidates that cannot strictly
-   improve on the best-so-far pruned by basename length. *)
-let nearest_known t base =
+(* First known attribute strictly under [limit] edits at minimum
+   distance, in training order.  Each candidate only has to beat the
+   best so far, so it is pruned by basename length and its distance is
+   cut off at the current best. *)
+let nearest_below t base limit =
   let blen = String.length base in
-  let best_name = ref None and best_d = ref max_int in
+  let best_name = ref None and best_d = ref limit in
   Array.iter
     (fun (candidate, cbase) ->
-      let lower_bound = abs (String.length cbase - blen) in
-      if lower_bound < !best_d then begin
-        let d = Strutil.damerau_levenshtein base cbase in
-        if d < !best_d then begin
-          best_d := d;
-          best_name := Some candidate
-        end
-      end)
+      if abs (String.length cbase - blen) < !best_d then
+        match Strutil.damerau_levenshtein_below ~limit:!best_d base cbase with
+        | Some d ->
+            best_d := d;
+            best_name := Some candidate
+        | None -> ())
     t.near_index;
   (!best_name, !best_d)
 
+(* The first known attribute at minimum edit distance, in training
+   order.  A misspelling (at most 2 edits) is found by a scan cut off
+   at 3; only a key that is far from every known name pays for the
+   scan without a cap, which still reports its nearest name. *)
+let nearest_known t base =
+  match nearest_below t base 3 with
+  | (Some _, _) as hit -> hit
+  | None, _ -> nearest_below t base max_int
+
 (* One attribute's name verdict: [None] when the attribute is known (or
    not an original config entry), the misspelling/unknown warning
-   otherwise.  Depends only on the attribute string, so a cached verdict
-   stays valid until the attribute itself changes. *)
+   otherwise. *)
 let name_warning t attr =
   if Hashtbl.mem t.known attr || not (is_config_attr attr) then None
   else
@@ -236,29 +222,10 @@ let name_warning t attr =
         score;
       }
 
-let name_warnings t row = List.filter_map (name_warning t) (Row.attrs row)
-
 (* --- check 2: correlation rules ------------------------------------------ *)
 
-let rule_count t = Array.length t.rules
-
-(* Ascending, duplicate-free indices of every rule that names one of the
-   attributes: the columns a config-change delta touches select exactly
-   the rules that must be re-evaluated. *)
-let rules_touching t attrs =
-  let hit = Hashtbl.create 16 in
-  List.iter
-    (fun attr ->
-      List.iter
-        (fun i -> Hashtbl.replace hit i ())
-        (Option.value ~default:[] (Hashtbl.find_opt t.rules_by_attr attr)))
-    attrs;
-  List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) hit [])
-
 (* Labelled series for the fleet exposition: which rules fire, and how
-   often each app trips the name / suspicious-value checks.  Counted at
-   the granular units (rule) or the check entry point (app), so both
-   the full-check and the delta-scoped serve paths feed them. *)
+   often each app trips the name / suspicious-value checks. *)
 let m_rule_fired rule =
   Ometrics.counter
     (Ometrics.labeled "detect.rule_fired"
@@ -268,8 +235,7 @@ let by_app name app = Ometrics.counter (Ometrics.labeled name [ ("app", app) ])
 
 (* One rule's verdict in a target context: [None] when the rule holds or
    its slot attributes are absent there. *)
-let rule_warning t ctx i =
-  let rule = t.rules.(i) in
+let rule_warning rule ctx =
   match Template.rule_holds rule ctx with
   | Some false ->
       Ometrics.incr (m_rule_fired rule);
@@ -284,23 +250,11 @@ let rule_warning t ctx i =
         }
   | Some true | None -> None
 
-let rule_warnings t ctx =
-  (* one pass in learned order: rule_holds yields None for rules whose
-     slot attributes the image does not carry *)
-  let rev = ref [] in
-  for i = 0 to Array.length t.rules - 1 do
-    match rule_warning t ctx i with
-    | Some w -> rev := w :: !rev
-    | None -> ()
-  done;
-  List.rev !rev
-
 (* --- checks 3 and 4: data types + suspicious values ----------------------- *)
 
 (* One pair's column verdicts, accumulated onto the two reverse lists: a
    single [columns] probe serves both the type check and the value
-   check.  Shared by the fused full-row walk below and the delta-scoped
-   [column_warnings_for]. *)
+   check. *)
 let column_pair t ~types ~values img rev_types rev_values (attr, value) =
   match Hashtbl.find_opt t.columns attr with
   | None -> ()
@@ -359,27 +313,6 @@ let column_pair t ~types ~values img rev_types rev_values (attr, value) =
                 }
                 :: !rev_values
 
-(* One fused walk over the row's pairs.  The two warning lists come back
-   separately, each in pair order, so the caller concatenates them
-   exactly as the unfused checks did. *)
-let column_warnings t ~types ~values row img =
-  let rev_types = ref [] and rev_values = ref [] in
-  List.iter
-    (column_pair t ~types ~values img rev_types rev_values)
-    (Row.to_list row);
-  (List.rev !rev_types, List.rev !rev_values)
-
-(* Column verdicts for one attribute's instances, in instance order —
-   the delta path re-checks only the attributes a config change
-   touched. *)
-let column_warnings_for t img ~attr ~values:vs =
-  let rev_types = ref [] and rev_values = ref [] in
-  List.iter
-    (fun v -> column_pair t ~types:true ~values:true img rev_types rev_values
-        (attr, v))
-    vs;
-  (List.rev !rev_types, List.rev !rev_values)
-
 (* --- the check entry point ------------------------------------------------ *)
 
 let m_warn_name = Ometrics.counter "detect.warnings.entry_name"
@@ -388,39 +321,70 @@ let m_warn_type = Ometrics.counter "detect.warnings.type"
 let m_warn_value = Ometrics.counter "detect.warnings.value"
 let m_checks = Ometrics.counter "detect.checks"
 
-let counted counter ws =
-  Ometrics.incr ~by:(List.length ws) counter;
-  ws
-
-let check ?(checks = all_checks) t img =
+(* The one check body.  Each stage walks its units — a row pair for the
+   fused type/value walk, an attribute for names, a rule for
+   correlations — and polls [deadline] before each one.  Expiry keeps
+   every warning the finished units produced and ranks them as a
+   [Partial] verdict.  The stage lists are concatenated in the order
+   names, rules, types, values before the rank sort, each in unit
+   order. *)
+let verdict ?(checks = all_checks) ?deadline t img =
   Otrace.with_span "check"
     ~attrs:[ ("image", Encore_obs.Jsonenc.Str img.Encore_sysenv.Image.image_id) ]
     (fun () ->
       Ometrics.incr m_checks;
+      let poll =
+        match deadline with
+        | None -> ignore
+        | Some d -> fun () -> Deadline.raise_if_expired d
+      in
       let row =
         Otrace.with_span "assemble-target" (fun () -> t.assemble img)
       in
       let ctx = { Relation.image = img; row } in
-      let stage name f = Otrace.with_span name f in
-      let type_ws, value_ws =
-        if checks.check_types || checks.check_values then
-          stage "check-columns" (fun () ->
-              let ts, vs =
-                column_warnings t ~types:checks.check_types
-                  ~values:checks.check_values row img
-              in
-              (counted m_warn_type ts, counted m_warn_value vs))
-        else ([], [])
+      let rev_names = ref [] and rev_rules = ref [] in
+      let rev_types = ref [] and rev_values = ref [] in
+      let emit acc = function Some w -> acc := w :: !acc | None -> () in
+      let complete =
+        match
+          if checks.check_types || checks.check_values then
+            Otrace.with_span "check-columns" (fun () ->
+                List.iter
+                  (fun pair ->
+                    poll ();
+                    column_pair t ~types:checks.check_types
+                      ~values:checks.check_values img rev_types rev_values
+                      pair)
+                  (Row.to_list row));
+          if checks.check_names then
+            Otrace.with_span "check-names" (fun () ->
+                List.iter
+                  (fun attr ->
+                    poll ();
+                    emit rev_names (name_warning t attr))
+                  (Row.attrs row));
+          if checks.check_rules then
+            (* rule_holds yields None for rules whose slot attributes
+               the image does not carry *)
+            Otrace.with_span "check-rules" (fun () ->
+                Array.iter
+                  (fun rule ->
+                    poll ();
+                    emit rev_rules (rule_warning rule ctx))
+                  t.rules)
+        with
+        | () -> true
+        | exception Deadline.Expired _ -> false
+      in
+      let counted counter rev =
+        Ometrics.incr ~by:(List.length !rev) counter;
+        List.rev !rev
       in
       let warnings =
-        (if checks.check_names then
-           stage "check-names" (fun () -> counted m_warn_name (name_warnings t row))
-         else [])
-        @ (if checks.check_rules then
-             stage "check-rules" (fun () ->
-                 counted m_warn_rule (rule_warnings t ctx))
-           else [])
-        @ type_ws @ value_ws
+        counted m_warn_name rev_names
+        @ counted m_warn_rule rev_rules
+        @ counted m_warn_type rev_types
+        @ counted m_warn_value rev_values
       in
       let app =
         match img.Encore_sysenv.Image.configs with
@@ -438,4 +402,7 @@ let check ?(checks = all_checks) t img =
               Ometrics.incr (by_app "detect.suspicious" app)
           | _ -> ())
         warnings;
-      List.sort Warning.compare_rank warnings)
+      let ranked = List.sort Warning.compare_rank warnings in
+      if complete then Complete ranked else Partial ranked)
+
+let check ?checks t img = warnings_of (verdict ?checks t img)

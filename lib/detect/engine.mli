@@ -8,7 +8,10 @@
     detector checks actually need:
 
     - a known-attribute set and a near-miss index (attribute basenames
-      precomputed, length-pruned scan) for the misspelling check;
+      precomputed) for the misspelling check.  An unknown key is first
+      scanned with edit distances cut off at 3, which finds any 1-2
+      edit misspelling; only a key far from every known name is
+      scanned again without the cut-off, to name its nearest entry;
     - a target assembler with the type environment hashed once
       ({!Encore_dataset.Assemble.target_assembler});
     - the correlation rules as an array in learned order (evaluating a
@@ -22,14 +25,14 @@
       and value checks run as one fused walk, a single probe per row
       pair.
 
-    {!check} over the compiled form is byte-identical in output to the
-    interpreted walk it replaces ({!Detector.check} is now a thin
-    compile-then-check wrapper, and an equivalence property test in
-    [test/test_engine.ml] pins the contract against a reference
-    interpreted implementation).  A compiled engine is immutable after
-    {!compile} and safe to share across pool worker domains —
-    {!Pipeline.check_fleet} compiles once and fans the image list
-    out. *)
+    Every check — {!Detector.check}, [Pipeline.check_fleet] and the
+    serve daemon's [check] and [watch] — runs the one body behind
+    {!verdict}.  Its output is byte-identical to the interpreted walk
+    it replaced; an equivalence property test in [test/test_engine.ml]
+    pins the contract against a reference interpreted implementation.
+    A compiled engine is immutable after {!compile} and safe to share
+    across pool worker domains — [Pipeline.check_fleet] compiles once
+    and fans the image list out. *)
 
 type model = {
   types : Encore_typing.Infer.env;
@@ -63,52 +66,29 @@ val compile : model -> t
 val model : t -> model
 (** The model the engine was compiled from. *)
 
-val check :
-  ?checks:checks -> t -> Encore_sysenv.Image.t -> Warning.t list
-(** Ranked warnings (best first) for a target image — the paper's four
-    checks over the compiled indices.  Identical output to the
-    historical interpreted [Detector.check]. *)
+type verdict =
+  | Complete of Warning.t list
+  | Partial of Warning.t list
+      (** the deadline expired mid-check: the ranked warnings of the
+          units that finished *)
 
-(** {2 Delta-scoped checking}
+val warnings_of : verdict -> Warning.t list
 
-    The granular entry points below expose the per-attribute / per-rule
-    units {!check} is built from, so an incremental caller (the serve
-    watch path) can re-evaluate only the units a config-change delta
-    touches and splice the results into a cached verdict.  Each unit is
-    independent of every other: a unit's output depends only on the
-    engine, the image's environment, and the named attribute's (or
-    rule's slot attributes') row instances — so re-running the touched
-    units over the mutated image and keeping the rest cached is
-    warning-for-warning identical to a full {!check}. *)
-
-val assemble_row : t -> Encore_sysenv.Image.t -> Encore_dataset.Row.t
-(** The compiled target assembler: config entries plus augmented and
-    environment attributes, exactly the row {!check} builds
-    internally. *)
-
-val name_warning : t -> string -> Warning.t option
-(** One attribute's entry-name verdict.  [None] when the attribute is
-    known or not an original config entry. *)
-
-val rule_count : t -> int
-(** Number of compiled correlation rules; valid indices for
-    {!rule_warning} are [0 .. rule_count - 1], in learned order. *)
-
-val rules_touching : t -> string list -> int list
-(** Ascending, duplicate-free indices of every rule naming one of the
-    attributes in either slot — the rules a delta over those columns
-    can affect. *)
-
-val rule_warning : t -> Encore_rules.Relation.ctx -> int -> Warning.t option
-(** One rule's verdict in a target context.  [None] when the rule holds
-    or its slot attributes are absent. *)
-
-val column_warnings_for :
+val verdict :
+  ?checks:checks ->
+  ?deadline:Encore_util.Deadline.t ->
   t ->
   Encore_sysenv.Image.t ->
-  attr:string ->
-  values:string list ->
-  Warning.t list * Warning.t list
-(** Type and suspicious-value verdicts for one attribute's row
-    instances, in instance order — [(type_warnings, value_warnings)],
-    the same pairs the fused full-row walk emits for that attribute. *)
+  verdict
+(** The paper's four checks over the compiled indices, ranked best
+    first.  [deadline] is polled once before each unit of work — a row
+    pair of the fused type/value walk, an attribute's name check, a
+    rule — and its expiry yields a [Partial] verdict holding what the
+    finished units found.  Without [deadline] the verdict is always
+    [Complete]. *)
+
+val check :
+  ?checks:checks -> t -> Encore_sysenv.Image.t -> Warning.t list
+(** {!verdict} without a deadline: ranked warnings (best first) for a
+    target image.  Identical output to the historical interpreted
+    [Detector.check]. *)

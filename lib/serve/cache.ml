@@ -41,11 +41,8 @@ let engine_for t ~app =
   match Hashtbl.find_opt t.entries app with
   | Some e ->
       Ometrics.incr m_hits;
-      Ok (e.engine, e.fingerprint)
-  | None -> (
-      match compile_for t ~app with
-      | Ok e -> Ok (e.engine, e.fingerprint)
-      | Error _ as e -> e)
+      Ok e.engine
+  | None -> Result.map (fun e -> e.engine) (compile_for t ~app)
 
 let fingerprint t ~app =
   Option.map (fun e -> e.fingerprint) (Hashtbl.find_opt t.entries app)

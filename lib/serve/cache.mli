@@ -4,9 +4,9 @@
     is O(model size)) and serves every request from the compiled form.
     The cache maps an application name to its engine plus the MD5
     fingerprint of the model's serialized payload; [reload] drops every
-    entry, bumps the {!generation} counter (watch sessions pinned to an
-    old fingerprint detect staleness through it) and eagerly re-reads
-    the provider so a broken model surfaces on the reload response.
+    entry, bumps the {!generation} counter (the status and reload
+    responses report it) and eagerly re-reads the provider so a broken
+    model surfaces on the reload response.
 
     Telemetry: [serve.cache_compiles], [serve.cache_hits],
     [serve.cache_invalidations]. *)
@@ -24,19 +24,15 @@ val create : provider:provider -> t
 val engine_for :
   t ->
   app:string ->
-  ( Encore_detect.Engine.t * string,
-    Encore_util.Resilience.diagnostic )
-  result
-(** The compiled engine and model fingerprint for [app]; compiles and
-    caches on miss.  Provider failure is a [Probe_failure]
-    diagnostic. *)
+  (Encore_detect.Engine.t, Encore_util.Resilience.diagnostic) result
+(** The compiled engine for [app]; compiles and caches on miss.
+    Provider failure is a [Probe_failure] diagnostic. *)
 
 val fingerprint : t -> app:string -> string option
 (** Fingerprint of the cached entry, if one exists (no compile). *)
 
 val generation : t -> int
-(** Incremented by every {!reload}: cheap staleness check for state
-    derived from a cached engine. *)
+(** Incremented by every {!reload} and {!adopt}. *)
 
 val reload :
   t -> (bool, Encore_util.Resilience.diagnostic) result
@@ -54,10 +50,9 @@ val candidate : t -> t
     {!adopt}ed atomically. *)
 
 val adopt : t -> from:t -> bool
-(** Swap [from]'s entries into [t] and bump [t]'s generation (stale
-    watch sessions re-seed on their next delta).  Returns [true] when
-    any fingerprint differs from what [t] previously served — the
-    [changed] field of the reload response. *)
+(** Swap [from]'s entries into [t] and bump [t]'s generation.  Returns
+    [true] when any fingerprint differs from what [t] previously
+    served — the [changed] field of the reload response. *)
 
 val fingerprint_of : Encore_detect.Engine.model -> string
 (** MD5 hex digest of the model's serialized payload. *)

@@ -1,4 +1,4 @@
-(* Poll-based filesystem watcher feeding watch deltas.
+(* Poll-based filesystem watcher feeding config changes to watch.
 
    Watches a directory of config files named <image-id>@<app>.conf and
    reports, on each poll, the files whose (mtime, size) signature

@@ -1,12 +1,12 @@
-(** Poll-based filesystem watcher feeding incremental [watch] deltas.
+(** Poll-based filesystem watcher feeding config changes to [watch].
 
     Watches a directory of config files named [<image-id>@<app>.conf].
     {!create} baselines the directory; each {!poll} afterwards reports
     the files whose [(mtime, size)] stat signature changed (including
     files that appeared), with their current contents.  The serve loop
-    turns each delta into a synthesized [watch] request
-    ({!watch_request}) against the named image's session — the
-    ROADMAP's "filesystem watcher feeding watch deltas" follow-on.
+    turns each change ({!delta}) into a synthesized [watch] request
+    ({!watch_request}): a full check of the named image's session with
+    that app's config replaced.
 
     Deleted files are forgotten silently; files that do not match the
     naming convention are ignored.  Detection is by stat signature, so

@@ -129,29 +129,15 @@ let error_response ?id ?op ?(overloaded = false) (d : Res.diagnostic) =
            ]
          @ if overloaded then [ ("overloaded", Json.Bool true) ] else []))
 
-let verdict_response ?id ~op ~image ~partial ~detections ?delta warnings =
-  let delta_fields =
-    match delta with
-    | None -> []
-    | Some (mode, changed_attrs, rules_rechecked) ->
-        [
-          ("mode", Json.Str mode);
-          ("changed_attrs", Json.Int changed_attrs);
-          ("rules_rechecked", Json.Int rules_rechecked);
-        ]
-  in
+let verdict_response ?id ~op ~image ~partial ~detections warnings =
   ok_response ?id ~op
-    ([
-       ("image", Json.Str image);
-       ("warnings", Json.Int (List.length warnings));
-       ("detections", Json.Int detections);
-       ("partial", Json.Bool partial);
-     ]
-    @ delta_fields
-    @ [
-        ( "items",
-          Json.Arr (List.map Encore_detect.Report.warning_json warnings) );
-      ])
+    [
+      ("image", Json.Str image);
+      ("warnings", Json.Int (List.length warnings));
+      ("detections", Json.Int detections);
+      ("partial", Json.Bool partial);
+      ("items", Json.Arr (List.map Encore_detect.Report.warning_json warnings));
+    ]
 
 (* Trace ids are assigned by the server at admission, after the
    response builders ran, so they are stamped onto the finished object;

@@ -14,7 +14,7 @@
       adopt the refreshed model via the shadow-validated reload;
     - [{"op":"watch","image":<id>,"app":<app>,"config":<text>}] —
       replace one app's config text on a previously checked image and
-      re-check incrementally;
+      check the result in full;
     - [{"op":"reload"}] — re-read the model from the provider and
       invalidate stale engines;
     - [{"op":"status"}] — counters, ring and breaker state;
@@ -86,13 +86,11 @@ val verdict_response :
   image:string ->
   partial:bool ->
   detections:int ->
-  ?delta:string * int * int ->
   Encore_detect.Warning.t list ->
   Encore_obs.Jsonenc.t
 (** A check/watch verdict: warning count, detection count, ranked
     [items] (each rendered by {!Encore_detect.Report.warning_json}),
-    [partial:true] when a deadline cut the check short.  [delta] is
-    [(mode, changed_attrs, rules_rechecked)] for watch responses. *)
+    [partial:true] when a deadline cut the check short. *)
 
 val with_trace : string option -> Encore_obs.Jsonenc.t -> Encore_obs.Jsonenc.t
 (** Stamp a trace id onto a finished response object (appended last);

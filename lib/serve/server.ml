@@ -74,10 +74,9 @@ type t = {
       (* last K raw check lines: the shadow corpus for reload
          validation *)
   ring : Json.t Ring.t;
-  sessions : (string, Watch.session * int) Hashtbl.t;
-      (* image id -> (session, cache generation the session was built
-         under); a generation mismatch means a reload happened and the
-         session's cached verdicts belong to a stale model *)
+  sessions : (string, Image.t) Hashtbl.t;
+      (* image id -> the image of its last complete check or watch:
+         the base a watch replaces one config in *)
   mutable session_order : string list;  (* insertion order, oldest first *)
   breaker : Res.breaker;
   mutable state : state;
@@ -107,8 +106,6 @@ let m_restarts = Ometrics.counter "serve.restarts"
 let m_denied = Ometrics.counter "serve.breaker_denied"
 let m_ring_dropped = Ometrics.counter "serve.ring_dropped"
 let m_partial = Ometrics.counter "serve.partial"
-let m_watch_delta = Ometrics.counter "serve.watch_delta"
-let m_watch_full = Ometrics.counter "serve.watch_full"
 let m_reloads = Ometrics.counter "serve.reloads"
 let m_learned = Ometrics.counter "serve.learn_appended"
 let m_reload_rollbacks = Ometrics.counter "serve.reload_rollbacks"
@@ -207,9 +204,9 @@ let subject = "serve"
 
 let make_deadline c =
   match (c.deadline_polls, c.deadline_s) with
-  | Some n, _ -> Deadline.after_polls n
-  | None, Some s -> Deadline.of_budget_s s
-  | None, None -> Deadline.none
+  | Some n, _ -> Some (Deadline.after_polls n)
+  | None, Some s -> Some (Deadline.of_budget_s s)
+  | None, None -> None
 
 (* --- sessions ------------------------------------------------------------- *)
 
@@ -219,9 +216,10 @@ let drop_session t id =
     t.session_order <- List.filter (fun i -> i <> id) t.session_order
   end
 
-let put_session t id sess =
+let put_session t (img : Image.t) =
+  let id = img.Image.image_id in
   let fresh = not (Hashtbl.mem t.sessions id) in
-  Hashtbl.replace t.sessions id (sess, Cache.generation t.cache);
+  Hashtbl.replace t.sessions id img;
   if fresh then t.session_order <- t.session_order @ [ id ];
   if List.length t.session_order > t.config.max_sessions then
     match t.session_order with
@@ -273,13 +271,31 @@ let read_dump t path =
       | exception Sys_error msg ->
           Error (Res.diag Res.Probe_failure ~subject msg))
 
-let verdict_to_response t ?id ~op ~image ?delta verdict =
-  let warnings = Watch.warnings_of verdict in
-  let partial = match verdict with Watch.Partial _ -> true | _ -> false in
-  if partial then Ometrics.incr m_partial;
-  push_alerts t ~image warnings;
-  Proto.verdict_response ?id ~op ~image ~partial
-    ~detections:(detections t warnings) ?delta warnings
+(* Check [img] on the current cached engine under the request
+   deadline.  A complete verdict makes [img] the session of its id; a
+   partial one forgets that session, because a watch must extend a
+   complete check. *)
+let check_image t ?id ~op (img : Image.t) =
+  match Cache.engine_for t.cache ~app:(app_key img) with
+  | Error d -> Proto.error_response ?id ~op d
+  | Ok eng ->
+      let verdict =
+        Engine.verdict ?deadline:(make_deadline t.config) eng img
+      in
+      let partial =
+        match verdict with
+        | Engine.Complete _ ->
+            put_session t img;
+            false
+        | Engine.Partial _ ->
+            drop_session t img.Image.image_id;
+            Ometrics.incr m_partial;
+            true
+      in
+      let warnings = Engine.warnings_of verdict in
+      push_alerts t ~image:img.Image.image_id warnings;
+      Proto.verdict_response ?id ~op ~image:img.Image.image_id ~partial
+        ~detections:(detections t warnings) warnings
 
 let do_check t ?id source =
   let text =
@@ -305,100 +321,39 @@ let do_check t ?id source =
               img.Image.configs
           with
           | d :: _ -> Proto.error_response ?id ~op:"check" d
-          | [] -> (
-          match Cache.engine_for t.cache ~app:(app_key img) with
-          | Error d -> Proto.error_response ?id ~op:"check" d
-          | Ok (eng, fingerprint) ->
-              let deadline = make_deadline t.config in
-              let session, verdict =
-                Watch.start ~deadline eng ~fingerprint img
-              in
-              (match session with
-              | Some s -> put_session t img.Image.image_id s
-              | None -> ());
-              verdict_to_response t ?id ~op:"check"
-                ~image:img.Image.image_id verdict)))
+          | [] -> check_image t ?id ~op:"check" img))
 
 let do_watch t ?id ~image_id ~app ~config_text () =
+  let refuse detail =
+    Proto.error_response ?id ~op:"watch"
+      (Res.diag Res.Parse_error ~subject detail)
+  in
   match Image.app_of_string app with
-  | None ->
-      Proto.error_response ?id ~op:"watch"
-        (Res.diag Res.Parse_error ~subject
-           (Printf.sprintf "unknown app '%s'" app))
+  | None -> refuse (Printf.sprintf "unknown app '%s'" app)
   | Some _ when Res.scan_text ~subject:image_id config_text <> [] ->
-      (* same integrity gate as check: a corrupted delta must not
+      (* same integrity gate as check: a corrupted config must not
          replace a session's config *)
       Proto.error_response ?id ~op:"watch"
         (List.hd (Res.scan_text ~subject:image_id config_text))
   | Some app -> (
       match Hashtbl.find_opt t.sessions image_id with
       | None ->
-          Proto.error_response ?id ~op:"watch"
-            (Res.diag Res.Parse_error ~subject
-               (Printf.sprintf
-                  "unknown image '%s': check it before watching" image_id))
-      | Some (sess, gen) -> (
-          let img = Watch.image sess in
-          match Cache.engine_for t.cache ~app:(app_key img) with
-          | Error d -> Proto.error_response ?id ~op:"watch" d
-          | Ok (eng, fingerprint) ->
-              let deadline = make_deadline t.config in
-              let stale =
-                gen <> Cache.generation t.cache
-                || Watch.fingerprint sess <> fingerprint
-              in
-              if stale then begin
-                (* the cached verdicts describe an old model: apply the
-                   delta to the session's image and re-seed with a full
-                   check under the fresh engine *)
-                match Image.config_for img app with
-                | None ->
-                    drop_session t image_id;
-                    Proto.error_response ?id ~op:"watch"
-                      (Res.diag Res.Parse_error ~subject
-                         (Printf.sprintf "image '%s' carries no %s config"
-                            image_id (Image.app_to_string app)))
-                | Some _ ->
-                    Ometrics.incr m_watch_full;
-                    let img' = Image.set_config img app config_text in
-                    let session, verdict =
-                      Watch.start ~deadline eng ~fingerprint img'
-                    in
-                    (match session with
-                    | Some s -> put_session t image_id s
-                    | None -> drop_session t image_id);
-                    verdict_to_response t ?id ~op:"watch" ~image:image_id
-                      ~delta:("full", 0, Engine.rule_count eng)
-                      verdict
-              end
-              else
-                match
-                  Watch.update ~deadline sess eng ~app ~config:config_text
-                with
-                | Error msg ->
-                    Proto.error_response ?id ~op:"watch"
-                      (Res.diag Res.Parse_error ~subject msg)
-                | Ok (verdict, stats) ->
-                    Ometrics.incr m_watch_delta;
-                    (match verdict with
-                    | Watch.Partial _ ->
-                        (* uncommitted update: the session no longer
-                           matches the delivered config *)
-                        drop_session t image_id
-                    | Watch.Complete _ -> ());
-                    verdict_to_response t ?id ~op:"watch" ~image:image_id
-                      ~delta:
-                        ( "delta",
-                          stats.Watch.changed_attrs,
-                          stats.Watch.rules_rechecked )
-                      verdict))
+          refuse
+            (Printf.sprintf "unknown image '%s': check it before watching"
+               image_id)
+      | Some img when Image.config_for img app = None ->
+          refuse
+            (Printf.sprintf "image '%s' carries no %s config" image_id
+               (Image.app_to_string app))
+      | Some img ->
+          check_image t ?id ~op:"watch" (Image.set_config img app config_text))
 
 (* Shadow-validated reload: compile the candidate model(s) in an
    isolated cache, replay the last K journaled check requests against
    them, and adopt only when nothing errors.  A broken provider or a
    candidate that crashes on traffic the live model served is rolled
-   back with a typed refusal — the live cache, its generation and every
-   watch session stay untouched. *)
+   back with a typed refusal — the live cache and its generation stay
+   untouched. *)
 let shadow_check t cand line =
   match Proto.parse line with
   | Error _ -> Ok false  (* stale corpus line no longer parses: skip *)
@@ -416,7 +371,7 @@ let shadow_check t cand line =
           | Ok img -> (
               match Cache.engine_for cand ~app:(app_key img) with
               | Error d -> Error d
-              | Ok (eng, _) -> (
+              | Ok eng -> (
                   match Engine.check eng img with
                   | _ -> Ok true
                   | exception exn ->
@@ -697,8 +652,9 @@ let dispatch t ~trace req =
         | exception exn ->
             (* the supervisor: the worker "restarts" — its crash is
                contained to this request, persistent state is still
-               consistent (watch commits atomically), and the breaker
-               gates how fast we let the next request at it *)
+               consistent (a session changes only once a verdict is
+               complete), and the breaker gates how fast we let the
+               next request at it *)
             t.restarts <- t.restarts + 1;
             Ometrics.incr m_restarts;
             let detail = Printexc.to_string exn in

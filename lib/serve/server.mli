@@ -31,10 +31,9 @@
 
     Metrics: [serve.requests], [serve.shed], [serve.errors],
     [serve.restarts], [serve.breaker_denied], [serve.ring_dropped],
-    [serve.partial], [serve.watch_delta], [serve.watch_full],
-    [serve.reloads], [serve.reload_rollbacks], [serve.journal_replayed],
-    [serve.queue_depth] (high-water), and the [serve.request_us]
-    latency histogram (p99 source for bench).
+    [serve.partial], [serve.reloads], [serve.reload_rollbacks],
+    [serve.journal_replayed], [serve.queue_depth] (high-water), and the
+    [serve.request_us] latency histogram (p99 source for bench).
 
     Telemetry (PR 7): every admitted request is assigned a trace id at
     {!offer} ([t-NNNNNN], monotonic per server) that is echoed in a

@@ -33,6 +33,54 @@ let damerau_levenshtein a b =
     d.(la).(lb)
   end
 
+(* The same table as [damerau_levenshtein], kept as three rolling rows
+   (i-2 for transpositions, i-1, i).  Only the band |i - j| < limit can
+   hold a cell under [limit] (a cell is at least |i - j|), so each row
+   fills just that band, and the cells flanking it read [limit]: a path
+   through them cannot finish under [limit] either.  A row's minimum is
+   at least the smaller of the previous row's minimum and the one
+   before it plus one, so once two consecutive rows reach [limit] every
+   later row does too and the distance cannot come in under it. *)
+let damerau_levenshtein_below ~limit a b =
+  let la = String.length a and lb = String.length b in
+  if abs (la - lb) >= limit then None
+  else begin
+    let h = min (limit - 1) (la + lb) in
+    let row2 = ref (Array.make (lb + 2) limit) in
+    let row1 = ref (Array.make (lb + 2) limit) in
+    let row = ref (Array.make (lb + 2) limit) in
+    for j = 0 to min lb h do
+      !row1.(j) <- j
+    done;
+    let min1 = ref 0 and cut = ref false and i = ref 1 in
+    while (not !cut) && !i <= la do
+      let r = !row and r1 = !row1 and r2 = !row2 and ii = !i in
+      let jlo = max 1 (ii - h) and jhi = min lb (ii + h) in
+      r.(jlo - 1) <- (if jlo = 1 then ii else limit);
+      let rmin = ref r.(jlo - 1) in
+      for j = jlo to jhi do
+        let cost = if a.[ii - 1] = b.[j - 1] then 0 else 1 in
+        let best = min (min (r1.(j) + 1) (r.(j - 1) + 1)) (r1.(j - 1) + cost) in
+        let best =
+          if ii > 1 && j > 1 && a.[ii - 1] = b.[j - 2] && a.[ii - 2] = b.[j - 1]
+          then min best (r2.(j - 2) + 1)
+          else best
+        in
+        r.(j) <- best;
+        if best < !rmin then rmin := best
+      done;
+      if jhi < lb then r.(jhi + 1) <- limit;
+      cut := !rmin >= limit && !min1 >= limit;
+      min1 := !rmin;
+      row2 := r1;
+      row1 := r;
+      row := r2;
+      incr i
+    done;
+    let d = (!row1).(lb) in
+    if (not !cut) && d < limit then Some d else None
+  end
+
 let lowercase_ascii = String.lowercase_ascii
 
 let starts_with ~prefix s = String.starts_with ~prefix s

@@ -6,6 +6,12 @@ val damerau_levenshtein : string -> string -> int
     adjacent transposition).  Used by the entry-name violation check to
     decide whether an unseen key is a likely misspelling. *)
 
+val damerau_levenshtein_below : limit:int -> string -> string -> int option
+(** [Some d] when [damerau_levenshtein a b = d] and [d < limit],
+    [None] otherwise.  Costs O(|b|) memory, and stops early once no
+    alignment can finish under [limit]: the near-miss scan's way of
+    rejecting far-off names cheaply. *)
+
 val lowercase_ascii : string -> string
 
 val starts_with : prefix:string -> string -> bool

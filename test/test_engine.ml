@@ -29,6 +29,7 @@ module Kv = Encore_confparse.Kv
 module Pool = Encore_util.Pool
 module Deadline = Encore_util.Deadline
 module Prng = Encore_util.Prng
+module Conferr = Encore_inject.Conferr
 
 let check = Alcotest.check
 
@@ -223,6 +224,61 @@ let test_equivalence_testgen_mutants () =
     (fun (c : Testgen.test_case) ->
       check_equivalent ~ctx:c.Testgen.description m c.Testgen.image)
     cases
+
+(* The entry-name check's two scans (cut off at 3 edits, then uncapped
+   for a key far from every known name) against the reference's plain
+   minimum over every known name. *)
+let misspellings ws =
+  List.length
+    (List.filter
+       (fun (w : Warning.t) ->
+         Strutil.contains_sub w.Warning.message "possible misspelling")
+       ws)
+
+let test_equivalence_conferr_typos () =
+  (* check-fleet's recipe: held-out EC2 targets with one ConfErr error
+     each, whose key typos are 1-2 edits from a trained entry *)
+  let m = model () in
+  let rng = Prng.create 4099 in
+  let typos = ref 0 in
+  List.iter
+    (fun img ->
+      let mutant = (Conferr.inject rng Image.Mysql img ~n:1).Conferr.image in
+      typos := !typos + misspellings (ref_check m mutant);
+      check_equivalent ~ctx:img.Image.image_id m mutant)
+    (targets 7919 60);
+  check Alcotest.bool "some mutants carry misspelled keys" true (!typos > 0)
+
+let test_equivalence_far_key () =
+  (* an invented key more than 2 edits from every known name: the scan
+     with no cut-off still names the nearest entry *)
+  let m = model () in
+  let base =
+    Population.generator_for Image.Mysql Profile.ec2 (Prng.create 41) ~id:"far"
+  in
+  let text =
+    match Image.config_for base Image.Mysql with
+    | Some c -> c.Image.text
+    | None -> Alcotest.fail "fixture has no mysql config"
+  in
+  let img = Image.set_config base Image.Mysql (text ^ "qwzvxkjhpf = 7\n") in
+  let far =
+    List.filter
+      (fun (w : Warning.t) ->
+        match w.Warning.kind with
+        | Warning.Entry_name_violation { unseen; nearest = Some _ } ->
+            Strutil.contains_sub unseen "qwzvxkjhpf"
+        | _ -> false)
+      (ref_check m img)
+  in
+  check Alcotest.int "one far-key warning with a nearest name" 1
+    (List.length far);
+  check Alcotest.bool "never seen, not a misspelling" true
+    (List.for_all
+       (fun (w : Warning.t) ->
+         Strutil.contains_sub w.Warning.message "never seen in training")
+       far);
+  check_equivalent ~ctx:"far key" m img
 
 let test_equivalence_partial_checks () =
   let m = model () in
@@ -472,6 +528,10 @@ let () =
             test_equivalence_testgen_mutants;
           Alcotest.test_case "partial check subsets" `Quick
             test_equivalence_partial_checks;
+          Alcotest.test_case "conferr key typos" `Quick
+            test_equivalence_conferr_typos;
+          Alcotest.test_case "key far from every name" `Quick
+            test_equivalence_far_key;
         ] );
       ( "fleet",
         [

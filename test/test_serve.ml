@@ -1,9 +1,10 @@
 (* Tests for the resident check daemon: the bounded alert ring, the
-   JSONL protocol, the engine cache, incremental watch re-checking
-   (byte-identity against a full engine check), the serve reactor's
-   robustness contract (shedding, oversize rejection, typed errors,
-   supervised crashes with breaker backoff, graceful drain, partial
-   verdicts under deadline) and the 10k-request chaos soak. *)
+   JSONL protocol, the engine cache, watch re-checking (identity with a
+   full engine check of the watched image, across reloads), the
+   engine's deadline-bounded verdict, the serve reactor's robustness
+   contract (shedding, oversize rejection, typed errors, supervised
+   crashes with breaker backoff, graceful drain, partial verdicts under
+   deadline) and the 10k-request chaos soak. *)
 
 module Detector = Encore_detect.Detector
 module Engine = Encore_detect.Engine
@@ -19,7 +20,6 @@ module Json = Encore_obs.Jsonenc
 module Ring = Encore_serve.Ring
 module Proto = Encore_serve.Proto
 module Cache = Encore_serve.Cache
-module Watch = Encore_serve.Watch
 module Server = Encore_serve.Server
 module Conferr = Encore_inject.Conferr
 module Chaosrun = Encore.Chaosrun
@@ -47,6 +47,17 @@ let mutate_config rng img =
   match Image.config_for campaign.Conferr.image Image.Mysql with
   | Some c -> c.Image.text
   | None -> Alcotest.fail "mutant lost its mysql config"
+
+(* a ConfErr mutant the daemon's integrity gate accepts *)
+let rec clean_mutant rng img =
+  let cfg = mutate_config rng img in
+  if Res.scan_text ~subject:"config" cfg = [] then cfg else clean_mutant rng img
+
+(* what the daemon holds after checking [img]: the parsed dump *)
+let served_image img =
+  match Collector.image_of_text (Collector.image_to_text img) with
+  | Ok restored -> restored
+  | Error e -> Alcotest.failf "dump round trip failed: %s" e
 
 (* --- response introspection ------------------------------------------------ *)
 
@@ -232,16 +243,16 @@ let test_cache_memoize_and_reload () =
     Ok (Lazy.force model)
   in
   let c = Cache.create ~provider in
-  let fp1 =
-    match Cache.engine_for c ~app:"mysql" with
-    | Ok (_, fp) -> fp
-    | Error d -> Alcotest.failf "first engine_for failed: %s" d.Res.detail
-  in
+  (match Cache.engine_for c ~app:"mysql" with
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "first engine_for failed: %s" d.Res.detail);
   ignore (Cache.engine_for c ~app:"mysql");
   check Alcotest.int "compiled once" 1 !calls;
-  check Alcotest.string "fingerprint is the model digest"
-    (Cache.fingerprint_of (Lazy.force model))
-    fp1;
+  let fp1 = Cache.fingerprint_of (Lazy.force model) in
+  check
+    Alcotest.(option string)
+    "fingerprint is the model digest" (Some fp1)
+    (Cache.fingerprint c ~app:"mysql");
   let g0 = Cache.generation c in
   (match Cache.reload c with
   | Ok changed -> check Alcotest.bool "same model, unchanged" false changed
@@ -261,77 +272,99 @@ let test_cache_provider_failure_is_typed () =
       check Alcotest.string "probe failure" "probe-failure"
         (Res.kind_to_string d.Res.kind)
 
-(* --- incremental watch ------------------------------------------------------ *)
+(* --- watch ---------------------------------------------------------------- *)
+
+let mysql_text img =
+  match Image.config_for img Image.Mysql with
+  | Some c -> c.Image.text
+  | None -> Alcotest.fail "image lost its mysql config"
+
+(* watch [cfg] into the session of [image_id]; the answer must be a
+   complete verdict equal to a full check of the session image [cur]
+   with the config replaced.  Returns that image and the response. *)
+let watch_full srv eng ~image_id ~id cur cfg =
+  let mutated = Image.set_config cur Image.Mysql cfg in
+  let w = ask srv (watch_line ~id ~image_id ~config:cfg) in
+  check Alcotest.bool (id ^ " ok") true (is_ok w);
+  check Alcotest.(option bool) (id ^ " complete") (Some false)
+    (bool_field "partial" w);
+  check Alcotest.string
+    (id ^ " = full check of the mutant")
+    (expect_items (Engine.check eng mutated))
+    (items_str w);
+  (mutated, w)
 
 let test_watch_start_seeds_full_check () =
-  let m = Lazy.force model in
-  let eng = Engine.compile m in
+  (* a complete check answers with the full engine check and seeds the
+     session that a watch of the same id needs *)
+  let srv = make_server () in
+  let eng = Engine.compile (Lazy.force model) in
   let img = target 901 "watch-seed" in
-  let session, verdict =
-    Watch.start eng ~fingerprint:(Cache.fingerprint_of m) img
-  in
-  check Alcotest.bool "session created" true (session <> None);
-  match verdict with
-  | Watch.Partial _ -> Alcotest.fail "unexpected partial"
-  | Watch.Complete ws ->
-      check
-        Alcotest.(list string)
-        "seed verdict = full check"
-        (List.map warning_str (Engine.check eng img))
-        (List.map warning_str ws)
+  let cfg = mysql_text (served_image img) in
+  let early = ask srv (watch_line ~id:"w0" ~image_id:"watch-seed" ~config:cfg) in
+  check Alcotest.bool "watch before any check refused" true (not (is_ok early));
+  let c = ask srv (check_line ~id:"c" img) in
+  check Alcotest.bool "seeding check ok" true (is_ok c);
+  check Alcotest.(option bool) "seeding check complete" (Some false)
+    (bool_field "partial" c);
+  check Alcotest.string "seeding check = full check"
+    (expect_items (Engine.check eng img))
+    (items_str c);
+  ignore (watch_full srv eng ~image_id:"watch-seed" ~id:"w1" (served_image img)
+            cfg)
 
 let test_watch_delta_byte_identical () =
-  (* the acceptance property: a chain of config replacements re-checked
-     incrementally must stay byte-identical to a full Engine.check of
-     each mutated image *)
-  let m = Lazy.force model in
-  let eng = Engine.compile m in
+  (* a chain of ConfErr config replacements, each watched into the
+     session, answers byte-identically to a full check of every mutant,
+     and so does the same chain on the engine a reload compiled *)
+  let srv = make_server () in
+  let eng = Engine.compile (Lazy.force model) in
   let img = target 902 "watch-delta" in
-  let session, _ = Watch.start eng ~fingerprint:(Cache.fingerprint_of m) img in
-  let s = Option.get session in
+  check Alcotest.bool "opening check ok" true
+    (is_ok (ask srv (check_line ~id:"c" img)));
   let rng = Prng.create 77 in
-  let cur = ref img in
-  for i = 0 to 5 do
-    let cfg = mutate_config rng !cur in
-    let mutated = Image.set_config !cur Image.Mysql cfg in
-    match Watch.update s eng ~app:Image.Mysql ~config:cfg with
-    | Error e -> Alcotest.failf "update %d failed: %s" i e
-    | Ok (Watch.Partial _, _) -> Alcotest.failf "update %d partial" i
-    | Ok (Watch.Complete ws, _) ->
-        let full = Engine.check eng mutated in
-        check
-          Alcotest.(list string)
-          (Printf.sprintf "delta %d byte-identical to full check" i)
-          (List.map warning_str full)
-          (List.map warning_str ws);
-        check Alcotest.bool
-          (Printf.sprintf "delta %d structurally equal" i)
-          true (ws = full);
-        cur := mutated
-  done
+  let chain tag start =
+    List.fold_left
+      (fun cur i ->
+        fst
+          (watch_full srv eng ~image_id:"watch-delta"
+             ~id:(Printf.sprintf "%s%d" tag i)
+             cur (clean_mutant rng cur)))
+      start [ 1; 2; 3; 4; 5; 6 ]
+  in
+  let cur = chain "w" (served_image img) in
+  check Alcotest.bool "reload ok" true
+    (is_ok (ask srv (op_line ~id:"r" "reload")));
+  ignore (chain "after-reload-" cur)
 
 let test_watch_unchanged_config_is_empty_delta () =
-  let m = Lazy.force model in
-  let eng = Engine.compile m in
+  (* re-watching the config the session already holds changes nothing:
+     the answer repeats the last complete verdict for that id *)
+  let srv = make_server () in
+  let eng = Engine.compile (Lazy.force model) in
   let img = target 903 "watch-same" in
-  let session, _ = Watch.start eng ~fingerprint:(Cache.fingerprint_of m) img in
-  let s = Option.get session in
-  let cfg =
-    match Image.config_for img Image.Mysql with
-    | Some c -> c.Image.text
-    | None -> Alcotest.fail "fixture has no mysql config"
+  let c = ask srv (check_line ~id:"c" img) in
+  check Alcotest.bool "opening check ok" true (is_ok c);
+  let start = served_image img in
+  let _, same =
+    watch_full srv eng ~image_id:"watch-same" ~id:"noop" start
+      (mysql_text start)
   in
-  match Watch.update s eng ~app:Image.Mysql ~config:cfg with
-  | Error e -> Alcotest.failf "no-op update failed: %s" e
-  | Ok (Watch.Partial _, _) -> Alcotest.fail "no-op update partial"
-  | Ok (Watch.Complete ws, stats) ->
-      check Alcotest.int "no columns changed" 0 stats.Watch.changed_attrs;
-      check Alcotest.int "no rules re-run" 0 stats.Watch.rules_rechecked;
-      check Alcotest.bool "verdict identical" true (ws = Engine.check eng img)
+  check Alcotest.string "no-op watch repeats the check" (items_str c)
+    (items_str same);
+  let mutated, w =
+    watch_full srv eng ~image_id:"watch-same" ~id:"w1" start
+      (clean_mutant (Prng.create 78) start)
+  in
+  let _, again =
+    watch_full srv eng ~image_id:"watch-same" ~id:"noop2" mutated
+      (mysql_text mutated)
+  in
+  check Alcotest.string "no-op watch repeats the last watch" (items_str w)
+    (items_str again)
 
 let test_watch_missing_app_is_error () =
-  let m = Lazy.force model in
-  let eng = Engine.compile m in
+  let srv = make_server () in
   let img = target 904 "watch-noapp" in
   let absent =
     match
@@ -340,41 +373,66 @@ let test_watch_missing_app_is_error () =
     | Some a -> a
     | None -> Alcotest.fail "fixture carries every app"
   in
-  let session, _ = Watch.start eng ~fingerprint:(Cache.fingerprint_of m) img in
-  match Watch.update (Option.get session) eng ~app:absent ~config:"x = 1\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "update for an absent app succeeded"
-
-let test_watch_deadline_partial_leaves_session_intact () =
-  let m = Lazy.force model in
-  let eng = Engine.compile m in
-  let img = target 905 "watch-partial" in
-  (* an immediate deadline on the seeding check yields no session *)
-  let no_session, verdict =
-    Watch.start ~deadline:(Deadline.after_polls 1) eng
-      ~fingerprint:(Cache.fingerprint_of m) img
+  ignore (ask srv (check_line ~id:"c" img));
+  let r =
+    ask srv
+      (line
+         [
+           ("op", Json.Str "watch");
+           ("id", Json.Str "w-absent");
+           ("image", Json.Str "watch-noapp");
+           ("app", Json.Str (Image.app_to_string absent));
+           ("config", Json.Str "x = 1\n");
+         ])
   in
-  check Alcotest.bool "partial start yields no session" true (no_session = None);
-  (match verdict with
-  | Watch.Partial _ -> ()
-  | Watch.Complete _ -> Alcotest.fail "expected a partial seed verdict");
-  (* a partial update must not half-commit: the next complete update
-     from the same session matches a full check of its config *)
-  let session, _ = Watch.start eng ~fingerprint:(Cache.fingerprint_of m) img in
-  let s = Option.get session in
-  let cfg = mutate_config (Prng.create 9) img in
-  (match Watch.update ~deadline:(Deadline.after_polls 1) s eng ~app:Image.Mysql
-           ~config:cfg
-   with
-  | Ok (Watch.Partial _, _) -> ()
-  | Ok (Watch.Complete _, _) -> Alcotest.fail "expected a partial update"
-  | Error e -> Alcotest.failf "partial update errored: %s" e);
-  match Watch.update s eng ~app:Image.Mysql ~config:cfg with
-  | Error e -> Alcotest.failf "retry after partial failed: %s" e
-  | Ok (Watch.Partial _, _) -> Alcotest.fail "retry unexpectedly partial"
-  | Ok (Watch.Complete ws, _) ->
-      check Alcotest.bool "session was not half-committed" true
-        (ws = Engine.check eng (Image.set_config img Image.Mysql cfg))
+  check Alcotest.bool "refused" true (not (is_ok r));
+  check Alcotest.(option string) "typed parse error" (Some "parse-error")
+    (str_field "error" r);
+  (* the session survives the refusal *)
+  let cfg = clean_mutant (Prng.create 9) img in
+  let w = ask srv (watch_line ~id:"w-ok" ~image_id:"watch-noapp" ~config:cfg) in
+  check Alcotest.bool "next valid watch ok" true (is_ok w);
+  check Alcotest.string "next valid watch = full check"
+    (expect_items
+       (Engine.check
+          (Engine.compile (Lazy.force model))
+          (Image.set_config (served_image img) Image.Mysql cfg)))
+    (items_str w)
+
+let test_watch_deadline_verdict_grows () =
+  (* a k-poll budget cuts the check after k units: every cut is a
+     partial verdict whose warnings the full check also raises, until
+     the budget covers every unit and the verdict is the full check *)
+  let eng = Engine.compile (Lazy.force model) in
+  let img = Image.set_config (target 905 "watch-partial") Image.Mysql
+      (clean_mutant (Prng.create 9) (target 905 "watch-partial"))
+  in
+  let full = List.map warning_str (Engine.check eng img) in
+  let rec grow k prev partials =
+    if k > 100_000 then Alcotest.fail "no budget completed the check"
+    else
+      match Engine.verdict ~deadline:(Deadline.after_polls k) eng img with
+      | Engine.Partial ws ->
+          let ws = List.map warning_str ws in
+          List.iter
+            (fun w ->
+              if not (List.mem w full) then
+                Alcotest.failf "k=%d: partial warning not in the full check: %s"
+                  k w)
+            ws;
+          check Alcotest.bool
+            (Printf.sprintf "k=%d keeps what k-1 found" k)
+            true
+            (List.for_all (fun w -> List.mem w ws) prev);
+          grow (k + 1) ws (partials + 1)
+      | Engine.Complete ws ->
+          check Alcotest.(list string) "complete = Engine.check" full
+            (List.map warning_str ws);
+          partials
+  in
+  let partials = grow 0 [] 0 in
+  check Alcotest.bool "small budgets were partial" true (partials > 1);
+  check Alcotest.bool "the full check warns" true (full <> [])
 
 (* --- server: request handling ---------------------------------------------- *)
 
@@ -545,28 +603,22 @@ let test_server_watch_delta_and_reload_fallback () =
   let mutated = Image.set_config img Image.Mysql cfg in
   let w = ask srv (watch_line ~id:"w1" ~image_id:"srv-watch" ~config:cfg) in
   check Alcotest.bool "watch ok" true (is_ok w);
-  check Alcotest.(option string) "incremental path" (Some "delta")
-    (str_field "mode" w);
   check Alcotest.string "delta = full check of the mutant"
     (expect_items (Engine.check eng mutated))
     (items_str w);
-  (* a reload staled the session: the next delta falls back to a full
-     re-seed and still answers identically *)
+  (* the session outlives a reload: the next watch is checked on the
+     freshly compiled engine and still answers identically *)
   ignore (ask srv (op_line ~id:"r" "reload"));
   let cfg2 = mutate_config rng mutated in
   let mutated2 = Image.set_config mutated Image.Mysql cfg2 in
   let w2 = ask srv (watch_line ~id:"w2" ~image_id:"srv-watch" ~config:cfg2) in
   check Alcotest.bool "watch after reload ok" true (is_ok w2);
-  check Alcotest.(option string) "stale session re-seeds" (Some "full")
-    (str_field "mode" w2);
   check Alcotest.string "full fallback identical"
     (expect_items (Engine.check eng mutated2))
     (items_str w2);
-  (* back on the incremental path after the re-seed *)
+  (* and the watch after that *)
   let cfg3 = mutate_config rng mutated2 in
-  let w3 = ask srv (watch_line ~id:"w3" ~image_id:"srv-watch" ~config:cfg3) in
-  check Alcotest.(option string) "delta again" (Some "delta")
-    (str_field "mode" w3)
+  ignore (ask srv (watch_line ~id:"w3" ~image_id:"srv-watch" ~config:cfg3))
 
 let test_server_watch_unknown_image () =
   let srv = make_server () in
@@ -765,6 +817,34 @@ let test_server_trace_ids () =
         | Some tid -> List.mem tid span_traces
         | None -> false))
 
+let test_server_check_is_engine_check () =
+  (* a serve check is one Engine check: it counts in detect.checks and
+     its check span nests under the request's serve-request span *)
+  let spans = ref [] in
+  let srv = make_server () in
+  let img = target 933 "srv-engine" in
+  (* the first request compiles the engine; count the second only *)
+  ignore (ask srv (check_line ~id:"warm" img));
+  let checks () =
+    Encore_obs.Metrics.count (Encore_obs.Metrics.counter "detect.checks")
+  in
+  Encore_obs.Trace.set_sink
+    (Encore_obs.Trace.Stream (fun s -> spans := s :: !spans));
+  let before = checks () in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Encore_obs.Trace.set_sink Encore_obs.Trace.Nil)
+      (fun () -> ask srv (check_line ~id:"c" img))
+  in
+  check Alcotest.bool "ok" true (is_ok r);
+  check Alcotest.int "one engine check counted" (before + 1) (checks ());
+  check Alcotest.bool "check span under serve-request" true
+    (List.exists
+       (fun (sp : Encore_obs.Trace.span) ->
+         sp.Encore_obs.Trace.name = "check"
+         && sp.Encore_obs.Trace.parent = Some "serve-request")
+       !spans)
+
 (* --- alert ring under storm ------------------------------------------------- *)
 
 let test_server_ring_bounds_alerts () =
@@ -875,8 +955,8 @@ let () =
             test_watch_unchanged_config_is_empty_delta;
           Alcotest.test_case "missing app is an error" `Quick
             test_watch_missing_app_is_error;
-          Alcotest.test_case "partial leaves session intact" `Quick
-            test_watch_deadline_partial_leaves_session_intact;
+          Alcotest.test_case "deadline verdict grows to full" `Quick
+            test_watch_deadline_verdict_grows;
         ] );
       ( "server",
         [
@@ -916,6 +996,8 @@ let () =
             test_server_health_verb_and_breaker;
           Alcotest.test_case "trace ids join responses to spans" `Quick
             test_server_trace_ids;
+          Alcotest.test_case "serve check is an engine check" `Quick
+            test_server_check_is_engine_check;
         ] );
       ( "soak",
         [

@@ -176,6 +176,27 @@ let prop_dl_triangle =
               (string_of_size (Gen.int_range 0 8)) (string_of_size (Gen.int_range 0 8)))
     (fun (a, b, c) -> dl a c <= dl a b + dl b c)
 
+(* Small alphabets make near strings common, so distances land on both
+   sides of the limit and the early cut-off is exercised. *)
+let prop_dl_below =
+  let gen =
+    QCheck.Gen.(
+      int_range 3 4 >>= fun k ->
+      let s =
+        string_size
+          ~gen:(map (fun i -> Char.chr (Char.code 'a' + i)) (int_bound (k - 1)))
+          (int_range 0 12)
+      in
+      triple s s (int_range 0 14))
+  in
+  QCheck.Test.make ~name:"bounded edit distance = exact below limit"
+    ~count:3000
+    (QCheck.make ~print:QCheck.Print.(triple string string int) gen)
+    (fun (a, b, limit) ->
+      let d = dl a b in
+      Strutil.damerau_levenshtein_below ~limit a b
+      = if d < limit then Some d else None)
+
 let test_path_join () =
   check Alcotest.string "plain" "/var/lib/mysql" (Strutil.path_join "/var/lib" "mysql");
   check Alcotest.string "trailing slash" "/var/lib/mysql" (Strutil.path_join "/var/lib/" "mysql");
@@ -356,6 +377,7 @@ let () =
           Alcotest.test_case "contains_sub" `Quick test_contains_sub;
           qtest prop_dl_symmetric;
           qtest prop_dl_triangle;
+          qtest prop_dl_below;
           qtest prop_size_roundtrip;
         ] );
       ( "csv",
