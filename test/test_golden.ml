@@ -11,7 +11,9 @@ module Config = Encore.Config
 module Model_io = Encore_detect.Model_io
 module Image = Encore_sysenv.Image
 module Population = Encore_workloads.Population
+module Collector = Encore_sysenv.Collector
 module Conferr = Encore_inject.Conferr
+module Synthfleet = Encore_workloads.Synthfleet
 module Prng = Encore_util.Prng
 
 let check = Alcotest.check
@@ -67,23 +69,19 @@ let test_entry_points (app, n, pin) () =
     [ ("learn_durable", durable); ("learn_resilient", resilient);
       ("suffstats learner", merged) ]
 
-(* A mysql model checked against held-out images, every third carrying
-   one ConfErr error; the pin covers every streamed report line. *)
-let fleet_pin = "281f6796c2866a5f4134f3c3087d97a4"
+(* A model per app checked against held-out images, every third
+   carrying one ConfErr error; the pin covers every streamed report
+   line.  The same targets round-tripped through their collector dumps
+   must stream the same bytes: that is the route the CLI's
+   [check --fleet], the serve daemon and the benchmark all take. *)
+let fleet_pins =
+  [
+    (Image.Mysql, "281f6796c2866a5f4134f3c3087d97a4");
+    (Image.Apache, "8caa45c2e24271ee018ff2749afdf2d2");
+    (Image.Php, "d5e76397718038364247708f23f5d842");
+  ]
 
-let test_fleet_pin () =
-  let model =
-    model_or_fail (Pipeline.learn_result (training Image.Mysql ~n:60))
-  in
-  let rng = Prng.create (seed + 4099) in
-  let targets =
-    List.mapi
-      (fun i img ->
-        if i mod 3 = 0 then (Conferr.inject rng Image.Mysql img ~n:1).Conferr.image
-        else img)
-      (Population.images
-         (Population.generate ~seed:(seed + 7919) Image.Mysql ~n:45))
-  in
+let fleet_jsonl model targets =
   let buf = Buffer.create 4096 in
   let report =
     Pipeline.check_fleet
@@ -94,7 +92,40 @@ let test_fleet_pin () =
   in
   check Alcotest.int "every target checked" (List.length targets)
     report.Pipeline.fleet_checked;
-  check Alcotest.string "fleet JSONL" fleet_pin (md5 (Buffer.contents buf))
+  md5 (Buffer.contents buf)
+
+let test_fleet_pin (app, pin) () =
+  let model = model_or_fail (Pipeline.learn_result (training app ~n:60)) in
+  let rng = Prng.create (seed + 4099) in
+  let targets =
+    List.mapi
+      (fun i img ->
+        if i mod 3 = 0 then (Conferr.inject rng app img ~n:1).Conferr.image
+        else img)
+      (Population.images (Population.generate ~seed:(seed + 7919) app ~n:45))
+  in
+  check Alcotest.string "fleet JSONL" pin (fleet_jsonl model targets);
+  let decoded =
+    List.map
+      (fun img ->
+        match Collector.image_of_text (Collector.image_to_text img) with
+        | Ok img -> img
+        | Error e -> Alcotest.failf "%s: %s" img.Image.image_id e)
+      targets
+  in
+  check Alcotest.string "fleet JSONL of decoded dumps" pin
+    (fleet_jsonl model decoded)
+
+(* The wide, sparse 1k synthetic fleet (one generic INI config per
+   image) through the batch learner. *)
+let synthfleet_pin = "a93624288db673ebd3efd30fb1ee936d"
+
+let test_synthfleet_pin () =
+  let model =
+    model_or_fail (Pipeline.learn_result (Synthfleet.generate ~seed ~n:1000 ()))
+  in
+  check Alcotest.string "synthfleet model bytes" synthfleet_pin
+    (md5 (Model_io.to_string model))
 
 let () =
   Alcotest.run "golden"
@@ -111,5 +142,12 @@ let () =
             Alcotest.test_case (Image.app_to_string app) `Quick
               (test_entry_points pin))
           model_pins );
-      ("fleet-check", [ Alcotest.test_case "mysql jsonl" `Quick test_fleet_pin ]);
+      ( "fleet-check",
+        List.map
+          (fun ((app, _) as pin) ->
+            Alcotest.test_case
+              (Image.app_to_string app ^ " jsonl")
+              `Quick (test_fleet_pin pin))
+          fleet_pins );
+      ("synthfleet", [ Alcotest.test_case "1k model" `Quick test_synthfleet_pin ]);
     ]
