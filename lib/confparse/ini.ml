@@ -1,67 +1,79 @@
-let strip_comment line =
-  (* a '#' or ';' starts a comment unless inside a double-quoted value *)
-  let n = String.length line in
-  let buf = Buffer.create n in
-  let rec go i in_quote =
-    if i >= n then Buffer.contents buf
-    else
-      let c = line.[i] in
-      if c = '"' then begin
-        Buffer.add_char buf c;
-        go (i + 1) (not in_quote)
-      end
-      else if (c = '#' || c = ';') && not in_quote then Buffer.contents buf
-      else begin
-        Buffer.add_char buf c;
-        go (i + 1) in_quote
-      end
-  in
-  go 0 false
+module Strutil = Encore_util.Strutil
 
-let unquote v =
-  let n = String.length v in
-  if n >= 2 && v.[0] = '"' && v.[n - 1] = '"' then String.sub v 1 (n - 2)
-  else v
+(* End of a line's content: a '#' or ';' starts a comment unless inside
+   a double-quoted value. *)
+let rec comment_start text i stop in_quote =
+  if i >= stop then stop
+  else
+    match text.[i] with
+    | '"' -> comment_start text (i + 1) stop (not in_quote)
+    | '#' | ';' when not in_quote -> i
+    | _ -> comment_start text (i + 1) stop in_quote
+
+type scan = {
+  app : string;
+  text : string;
+  mutable prefix : string;  (** "app/section/", built once per section *)
+  mutable kvs : Kv.t list;  (** newest first *)
+  mutable diags : (int * string) list;  (** newest first *)
+}
+
+let skip st lineno message = st.diags <- (lineno, message) :: st.diags
+
+(* [s, e) is a non-empty line, comment cut and trimmed. *)
+let entry st lineno s e =
+  let text = st.text in
+  if e - s >= 2 && text.[s] = '[' then
+    let close = Strutil.index_in text ']' s e in
+    if close < e && close > s + 1 then begin
+      let ns = Strutil.skip_spaces text (s + 1) close in
+      let ne = Strutil.trim_end text ns close in
+      st.prefix <-
+        String.concat "" [ st.app; "/"; String.sub text ns (ne - ns); "/" ]
+    end
+    else
+      skip st lineno ("malformed section header: " ^ String.sub text s (e - s))
+  else if text.[s] = '!' then () (* !include etc. *)
+  else
+    let eq = Strutil.index_in text '=' s e in
+    if eq = e then
+      (* bare flag, e.g. skip-networking *)
+      st.kvs <-
+        { Kv.key = Strutil.append_sub st.prefix text s e; value = "on";
+          line = lineno }
+        :: st.kvs
+    else
+      let ke = Strutil.trim_end text s eq in
+      if ke = s then
+        skip st lineno ("entry with empty key: " ^ String.sub text s (e - s))
+      else
+        let vs = Strutil.skip_spaces text (eq + 1) e in
+        let value =
+          if e - vs >= 2 && text.[vs] = '"' && text.[e - 1] = '"' then
+            (* a value in double quotes loses them and is trimmed again,
+               as [Kv.make] trims *)
+            let qs = Strutil.skip_spaces text (vs + 1) (e - 1) in
+            String.sub text qs (Strutil.trim_end text qs (e - 1) - qs)
+          else String.sub text vs (e - vs)
+        in
+        st.kvs <-
+          { Kv.key = Strutil.append_sub st.prefix text s ke; value; line = lineno }
+          :: st.kvs
+
+let rec lines st pos lineno =
+  let text = st.text in
+  let len = String.length text in
+  let nl = Strutil.index_in text '\n' pos len in
+  let cut = comment_start text pos nl false in
+  let s = Strutil.skip_spaces text pos cut in
+  let e = Strutil.trim_end text s cut in
+  if s < e then entry st lineno s e;
+  if nl < len then lines st (nl + 1) (lineno + 1)
 
 let parse_diag ~app text =
-  let lines = String.split_on_char '\n' text in
-  let diags = ref [] in
-  let skip lineno message = diags := (lineno, message) :: !diags in
-  let _, kvs =
-    List.fold_left
-      (fun (section, acc) (lineno, raw) ->
-        let line = String.trim (strip_comment raw) in
-        if line = "" then (section, acc)
-        else if String.length line >= 2 && line.[0] = '[' then
-          match String.index_opt line ']' with
-          | Some close when close > 1 ->
-              (String.trim (String.sub line 1 (close - 1)), acc)
-          | Some _ | None ->
-              skip lineno ("malformed section header: " ^ line);
-              (section, acc)
-        else if line.[0] = '!' then (section, acc) (* !include etc. *)
-        else
-          match String.index_opt line '=' with
-          | Some eq ->
-              let key = String.trim (String.sub line 0 eq) in
-              let value =
-                String.trim (String.sub line (eq + 1) (String.length line - eq - 1))
-              in
-              if key = "" then begin
-                skip lineno ("entry with empty key: " ^ line);
-                (section, acc)
-              end
-              else
-                let qkey = Kv.qualify ~app [ section; key ] in
-                (section, Kv.make ~line:lineno qkey (unquote value) :: acc)
-          | None ->
-              (* bare flag, e.g. skip-networking *)
-              let qkey = Kv.qualify ~app [ section; line ] in
-              (section, Kv.make ~line:lineno qkey "on" :: acc))
-      ("main", [])
-      (List.mapi (fun i l -> (i + 1, l)) lines)
-  in
-  (List.rev kvs, List.rev !diags)
+  let st = { app; text; prefix = app ^ "/main/"; kvs = []; diags = [] } in
+  lines st 0 1;
+  (List.rev st.kvs, List.rev st.diags)
 
 let parse ~app text = fst (parse_diag ~app text)
 

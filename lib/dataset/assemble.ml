@@ -10,16 +10,35 @@ let parse_only img =
   Row.of_list
     (List.map (fun (kv : Kv.t) -> (kv.key, kv.value)) (Registry.parse_image img))
 
-let augment_row ~types img base_row =
-  let augmented =
-    List.concat_map
-      (fun (attr, value) ->
-        match Infer.find types attr with
-        | None -> []
-        | Some decision -> Augment.entry img attr decision.Infer.ctype value)
-      (Row.to_list base_row)
+(* The augmenter: the type environment hashed once (first binding wins,
+   like [Infer.find]), each typed attribute with its augmentation names
+   built once.  Read-only after construction, so pool domains share
+   it. *)
+let augmenter types =
+  let tbl = Hashtbl.create (2 * List.length types + 1) in
+  List.iter
+    (fun (attr, (d : Infer.decision)) ->
+      if not (Hashtbl.mem tbl attr) then
+        Hashtbl.add tbl attr (Augment.typed attr d.Infer.ctype))
+    types;
+  tbl
+
+(* The parsed pairs, then each typed instance's augmentations in pair
+   order, then the image globals. *)
+let augmented tbl img pairs =
+  let rev_aug =
+    List.fold_left
+      (fun acc (attr, value) ->
+        match Hashtbl.find_opt tbl attr with
+        | None -> acc
+        | Some t -> List.rev_append (Augment.augment t img value) acc)
+      [] pairs
   in
-  Row.of_list (Row.to_list base_row @ augmented @ Augment.globals img)
+  Row.of_list (pairs @ List.rev_append rev_aug (Augment.globals img))
+
+let augment_row ~types =
+  let tbl = augmenter types in
+  fun img base_row -> augmented tbl img (Row.to_list base_row)
 
 let pmap pool f xs =
   match pool with
@@ -34,11 +53,9 @@ let assemble_training ?pool images =
       (List.map (fun (img, row) -> (img, Row.to_list row)) parsed)
   in
   (* pass 2: augment according to the types *)
+  let augment = augment_row ~types:config_types in
   let rows =
-    pmap pool
-      (fun (img, row) ->
-        (img.Image.image_id, augment_row ~types:config_types img row))
-      parsed
+    pmap pool (fun (img, row) -> (img.Image.image_id, augment img row)) parsed
   in
   (* infer types for the augmented columns too, so rules can reference
      them; augmentation-derived columns have canonical suffix types *)
@@ -71,31 +88,14 @@ let assemble_training ?pool images =
   in
   { table; types = config_types @ aug_types }
 
-(* The serving-path variant of [augment_row]: the type environment is
-   hashed once (first binding wins, like [Infer.find]) instead of being
-   scanned per attribute on every call. *)
 let target_assembler ~types =
-  let tbl = Hashtbl.create (2 * List.length types + 1) in
-  List.iter
-    (fun (attr, (d : Infer.decision)) ->
-      if not (Hashtbl.mem tbl attr) then Hashtbl.add tbl attr d)
-    types;
+  let tbl = augmenter types in
   fun img ->
     (* the parsed pairs feed augmentation and the final row directly:
        Row.to_list (Row.of_list pairs) = pairs, so skipping the
        intermediate [parse_only] row changes nothing observable *)
-    let pairs =
-      List.map (fun (kv : Kv.t) -> (kv.key, kv.value)) (Registry.parse_image img)
-    in
-    let augmented =
-      List.concat_map
-        (fun (attr, value) ->
-          match Hashtbl.find_opt tbl attr with
-          | None -> []
-          | Some decision -> Augment.entry img attr decision.Infer.ctype value)
-        pairs
-    in
-    Row.of_list (pairs @ augmented @ Augment.globals img)
+    augmented tbl img
+      (List.map (fun (kv : Kv.t) -> (kv.key, kv.value)) (Registry.parse_image img))
 
 let assemble_target ~types img = target_assembler ~types img
 

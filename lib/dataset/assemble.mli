@@ -22,7 +22,10 @@ val augment_row :
 (** Second-pass augmentation of one parsed row under a fixed type
     environment: entry augmentations per typed attribute, then the
     image globals.  [assemble_training] is exactly the first-pass type
-    inference followed by this per image. *)
+    inference followed by this per image.  Partially applied to
+    [~types], returns an augmenter with the type environment hashed and
+    every typed attribute's augmentation names built once; it may be
+    shared by pool domains. *)
 
 val assemble_training :
   ?pool:Encore_util.Pool.t -> Encore_sysenv.Image.t list -> assembled
@@ -32,8 +35,8 @@ val assemble_training :
 
 val target_assembler :
   types:Encore_typing.Infer.env -> Encore_sysenv.Image.t -> Row.t
-(** Partially applied to [~types], returns an assembler with the type
-    environment hashed once — the check-many path.  For every image,
+(** Parse then {!augment_row}: partially applied to [~types], returns an
+    assembler built once — the check-many path.  For every image,
     [target_assembler ~types img = assemble_target ~types img]. *)
 
 val assemble_target :

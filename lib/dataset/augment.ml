@@ -55,10 +55,38 @@ let base_attr attr =
 
 let bool_str b = if b then "True" else "False"
 
-let file_path_attrs (img : Image.t) attr path =
+(* One typed attribute's augmentation names, [attr ^ suffix] in
+   [suffixes_for] order, built once per attribute. *)
+type typed = { ctype : Ctype.t; names : string array }
+
+let typed attr ctype =
+  { ctype; names = Array.of_list (List.map (fun s -> attr ^ s) (suffixes_for ctype)) }
+
+let rec octal_length n k = if n < 8 then k + 1 else octal_length (n lsr 3) (k + 1)
+
+let rec fill_octal b n i =
+  Bytes.set b i (Char.chr (Char.code '0' + (n land 7)));
+  if i > 0 then fill_octal b (n lsr 3) (i - 1)
+
+(* [Printf.sprintf "%o"] for the non-negative permission bits an image
+   carries *)
+let octal n =
+  if n < 0 then Printf.sprintf "%o" n
+  else begin
+    let b = Bytes.create (octal_length n 0) in
+    fill_octal b n (Bytes.length b - 1);
+    Bytes.unsafe_to_string b
+  end
+
+(* the common permissions, rendered once *)
+let octal_small = Array.init 0o1000 octal
+
+let permission n = if n >= 0 && n < 0o1000 then octal_small.(n) else octal n
+
+let file_path_attrs (img : Image.t) names path =
   match Fs.lookup img.fs path with
-  | None -> [ (attr ^ ".type", "missing") ]
-  | Some (m : Fs.meta) ->
+  | None -> [ (names.(2), "missing") ]
+  | Some (m : Fs.meta) -> (
       let kind =
         match m.kind with
         | Fs.Regular -> "file"
@@ -66,18 +94,16 @@ let file_path_attrs (img : Image.t) attr path =
         | Fs.Symlink _ -> "symlink"
       in
       let base =
-        [ (attr ^ ".owner", m.owner);
-          (attr ^ ".group", m.group);
-          (attr ^ ".type", kind);
-          (attr ^ ".permission", Printf.sprintf "%o" m.perm) ]
+        [ (names.(0), m.owner); (names.(1), m.group); (names.(2), kind);
+          (names.(3), permission m.perm) ]
       in
-      if kind = "dir" then
-        let kids = Fs.children img.fs path in
-        base
-        @ [ (attr ^ ".contents", String.concat ";" kids);
-            (attr ^ ".hasDir", bool_str (Fs.has_subdir img.fs path));
-            (attr ^ ".hasSymLink", bool_str (Fs.has_symlink img.fs path)) ]
-      else base
+      match m.kind with
+      | Fs.Directory ->
+          base
+          @ [ (names.(4), String.concat ";" (Fs.children img.fs path));
+              (names.(5), bool_str (Fs.has_subdir img.fs path));
+              (names.(6), bool_str (Fs.has_symlink img.fs path)) ]
+      | Fs.Regular | Fs.Symlink _ -> base)
 
 (* RFC 1918 private ranges plus loopback count as "Local". *)
 let is_local_ip ip =
@@ -94,46 +120,48 @@ let is_local_ip ip =
       | None -> false)
   | _ -> false)
 
-let ip_attrs attr ip =
+let ip_attrs names ip =
   let is_v6 = Encore_util.Strutil.contains_char ip ':' in
   let any = ip = "0.0.0.0" || ip = "::" || ip = "*" in
-  [ (attr ^ ".Local", bool_str (is_local_ip ip));
-    (attr ^ ".IPv6", bool_str is_v6);
-    (attr ^ ".AnyAddr", bool_str any) ]
+  [ (names.(0), bool_str (is_local_ip ip));
+    (names.(1), bool_str is_v6);
+    (names.(2), bool_str any) ]
 
-let user_attrs (img : Image.t) attr user =
+let user_attrs (img : Image.t) names user =
   let primary =
     Option.value ~default:"" (Accounts.primary_group img.accounts user)
   in
-  [ (attr ^ ".isRootGroup", bool_str (Accounts.is_root_group img.accounts user));
-    (attr ^ ".isAdmin", bool_str (Accounts.is_admin img.accounts user));
-    (attr ^ ".isGroup", primary) ]
+  [ (names.(0), bool_str (Accounts.is_root_group img.accounts user));
+    (names.(1), bool_str (Accounts.is_admin img.accounts user));
+    (names.(2), primary) ]
 
-let port_attrs (img : Image.t) attr port_str =
+let port_attrs (img : Image.t) names port_str =
   match int_of_string_opt port_str with
   | None -> []
   | Some p ->
-      [ (attr ^ ".service",
+      [ (names.(0),
          Option.value ~default:"unknown" (Services.service_of_port img.services p));
-        (attr ^ ".privileged", bool_str (p < 1024)) ]
+        (names.(1), bool_str (p < 1024)) ]
 
-let size_attrs attr v =
+let size_attrs names v =
   match Encore_util.Strutil.parse_size v with
   | None -> []
-  | Some bytes -> [ (attr ^ ".bytes", string_of_int bytes) ]
+  | Some bytes -> [ (names.(0), string_of_int bytes) ]
 
-let entry img attr ctype value =
-  match (ctype : Ctype.t) with
-  | Ctype.File_path -> file_path_attrs img attr value
-  | Ctype.Ip_address -> ip_attrs attr value
-  | Ctype.User_name -> user_attrs img attr value
-  | Ctype.Port_number -> port_attrs img attr value
-  | Ctype.Size -> size_attrs attr value
+let augment t img value =
+  match t.ctype with
+  | Ctype.File_path -> file_path_attrs img t.names value
+  | Ctype.Ip_address -> ip_attrs t.names value
+  | Ctype.User_name -> user_attrs img t.names value
+  | Ctype.Port_number -> port_attrs img t.names value
+  | Ctype.Size -> size_attrs t.names value
   | Ctype.Partial_file_path | Ctype.File_name | Ctype.Group_name
   | Ctype.Url | Ctype.Mime_type | Ctype.Charset | Ctype.Language
   | Ctype.Bool_t | Ctype.Permission | Ctype.Enum _ | Ctype.Custom _
   | Ctype.Number | Ctype.String_t ->
       []
+
+let entry img attr ctype value = augment (typed attr ctype) img value
 
 let globals (img : Image.t) =
   let base =

@@ -35,10 +35,18 @@ val is_augmented : string -> bool
 val base_attr : string -> string
 (** Strip the augmentation suffix; identity for plain attributes. *)
 
+type typed
+(** One attribute under its inferred type, with its augmentation names
+    built once. *)
+
+val typed : string -> Ctype.t -> typed
+
+val augment : typed -> Encore_sysenv.Image.t -> string -> (string * string) list
+(** The augmented pairs for one configuration instance of the attribute. *)
+
 val entry : Encore_sysenv.Image.t -> string -> Ctype.t -> string ->
   (string * string) list
-(** [entry img attr ctype value] computes the augmented pairs for one
-    configuration instance. *)
+(** [entry img attr ctype value] = [augment (typed attr ctype) img value]. *)
 
 val globals : Encore_sysenv.Image.t -> (string * string) list
 (** The Table 5b image-global attributes. *)

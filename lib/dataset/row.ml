@@ -15,12 +15,14 @@ let empty = { rev_pairs = []; index = Hashtbl.create 4; rev_attrs = [] }
 let of_list pairs =
   let index = Hashtbl.create (max 4 (List.length pairs)) in
   (* one index probe per pair; buckets accumulate newest-first and are
-     flipped once at the end *)
+     flipped once at the end, when some attribute repeated *)
+  let repeated = ref false in
   let rev_attrs =
     List.fold_left
       (fun acc (attr, value) ->
         match Hashtbl.find_opt index attr with
         | Some values ->
+            repeated := true;
             Hashtbl.replace index attr (value :: values);
             acc
         | None ->
@@ -28,7 +30,8 @@ let of_list pairs =
             attr :: acc)
       [] pairs
   in
-  Hashtbl.filter_map_inplace (fun _ values -> Some (List.rev values)) index;
+  if !repeated then
+    Hashtbl.filter_map_inplace (fun _ values -> Some (List.rev values)) index;
   { rev_pairs = List.rev pairs; index; rev_attrs }
 
 let add t attr value =

@@ -391,9 +391,8 @@ let raw_ctypes_of cfg_types =
   List.map (fun (a, d) -> (a, d.Tinfer.ctype)) cfg_types
 
 let augment ?pool ~cfg_types parsed =
-  pmap pool
-    (fun (img, raw) -> (img, Assemble.augment_row ~types:cfg_types img raw))
-    parsed
+  let augment = Assemble.augment_row ~types:cfg_types in
+  pmap pool (fun (img, raw) -> (img, augment img raw)) parsed
 
 let build ?pool ~params ~templates ~etemplates ~entropy_threshold stats =
   Otrace.with_span "suffstats-finalize" @@ fun () ->

@@ -93,124 +93,278 @@ let to_text records =
   let line r = String.concat "|" (r.section :: r.key :: r.fields) in
   String.concat "\n" (List.map line records) ^ "\n"
 
-let of_text text =
-  Encore_util.Strutil.trim_lines text
-  |> List.filter_map (fun line ->
-         match String.split_on_char '|' line with
-         | section :: key :: fields when section <> "" && key <> "" ->
-             Some { section; key; fields }
-         | _ -> None)
+(* --- decoding --------------------------------------------------------------- *)
+
+(* One record read in place: slice [i] spans [bounds.(2i)] up to
+   [bounds.(2i+1)] of [src].  Slice 0 is the section, slice 1 the key,
+   the rest are the fields.  The dump scanner points the view at one
+   [@env] line and [restore] at one joined record, so both go through
+   the same restoration rules and the scanner copies out only the
+   strings the image keeps. *)
+type view = { mutable src : string; mutable bounds : int array; mutable n : int }
+
+let new_view () = { src = ""; bounds = Array.make 16 0; n = 0 }
+
+let push v start stop =
+  let k = 2 * v.n in
+  if k + 1 >= Array.length v.bounds then begin
+    let grown = Array.make (2 * Array.length v.bounds) 0 in
+    Array.blit v.bounds 0 grown 0 k;
+    v.bounds <- grown
+  end;
+  v.bounds.(k) <- start;
+  v.bounds.(k + 1) <- stop;
+  v.n <- v.n + 1
+
+let slice_start v i = v.bounds.(2 * i)
+let slice_len v i = v.bounds.((2 * i) + 1) - v.bounds.(2 * i)
+let slice v i = String.sub v.src (slice_start v i) (slice_len v i)
+
+module Strutil = Encore_util.Strutil
+
+let slice_is v i lit =
+  slice_len v i = String.length lit && Strutil.equal_sub v.src (slice_start v i) lit
+
+(* [prev] itself when the slice spells it: consecutive records mostly
+   repeat their owner and group, and the image then keeps one copy *)
+let slice_shared v i prev = if slice_is v i prev then prev else slice v i
+
+(* The value of a slice of digits short enough not to overflow, or -1:
+   the caller then falls back to [int_of_string_opt], whose syntax is
+   the rule. *)
+let rec digits_value src i stop ~base acc =
+  if i >= stop then acc
+  else
+    let d = Char.code src.[i] - Char.code '0' in
+    if d < 0 || d >= base then -1
+    else digits_value src (i + 1) stop ~base ((acc * base) + d)
+
+let slice_digits v i ~base ~max_len =
+  let len = slice_len v i in
+  if len = 0 || len > max_len then -1
+  else
+    let s = slice_start v i in
+    digits_value v.src s (s + len) ~base 0
+
+let slice_int v i =
+  let n = slice_digits v i ~base:10 ~max_len:18 in
+  if n >= 0 then Some n else int_of_string_opt (slice v i)
+
+let slice_int_or v i ~default =
+  let n = slice_digits v i ~base:10 ~max_len:18 in
+  if n >= 0 then n else Option.value ~default (int_of_string_opt (slice v i))
+
+(* permissions are octal: [int_of_string_opt ("0o" ^ perm)] *)
+let slice_perm_or v i ~default =
+  let n = slice_digits v i ~base:8 ~max_len:20 in
+  if n >= 0 then n
+  else Option.value ~default (int_of_string_opt ("0o" ^ slice v i))
+
+let rec slices_down v first i acc =
+  if i < first then acc else slices_down v first (i - 1) (slice v i :: acc)
+
+(* slices [first] to the last, as a list *)
+let slices_from v first = slices_down v first (v.n - 1) []
+
+(* Restoration state, filled one record at a time.  Host facts are
+   first-match-wins: [seen] has bit [i] set once a record for [facts.(i)]
+   was applied, whose first field (if any) replaced the default. *)
+type restoring = {
+  mutable fs : Fs.t;
+  mutable accounts : Accounts.t;
+  mutable users_rev : Accounts.user list;
+  mutable services : Services.t;
+  mutable env_rev : (string * string) list;
+  facts : string array;
+  mutable seen : int;
+  mutable owner : string;
+  mutable group : string;
+}
+
+(* (section, key, default) of each host fact, indexed as in [facts] *)
+let fact_keys =
+  [|
+    ("Sys", "HostName", "localhost"); ("Sys", "IPAddress", "10.0.0.1");
+    ("Sys", "FSType", "ext4"); ("OS", "DistName", "ubuntu");
+    ("OS", "Version", "12.04"); ("Sec", "SELinux", "disabled");
+    ("HW", "Cores", ""); ("HW", "Freq", ""); ("HW", "Memory", "");
+    ("HW", "DiskSize", "");
+  |]
+
+let new_restoring () =
+  {
+    fs = Fs.empty; accounts = Accounts.empty; users_rev = [];
+    services = Services.empty; env_rev = [];
+    facts = Array.map (fun (_, _, default) -> default) fact_keys;
+    seen = 0; owner = "root"; group = "root";
+  }
+
+let rec fact_index v i =
+  if i >= Array.length fact_keys then -1
+  else
+    let section, key, _ = fact_keys.(i) in
+    if slice_is v 0 section && slice_is v 1 key then i else fact_index v (i + 1)
+
+(* An FS record has exactly six fields: kind, owner, group, octal
+   permission, size and symlink target.  A bad path raises
+   [Invalid_argument] from [Fs.add]. *)
+let apply_fs r v =
+  let kind =
+    if slice_is v 2 "dir" then 1
+    else if slice_is v 2 "file" then 2
+    else if slice_is v 2 "symlink" then 3
+    else 0
+  in
+  if kind > 0 then begin
+    let path = slice v 1 in
+    let owner = slice_shared v 3 r.owner in
+    let group = slice_shared v 4 r.group in
+    r.owner <- owner;
+    r.group <- group;
+    let perm = slice_perm_or v 5 ~default:0o644 in
+    r.fs <-
+      (match kind with
+      | 1 -> Fs.add_dir ~owner ~group ~perm r.fs path
+      | 2 ->
+          let size = slice_int_or v 6 ~default:0 in
+          Fs.add_file ~owner ~group ~perm ~size r.fs path
+      | _ -> Fs.add_symlink ~owner ~group r.fs path ~target:(slice v 7))
+  end
+
+let apply r v =
+  if slice_is v 0 "FS" then (if v.n = 8 then apply_fs r v)
+  else if slice_is v 0 "Service" then begin
+    if v.n = 3 then
+      match slice_int v 1 with
+      | Some port -> r.services <- Services.add r.services ~port ~name:(slice v 2)
+      | None -> ()
+  end
+  else if slice_is v 0 "Acct.Group" then begin
+    (* applied as read: every group lands before any user, see [finish] *)
+    if v.n >= 3 then
+      match slice_int v 2 with
+      | Some ggid ->
+          r.accounts <-
+            Accounts.add_group r.accounts
+              { Accounts.gname = slice v 1; ggid; members = slices_from v 3 }
+      | None -> ()
+  end
+  else if slice_is v 0 "Acct.User" then begin
+    if v.n = 6 then
+      match (slice_int v 2, slice_int v 3) with
+      | Some uid, Some gid ->
+          r.users_rev <-
+            { Accounts.name = slice v 1; uid; gid; home = slice v 4;
+              shell = slice v 5 }
+            :: r.users_rev
+      | _ -> ()
+  end
+  else if slice_is v 0 "Env" then begin
+    if v.n >= 3 then r.env_rev <- (slice v 1, slice v 2) :: r.env_rev
+  end
+  else
+    let i = fact_index v 0 in
+    if i >= 0 && r.seen land (1 lsl i) = 0 then begin
+      r.seen <- r.seen lor (1 lsl i);
+      if v.n >= 3 then r.facts.(i) <- slice v 2
+    end
+
+let finish r ~id ~configs =
+  (* users last: [Accounts.add_user] invents a group when the user's
+     gid has none yet, so replaying a user before the dumped groups
+     would materialize groups the serialized image never had and break
+     the to_text/of_text round trip *)
+  let accounts =
+    List.fold_left Accounts.add_user r.accounts (List.rev r.users_rev)
+  in
+  let fact i = r.facts.(i) in
+  let os =
+    {
+      Hostinfo.dist_name = fact 3;
+      dist_version = fact 4;
+      selinux =
+        Option.value ~default:Hostinfo.Disabled
+          (Hostinfo.selinux_of_string (fact 5));
+    }
+  in
+  let hardware =
+    match
+      ( int_of_string_opt (fact 6), int_of_string_opt (fact 7),
+        int_of_string_opt (fact 8), int_of_string_opt (fact 9) )
+    with
+    | Some cpu_threads, Some cpu_freq_mhz, Some mem_bytes, Some disk_avail_bytes ->
+        Some { Hostinfo.cpu_threads; cpu_freq_mhz; mem_bytes; disk_avail_bytes }
+    | _ -> None
+  in
+  Image.make ~hostname:(fact 0) ~ip_address:(fact 1) ~fs_type:(fact 2)
+    ~fs:r.fs ~accounts ~services:r.services ~env_vars:(List.rev r.env_rev)
+    ~hardware ~os ~id configs
+
+let load_record v r =
+  let parts = r.section :: r.key :: r.fields in
+  v.src <- String.concat "|" parts;
+  v.n <- 0;
+  ignore
+    (List.fold_left
+       (fun start part ->
+         let stop = start + String.length part in
+         push v start stop;
+         stop + 1)
+       0 parts)
+
+let restore ~id ~configs records =
+  let r = new_restoring () and v = new_view () in
+  List.iter
+    (fun record ->
+      load_record v record;
+      apply r v)
+    records;
+  finish r ~id ~configs
 
 let find records ~section ~key =
   List.find_map
     (fun r -> if r.section = section && r.key = key then Some r.fields else None)
     records
 
-(* --- restoration -------------------------------------------------------- *)
+(* --- the line scanner -------------------------------------------------------- *)
 
-let restore_fs records =
-  List.fold_left
-    (fun fs r ->
-      if r.section <> "FS" then fs
-      else
-        match r.fields with
-        | [ kind; owner; group; perm; size; target ] -> (
-            let perm = Option.value ~default:0o644 (int_of_string_opt ("0o" ^ perm)) in
-            let size = Option.value ~default:0 (int_of_string_opt size) in
-            match kind with
-            | "dir" -> Fs.add_dir ~owner ~group ~perm fs r.key
-            | "file" -> Fs.add_file ~owner ~group ~perm ~size fs r.key
-            | "symlink" -> Fs.add_symlink ~owner ~group fs r.key ~target
-            | _ -> fs)
-        | _ -> fs)
-    Fs.empty records
+let rec split_bars v text start i stop =
+  if i >= stop then push v start stop
+  else if text.[i] = '|' then begin
+    push v start i;
+    split_bars v text (i + 1) (i + 1) stop
+  end
+  else split_bars v text start (i + 1) stop
 
-let restore_accounts records =
-  (* groups first: [Accounts.add_user] invents a group when the user's
-     gid has none yet, so replaying users before the dumped groups
-     would materialize groups the serialized image never had and break
-     the to_text/of_text round trip *)
-  let accounts =
-    List.fold_left
-      (fun acc r ->
-        if r.section <> "Acct.Group" then acc
-        else
-          match r.fields with
-          | gid :: members -> (
-              match int_of_string_opt gid with
-              | Some ggid ->
-                  Accounts.add_group acc { Accounts.gname = r.key; ggid; members }
-              | None -> acc)
-          | [] -> acc)
-      Accounts.empty records
-  in
-  List.fold_left
-    (fun acc r ->
-      if r.section <> "Acct.User" then acc
-      else
-        match r.fields with
-        | [ uid; gid; home; shell ] -> (
-            match (int_of_string_opt uid, int_of_string_opt gid) with
-            | Some uid, Some gid ->
-                Accounts.add_user acc { Accounts.name = r.key; uid; gid; home; shell }
-            | _ -> acc)
-        | _ -> acc)
-    accounts records
+(* Point [v] at the trimmed line [start, stop) split on '|'; false for a
+   line that holds no record (blank, no '|', empty section or key). *)
+let read_line v text start stop =
+  let s = Strutil.skip_spaces text start stop in
+  let e = Strutil.trim_end text s stop in
+  v.src <- text;
+  v.n <- 0;
+  if s < e then split_bars v text s s e;
+  v.n >= 2 && slice_len v 0 > 0 && slice_len v 1 > 0
 
-let restore_services records =
-  List.fold_left
-    (fun services r ->
-      if r.section <> "Service" then services
-      else
-        match (int_of_string_opt r.key, r.fields) with
-        | Some port, [ name ] -> Services.add services ~port ~name
-        | _ -> services)
-    Services.empty records
+let rec records_from v text pos len acc =
+  if pos >= len then List.rev acc
+  else
+    let nl = Strutil.index_in text '\n' pos len in
+    let acc =
+      if read_line v text pos nl then
+        { section = slice v 0; key = slice v 1; fields = slices_from v 2 } :: acc
+      else acc
+    in
+    records_from v text (nl + 1) len acc
 
-let field1 records ~section ~key ~default =
-  match find records ~section ~key with
-  | Some (v :: _) -> v
-  | Some [] | None -> default
+let of_text text = records_from (new_view ()) text 0 (String.length text) []
 
-let restore ~id ~configs records =
-  let fs = restore_fs records in
-  let accounts = restore_accounts records in
-  let services = restore_services records in
-  let hostname = field1 records ~section:"Sys" ~key:"HostName" ~default:"localhost" in
-  let ip_address = field1 records ~section:"Sys" ~key:"IPAddress" ~default:"10.0.0.1" in
-  let fs_type = field1 records ~section:"Sys" ~key:"FSType" ~default:"ext4" in
-  let os =
-    {
-      Hostinfo.dist_name = field1 records ~section:"OS" ~key:"DistName" ~default:"ubuntu";
-      dist_version = field1 records ~section:"OS" ~key:"Version" ~default:"12.04";
-      selinux =
-        Option.value ~default:Hostinfo.Disabled
-          (Hostinfo.selinux_of_string
-             (field1 records ~section:"Sec" ~key:"SELinux" ~default:"disabled"));
-    }
-  in
-  let int_field section key =
-    int_of_string_opt (field1 records ~section ~key ~default:"")
-  in
-  let hardware =
-    match
-      ( int_field "HW" "Cores", int_field "HW" "Freq", int_field "HW" "Memory",
-        int_field "HW" "DiskSize" )
-    with
-    | Some cpu_threads, Some cpu_freq_mhz, Some mem_bytes, Some disk_avail_bytes ->
-        Some { Hostinfo.cpu_threads; cpu_freq_mhz; mem_bytes; disk_avail_bytes }
-    | _ -> None
-  in
-  let env_vars =
-    List.filter_map
-      (fun r ->
-        if r.section = "Env" then
-          match r.fields with v :: _ -> Some (r.key, v) | [] -> None
-        else None)
-      records
-  in
-  Image.make ~hostname ~ip_address ~fs_type ~fs ~accounts ~services ~env_vars
-    ~hardware ~os ~id configs
+let rec apply_lines r v text pos len =
+  if pos < len then begin
+    let nl = Strutil.index_in text '\n' pos len in
+    if read_line v text pos nl then apply r v;
+    apply_lines r v text (nl + 1) len
+  end
 
 (* --- single-image dumps (the fleet serving format) ------------------------ *)
 
@@ -239,91 +393,73 @@ let image_to_text (img : Image.t) =
   Buffer.add_string buf (to_text (collect img));
   Buffer.contents buf
 
-(* "<word> <word> <rest>"; the rest may contain spaces. *)
-let split3 s =
-  match String.index_opt s ' ' with
-  | None -> None
-  | Some i -> (
-      let first = String.sub s 0 i in
-      let tail = String.sub s (i + 1) (String.length s - i - 1) in
-      match String.index_opt tail ' ' with
-      | None -> None
-      | Some j ->
-          let second = String.sub tail 0 j in
-          let rest = String.sub tail (j + 1) (String.length tail - j - 1) in
-          Some (first, second, rest))
+let has_prefix text pos stop prefix =
+  stop - pos >= String.length prefix && Strutil.equal_sub text pos prefix
+
+(* The [@env] tail is scanned where it lies; records are applied as they
+   are read.  Stays total on damaged dumps: a corrupted environment
+   record (e.g. control bytes spliced into a path) surfaces as a parse
+   error, not an exception. *)
+let decode_env text pos ~id ~configs ~flakiness =
+  let r = new_restoring () in
+  match apply_lines r (new_view ()) text pos (String.length text) with
+  | () -> Ok (Image.with_flakiness (finish r ~id ~configs) flakiness)
+  | exception Invalid_argument msg -> Error ("corrupt image dump: " ^ msg)
+
+(* "@config <app> <bytes> <path>": the path may contain spaces.  The
+   header ends at [stop]; [bytes] bytes of config text follow it, then a
+   framing newline. *)
+let config_header text pos stop =
+  let len = String.length text in
+  let spec = pos + String.length "@config " in
+  let sp1 = Strutil.index_in text ' ' spec stop in
+  let sp2 = Strutil.index_in text ' ' (sp1 + 1) stop in
+  if sp1 >= stop || sp2 >= stop then None
+  else
+    match
+      ( Image.app_of_string (String.sub text spec (sp1 - spec)),
+        int_of_string_opt (String.sub text (sp1 + 1) (sp2 - sp1 - 1)) )
+    with
+    | Some app, Some n when n >= 0 && stop + 1 + n <= len ->
+        let body = stop + 1 in
+        let next = body + n in
+        let next = if next < len && text.[next] = '\n' then next + 1 else next in
+        Some
+          ( { Image.app;
+              path = String.sub text (sp2 + 1) (stop - sp2 - 1);
+              text = String.sub text body n },
+            next )
+    | _ -> None
+
+let rec headers text pos ~id ~configs ~flakiness =
+  let len = String.length text in
+  if pos >= len then Error "image dump truncated before @env"
+  else
+    let nl = Strutil.index_in text '\n' pos len in
+    let line () = String.sub text pos (nl - pos) in
+    if nl - pos = 4 && has_prefix text pos nl "@env" then
+      decode_env text (nl + 1) ~id ~configs:(List.rev configs) ~flakiness
+    else if has_prefix text pos nl "@flakiness " then
+      let start = pos + String.length "@flakiness " in
+      let f = String.sub text start (nl - start) in
+      match float_of_string_opt f with
+      | Some flakiness -> headers text (nl + 1) ~id ~configs ~flakiness
+      | None -> Error ("bad @flakiness value: " ^ f)
+    else if has_prefix text pos nl "@config " then
+      match config_header text pos nl with
+      | Some (config, next) ->
+          headers text next ~id ~configs:(config :: configs) ~flakiness
+      | None -> Error ("malformed @config line: " ^ line ())
+    else Error ("unrecognized header line: " ^ line ())
 
 let image_of_text text =
   let len = String.length text in
-  let pos = ref 0 in
-  let next_line () =
-    if !pos >= len then None
-    else begin
-      let nl =
-        match String.index_from_opt text !pos '\n' with
-        | Some i -> i
-        | None -> len
-      in
-      let line = String.sub text !pos (nl - !pos) in
-      pos := nl + 1;
-      Some line
-    end
-  in
-  let strip_prefix p s =
-    let pl = String.length p in
-    if String.length s >= pl && String.sub s 0 pl = p then
-      Some (String.sub s pl (String.length s - pl))
-    else None
-  in
-  match next_line () with
-  | None -> Error "empty image dump"
-  | Some header -> (
-      match strip_prefix image_magic header with
-      | None -> Error "not an ENCORE-IMAGE dump (bad magic line)"
-      | Some id ->
-          let configs = ref [] in
-          let flakiness = ref 0.0 in
-          let rec headers () =
-            match next_line () with
-            | None -> Error "image dump truncated before @env"
-            | Some "@env" -> Ok ()
-            | Some line -> (
-                match strip_prefix "@flakiness " line with
-                | Some f -> (
-                    match float_of_string_opt f with
-                    | Some f ->
-                        flakiness := f;
-                        headers ()
-                    | None -> Error ("bad @flakiness value: " ^ f))
-                | None -> (
-                    match strip_prefix "@config " line with
-                    | None -> Error ("unrecognized header line: " ^ line)
-                    | Some spec -> (
-                        match split3 spec with
-                        | None -> Error ("malformed @config line: " ^ line)
-                        | Some (app, bytes, path) -> (
-                            match
-                              (Image.app_of_string app, int_of_string_opt bytes)
-                            with
-                            | Some app, Some n when n >= 0 && !pos + n <= len ->
-                                let body = String.sub text !pos n in
-                                pos := !pos + n;
-                                (* the framing newline after the payload *)
-                                if !pos < len && text.[!pos] = '\n' then
-                                  incr pos;
-                                configs :=
-                                  { Image.app; path; text = body } :: !configs;
-                                headers ()
-                            | _ -> Error ("malformed @config line: " ^ line)))))
-          in
-          (match headers () with
-          | Error _ as e -> e
-          | Ok () -> (
-              let records = of_text (String.sub text !pos (len - !pos)) in
-              (* stay total on damaged dumps: a corrupted environment
-                 record (e.g. control bytes spliced into a path) must
-                 surface as a parse error, not an exception *)
-              match restore ~id ~configs:(List.rev !configs) records with
-              | img -> Ok (Image.with_flakiness img !flakiness)
-              | exception Invalid_argument msg ->
-                  Error ("corrupt image dump: " ^ msg))))
+  let nl = Strutil.index_in text '\n' 0 len in
+  if len = 0 then Error "empty image dump"
+  else if not (has_prefix text 0 nl image_magic) then
+    Error "not an ENCORE-IMAGE dump (bad magic line)"
+  else
+    let start = String.length image_magic in
+    headers text (nl + 1)
+      ~id:(String.sub text start (nl - start))
+      ~configs:[] ~flakiness:0.0

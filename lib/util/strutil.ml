@@ -120,6 +120,34 @@ let trim_lines s =
   |> List.map String.trim
   |> List.filter (fun l -> l <> "")
 
+let is_space = function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
+
+let rec skip_spaces s i stop =
+  if i < stop && is_space s.[i] then skip_spaces s (i + 1) stop
+  else i
+
+let rec trim_end s start stop =
+  if stop > start && is_space s.[stop - 1] then
+    trim_end s start (stop - 1)
+  else stop
+
+let rec index_in s c i stop =
+  if i >= stop || s.[i] = c then i else index_in s c (i + 1) stop
+
+let rec equal_from s i lit j n =
+  j >= n || (s.[i + j] = lit.[j] && equal_from s i lit (j + 1) n)
+
+let equal_sub s i lit =
+  let n = String.length lit in
+  i >= 0 && i + n <= String.length s && equal_from s i lit 0 n
+
+let append_sub prefix s i stop =
+  let pl = String.length prefix in
+  let b = Bytes.create (pl + stop - i) in
+  Bytes.blit_string prefix 0 b 0 pl;
+  Bytes.blit_string s i b pl (stop - i);
+  Bytes.unsafe_to_string b
+
 let path_join a b =
   let a = if ends_with ~suffix:"/" a && a <> "/" then String.sub a 0 (String.length a - 1) else a in
   let b = if starts_with ~prefix:"/" b then String.sub b 1 (String.length b - 1) else b in

@@ -29,6 +29,34 @@ val split_on : char -> string -> string list
 val trim_lines : string -> string list
 (** Split into lines, trimming each and dropping blank lines. *)
 
+(** {1 Index scanning}
+
+    For scanners that walk text by index and copy out only the slices
+    they keep.  Each works on a range [\[i, stop)] and allocates
+    nothing. *)
+
+val is_space : char -> bool
+(** [String.trim]'s whitespace: space, tab, LF, CR and form feed. *)
+
+val skip_spaces : string -> int -> int -> int
+(** [skip_spaces s i stop]: the first index in [\[i, stop)] that is not
+    {!is_space}, or [stop]. *)
+
+val trim_end : string -> int -> int -> int
+(** [trim_end s start stop]: [stop] moved left past trailing {!is_space}
+    characters, but not below [start]. *)
+
+val index_in : string -> char -> int -> int -> int
+(** [index_in s c i stop]: the first index of [c] in [\[i, stop)], or
+    [stop]. *)
+
+val equal_sub : string -> int -> string -> bool
+(** [equal_sub s i lit]: [s] holds [lit] from index [i] on. *)
+
+val append_sub : string -> string -> int -> int -> string
+(** [append_sub prefix s i stop] = [prefix ^ String.sub s i (stop - i)],
+    built with one allocation. *)
+
 val path_join : string -> string -> string
 (** Join two path fragments with exactly one ['/'] between them. *)
 

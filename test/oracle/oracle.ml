@@ -147,3 +147,8 @@ let infer_reference ?(params = Rinfer.default_params)
          | Rinfer.Kept rule -> Some rule
          | Rinfer.Rejected_support | Rinfer.Rejected_confidence -> None)
        verdicts)
+
+module Dump_ref = Dump_ref
+module Ini_ref = Ini_ref
+module Apache_ref = Apache_ref
+module Augment_ref = Augment_ref

@@ -60,3 +60,14 @@ val infer_reference :
 (** The rules {!Encore_rules.Infer.infer} must learn, in its order:
     one task per candidate, each walking the full row range.  With
     [pool] or [jobs > 1] candidates are judged on worker domains. *)
+
+(** {1 Text layers}
+
+    The byte-level decoders a checked image passes through, as they
+    stood before their single-pass rewrites: property and fuzz tests
+    pin the library scanners to them. *)
+
+module Dump_ref = Dump_ref
+module Ini_ref = Ini_ref
+module Apache_ref = Apache_ref
+module Augment_ref = Augment_ref

@@ -377,6 +377,55 @@ let test_assemble_type_of_fallbacks () =
   check Alcotest.bool "unknown fallback" true
     (Ctype.equal (Assemble.type_of [] "unknown") Ctype.String_t)
 
+(* The shared augmenter against the pre-rewrite code in [test/oracle]:
+   for each app's learned type environment, every training image, every
+   ConfErr mutant (configuration and environment faults) and every
+   held-out image assembles to the same pairs in the same order. *)
+let row_pairs = Alcotest.(list (pair string string))
+
+let test_assemble_matches_reference () =
+  let rng = Encore_util.Prng.create 3 in
+  List.iter
+    (fun (app, n) ->
+      let images =
+        Encore_workloads.Population.images
+          (Encore_workloads.Population.generate ~seed:9 app ~n)
+      in
+      let types = (Assemble.assemble_training images).Assemble.types in
+      let mutants =
+        List.map
+          (fun img ->
+            (Encore_inject.Conferr.inject ~env_fault_fraction:0.5 rng app img ~n:3)
+              .Encore_inject.Conferr.image)
+          images
+      in
+      let augment = Assemble.augment_row ~types
+      and assemble = Assemble.target_assembler ~types in
+      List.iter
+        (fun img ->
+          let raw = Assemble.parse_only img in
+          let name = img.Image.image_id in
+          check row_pairs (name ^ " augment_row")
+            (Row.to_list (Oracle.Augment_ref.augment_row ~types img raw))
+            (Row.to_list (augment img raw));
+          let expected = Oracle.Augment_ref.target_assembler ~types img in
+          let got = assemble img in
+          check row_pairs (name ^ " target row") (Row.to_list expected)
+            (Row.to_list got);
+          check (Alcotest.list Alcotest.string) (name ^ " attrs")
+            (Row.attrs expected) (Row.attrs got))
+        (images @ mutants))
+    [ (Image.Mysql, 30); (Image.Apache, 30); (Image.Php, 30); (Image.Sshd, 20) ]
+
+let prop_permission_rendering =
+  QCheck.Test.make ~name:"permission = Printf %o" ~count:500
+    QCheck.(oneof [ int_bound 0o7777; int; small_signed_int ])
+    (fun perm ->
+      let fs = Fs.add_file ~perm Fs.empty "/f" in
+      let img = Image.make ~fs ~id:"p" [] in
+      List.assoc_opt "a.permission" (Augment.entry img "a" Ctype.File_path "/f")
+      = Some (Printf.sprintf "%o" perm))
+
 (* --- Discretize ------------------------------------------------------------------ *)
 
 let test_discretize_nominal_items () =
@@ -469,6 +518,7 @@ let () =
           Alcotest.test_case "port and size" `Quick test_augment_port_and_size;
           Alcotest.test_case "suffix typing" `Quick test_augment_suffix_typing;
           Alcotest.test_case "globals" `Quick test_augment_globals;
+          qtest prop_permission_rendering;
         ] );
       ( "assemble",
         [
@@ -476,6 +526,8 @@ let () =
           Alcotest.test_case "training augments" `Quick test_assemble_training_augments;
           Alcotest.test_case "target reuses types" `Quick test_assemble_target_uses_training_types;
           Alcotest.test_case "type_of fallbacks" `Quick test_assemble_type_of_fallbacks;
+          Alcotest.test_case "augmenter = reference" `Quick
+            test_assemble_matches_reference;
         ] );
       ( "discretize",
         [
