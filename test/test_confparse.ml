@@ -224,6 +224,40 @@ let prop_sshd_roundtrip =
       let reparsed = Sshd.parse ~app:"sshd" (Sshd.render ~app:"sshd" kvs) in
       List.sort compare (kv_pairs kvs) = List.sort compare (kv_pairs reparsed))
 
+(* Apache's get/put law over configs the repo generates: the study
+   population's httpd.conf files and their ConfErr mutants. *)
+let apache_configs =
+  lazy
+    (let rng = Encore_util.Prng.create 31 in
+     let images =
+       Encore_workloads.Population.images
+         (Encore_workloads.Population.generate ~seed:31 Image.Apache ~n:300)
+     in
+     let mutants =
+       List.map
+         (fun img ->
+           (Encore_inject.Conferr.inject rng Image.Apache img ~n:2)
+             .Encore_inject.Conferr.image)
+         images
+     in
+     Array.of_list
+       (List.filter_map
+          (fun img ->
+            Option.map
+              (fun (c : Image.config_file) -> c.Image.text)
+              (Image.config_for img Image.Apache))
+          (images @ mutants)))
+
+let prop_apache_roundtrip =
+  QCheck.Test.make ~name:"apache render/parse roundtrip" ~count:600
+    (QCheck.make
+       ~print:(fun i -> (Lazy.force apache_configs).(i))
+       QCheck.Gen.(int_bound (Array.length (Lazy.force apache_configs) - 1)))
+    (fun i ->
+      let kvs = Apache.parse ~app:"apache" (Lazy.force apache_configs).(i) in
+      let reparsed = Apache.parse ~app:"apache" (Apache.render ~app:"apache" kvs) in
+      List.sort compare (kv_pairs kvs) = List.sort compare (kv_pairs reparsed))
+
 (* --- golden corpus --------------------------------------------------------
    Messy, realistic snippets every lens must survive. *)
 
@@ -423,7 +457,8 @@ let () =
           Alcotest.test_case "render roundtrip" `Quick test_sshd_render_roundtrip;
         ] );
       ( "roundtrip-properties",
-        [ qtest prop_ini_roundtrip; qtest prop_sshd_roundtrip ] );
+        [ qtest prop_ini_roundtrip; qtest prop_sshd_roundtrip;
+          qtest prop_apache_roundtrip ] );
       ( "golden",
         [
           Alcotest.test_case "debian my.cnf" `Quick test_golden_mycnf;
