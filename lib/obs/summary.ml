@@ -1,4 +1,9 @@
-type flat = { fname : string; fdepth : int; fdur_ns : int }
+type flat = {
+  fname : string;
+  fdepth : int;
+  fstart_ns : int option;  (* absent from JSONL lines that lack it *)
+  fdur_ns : int;
+}
 
 type stage = { stage_name : string; total_ns : int; calls : int; pct : float }
 
@@ -9,6 +14,7 @@ type t = {
   bad_lines : int;
   truncated : bool;
   stages : stage list;
+  covered_ns : int;
   coverage_pct : float;
   slowest : (string * int * int) list;  (* name, dur_ns, depth *)
   event_kinds : (string * int) list;
@@ -25,6 +31,26 @@ let sorted_counts table =
 
 let pct_of ~wall ns =
   if wall <= 0 then 0.0 else 100.0 *. float_of_int ns /. float_of_int wall
+
+(* Wall time the stage spans cover: the union of their intervals, so
+   stages running side by side on pool domains are not counted twice.
+   A span without a start time counts its whole duration. *)
+let covered stage_spans =
+  let timed, untimed =
+    List.partition_map
+      (fun s ->
+        match s.fstart_ns with
+        | Some start -> Left (start, start + s.fdur_ns)
+        | None -> Right s.fdur_ns)
+      stage_spans
+  in
+  let union, _ =
+    List.fold_left
+      (fun (acc, stop) (a, b) ->
+        if b <= stop then (acc, stop) else (acc + b - max a stop, b))
+      (0, min_int) (List.sort compare timed)
+  in
+  List.fold_left ( + ) union untimed
 
 let of_records ?(top = 10) ?(truncated = false) ~event_kinds ~diag_kinds
     ~bad_lines ~event_count spans =
@@ -62,10 +88,11 @@ let of_records ?(top = 10) ?(truncated = false) ~event_kinds ~diag_kinds
            | 0 -> compare a.stage_name b.stage_name
            | c -> c)
   in
-  let coverage_pct =
-    pct_of ~wall:wall_ns
-      (List.fold_left (fun acc st -> acc + st.total_ns) 0 stages)
+  let covered_ns =
+    covered
+      (List.filter (fun s -> s.fdepth = root_depth + 1) spans)
   in
+  let coverage_pct = pct_of ~wall:wall_ns covered_ns in
   let slowest =
     List.map (fun s -> (s.fname, s.fdur_ns, s.fdepth)) spans
     |> List.sort (fun (na, da, _) (nb, db, _) ->
@@ -79,6 +106,7 @@ let of_records ?(top = 10) ?(truncated = false) ~event_kinds ~diag_kinds
     bad_lines;
     truncated;
     stages;
+    covered_ns;
     coverage_pct;
     slowest;
     event_kinds;
@@ -108,7 +136,9 @@ let of_lines ?top ?truncated lines =
                  | "span" -> (
                      match (str "name", int "depth", int "dur_ns") with
                      | Some fname, Some fdepth, Some fdur_ns ->
-                         spans := { fname; fdepth; fdur_ns } :: !spans
+                         spans :=
+                           { fname; fdepth; fstart_ns = int "start_ns"; fdur_ns }
+                           :: !spans
                      | _ -> incr bad)
                  | "diag" -> (
                      match str "diag_kind" with
@@ -158,6 +188,7 @@ let of_spans ?top ?truncated roots =
            {
              fname = sp.Trace.name;
              fdepth = sp.Trace.depth;
+             fstart_ns = Some (Int64.to_int sp.Trace.start_ns);
              fdur_ns = Int64.to_int sp.Trace.dur_ns;
            }
            :: !spans))
@@ -188,8 +219,7 @@ let to_string t =
       t.stages;
     Buffer.add_string buf
       (Printf.sprintf "  %-24s %10.3f ms  %5.1f%%\n" "= covered"
-         (ms (List.fold_left (fun acc st -> acc + st.total_ns) 0 t.stages))
-         t.coverage_pct)
+         (ms t.covered_ns) t.coverage_pct)
   end;
   if t.slowest <> [] then begin
     Buffer.add_string buf

@@ -4,7 +4,10 @@
     Wall time is the duration sum of the outermost (lowest-depth)
     spans; a "stage" is a span one level below that, grouped by name.
     The coverage percentage says how much of the wall time the stage
-    spans account for — an instrumentation-completeness check. *)
+    spans account for — an instrumentation-completeness check.  It
+    counts the union of the stage spans' intervals, so stages that ran
+    side by side on pool domains count once; a stage's own [pct] is
+    its busy time and may sum past 100 with others. *)
 
 type stage = {
   stage_name : string;
@@ -22,7 +25,11 @@ type t = {
       (** the source file ended mid-line (writer killed mid-record);
           the torn final line was skipped, not counted in [bad_lines] *)
   stages : stage list;   (** descending by total time *)
-  coverage_pct : float;
+  covered_ns : int;
+      (** wall time inside some stage span: the union of their
+          intervals, plus the whole duration of any span logged
+          without a start time *)
+  coverage_pct : float;  (** [covered_ns] of [wall_ns] *)
   slowest : (string * int * int) list;  (** (name, dur_ns, depth), top-k *)
   event_kinds : (string * int) list;    (** [ev] value -> count *)
   diag_kinds : (string * int) list;     (** [diag] events by [diag_kind] *)

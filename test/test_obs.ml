@@ -670,6 +670,66 @@ let test_append_spans () =
       | [ sp ] -> check_finalize_span sp
       | sps -> Alcotest.failf "expected one refresh span, got %d" (List.length sps))
 
+(* A pooled check runs its per-image spans side by side on the pool's
+   domains; coverage counts the wall time they cover, not their summed
+   durations. *)
+let test_check_fleet_coverage () =
+  let model =
+    match Encore.Pipeline.learn_result (learn_images ()) with
+    | Ok m -> m
+    | Error d ->
+        Alcotest.failf "learn failed: %s"
+          (Encore_util.Resilience.diagnostic_to_string d)
+  in
+  let targets =
+    Population.images (Population.generate ~seed:12 Image.Mysql ~n:40)
+  in
+  List.iter
+    (fun jobs ->
+      let config = { Encore.Config.default with Encore.Config.jobs } in
+      match
+        traced_roots (fun () ->
+            Encore.Pipeline.check_fleet ~config model targets)
+      with
+      | [ root ] ->
+          let s = Summary.of_spans [ root ] in
+          check Alcotest.bool
+            (Printf.sprintf "jobs %d coverage %.1f%% in [95, 100]" jobs
+               s.Summary.coverage_pct)
+            true
+            (s.Summary.coverage_pct >= 95.0 && s.Summary.coverage_pct <= 100.0)
+      | roots ->
+          Alcotest.failf "expected one root span, got %d" (List.length roots))
+    [ 1; 2 ]
+
+(* Overlapping stage intervals count once; a JSONL span line without a
+   start time counts its duration. *)
+let test_summary_coverage_union () =
+  let span name depth start dur =
+    Printf.sprintf
+      {|{"ts_ns":0,"ev":"span","name":%S,"depth":%d,"start_ns":%d,"dur_ns":%d}|}
+      name depth start dur
+  in
+  let s =
+    Summary.of_lines
+      [ span "pass" 0 0 1000; span "a" 1 0 600; span "b" 1 100 500;
+        span "c" 1 700 200 ]
+  in
+  check Alcotest.int "union of [0,600), [100,600), [700,900)" 800
+    s.Summary.covered_ns;
+  check (Alcotest.float 0.01) "coverage" 80.0 s.Summary.coverage_pct;
+  check (Alcotest.float 0.01) "stage pct stays busy time" 60.0
+    (List.find (fun st -> st.Summary.stage_name = "a") s.Summary.stages)
+      .Summary.pct;
+  let s =
+    Summary.of_lines
+      [ span "pass" 0 0 1000;
+        {|{"ts_ns":0,"ev":"span","name":"old","depth":1,"dur_ns":300}|};
+        span "a" 1 0 300 ]
+  in
+  check (Alcotest.float 0.01) "a line without start_ns adds its duration"
+    60.0 s.Summary.coverage_pct
+
 let seeded_snapshot () =
   Metrics.reset ();
   let profile = { Profile.ec2 with Profile.latent_error_rate = 0.0 } in
@@ -740,6 +800,7 @@ let () =
           t "of_spans truncated passthrough" test_summary_of_spans_truncated;
           t "of_file on empty and blank files"
             test_summary_of_file_empty_and_blank;
+          t "coverage is the union of stages" test_summary_coverage_union;
         ] );
       ( "learnspans",
         [
@@ -747,6 +808,8 @@ let () =
           t "learner_result covers its wall time" test_learner_result_coverage;
           t "append is spanned" test_append_spans;
         ] );
+      ( "fleetspans",
+        [ t "check_fleet covers its wall time" test_check_fleet_coverage ] );
       ( "determinism",
         [ t "seeded metric snapshots are identical" test_snapshot_determinism ] );
     ]
