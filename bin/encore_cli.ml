@@ -156,37 +156,49 @@ let with_telemetry ~trace ~metrics f =
 
 (* --- generate ------------------------------------------------------------ *)
 
+(* One collector dump per image under [dir], creating it and any missing
+   parents. *)
+let write_dumps dir pop =
+  let write { Population.image; _ } =
+    let path = Filename.concat dir (image.Image.image_id ^ ".img") in
+    let oc = open_out path in
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+        output_string oc (Encore_sysenv.Collector.image_to_text image))
+  in
+  match
+    Encore_util.Snapshot.mkdir_p dir;
+    List.iter write pop
+  with
+  | () ->
+      Printf.printf "wrote %d image dump(s) under %s (check them with \
+                     'check --fleet %s')\n\n"
+        (List.length pop) dir dir;
+      Ok ()
+  | exception Sys_error msg ->
+      Error (Printf.sprintf "generate: cannot write image dumps under %s: %s" dir msg)
+
 let generate seed profile app n out =
   let pop = Population.generate ~profile ~seed app ~n in
   let clean = Population.clean pop in
   Printf.printf "generated %d %s images under profile %s (%d clean, %d with a latent fault)\n\n"
     n (Image.app_to_string app) profile.Profile.label (List.length clean)
     (n - List.length clean);
-  (match out with
-   | None -> ()
-   | Some dir ->
-       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-       List.iter
-         (fun { Population.image; _ } ->
-           let path = Filename.concat dir (image.Image.image_id ^ ".img") in
-           let oc = open_out path in
-           Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-               output_string oc (Encore_sysenv.Collector.image_to_text image)))
-         pop;
-       Printf.printf "wrote %d image dump(s) under %s (check them with \
-                      'check --fleet %s')\n\n"
-         (List.length pop) dir dir);
-  match pop with
-  | { Population.image; latent } :: _ ->
-      (match Image.config_for image app with
-       | Some cf ->
-           Printf.printf "--- %s (%s) ---\n%s" image.Image.image_id cf.Image.path cf.Image.text
-       | None -> ());
-      List.iter
-        (fun inj -> Printf.printf "\nlatent fault: %s\n" (Fault.injection_to_string inj))
-        latent;
-      0
-  | [] -> 0
+  match Option.fold ~none:(Ok ()) ~some:(fun dir -> write_dumps dir pop) out with
+  | Error msg ->
+      prerr_endline msg;
+      1
+  | Ok () -> (
+      match pop with
+      | { Population.image; latent } :: _ ->
+          (match Image.config_for image app with
+           | Some cf ->
+               Printf.printf "--- %s (%s) ---\n%s" image.Image.image_id cf.Image.path cf.Image.text
+           | None -> ());
+          List.iter
+            (fun inj -> Printf.printf "\nlatent fault: %s\n" (Fault.injection_to_string inj))
+            latent;
+          0
+      | [] -> 0)
 
 let generate_cmd =
   let doc = "Synthesize a deterministic image population and print one configuration." in
