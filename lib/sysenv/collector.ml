@@ -328,41 +328,53 @@ let find records ~section ~key =
 
 (* --- the line scanner -------------------------------------------------------- *)
 
-let rec split_bars v text start i stop =
-  if i >= stop then push v start stop
+(* Split the line from [start] on '|' into [v] (whose [src] is [text]),
+   up to the next '\n' or [stop]; returns where the line ends. *)
+let rec split_line v text start i stop =
+  if i >= stop || text.[i] = '\n' then begin
+    push v start i;
+    i
+  end
   else if text.[i] = '|' then begin
     push v start i;
-    split_bars v text (i + 1) (i + 1) stop
+    split_line v text (i + 1) (i + 1) stop
   end
-  else split_bars v text start (i + 1) stop
+  else split_line v text start (i + 1) stop
 
-(* Point [v] at the trimmed line [start, stop) split on '|'; false for a
-   line that holds no record (blank, no '|', empty section or key). *)
-let read_line v text start stop =
-  let s = Strutil.skip_spaces text start stop in
-  let e = Strutil.trim_end text s stop in
-  v.src <- text;
-  v.n <- 0;
-  if s < e then split_bars v text s s e;
-  v.n >= 2 && slice_len v 0 > 0 && slice_len v 1 > 0
+(* Trim the split line: String.trim's whitespace can only sit at the
+   start of its first slice and the end of its last.  False for a line
+   that holds no record (blank, no '|', empty section or key). *)
+let trimmed v =
+  v.n >= 2
+  &&
+  let last = (2 * v.n) - 1 in
+  v.bounds.(0) <- Strutil.skip_spaces v.src v.bounds.(0) v.bounds.(1);
+  v.bounds.(last) <- Strutil.trim_end v.src v.bounds.(last - 1) v.bounds.(last);
+  slice_len v 0 > 0 && slice_len v 1 > 0
 
 let rec records_from v text pos len acc =
   if pos >= len then List.rev acc
-  else
-    let nl = Strutil.index_in text '\n' pos len in
+  else begin
+    v.n <- 0;
+    let nl = split_line v text pos pos len in
     let acc =
-      if read_line v text pos nl then
+      if trimmed v then
         { section = slice v 0; key = slice v 1; fields = slices_from v 2 } :: acc
       else acc
     in
     records_from v text (nl + 1) len acc
+  end
 
-let of_text text = records_from (new_view ()) text 0 (String.length text) []
+let of_text text =
+  let v = new_view () in
+  v.src <- text;
+  records_from v text 0 (String.length text) []
 
 let rec apply_lines r v text pos len =
   if pos < len then begin
-    let nl = Strutil.index_in text '\n' pos len in
-    if read_line v text pos nl then apply r v;
+    v.n <- 0;
+    let nl = split_line v text pos pos len in
+    if trimmed v then apply r v;
     apply_lines r v text (nl + 1) len
   end
 
@@ -401,8 +413,9 @@ let has_prefix text pos stop prefix =
    record (e.g. control bytes spliced into a path) surfaces as a parse
    error, not an exception. *)
 let decode_env text pos ~id ~configs ~flakiness =
-  let r = new_restoring () in
-  match apply_lines r (new_view ()) text pos (String.length text) with
+  let r = new_restoring () and v = new_view () in
+  v.src <- text;
+  match apply_lines r v text pos (String.length text) with
   | () -> Ok (Image.with_flakiness (finish r ~id ~configs) flakiness)
   | exception Invalid_argument msg -> Error ("corrupt image dump: " ^ msg)
 
