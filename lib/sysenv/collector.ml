@@ -329,17 +329,22 @@ let find records ~section ~key =
 (* --- the line scanner -------------------------------------------------------- *)
 
 (* Split the line from [start] on '|' into [v] (whose [src] is [text]),
-   up to the next '\n' or [stop]; returns where the line ends. *)
-let rec split_line v text start i stop =
-  if i >= stop || text.[i] = '\n' then begin
+   up to the next '\n' or the end of [text]; returns where the line
+   ends.  [i] never passes the end, so the reads need no bounds check. *)
+let rec split_line v text start i =
+  if i >= String.length text then begin
     push v start i;
     i
   end
-  else if text.[i] = '|' then begin
-    push v start i;
-    split_line v text (i + 1) (i + 1) stop
-  end
-  else split_line v text start (i + 1) stop
+  else
+    match String.unsafe_get text i with
+    | '\n' ->
+        push v start i;
+        i
+    | '|' ->
+        push v start i;
+        split_line v text (i + 1) (i + 1)
+    | _ -> split_line v text start (i + 1)
 
 (* Trim the split line: String.trim's whitespace can only sit at the
    start of its first slice and the end of its last.  False for a line
@@ -356,7 +361,7 @@ let rec records_from v text pos len acc =
   if pos >= len then List.rev acc
   else begin
     v.n <- 0;
-    let nl = split_line v text pos pos len in
+    let nl = split_line v text pos pos in
     let acc =
       if trimmed v then
         { section = slice v 0; key = slice v 1; fields = slices_from v 2 } :: acc
@@ -373,7 +378,7 @@ let of_text text =
 let rec apply_lines r v text pos len =
   if pos < len then begin
     v.n <- 0;
-    let nl = split_line v text pos pos len in
+    let nl = split_line v text pos pos in
     if trimmed v then apply r v;
     apply_lines r v text (nl + 1) len
   end
