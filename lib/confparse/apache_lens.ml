@@ -6,7 +6,6 @@ module Strutil = Encore_util.Strutil
 type frame = { name : string; arg : string; mutable prefix : string }
 
 type scan = {
-  app : string;
   text : string;
   top : string;  (** "app/": the prefix outside any section *)
   mutable stack : frame list;  (** innermost first *)
@@ -22,8 +21,9 @@ let skip st lineno message = st.diags <- (lineno, message) :: st.diags
 
 (* A directive line splits into words at blanks outside double quotes; a
    quote toggles quoting and is dropped from the word, and a word left
-   empty by that is no word.  [st.words] records each word's raw span
-   and whether it holds a quote. *)
+   empty by that is no word.  No word holds a quote, so values and
+   section arguments need no unquoting.  [st.words] records each word's
+   raw span and whether that span holds a quote. *)
 let rec run_end text i stop in_quote =
   if i >= stop then stop
   else
@@ -191,7 +191,7 @@ let rec lines st pos lineno =
 
 let parse_diag ~app text =
   let st =
-    { app; text; top = app ^ "/"; stack = []; kvs = []; diags = [];
+    { text; top = app ^ "/"; stack = []; kvs = []; diags = [];
       words = Array.make 24 0; nwords = 0 }
   in
   let last_line = lines st 0 1 in

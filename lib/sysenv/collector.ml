@@ -95,6 +95,8 @@ let to_text records =
 
 (* --- decoding --------------------------------------------------------------- *)
 
+module Strutil = Encore_util.Strutil
+
 (* One record read in place: slice [i] spans [bounds.(2i)] up to
    [bounds.(2i+1)] of [src].  Slice 0 is the section, slice 1 the key,
    the rest are the fields.  The dump scanner points the view at one
@@ -119,8 +121,6 @@ let push v start stop =
 let slice_start v i = v.bounds.(2 * i)
 let slice_len v i = v.bounds.((2 * i) + 1) - v.bounds.(2 * i)
 let slice v i = String.sub v.src (slice_start v i) (slice_len v i)
-
-module Strutil = Encore_util.Strutil
 
 let slice_is v i lit =
   slice_len v i = String.length lit && Strutil.equal_sub v.src (slice_start v i) lit
@@ -209,13 +209,8 @@ let rec fact_index v i =
    permission, size and symlink target.  A bad path raises
    [Invalid_argument] from [Fs.add]. *)
 let apply_fs r v =
-  let kind =
-    if slice_is v 2 "dir" then 1
-    else if slice_is v 2 "file" then 2
-    else if slice_is v 2 "symlink" then 3
-    else 0
-  in
-  if kind > 0 then begin
+  let dir = slice_is v 2 "dir" and file = slice_is v 2 "file" in
+  if dir || file || slice_is v 2 "symlink" then begin
     let path = slice v 1 in
     let owner = slice_shared v 3 r.owner in
     let group = slice_shared v 4 r.group in
@@ -223,12 +218,11 @@ let apply_fs r v =
     r.group <- group;
     let perm = slice_perm_or v 5 ~default:0o644 in
     r.fs <-
-      (match kind with
-      | 1 -> Fs.add_dir ~owner ~group ~perm r.fs path
-      | 2 ->
-          let size = slice_int_or v 6 ~default:0 in
-          Fs.add_file ~owner ~group ~perm ~size r.fs path
-      | _ -> Fs.add_symlink ~owner ~group r.fs path ~target:(slice v 7))
+      (if dir then Fs.add_dir ~owner ~group ~perm r.fs path
+       else if file then
+         Fs.add_file ~owner ~group ~perm ~size:(slice_int_or v 6 ~default:0)
+           r.fs path
+       else Fs.add_symlink ~owner ~group r.fs path ~target:(slice v 7))
   end
 
 let apply r v =
