@@ -417,6 +417,24 @@ let test_assemble_matches_reference () =
         (images @ mutants))
     [ (Image.Mysql, 30); (Image.Apache, 30); (Image.Php, 30); (Image.Sshd, 20) ]
 
+(* A type environment may bind an attribute twice; the first binding
+   decides, as [Infer.find] does. *)
+let test_augmenter_first_binding_wins () =
+  let decision ctype =
+    { Encore_typing.Infer.ctype; agreement = 1.0; samples = 1 }
+  in
+  let img = mysql_image "f" "3306" in
+  let datadir = "mysql/mysqld/datadir" in
+  let row types = Assemble.assemble_target ~types img in
+  check (Alcotest.option Alcotest.string) "file path first" (Some "mysql")
+    (Row.get
+       (row [ (datadir, decision Ctype.File_path); (datadir, decision Ctype.String_t) ])
+       "mysql/mysqld/datadir.owner");
+  check Alcotest.bool "string first" false
+    (Row.mem
+       (row [ (datadir, decision Ctype.String_t); (datadir, decision Ctype.File_path) ])
+       "mysql/mysqld/datadir.owner")
+
 let prop_permission_rendering =
   QCheck.Test.make ~name:"permission = Printf %o" ~count:500
     QCheck.(oneof [ int_bound 0o7777; int; small_signed_int ])
@@ -528,6 +546,8 @@ let () =
           Alcotest.test_case "type_of fallbacks" `Quick test_assemble_type_of_fallbacks;
           Alcotest.test_case "augmenter = reference" `Quick
             test_assemble_matches_reference;
+          Alcotest.test_case "first type binding wins" `Quick
+            test_augmenter_first_binding_wins;
         ] );
       ( "discretize",
         [
