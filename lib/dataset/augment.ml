@@ -161,8 +161,6 @@ let augment t img value =
   | Ctype.Number | Ctype.String_t ->
       []
 
-let entry img attr ctype value = augment (typed attr ctype) img value
-
 let globals (img : Image.t) =
   let base =
     [ ("Sys.IPAddress", img.ip_address);

@@ -44,9 +44,6 @@ val typed : string -> Ctype.t -> typed
 val augment : typed -> Encore_sysenv.Image.t -> string -> (string * string) list
 (** The augmented pairs for one configuration instance of the attribute. *)
 
-val entry : Encore_sysenv.Image.t -> string -> Ctype.t -> string ->
-  (string * string) list
-(** [entry img attr ctype value] = [augment (typed attr ctype) img value]. *)
 
 val globals : Encore_sysenv.Image.t -> (string * string) list
 (** The Table 5b image-global attributes. *)

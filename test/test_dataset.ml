@@ -254,9 +254,12 @@ let env_image () =
   let accounts = Accounts.add_service_account Accounts.base "mysql" in
   Image.make ~id:"aug" ~fs ~accounts []
 
+(* One instance's augmentations, names built on the spot. *)
+let entry img attr ctype value = Augment.augment (Augment.typed attr ctype) img value
+
 let test_augment_file_path_dir () =
   let img = env_image () in
-  let attrs = Augment.entry img "m/datadir" Ctype.File_path "/data" in
+  let attrs = entry img "m/datadir" Ctype.File_path "/data" in
   let get k = List.assoc_opt k attrs in
   check (Alcotest.option Alcotest.string) "owner" (Some "mysql") (get "m/datadir.owner");
   check (Alcotest.option Alcotest.string) "type" (Some "dir") (get "m/datadir.type");
@@ -266,7 +269,7 @@ let test_augment_file_path_dir () =
 
 let test_augment_file_path_file () =
   let img = env_image () in
-  let attrs = Augment.entry img "m/log" Ctype.File_path "/var/log/err.log" in
+  let attrs = entry img "m/log" Ctype.File_path "/var/log/err.log" in
   check (Alcotest.option Alcotest.string) "type" (Some "file")
     (List.assoc_opt "m/log.type" attrs);
   check Alcotest.bool "no dir attrs for files" true
@@ -277,42 +280,42 @@ let test_augment_missing_path () =
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
     "missing marker" [ ("m/x.type", "missing") ]
-    (Augment.entry img "m/x" Ctype.File_path "/nope")
+    (entry img "m/x" Ctype.File_path "/nope")
 
 let test_augment_ip () =
   let img = env_image () in
-  let attrs = Augment.entry img "a/addr" Ctype.Ip_address "192.168.1.5" in
+  let attrs = entry img "a/addr" Ctype.Ip_address "192.168.1.5" in
   check (Alcotest.option Alcotest.string) "local" (Some "True")
     (List.assoc_opt "a/addr.Local" attrs);
-  let attrs = Augment.entry img "a/addr" Ctype.Ip_address "0.0.0.0" in
+  let attrs = entry img "a/addr" Ctype.Ip_address "0.0.0.0" in
   check (Alcotest.option Alcotest.string) "any" (Some "True")
     (List.assoc_opt "a/addr.AnyAddr" attrs);
-  let attrs = Augment.entry img "a/addr" Ctype.Ip_address "8.8.8.8" in
+  let attrs = entry img "a/addr" Ctype.Ip_address "8.8.8.8" in
   check (Alcotest.option Alcotest.string) "public not local" (Some "False")
     (List.assoc_opt "a/addr.Local" attrs);
-  let attrs = Augment.entry img "a/addr" Ctype.Ip_address "172.20.0.1" in
+  let attrs = entry img "a/addr" Ctype.Ip_address "172.20.0.1" in
   check (Alcotest.option Alcotest.string) "rfc1918 172.16/12" (Some "True")
     (List.assoc_opt "a/addr.Local" attrs)
 
 let test_augment_user () =
   let img = env_image () in
-  let attrs = Augment.entry img "m/user" Ctype.User_name "mysql" in
+  let attrs = entry img "m/user" Ctype.User_name "mysql" in
   check (Alcotest.option Alcotest.string) "isAdmin" (Some "False")
     (List.assoc_opt "m/user.isAdmin" attrs);
   check (Alcotest.option Alcotest.string) "isGroup" (Some "mysql")
     (List.assoc_opt "m/user.isGroup" attrs);
-  let attrs = Augment.entry img "m/user" Ctype.User_name "root" in
+  let attrs = entry img "m/user" Ctype.User_name "root" in
   check (Alcotest.option Alcotest.string) "root admin" (Some "True")
     (List.assoc_opt "m/user.isAdmin" attrs)
 
 let test_augment_port_and_size () =
   let img = env_image () in
-  let attrs = Augment.entry img "m/port" Ctype.Port_number "3306" in
+  let attrs = entry img "m/port" Ctype.Port_number "3306" in
   check (Alcotest.option Alcotest.string) "service" (Some "mysql")
     (List.assoc_opt "m/port.service" attrs);
   check (Alcotest.option Alcotest.string) "privileged" (Some "False")
     (List.assoc_opt "m/port.privileged" attrs);
-  let attrs = Augment.entry img "m/buf" Ctype.Size "8K" in
+  let attrs = entry img "m/buf" Ctype.Size "8K" in
   check (Alcotest.option Alcotest.string) "bytes" (Some "8192")
     (List.assoc_opt "m/buf.bytes" attrs)
 
@@ -441,7 +444,7 @@ let prop_permission_rendering =
     (fun perm ->
       let fs = Fs.add_file ~perm Fs.empty "/f" in
       let img = Image.make ~fs ~id:"p" [] in
-      List.assoc_opt "a.permission" (Augment.entry img "a" Ctype.File_path "/f")
+      List.assoc_opt "a.permission" (entry img "a" Ctype.File_path "/f")
       = Some (Printf.sprintf "%o" perm))
 
 (* --- Discretize ------------------------------------------------------------------ *)
