@@ -44,6 +44,5 @@ val typed : string -> Ctype.t -> typed
 val augment : typed -> Encore_sysenv.Image.t -> string -> (string * string) list
 (** The augmented pairs for one configuration instance of the attribute. *)
 
-
 val globals : Encore_sysenv.Image.t -> (string * string) list
 (** The Table 5b image-global attributes. *)

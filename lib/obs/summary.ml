@@ -89,8 +89,7 @@ let of_records ?(top = 10) ?(truncated = false) ~event_kinds ~diag_kinds
            | c -> c)
   in
   let covered_ns =
-    covered
-      (List.filter (fun s -> s.fdepth = root_depth + 1) spans)
+    covered (List.filter (fun s -> s.fdepth = root_depth + 1) spans)
   in
   let coverage_pct = pct_of ~wall:wall_ns covered_ns in
   let slowest =

@@ -32,8 +32,8 @@ val trim_lines : string -> string list
 (** {1 Index scanning}
 
     For scanners that walk text by index and copy out only the slices
-    they keep.  Each works on a range [\[i, stop)] and allocates
-    nothing. *)
+    they keep.  Each works on a range [\[i, stop)]; all but
+    {!append_sub} allocate nothing. *)
 
 val is_space : char -> bool
 (** [String.trim]'s whitespace: space, tab, LF, CR and form feed. *)
