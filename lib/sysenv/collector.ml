@@ -448,7 +448,6 @@ let rec headers text pos ~id ~configs ~flakiness =
   if pos >= len then Error "image dump truncated before @env"
   else
     let nl = Strutil.index_in text '\n' pos len in
-    let line () = String.sub text pos (nl - pos) in
     if nl - pos = 4 && has_prefix text pos nl "@env" then
       decode_env text (nl + 1) ~id ~configs:(List.rev configs) ~flakiness
     else if has_prefix text pos nl "@flakiness " then
@@ -461,8 +460,8 @@ let rec headers text pos ~id ~configs ~flakiness =
       match config_header text pos nl with
       | Some (config, next) ->
           headers text next ~id ~configs:(config :: configs) ~flakiness
-      | None -> Error ("malformed @config line: " ^ line ())
-    else Error ("unrecognized header line: " ^ line ())
+      | None -> Error ("malformed @config line: " ^ String.sub text pos (nl - pos))
+    else Error ("unrecognized header line: " ^ String.sub text pos (nl - pos))
 
 let image_of_text text =
   let len = String.length text in
