@@ -14,7 +14,8 @@
    Skip timing with: dune exec bench/main.exe -- --tables-only
    Per-stage wall-time of one paper-scale learn/check run:
    dune exec bench/main.exe -- --stage-times [--jobs N]
-   Checkpoint snapshot save/load cost at paper scale:
+   Model-store snapshot save/load cost at paper scale (the stage and
+   its JSON key keep the name "checkpoint"):
    dune exec bench/main.exe -- --stage checkpoint
    Fleet-checking throughput (compile-once engine vs a single-image
    loop that recompiles per check) at paper scale:
@@ -25,7 +26,7 @@
    scale and across the synthetic fleet sweep (1k/3k/10k images):
    dune exec bench/main.exe -- --stage learn [--jobs N]
    Machine-readable jobs=1 vs jobs=N comparison (regression gate),
-   including the checkpoint, fleet-check and serve measurements:
+   including the model-store, fleet-check and serve measurements:
    dune exec bench/main.exe -- --json FILE [--jobs N] *)
 
 open Bechamel
@@ -212,7 +213,7 @@ let print_stage_times ~jobs =
     paper_n jobs;
   print_string (Summary.to_string (run_summary ~jobs))
 
-(* --- checkpoint / snapshot-store timing ------------------------------------ *)
+(* --- model snapshot-store timing -------------------------------------------- *)
 
 module Clock = Encore_obs.Clock
 module Model_io = Encore_detect.Model_io
@@ -238,8 +239,8 @@ type checkpoint_measurement = {
 
 (* Cost of durability at paper scale: serialize the mysql model into a
    snapshot store (atomic write path) and load it back through the
-   verifying reader, averaged over a few rounds.  This is the overhead a
-   --checkpoint learn run pays per completed stage. *)
+   verifying reader, averaged over a few rounds.  This is what
+   `save --store` pays per model and `load-check` per load. *)
 let measure_checkpoint () =
   let images =
     Population.clean (Population.generate ~seed:7 Image.Mysql ~n:paper_n)
@@ -272,7 +273,7 @@ let measure_checkpoint () =
 let print_checkpoint_times () =
   let m = measure_checkpoint () in
   Printf.printf
-    "=== Checkpoint snapshot timing: mysql model, n=%d (paper scale) ===\n\n"
+    "=== Model-store snapshot timing: mysql model, n=%d (paper scale) ===\n\n"
     paper_n;
   Printf.printf "  snapshot payload                 %12d bytes\n" m.payload_bytes;
   Printf.printf "  store save (atomic write+prune)  %12d ns  (%8.3f ms)\n"

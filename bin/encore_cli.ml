@@ -9,7 +9,7 @@
                   through the compiled engine, streaming a JSONL report)
      inject       run a ConfErr-style campaign and show the ground truth
      chaos        storm a population with pipeline faults, learn resiliently
-                  (--durability: kill-and-resume + snapshot-damage drill;
+                  (--durability: model-store damage and rollback drill;
                   --serve-storm: request-storm replay against the daemon)
      serve        resident check daemon: JSONL requests (check, watch,
                   reload, status, shutdown) over stdio or a Unix socket
@@ -235,27 +235,12 @@ let chaos_frac_arg =
                  pipeline faults (truncation, garbage bytes, probe flaps) \
                  before learning.")
 
-let checkpoint_arg =
-  Arg.(value & opt (some string) None
-       & info [ "checkpoint" ] ~docv:"DIR"
-           ~doc:"Persist a checkpoint under $(docv) after each completed \
-                 pipeline stage (ingest, assemble, model), through the \
-                 atomic snapshot writer.")
-
-let resume_arg =
-  Arg.(value & opt (some string) None
-       & info [ "resume" ] ~docv:"DIR"
-           ~doc:"Resume from checkpoints under $(docv): stages whose \
-                 checkpoint verifies and matches this run's population and \
-                 parameters are restored instead of recomputed.  The final \
-                 model is byte-identical to an uninterrupted run.")
-
 let deadline_arg =
   Arg.(value & opt (some float) None
        & info [ "deadline" ] ~docv:"SECS"
            ~doc:"Execution budget in seconds.  On expiry the run stops at a \
-                 clean boundary, keeps the checkpoints it has written, \
-                 reports its status as timed-out and exits with code 3.")
+                 clean boundary, prints the ingest report with the stage it \
+                 stopped in, and exits with code 3.")
 
 let shards_arg =
   Arg.(value & opt int 1
@@ -320,8 +305,7 @@ let append_to_base ~config ~custom base (o : Encore.Pipeline.outcome) =
   | _ -> Ok o
 
 let learn seed profile app n custom mode max_retries chaos_frac jobs chunk
-    shards stats_dir append_dir checkpoint_dir resume_dir deadline_s trace
-    metrics =
+    shards stats_dir append_dir deadline_s trace metrics =
   with_telemetry ~trace ~metrics @@ fun () ->
   let config =
     { Encore.Config.default with Encore.Config.seed; jobs; chunk }
@@ -337,27 +321,15 @@ let learn seed profile app n custom mode max_retries chaos_frac jobs chunk
     else (images, 0)
   in
   let custom = Option.map read_file custom in
-  let checkpoint =
-    Option.map (fun dir -> Encore.Checkpoint.create ~dir) checkpoint_dir
-  in
-  let resume =
-    Option.map (fun dir -> Encore.Checkpoint.create ~dir) resume_dir
-  in
   let deadline = Option.map Encore_util.Deadline.of_budget_s deadline_s in
   let ( let* ) = Result.bind in
   let result =
     let* base = load_base_stats append_dir in
     let* o =
       Encore.Pipeline.learn_durable ~config ?custom ~mode ~max_retries ~shards
-        ?checkpoint ?resume ?deadline images
+        ?deadline images
     in
     if stormed > 0 then Printf.printf "chaos: stormed %d image(s)\n" stormed;
-    (match o.Encore.Pipeline.resumed with
-     | [] -> ()
-     | stages ->
-         Printf.printf "resumed from checkpoint: %s\n"
-           (String.concat ", "
-              (List.map Encore.Checkpoint.stage_to_string stages)));
     print_string (Encore.Pipeline.report_to_string o.Encore.Pipeline.report);
     append_to_base ~config ~custom base o
   in
@@ -391,8 +363,7 @@ let learn_cmd =
   Cmd.v (Cmd.info "learn" ~doc)
     Term.(const learn $ seed_arg $ profile_arg $ app_arg $ count_arg 100 $ custom_arg
           $ mode_arg $ max_retries_arg $ chaos_frac_arg $ jobs_arg $ chunk_arg
-          $ shards_arg $ stats_arg $ append_arg
-          $ checkpoint_arg $ resume_arg $ deadline_arg
+          $ shards_arg $ stats_arg $ append_arg $ deadline_arg
           $ trace_arg $ metrics_arg)
 
 (* --- chaos ----------------------------------------------------------------- *)
@@ -443,7 +414,6 @@ let chaos seed app n fraction max_retries jobs durability serve_storm
         print_string (Encore.Chaosrun.durability_outcome_to_string o);
         if
           o.Encore.Chaosrun.durability_notes = []
-          && List.for_all snd o.Encore.Chaosrun.kill_stages
           && o.Encore.Chaosrun.truncate_detected
           && o.Encore.Chaosrun.bitflip_detected
           && o.Encore.Chaosrun.rollback_ok
@@ -465,9 +435,8 @@ let chaos_cmd =
     "Storm a training population with the pipeline fault set — truncated \
      files, garbage bytes, permanently flapping probes — learn through the \
      resilient path and compare detection against an undamaged model.  With \
-     $(b,--durability): the crash-safety drill (kill-at-checkpoint then \
-     resume, truncate-snapshot, bitflip-snapshot, rollback to the newest \
-     good snapshot).  With $(b,--serve-storm): replay a request storm — \
+     $(b,--durability): the model-store drill (truncate-snapshot, \
+     bitflip-snapshot, rollback to the newest good snapshot).  With $(b,--serve-storm): replay a request storm — \
      queue-overflow bursts, malformed and oversized lines, crash-injection \
      ops, a mid-storm reload — against the resident serve daemon."
   in
@@ -479,13 +448,13 @@ let chaos_cmd =
           $ max_retries_arg $ jobs_arg
           $ Arg.(value & flag
                  & info [ "durability" ]
-                     ~doc:"Run the durability drill (kill-at-checkpoint \
-                           then resume, truncate-snapshot, bitflip-snapshot, \
-                           rollback-to-latest-good) instead of the ingestion \
-                           storm.  Exit code 0 only when every kill point \
-                           resumed and every damaged snapshot was detected. \
-                           $(b,-n) and $(b,--max-retries) apply to the storm \
-                           only and are ignored here.")
+                     ~doc:"Run the durability drill (truncate-snapshot, \
+                           bitflip-snapshot, rollback-to-latest-good) on the \
+                           model store instead of the ingestion storm.  Exit \
+                           code 0 only when every damaged snapshot was \
+                           detected and the store rolled back to the \
+                           reference model.  $(b,-n) and $(b,--max-retries) \
+                           apply to the storm only and are ignored here.")
           $ Arg.(value & flag
                  & info [ "serve-storm" ]
                      ~doc:"Replay $(b,--requests) request lines (>= 5% \
@@ -524,8 +493,8 @@ let chaos_cmd =
           $ Arg.(value & opt string "_chaos-durability"
                  & info [ "dir" ] ~docv:"DIR"
                      ~doc:"Working directory for the durability drill's \
-                           checkpoints and snapshot store, and the \
-                           transport storm's journals.")
+                           snapshot store and the transport storm's \
+                           journals.")
           $ trace_arg $ metrics_arg)
 
 (* --- serve ----------------------------------------------------------------- *)

@@ -160,7 +160,6 @@ let run ?(config = Config.default) ?(n = 50) ?(fraction = 0.3) ?faults
 module Model_io = Encore_detect.Model_io
 
 type durability_outcome = {
-  kill_stages : (string * bool) list;
   truncate_detected : bool;
   bitflip_detected : bool;
   rollback_ok : bool;
@@ -172,8 +171,8 @@ let durability ?(config = Config.default) ?(n = 12) ?(fraction = 0.25)
   let profile = { Profile.ec2 with Profile.latent_error_rate = 0.0 } in
   let images = Population.images (Population.generate ~profile ~seed app ~n) in
   let rng = Prng.create (seed + 31) in
-  (* drill on a stormed population so the resumed ingest state carries a
-     real quarantine, not just the happy path *)
+  (* the stored model is learned from a stormed population, as a
+     degraded run would learn it *)
   let stormed = Chaos.storm ~fraction ~rng images in
   let images = stormed.Chaos.images in
   let notes = ref [] in
@@ -186,46 +185,7 @@ let durability ?(config = Config.default) ?(n = 12) ?(fraction = 0.25)
            "reference run timed out without a deadline")
   | Ok { Pipeline.model = Some reference; _ } ->
       let reference_text = Model_io.to_string reference in
-      (* 1. kill right after each stage checkpoint, resume, compare *)
-      let kill_stages =
-        List.map
-          (fun stage ->
-            let name = Checkpoint.stage_to_string stage in
-            let ck =
-              Checkpoint.create ~dir:(Filename.concat dir ("kill-" ^ name))
-            in
-            let crashed =
-              match
-                Pipeline.learn_durable ~config ~checkpoint:ck ~kill_after:stage
-                  images
-              with
-              | exception Checkpoint.Simulated_crash s -> s = stage
-              | Ok _ | Error _ -> false
-            in
-            if not crashed then note "kill hook did not fire at %s" name;
-            let converged =
-              match
-                Pipeline.learn_durable ~config ~checkpoint:ck ~resume:ck images
-              with
-              | Ok { Pipeline.model = Some m; resumed; _ } ->
-                  let identical = Model_io.to_string m = reference_text in
-                  if not identical then
-                    note "resume after kill at %s diverged from reference" name;
-                  if not (List.mem stage resumed) then
-                    note "stage %s recomputed instead of resumed" name;
-                  identical && List.mem stage resumed
-              | Ok { Pipeline.model = None; _ } ->
-                  note "resume after kill at %s timed out" name;
-                  false
-              | Error d ->
-                  note "resume after kill at %s failed: %s" name
-                    (Res.diagnostic_to_string d);
-                  false
-            in
-            (name, crashed && converged))
-          Checkpoint.all_stages
-      in
-      (* 2. snapshot store: torn write detected, rollback to the last
+      (* snapshot store: torn write detected, rollback to the last
          good snapshot; bitflip at rest detected *)
       let store =
         Model_io.Store.create ~keep:3 ~dir:(Filename.concat dir "store") ()
@@ -263,7 +223,6 @@ let durability ?(config = Config.default) ?(n = 12) ?(fraction = 0.25)
       in
       Ok
         {
-          kill_stages;
           truncate_detected;
           bitflip_detected;
           rollback_ok;
@@ -272,12 +231,6 @@ let durability ?(config = Config.default) ?(n = 12) ?(fraction = 0.25)
 
 let durability_outcome_to_string o =
   let buf = Buffer.create 256 in
-  List.iter
-    (fun (stage, ok) ->
-      Buffer.add_string buf
-        (Printf.sprintf "kill after %s checkpoint: %s\n" stage
-           (if ok then "resume converged byte-identical" else "FAILED")))
-    o.kill_stages;
   Buffer.add_string buf
     (Printf.sprintf "torn snapshot detected: %s\n"
        (if o.truncate_detected then "yes" else "NO"));

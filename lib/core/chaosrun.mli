@@ -48,17 +48,13 @@ val outcome_to_string : outcome -> string
 
 (** {1 Durability drill}
 
-    The storm harness for the persistence layer
-    ({!Encore_inject.Fault.durability_fault}): kill the pipeline right
-    after each stage checkpoint and prove resume converges on a
-    byte-identical model; tear and bit-flip snapshot files and prove
-    the store detects the damage and rolls back. *)
+    The storm harness for the model store
+    ({!Encore_inject.Fault.durability_fault}): learn a model from a
+    stormed population, save it twice, tear and bit-flip snapshot files
+    and prove the store detects the damage and rolls back to the
+    reference model. *)
 
 type durability_outcome = {
-  kill_stages : (string * bool) list;
-      (** stage name -> the kill hook fired, the resumed run restored
-          that stage from its checkpoint, and the final model was
-          byte-identical to an uninterrupted reference run *)
   truncate_detected : bool;
       (** a torn (truncated) snapshot fails to load with a typed error *)
   bitflip_detected : bool;
@@ -78,8 +74,8 @@ val durability :
   seed:int ->
   unit ->
   (durability_outcome, Encore_util.Resilience.diagnostic) result
-(** Run the drill under [dir] (checkpoint directories and a snapshot
-    store are created beneath it; the caller owns cleanup) on a stormed
+(** Run the drill under [dir] (a snapshot store is created beneath
+    it; the caller owns cleanup) on a stormed
     population of [n] images (default 12, [fraction] damaged).
     Deterministic in [seed].  [Error] only when the reference run
     itself cannot learn. *)

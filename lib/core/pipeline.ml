@@ -91,15 +91,18 @@ let detections ?(config = Config.default) model img =
 
 type mode = Keep_going | Fail_fast
 
-let mode_to_string = function
-  | Keep_going -> "keep-going"
-  | Fail_fast -> "fail-fast"
+type stage = Ingest | Assemble | Model
 
-type run_status = Completed | Timed_out_at of Checkpoint.stage
+let stage_to_string = function
+  | Ingest -> "ingest"
+  | Assemble -> "assemble"
+  | Model -> "model"
+
+type run_status = Completed | Timed_out_at of stage
 
 let run_status_to_string = function
   | Completed -> "completed"
-  | Timed_out_at stage -> "timed-out:" ^ Checkpoint.stage_to_string stage
+  | Timed_out_at stage -> "timed-out:" ^ stage_to_string stage
 
 type ingest_report = {
   total : int;
@@ -116,8 +119,6 @@ type outcome = {
   model : Detector.model option;
   stats : Encore_rules.Suffstats.t option;
   report : ingest_report;
-  resumed : Checkpoint.stage list;
-  checkpointed : Checkpoint.stage list;
 }
 
 let default_mining_cap = 100_000
@@ -150,8 +151,8 @@ let emit_report_telemetry report =
       ]
 
 let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
-    ?max_retries ?flaky ?pool ?shards ?checkpoint ?resume
-    ?(deadline = Encore_util.Deadline.none) ?kill_after images =
+    ?max_retries ?flaky ?pool ?shards ?(deadline = Encore_util.Deadline.none)
+    images =
   with_configured_pool ~config pool
   @@ fun pool ->
   Otrace.with_span "learn"
@@ -159,33 +160,6 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
   @@ fun () ->
   let ( let* ) = Result.bind in
   let* templates = templates_result custom in
-  let fp =
-    Otrace.with_span "fingerprint" (fun () ->
-        Checkpoint.fingerprint ~config ~custom ~mode:(mode_to_string mode)
-          ~max_retries images)
-  in
-  let resumed = ref [] and checkpointed = ref [] in
-  (* Persist runs after a stage completes; the kill-at-checkpoint hook
-     fires right after the write, so a "crashed" run always left a
-     loadable checkpoint behind. *)
-  let persist stage save =
-    match checkpoint with
-    | None -> ()
-    | Some ck ->
-        save ck;
-        checkpointed := !checkpointed @ [ stage ];
-        if kill_after = Some stage then raise (Checkpoint.Simulated_crash stage)
-  in
-  let restore stage load =
-    match resume with
-    | None -> None
-    | Some ck -> (
-        match load ck with
-        | Some v ->
-            resumed := !resumed @ [ stage ];
-            Some v
-        | None -> None)
-  in
   let flaky =
     match flaky with
     | Some f -> f
@@ -315,30 +289,23 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
     in
     Ok survivors
   in
-  let current = ref Checkpoint.Ingest in
-  let ingest_state : Checkpoint.ingest_state option ref = ref None in
-  let folded = ref None in
+  let current = ref Ingest and survived = ref 0 and folded = ref None in
   (* One report builder for every way a run can end, so the histogram
-     and the metric counters always reconcile with the diagnostics. *)
+     and the metric counters always reconcile with the diagnostics.  A
+     run that times out during ingest reports no survivors and no
+     quarantine: keep-going records verdicts only after its last
+     deadline poll, and fail-fast stops at its first quarantine. *)
   let build_report ~status ~extra_warnings () =
-    let quarantined, base_warnings, ret, back, ok =
-      match !ingest_state with
-      | Some st ->
-          ( st.Checkpoint.quarantined, st.Checkpoint.warnings,
-            st.Checkpoint.retried, st.Checkpoint.total_backoff_ms,
-            List.length st.Checkpoint.survivor_ids )
-      | None -> ([], warnings (), !retried, !backoff, 0)
-    in
-    let warnings = base_warnings @ extra_warnings in
-    let all_diags = List.concat_map snd quarantined @ warnings in
+    let quarantined = Res.quarantined breaker in
+    let warnings = warnings () @ extra_warnings in
     {
       total = List.length images;
-      ok;
+      ok = !survived;
       quarantined;
-      retried = ret;
-      total_backoff_ms = back;
+      retried = !retried;
+      total_backoff_ms = !backoff;
       warnings;
-      histogram = Res.histogram all_diags;
+      histogram = Res.histogram (List.concat_map snd quarantined @ warnings);
       status;
     }
   in
@@ -354,46 +321,14 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
     report
   in
   let run () =
-    (* --- stage 1: ingest -------------------------------------------- *)
-    current := Checkpoint.Ingest;
     Encore_util.Deadline.raise_if_expired deadline;
-    let* st =
-      match
-        restore Checkpoint.Ingest (fun ck ->
-            Checkpoint.load_ingest ck ~fingerprint:fp)
-      with
-      | Some st -> Ok st
-      | None ->
-          let* survivors =
-            Otrace.with_span "ingest" (fun () ->
-                match mode with
-                | Fail_fast -> ingest_fail_fast [] images
-                | Keep_going -> ingest_keep_going ())
-          in
-          let st =
-            {
-              Checkpoint.survivor_ids =
-                List.map (fun img -> img.Image.image_id) survivors;
-              quarantined = Res.quarantined breaker;
-              warnings = warnings ();
-              retried = !retried;
-              total_backoff_ms = !backoff;
-            }
-          in
-          persist Checkpoint.Ingest (fun ck ->
-              Checkpoint.save_ingest ck ~fingerprint:fp st);
-          Ok st
+    let* survivors =
+      Otrace.with_span "ingest" (fun () ->
+          match mode with
+          | Fail_fast -> ingest_fail_fast [] images
+          | Keep_going -> ingest_keep_going ())
     in
-    ingest_state := Some st;
-    let survivors =
-      (* hashed membership: the [List.mem] filter it replaces was
-         quadratic in the fleet size *)
-      let ids = Hashtbl.create (List.length st.Checkpoint.survivor_ids) in
-      List.iter
-        (fun id -> Hashtbl.replace ids id ())
-        st.Checkpoint.survivor_ids;
-      List.filter (fun img -> Hashtbl.mem ids img.Image.image_id) images
-    in
+    survived := List.length survivors;
     match survivors with
     | [] ->
         ignore
@@ -405,60 +340,21 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
                 "all %d image(s) quarantined; nothing to learn from"
                 (List.length images)))
     | _ ->
-        (* Post-ingest stages key their checkpoints on the survivor set
-           the ingest stage actually produced, so a resume after a
-           flaky run cannot reuse artifacts from a different one. *)
-        let sfp =
-          Checkpoint.stage_fingerprint ~fingerprint:fp
-            ~survivor_ids:st.Checkpoint.survivor_ids
-            ~quarantined_ids:(List.map fst st.Checkpoint.quarantined)
-        in
-        (* --- stage 2: assemble — fold the survivors' statistics ----- *)
-        current := Checkpoint.Assemble;
+        (* assemble: fold the survivors' statistics *)
+        current := Assemble;
         Encore_util.Deadline.raise_if_expired deadline;
-        let stats =
-          match
-            restore Checkpoint.Assemble (fun ck ->
-                Checkpoint.load_assemble ck ~fingerprint:sfp)
-          with
-          | Some st -> st
-          | None ->
-              let st =
-                Encore_rules.Suffstats.of_images ?pool ?shards survivors
-              in
-              persist Checkpoint.Assemble (fun ck ->
-                  Checkpoint.save_assemble ck ~fingerprint:sfp st);
-              st
-        in
+        let stats = Encore_rules.Suffstats.of_images ?pool ?shards survivors in
         folded := Some stats;
-        (* --- stage 3: model — finalize the statistics --------------- *)
-        current := Checkpoint.Model;
+        (* model: finalize the statistics *)
+        current := Model;
         Encore_util.Deadline.raise_if_expired deadline;
         let model =
-          match
-            restore Checkpoint.Model (fun ck ->
-                Checkpoint.load_model ck ~fingerprint:sfp)
-          with
-          | Some m -> m
-          | None ->
-              let model =
-                model_of_learner (finalize_stats ~config ~templates ?pool stats)
-              in
-              persist Checkpoint.Model (fun ck ->
-                  Checkpoint.save_model ck ~fingerprint:sfp model);
-              model
+          model_of_learner (finalize_stats ~config ~templates ?pool stats)
         in
         let report =
           finalize (build_report ~status:Completed ~extra_warnings:[] ())
         in
-        Ok
-          {
-            model = Some model;
-            stats = Some stats;
-            report;
-            resumed = !resumed;
-            checkpointed = !checkpointed;
-          }
+        Ok { model = Some model; stats = Some stats; report }
   in
   let with_pool_deadline f =
     match pool with
@@ -468,32 +364,22 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
   match with_pool_deadline run with
   | result -> result
   | exception Encore_util.Deadline.Expired reason ->
-      (* graceful degradation: every completed stage already has its
-         checkpoint on disk; report how far the run got *)
+      (* graceful degradation: report how far the run got *)
       let stage = !current in
-      Oevents.emit_deadline
-        ~stage:(Checkpoint.stage_to_string stage)
-        ~reason:(Encore_util.Deadline.reason_to_string reason);
+      let stage_name = stage_to_string stage
+      and reason = Encore_util.Deadline.reason_to_string reason in
+      Oevents.emit_deadline ~stage:stage_name ~reason;
       let timeout_warning =
-        Res.diag Res.Timed_out
-          ~subject:(Checkpoint.stage_to_string stage)
-          (Printf.sprintf "deadline expired (%s) during the %s stage"
-             (Encore_util.Deadline.reason_to_string reason)
-             (Checkpoint.stage_to_string stage))
+        Res.diag Res.Timed_out ~subject:stage_name
+          (Printf.sprintf "deadline expired (%s) during the %s stage" reason
+             stage_name)
       in
       let report =
         finalize
           (build_report ~status:(Timed_out_at stage)
              ~extra_warnings:[ timeout_warning ] ())
       in
-      Ok
-        {
-          model = None;
-          stats = !folded;
-          report;
-          resumed = !resumed;
-          checkpointed = !checkpointed;
-        }
+      Ok { model = None; stats = !folded; report }
 
 let learn_resilient ?config ?custom ?mode ?max_retries ?flaky ?pool images =
   match learn_durable ?config ?custom ?mode ?max_retries ?flaky ?pool images with
@@ -540,10 +426,8 @@ let report_to_string r =
    | Completed -> ()
    | Timed_out_at stage ->
        Buffer.add_string buf
-         (Printf.sprintf
-            "degraded: deadline expired during the %s stage; completed \
-             stages were checkpointed\n"
-            (Checkpoint.stage_to_string stage)));
+         (Printf.sprintf "degraded: deadline expired during the %s stage\n"
+            (stage_to_string stage)));
   Buffer.contents buf
 
 (* --- degraded-mode checking ---------------------------------------------- *)

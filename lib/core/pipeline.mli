@@ -11,8 +11,8 @@
     {!learn_resilient}) is total: every fallible ingestion step reports
     through {!Encore_util.Resilience.diagnostic}, damaged images are
     quarantined instead of killing the run, the returned
-    {!ingest_report} accounts for every failure, and stages can be
-    checkpointed, resumed and bounded by a deadline.
+    {!ingest_report} accounts for every failure, and a deadline bounds
+    the run.
     {!stats_of_images}, {!learner_result} and {!learn_append} expose
     the fold and the finalize step separately, for incremental
     learning.  All of them produce byte-identical models on the same
@@ -98,12 +98,16 @@ type mode =
   | Keep_going  (** quarantine damaged images, train on the survivors *)
   | Fail_fast   (** surface the first fatal diagnostic as [Error] *)
 
+(** The stages of a {!learn_durable} run, in order: ingest (probe and
+    parse each image), assemble (fold the survivors into sufficient
+    statistics) and model (finalize them). *)
+type stage = Ingest | Assemble | Model
+
 type run_status =
   | Completed
-  | Timed_out_at of Checkpoint.stage
-      (** the deadline expired while this stage was running; stages
-          before it completed (and were checkpointed when a checkpoint
-          directory was given) *)
+  | Timed_out_at of stage
+      (** the deadline expired while this stage was running; the stages
+          before it completed *)
 
 val run_status_to_string : run_status -> string
 
@@ -137,10 +141,6 @@ type outcome = {
           [None] only when the run timed out before the assemble stage
           finished *)
   report : ingest_report;
-  resumed : Checkpoint.stage list;
-      (** stages restored from checkpoints instead of recomputed *)
-  checkpointed : Checkpoint.stage list;
-      (** stages persisted by this run *)
 }
 
 val learn_durable :
@@ -151,36 +151,25 @@ val learn_durable :
   ?flaky:Encore_sysenv.Flaky.t ->
   ?pool:Encore_util.Pool.t ->
   ?shards:int ->
-  ?checkpoint:Checkpoint.t ->
-  ?resume:Checkpoint.t ->
   ?deadline:Encore_util.Deadline.t ->
-  ?kill_after:Checkpoint.stage ->
   Encore_sysenv.Image.t list ->
   (outcome, Encore_util.Resilience.diagnostic) result
-(** {!learn_resilient} with durability.  The run proceeds in three
-    stages: ingest; assemble, which folds the survivors into sufficient
-    statistics (with [shards > 1], in that many contiguous chunks on
-    the pool, merged in order — the statistics are identical for every
-    shard count); and model, which finalizes them.  Further:
+(** {!learn_resilient} under a deadline, returning the folded
+    statistics beside the model.  The run proceeds in three {!stage}s:
+    ingest, which keeps the images that survive probing and parsing;
+    assemble, which folds those images into sufficient statistics (with
+    [shards > 1], in that many contiguous chunks on the pool, merged in
+    order — the statistics are identical for every shard count); and
+    model, which finalizes them.
 
-    - with [checkpoint], persists each completed stage's artifact
-      through the atomic snapshot writer;
-    - with [resume], restores any stage whose checkpoint verifies and
-      matches the run's fingerprint (population + parameters), skipping
-      its computation.  Stale or damaged checkpoints are recomputed, so
-      an interrupted-then-resumed run always produces a model
-      byte-identical to an uninterrupted one;
-    - with [deadline], polls the token at every stage boundary, before
-      every probe, and (via {!Encore_util.Pool.with_deadline}) at every
-      pooled work item.  Expiry is graceful: completed stages keep
-      their checkpoints and the result is [Ok] with [model = None] and
-      [report.status = Timed_out_at stage], plus a [Timed_out] warning
-      diagnostic and a [deadline] event.
-
-    [kill_after] is the chaos hook: it raises
-    [Checkpoint.Simulated_crash] immediately after the given stage's
-    checkpoint is written — the only exception this function lets
-    escape. *)
+    With [deadline], the token is polled at every stage boundary,
+    before every probe, and (via {!Encore_util.Pool.with_deadline}) at
+    every pooled work item.  Expiry is graceful: the result is [Ok] with
+    [model = None], [stats] kept when the fold finished, and
+    [report.status = Timed_out_at stage], plus a [Timed_out] warning
+    diagnostic and a [deadline] event.  Nothing of the run persists; a
+    rerun starts from the images again.  Persist the statistics
+    ({!Stats_io}) to keep learning state across runs.  Never raises. *)
 
 val exit_code : (outcome, Encore_util.Resilience.diagnostic) result -> int
 (** Process exit code for a durable run: [0] for a clean completed run,

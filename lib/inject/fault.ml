@@ -11,7 +11,7 @@ type env_fault = Chown_flip | Perm_flip | Symlink_inject
 
 type pipeline_fault = Truncated_file | Garbage_bytes | Probe_flap
 
-type durability_fault = Kill_at_checkpoint | Truncate_snapshot | Bitflip_snapshot
+type durability_fault = Truncate_snapshot | Bitflip_snapshot
 
 type fault =
   | Config_fault of config_fault
@@ -33,7 +33,6 @@ let fault_to_string = function
   | Pipeline_fault Truncated_file -> "truncated-file"
   | Pipeline_fault Garbage_bytes -> "garbage-bytes"
   | Pipeline_fault Probe_flap -> "probe-flap"
-  | Durability_fault Kill_at_checkpoint -> "kill-at-checkpoint"
   | Durability_fault Truncate_snapshot -> "truncate-snapshot"
   | Durability_fault Bitflip_snapshot -> "bitflip-snapshot"
 
@@ -44,8 +43,7 @@ let all_config_faults =
 let all_env_faults = [ Chown_flip; Perm_flip; Symlink_inject ]
 let all_pipeline_faults = [ Truncated_file; Garbage_bytes; Probe_flap ]
 
-let all_durability_faults =
-  [ Kill_at_checkpoint; Truncate_snapshot; Bitflip_snapshot ]
+let all_durability_faults = [ Truncate_snapshot; Bitflip_snapshot ]
 
 type injection = {
   fault : fault;

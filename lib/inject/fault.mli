@@ -28,7 +28,6 @@ type pipeline_fault =
   | Probe_flap       (** make every environment probe against the image fail *)
 
 type durability_fault =
-  | Kill_at_checkpoint  (** crash the run right after a stage checkpoint *)
   | Truncate_snapshot   (** chop a snapshot file as a torn write would *)
   | Bitflip_snapshot    (** flip one bit of a snapshot at rest *)
 
@@ -42,10 +41,9 @@ type fault =
           only an unreadable one, so the resilient pipeline must
           quarantine (not mis-learn from) their victims. *)
   | Durability_fault of durability_fault
-      (** *Durability faults* attack the persistence layer: the process
-          lifetime and the model artifacts on disk.  A durable store
-          must detect the damage (typed load errors, rollback) and a
-          killed run must resume to a byte-identical model. *)
+      (** *Durability faults* attack the model artifacts on disk.  A
+          durable store must detect the damage (typed load errors) and
+          roll back to the newest intact snapshot. *)
 
 val fault_to_string : fault -> string
 val all_config_faults : config_fault list

@@ -49,16 +49,6 @@ let emit_diag ~kind ~subject ~detail =
         ("detail", Jsonenc.Str detail);
       ]
 
-let emit_checkpoint ~stage ~path ~bytes ~action =
-  emit "checkpoint"
-    ~fields:
-      [
-        ("stage", Jsonenc.Str stage);
-        ("path", Jsonenc.Str path);
-        ("bytes", Jsonenc.Int bytes);
-        ("action", Jsonenc.Str action);
-      ]
-
 let emit_rollback ~from_path ~to_path ~error =
   emit "snapshot_rollback"
     ~fields:

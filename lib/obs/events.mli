@@ -29,11 +29,6 @@ val stream_spans : unit -> unit
 val emit_diag : kind:string -> subject:string -> detail:string -> unit
 (** One [diag] event; [kind] is a resilience error-kind string. *)
 
-val emit_checkpoint :
-  stage:string -> path:string -> bytes:int -> action:string -> unit
-(** One [checkpoint] event; [action] is ["saved"], ["resumed"] or
-    ["stale"]. *)
-
 val emit_rollback : from_path:string -> to_path:string -> error:string -> unit
 (** One [snapshot_rollback] event: the store abandoned [from_path]
     (which failed verification with [error]) for [to_path]. *)

@@ -4,8 +4,8 @@
     {!Pool} task loops: long-running work polls it between units of
     work and aborts cooperatively when the budget is exhausted or the
     caller cancels.  Nothing is preempted — a run always stops at a
-    clean boundary, which is what lets the pipeline write a valid
-    checkpoint and report [Timed_out] instead of dying mid-write.
+    clean boundary, which is what lets the pipeline report the stage it
+    reached and [Timed_out] instead of dying mid-stage.
 
     Time flows through {!Encore_obs.Clock.now_ns} (monotonic,
     test-pluggable).  For fully deterministic tests and chaos drills,

@@ -1,8 +1,7 @@
 (* Durability tests: the atomic snapshot layer and its typed errors,
    the versioned model store with rollback, deadline tokens and their
-   propagation through the pool, stage checkpoints, and the end-to-end
-   guarantee that a killed or timed-out learn run resumes onto a
-   byte-identical model. *)
+   propagation through the pool, a learn run that times out gracefully,
+   and the model-store drill. *)
 
 module Snapshot = Encore_util.Snapshot
 module Deadline = Encore_util.Deadline
@@ -10,19 +9,9 @@ module Pool = Encore_util.Pool
 module Res = Encore_util.Resilience
 module Prng = Encore_util.Prng
 module Image = Encore_sysenv.Image
-module Assemble = Encore_dataset.Assemble
-module Table = Encore_dataset.Table
-module Row = Encore_dataset.Row
-module Csvio = Encore_util.Csvio
-module Tinfer = Encore_typing.Infer
-module Ctype = Encore_typing.Ctype
-module Suffstats = Encore_rules.Suffstats
-module Detector = Encore_detect.Detector
 module Model_io = Encore_detect.Model_io
 module Chaos = Encore_inject.Chaos
-module Checkpoint = Encore.Checkpoint
 module Pipeline = Encore.Pipeline
-module Config = Encore.Config
 module Chaosrun = Encore.Chaosrun
 module Population = Encore_workloads.Population
 module Profile = Encore_workloads.Profile
@@ -321,228 +310,42 @@ let test_pool_deadline_aborts_map () =
             (Pool.map pool (fun x -> x * 2) [ 1; 2 ])))
     [ 1; 4 ]
 
-(* --- stage checkpoints ------------------------------------------------------- *)
-
-let sample_ingest_state () =
-  {
-    Checkpoint.survivor_ids = [ "img-a"; "img-b" ];
-    quarantined =
-      [
-        ( "img-c",
-          [
-            Res.diag Res.Probe_failure ~subject:"img-c" "flap; gave up";
-            Res.diag Res.Parse_error ~subject:"img-c/my.cnf" "line 3: junk";
-          ] );
-        ("img-d", []);
-      ];
-    warnings = [ Res.diag Res.Overflow ~subject:"meta" "record dropped" ];
-    retried = 4;
-    total_backoff_ms = 130;
-  }
-
-let test_checkpoint_ingest_roundtrip () =
-  with_dir @@ fun dir ->
-  let ck = Checkpoint.create ~dir in
-  let st = sample_ingest_state () in
-  Checkpoint.save_ingest ck ~fingerprint:"fp-1" st;
-  (match Checkpoint.load_ingest ck ~fingerprint:"fp-1" with
-   | Some restored ->
-       check Alcotest.bool "ingest state round-trips" true (restored = st)
-   | None -> Alcotest.fail "checkpoint did not load");
-  check Alcotest.bool "fingerprint mismatch treated as absent" true
-    (Checkpoint.load_ingest ck ~fingerprint:"fp-2" = None)
-
-let model_bytes_of_stats stats =
-  Model_io.to_string
-    (Detector.model_of_finalized (Suffstats.current (Suffstats.learner_of stats)))
-
-let test_checkpoint_assemble_roundtrip () =
-  with_dir @@ fun dir ->
-  let ck = Checkpoint.create ~dir in
-  let stats = Suffstats.of_images (training 6) in
-  Checkpoint.save_assemble ck ~fingerprint:"fp" stats;
-  (match Checkpoint.load_assemble ck ~fingerprint:"fp" with
-   | Some restored ->
-       check Alcotest.string "statistics round-trip verbatim"
-         (Suffstats.to_payload stats)
-         (Suffstats.to_payload restored);
-       check Alcotest.string "restored statistics finalize to the same model"
-         (model_bytes_of_stats stats)
-         (model_bytes_of_stats restored)
-   | None -> Alcotest.fail "assemble checkpoint did not load");
-  check Alcotest.bool "fingerprint mismatch treated as absent" true
-    (Checkpoint.load_assemble ck ~fingerprint:"fp-2" = None)
-
-(* The assemble checkpoint's payload before it stored the statistics:
-   the type environment, then the assembled table pair by pair. *)
-let legacy_assemble_payload images =
-  let a = Assemble.assemble_training images in
-  let buf = Buffer.create 4096 in
-  let line fields =
-    Buffer.add_string buf (Csvio.row_to_string fields);
-    Buffer.add_char buf '\n'
-  in
-  Buffer.add_string buf "@types\n";
-  List.iter
-    (fun (attr, (d : Tinfer.decision)) ->
-      line
-        [ attr; Ctype.to_string d.Tinfer.ctype;
-          Printf.sprintf "%h" d.Tinfer.agreement;
-          string_of_int d.Tinfer.samples ])
-    a.Assemble.types;
-  Buffer.add_string buf "@table\n";
-  List.iter
-    (fun (id, row) ->
-      line [ "r"; id ];
-      List.iter (fun (attr, v) -> line [ "c"; attr; v ]) (Row.to_list row))
-    (Table.rows a.Assemble.table);
-  Buffer.contents buf
-
-let test_checkpoint_legacy_assemble_is_stale () =
-  with_dir @@ fun dir ->
-  let images = training 6 in
-  let ck = Checkpoint.create ~dir in
-  let reference =
-    match Pipeline.learn_durable ~checkpoint:ck images with
-    | Ok { Pipeline.model = Some m; _ } -> Model_io.to_string m
-    | _ -> Alcotest.fail "reference run failed"
-  in
-  (* keep the run's own stage fingerprint, swap in the legacy payload,
-     and drop the model checkpoint so the model must be recomputed *)
-  let path = Checkpoint.stage_path ck Checkpoint.Assemble in
-  let kind = "ckpt-assemble" in
-  let fingerprint =
-    match Snapshot.read ~kind path with
-    | Ok payload -> (
-        match String.index_opt payload '\n' with
-        | Some nl -> String.sub payload 0 nl
-        | None -> Alcotest.fail "assemble checkpoint has no fingerprint")
-    | Error e -> Alcotest.fail (Snapshot.error_to_string e)
-  in
-  Snapshot.write_atomic ~kind path
-    (fingerprint ^ "\n" ^ legacy_assemble_payload images);
-  Sys.remove (Checkpoint.stage_path ck Checkpoint.Model);
-  check Alcotest.bool "legacy payload loads as stale" true
-    (Checkpoint.load_assemble ck ~fingerprint = None);
-  match Pipeline.learn_durable ~resume:ck images with
-  | Ok { Pipeline.model = Some m; resumed; _ } ->
-      check (Alcotest.list Alcotest.string) "only ingest resumed" [ "ingest" ]
-        (List.map Checkpoint.stage_to_string resumed);
-      check Alcotest.string "recomputed model = reference" reference
-        (Model_io.to_string m)
-  | _ -> Alcotest.fail "resume over a legacy assemble checkpoint failed"
-
-let test_checkpoint_damaged_is_absent () =
-  with_dir @@ fun dir ->
-  let ck = Checkpoint.create ~dir in
-  let model = Lazy.force small_model in
-  Checkpoint.save_model ck ~fingerprint:"fp" model;
-  Chaos.bitflip_file ~rng:(Prng.create 3)
-    (Checkpoint.stage_path ck Checkpoint.Model);
-  check Alcotest.bool "damaged checkpoint treated as absent" true
-    (Checkpoint.load_model ck ~fingerprint:"fp" = None)
-
-let test_fingerprint_sensitivity () =
-  let images = training 4 in
-  let fp ~config ~mode images =
-    Checkpoint.fingerprint ~config ~custom:None ~mode ~max_retries:None images
-  in
-  let base = fp ~config:Config.default ~mode:"keep-going" images in
-  check Alcotest.string "deterministic" base
-    (fp ~config:Config.default ~mode:"keep-going" images);
-  check Alcotest.bool "mode changes it" true
-    (base <> fp ~config:Config.default ~mode:"fail-fast" images);
-  check Alcotest.bool "config changes it" true
-    (base
-    <> fp
-         ~config:{ Config.default with Config.min_confidence = 0.123 }
-         ~mode:"keep-going" images);
-  check Alcotest.bool "population changes it" true
-    (base <> fp ~config:Config.default ~mode:"keep-going" (training ~seed:8 4))
-
-(* --- timed-out and resumed runs ---------------------------------------------- *)
+(* --- timed-out runs ------------------------------------------------------------ *)
 
 (* Sequential poll schedule (jobs=1): one guard per stage plus one poll
    per probed image, so [after_polls (1 + n)] survives the ingest stage
-   and expires at the assemble guard. *)
-let test_deadline_degrades_then_resume_completes () =
-  with_dir @@ fun dir ->
+   and expires at the assemble guard.  Nothing of the timed-out run
+   persists, and a rerun without a deadline learns the reference model. *)
+let test_deadline_degrades_then_rerun_completes () =
   let images = training 6 in
-  let reference =
+  let model_text () =
     match Pipeline.learn_durable images with
     | Ok { Pipeline.model = Some m; _ } -> Model_io.to_string m
-    | Ok { Pipeline.model = None; _ } -> Alcotest.fail "reference timed out"
-    | Error d ->
-        Alcotest.failf "reference failed: %s" (Res.diagnostic_to_string d)
+    | Ok { Pipeline.model = None; _ } -> Alcotest.fail "run without a deadline timed out"
+    | Error d -> Alcotest.failf "run failed: %s" (Res.diagnostic_to_string d)
   in
-  let ck = Checkpoint.create ~dir in
+  let reference = model_text () in
   let deadline = Deadline.after_polls (1 + List.length images) in
-  (match Pipeline.learn_durable ~checkpoint:ck ~deadline images with
+  (match Pipeline.learn_durable ~deadline images with
    | Ok o ->
        check Alcotest.bool "no model" true (o.Pipeline.model = None);
        check Alcotest.bool "timed out at assemble" true
          (o.Pipeline.report.Pipeline.status
-         = Pipeline.Timed_out_at Checkpoint.Assemble);
-       check Alcotest.bool "ingest checkpointed before expiry" true
-         (List.mem Checkpoint.Ingest o.Pipeline.checkpointed);
-       check Alcotest.bool "ingest checkpoint on disk" true
-         (Sys.file_exists (Checkpoint.stage_path ck Checkpoint.Ingest));
+         = Pipeline.Timed_out_at Pipeline.Assemble);
        check Alcotest.int "timed-out exit code" 3 (Pipeline.exit_code (Ok o));
        check Alcotest.bool "timed-out diagnostic in histogram" true
          (List.assoc Res.Timed_out o.Pipeline.report.Pipeline.histogram = 1)
    | Error d ->
        Alcotest.failf "timed-out run must degrade, not fail: %s"
          (Res.diagnostic_to_string d));
-  (* resume with no deadline: ingest restored, model byte-identical *)
-  match Pipeline.learn_durable ~resume:ck images with
-  | Ok { Pipeline.model = Some m; resumed; _ } ->
-      check Alcotest.bool "ingest stage resumed" true
-        (List.mem Checkpoint.Ingest resumed);
-      check Alcotest.string "resumed model = uninterrupted model" reference
-        (Model_io.to_string m)
-  | Ok { Pipeline.model = None; _ } -> Alcotest.fail "resume timed out"
-  | Error d ->
-      Alcotest.failf "resume failed: %s" (Res.diagnostic_to_string d)
-
-let test_kill_and_resume_each_stage () =
-  with_dir @@ fun dir ->
-  let images = training 6 in
-  let reference =
-    match Pipeline.learn_durable images with
-    | Ok { Pipeline.model = Some m; _ } -> Model_io.to_string m
-    | _ -> Alcotest.fail "reference run failed"
-  in
-  List.iter
-    (fun stage ->
-      let name = Checkpoint.stage_to_string stage in
-      let ck =
-        Checkpoint.create ~dir:(Filename.concat dir ("kill-" ^ name))
-      in
-      (match
-         Pipeline.learn_durable ~checkpoint:ck ~kill_after:stage images
-       with
-       | exception Checkpoint.Simulated_crash s ->
-           check Alcotest.bool ("crashed at " ^ name) true (s = stage)
-       | _ -> Alcotest.failf "kill hook did not fire at %s" name);
-      match Pipeline.learn_durable ~resume:ck images with
-      | Ok { Pipeline.model = Some m; resumed; _ } ->
-          check Alcotest.bool (name ^ " restored, not recomputed") true
-            (List.mem stage resumed);
-          check Alcotest.string
-            (name ^ ": resumed model byte-identical")
-            reference (Model_io.to_string m)
-      | _ -> Alcotest.failf "resume after kill at %s failed" name)
-    Checkpoint.all_stages
+  check Alcotest.string "rerun model = uninterrupted model" reference
+    (model_text ())
 
 let test_durability_drill_converges () =
   with_dir @@ fun dir ->
   match Chaosrun.durability ~n:10 ~dir ~seed:42 () with
   | Error d -> Alcotest.failf "drill failed: %s" (Res.diagnostic_to_string d)
   | Ok o ->
-      List.iter
-        (fun (stage, ok) ->
-          check Alcotest.bool ("kill+resume converged at " ^ stage) true ok)
-        o.Chaosrun.kill_stages;
       check Alcotest.bool "torn snapshot detected" true
         o.Chaosrun.truncate_detected;
       check Alcotest.bool "bit-flip detected" true o.Chaosrun.bitflip_detected;
@@ -583,19 +386,10 @@ let () =
           Alcotest.test_case "budgets" `Quick test_deadline_budgets;
           Alcotest.test_case "pool map aborts" `Quick test_pool_deadline_aborts_map;
         ] );
-      ( "checkpoint",
-        [
-          Alcotest.test_case "ingest roundtrip" `Quick test_checkpoint_ingest_roundtrip;
-          Alcotest.test_case "assemble roundtrip" `Quick test_checkpoint_assemble_roundtrip;
-          Alcotest.test_case "legacy assemble is stale" `Quick
-            test_checkpoint_legacy_assemble_is_stale;
-          Alcotest.test_case "damaged is absent" `Quick test_checkpoint_damaged_is_absent;
-          Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
-        ] );
       ( "resume",
         [
-          Alcotest.test_case "deadline degrades, resume completes" `Quick test_deadline_degrades_then_resume_completes;
-          Alcotest.test_case "kill and resume each stage" `Quick test_kill_and_resume_each_stage;
+          Alcotest.test_case "deadline degrades, rerun completes" `Quick
+            test_deadline_degrades_then_rerun_completes;
           Alcotest.test_case "durability drill" `Slow test_durability_drill_converges;
         ] );
     ]

@@ -636,7 +636,7 @@ let test_learn_durable_coverage () =
   let roots = traced_roots (fun () -> Encore.Pipeline.learn_durable (learn_images ())) in
   let s = Summary.of_spans roots in
   check Alcotest.(list string) "learn stages"
-    [ "fingerprint"; "ingest"; "report"; "suffstats-finalize"; "suffstats-fold" ]
+    [ "ingest"; "report"; "suffstats-finalize"; "suffstats-fold" ]
     (stage_names s);
   check Alcotest.bool
     (Printf.sprintf "learn coverage %.1f%% >= 95%%" s.Summary.coverage_pct)

@@ -245,6 +245,30 @@ let test_stormed_stats_hold_survivors () =
       Alcotest.failf "stormed run failed: %s"
         (Encore_util.Resilience.diagnostic_to_string d)
 
+(* A damaged copy of a clean image, under the same id: ingest
+   quarantines the copy and trains on the images it kept, never on
+   every image that carries a surviving id. *)
+let test_quarantined_twin_not_trained () =
+  let clean = List.filteri (fun i _ -> i < 8) (training Image.Mysql 20) in
+  let twin = Image.with_flakiness (List.nth clean 3) 1.0 in
+  match Pipeline.learn_durable (clean @ [ twin ]) with
+  | Ok { Pipeline.model = Some model; stats = Some stats; report; _ } ->
+      check Alcotest.int "clean images survive" 8 report.Pipeline.ok;
+      check (Alcotest.list Alcotest.string) "the twin is quarantined"
+        [ twin.Image.image_id ]
+        (List.map fst report.Pipeline.quarantined);
+      check Alcotest.int "training_count = report.ok" report.Pipeline.ok
+        model.Detector.training_count;
+      check Alcotest.int "statistics hold the survivors" report.Pipeline.ok
+        (Suffstats.n_images stats);
+      check Alcotest.string "model = the clean population's model"
+        (Model_io.to_string (Pipeline.learn clean))
+        (Model_io.to_string model)
+  | Ok _ -> Alcotest.fail "durable run returned no model or statistics"
+  | Error d ->
+      Alcotest.failf "run failed: %s"
+        (Encore_util.Resilience.diagnostic_to_string d)
+
 (* --- exit codes ---------------------------------------------------------- *)
 
 (* The CLI's contract (README): 0 = success, 1 = failure, 3 = degraded
@@ -427,6 +451,8 @@ let () =
         [
           Alcotest.test_case "stormed stats hold the survivors" `Quick
             test_stormed_stats_hold_survivors;
+          Alcotest.test_case "quarantined twin is not trained on" `Quick
+            test_quarantined_twin_not_trained;
         ] );
       ( "exit codes",
         [
