@@ -15,11 +15,12 @@ let of_string ~path text =
   | Ok payload -> (
       match Suffstats.of_payload payload with
       | Ok stats -> Ok stats
-      | Error detail ->
+      | Error (offset, detail) ->
+          (* the payload starts after the schema line *)
           Error
             (Snapshot.Malformed
                { path;
-                 offset = String.length Suffstats.payload_schema + 1;
+                 offset = String.length Suffstats.payload_schema + 1 + offset;
                  detail }))
 
 let save path stats =

@@ -18,7 +18,9 @@ val snapshot_kind : string
 val to_string : Encore_rules.Suffstats.t -> string
 val of_string :
   path:string -> string -> (Encore_rules.Suffstats.t, load_error) result
-(** [path] only labels errors. *)
+(** [path] only labels errors.  A payload that does not parse is
+    [Malformed] at the byte offset, within the text, of the line it
+    rejects. *)
 
 val save : string -> Encore_rules.Suffstats.t -> unit
 (** Atomic write of the enveloped statistics. *)

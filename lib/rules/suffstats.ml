@@ -541,9 +541,12 @@ let to_payload t =
     (List.rev t.glob_order_rev);
   Buffer.contents buf
 
-type cursor = { text : string; mutable pos : int }
+(* [start] is where the line [next_line] last returned begins (the end
+   of the text once it returns [None]): the offset a rejection names. *)
+type cursor = { text : string; mutable pos : int; mutable start : int }
 
 let next_line cur =
+  cur.start <- cur.pos;
   if cur.pos >= String.length cur.text then None
   else
     let j =
@@ -557,8 +560,9 @@ let next_line cur =
 
 let of_payload text =
   let ( let* ) = Result.bind in
-  let cur = { text; pos = 0 } in
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let cur = { text; pos = 0; start = 0 } in
+  let fail_at offset fmt = Printf.ksprintf (fun m -> Error (offset, m)) fmt in
+  let fail fmt = fail_at cur.start fmt in
   let* n =
     match next_line cur with
     | Some line -> (
@@ -576,6 +580,7 @@ let of_payload text =
       match next_line cur with
       | Some line when Encore_util.Strutil.starts_with ~prefix:"@image " line
         -> (
+          let frame = cur.start in
           let len_s = String.sub line 7 (String.length line - 7) in
           match int_of_string_opt len_s with
           | Some len
@@ -586,7 +591,7 @@ let of_payload text =
               (match next_line cur with _ -> ());
               match Collector.image_of_text dump with
               | Ok img -> read_images (k - 1) (img :: acc)
-              | Error e -> fail "image %d: %s" (n - k + 1) e)
+              | Error e -> fail_at frame "image %d: %s" (n - k + 1) e)
           | _ -> fail "bad image frame %S" line)
       | Some line -> fail "expected @image, got %S" line
       | None -> fail "truncated image list"

@@ -117,5 +117,7 @@ val payload_schema : string
 
 val to_payload : t -> string
 
-val of_payload : string -> (t, string) result
-(** Total inverse of {!to_payload}. *)
+val of_payload : string -> (t, int * string) result
+(** Total inverse of {!to_payload}.  [Error (offset, detail)] names the
+    byte offset, within the payload, of the line it rejects (the end of
+    the payload when a section is missing). *)

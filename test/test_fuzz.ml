@@ -1,5 +1,6 @@
-(* Fuzz suite for the text decoders a checked image passes through: the
-   collector-dump decoder and the INI and Apache lenses.
+(* Fuzz suite for the text decoders a checked image passes through (the
+   collector-dump decoder and the INI and Apache lenses) and for the
+   statistics payload decoder that learning state is reloaded through.
 
    Inputs start from corpora the repo already makes — collector dumps
    of [Population] images and ConfErr mutants, and their configuration
@@ -7,13 +8,18 @@
    spliced header and record lines, and 1 MB lines.  Every decoder must
    never raise ([Stack_overflow] included) and must return exactly what
    its pre-rewrite reference in [test/oracle] returns.  Deep Apache
-   nesting must stay cheap. *)
+   nesting must stay cheap.  Mutants of a real statistics payload
+   (truncated, bit-flipped, lines dropped, duplicated or swapped, counts
+   negated) must decode or be rejected without raising, and whatever
+   decodes must finalize without raising. *)
 
 module Collector = Encore_sysenv.Collector
 module Image = Encore_sysenv.Image
 module Ini = Encore_confparse.Ini
 module Apache = Encore_confparse.Apache_lens
 module Population = Encore_workloads.Population
+module Profile = Encore_workloads.Profile
+module Suffstats = Encore_rules.Suffstats
 module Synthfleet = Encore_workloads.Synthfleet
 module Conferr = Encore_inject.Conferr
 module Prng = Encore_util.Prng
@@ -226,6 +232,105 @@ let prop_apache_tokens =
   QCheck.Test.make ~name:"apache token soup = reference" ~count:1500
     (token_text apache_tokens) apache_agrees
 
+(* --- statistics payloads ------------------------------------------------------ *)
+
+(* the folded statistics of 30 clean mysql images *)
+let stats_payload =
+  lazy
+    (let profile = { Profile.ec2 with Profile.latent_error_rate = 0.0 } in
+     Suffstats.to_payload
+       (Suffstats.of_images
+          (Population.images
+             (Population.generate ~profile ~seed:5 Image.Mysql ~n:30))))
+
+type stats_mutation =
+  | Bytes of mutation  (** a truncation or a bit flip *)
+  | Drop of int  (** a line *)
+  | Dup of int
+  | Swap of int * int
+  | Negate of int  (** the first count on a line *)
+
+let show_stats_mutation = function
+  | Bytes m -> show_mutation m
+  | Drop k -> Printf.sprintf "drop line %d" k
+  | Dup k -> Printf.sprintf "duplicate line %d" k
+  | Swap (i, j) -> Printf.sprintf "swap lines %d and %d" i j
+  | Negate k -> Printf.sprintf "negate line %d" k
+
+let on_lines text f =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let n = Array.length lines in
+  String.concat "\n" (f lines n)
+
+(* a minus sign before the first digit run that opens a field *)
+let negate line =
+  let rec go i =
+    if i >= String.length line then line
+    else if
+      i > 0
+      && (line.[i - 1] = ',' || line.[i - 1] = ' ')
+      && line.[i] >= '0' && line.[i] <= '9'
+    then insert_at line i "-"
+    else go (i + 1)
+  in
+  go 0
+
+let apply_stats text = function
+  | Bytes m -> apply text m
+  | Drop k ->
+      on_lines text (fun lines n ->
+          List.filteri (fun i _ -> i <> k mod n) (Array.to_list lines))
+  | Dup k ->
+      on_lines text (fun lines n ->
+          List.concat_map
+            (fun (i, l) -> if i = k mod n then [ l; l ] else [ l ])
+            (List.mapi (fun i l -> (i, l)) (Array.to_list lines)))
+  | Swap (i, j) ->
+      on_lines text (fun lines n ->
+          let i = i mod n and j = j mod n in
+          let li = lines.(i) in
+          lines.(i) <- lines.(j);
+          lines.(j) <- li;
+          Array.to_list lines)
+  | Negate k ->
+      on_lines text (fun lines n ->
+          lines.(k mod n) <- negate lines.(k mod n);
+          Array.to_list lines)
+
+let stats_mutation_gen =
+  let open QCheck.Gen in
+  let pos = int_bound 1_000_000 in
+  frequency
+    [ (1, map (fun k -> Bytes (Truncate k)) pos);
+      (2, map2 (fun k b -> Bytes (Flip (k, b))) pos (int_bound 7));
+      (2, map (fun k -> Drop k) pos);
+      (2, map (fun k -> Dup k) pos);
+      (2, map2 (fun i j -> Swap (i, j)) pos pos);
+      (3, map (fun k -> Negate k) pos) ]
+
+let stats_mutants =
+  QCheck.make
+    ~print:(fun ms -> String.concat "; " (List.map show_stats_mutation ms))
+    QCheck.Gen.(list_size (int_range 1 3) stats_mutation_gen)
+
+let prop_stats_mutants =
+  QCheck.Test.make ~name:"suffstats mutants never raise" ~count:600
+    stats_mutants (fun ms ->
+      let text = List.fold_left apply_stats (Lazy.force stats_payload) ms in
+      match total "Suffstats.of_payload" Suffstats.of_payload text with
+      | Error _ -> true
+      | Ok stats ->
+          ignore (total "Suffstats.learner_of" Suffstats.learner_of stats);
+          true)
+
+let test_stats_roundtrip () =
+  let text = Lazy.force stats_payload in
+  match Suffstats.of_payload text with
+  | Ok stats ->
+      check Alcotest.string "re-serialized byte-identically" text
+        (Suffstats.to_payload stats)
+  | Error (offset, e) -> Alcotest.failf "byte %d: %s" offset e
+
 (* --- 1 MB lines --------------------------------------------------------------- *)
 
 let mb = 1_000_000
@@ -294,6 +399,10 @@ let () =
         [ qtest prop_dump_mutants; qtest prop_dump_tokens ] );
       ("ini", [ qtest prop_ini_mutants; qtest prop_ini_tokens ]);
       ("apache", [ qtest prop_apache_mutants; qtest prop_apache_tokens ]);
+      ( "stats",
+        [ Alcotest.test_case "suffstats payload round-trips" `Quick
+            test_stats_roundtrip;
+          qtest prop_stats_mutants ] );
       ( "bounds",
         [
           Alcotest.test_case "1 MB lines" `Quick test_long_lines;

@@ -196,7 +196,7 @@ let rec rm_rf path =
 let test_payload_roundtrip () =
   let t = Suffstats.of_images (List.filteri (fun i _ -> i < 25) fleet) in
   match Suffstats.of_payload (Suffstats.to_payload t) with
-  | Error e -> Alcotest.failf "of_payload: %s" e
+  | Error (offset, e) -> Alcotest.failf "of_payload: byte %d: %s" offset e
   | Ok t' ->
       check Alcotest.string "payload round-trips" (payload t) (payload t');
       check Alcotest.int "image count survives" (Suffstats.n_images t)
@@ -231,6 +231,81 @@ let test_envelope_rejects_foreign_schema () =
       | Error e -> Alcotest.failf "unexpected error: %s" (Stats_io.load_error_to_string e)
       | Ok _ -> Alcotest.fail "future schema must not load")
 
+(* A rejected line is reported where it starts, counted from the start
+   of the framed text: the schema line, then the payload. *)
+let test_malformed_line_offset () =
+  let body =
+    Suffstats.to_payload
+      (Suffstats.of_images (List.filteri (fun i _ -> i < 10) fleet))
+  in
+  let framed = Encore_util.Snapshot.frame ~schema:Suffstats.payload_schema in
+  let payload_at = String.length Suffstats.payload_schema + 1 in
+  (* the line that starts at [at] replaced by [line] *)
+  let replace_line at line =
+    let eol = String.index_from body at '\n' in
+    String.sub body 0 at ^ line ^ String.sub body eol (String.length body - eol)
+  in
+  let rec nth_line_after at k =
+    if k = 0 then at
+    else nth_line_after (String.index_from body at '\n' + 1) (k - 1)
+  in
+  let stats_at =
+    match Encore_util.Strutil.split_once body "\n@stats\n" with
+    | Some (before, _) -> String.length before + String.length "\n@stats\n"
+    | None -> Alcotest.fail "payload has no @stats section"
+  in
+  (* the second image's frame: past the first frame line and its dump *)
+  let second_frame =
+    let first = nth_line_after 0 1 in
+    let eol = String.index_from body first '\n' in
+    let len = int_of_string (String.sub body (first + 7) (eol - first - 7)) in
+    eol + 1 + len + 1
+  in
+  (* the first dump's header line, blanked at the same length: the dump
+     is rejected at its frame line *)
+  let first_dump = nth_line_after 0 2 in
+  let blank_header =
+    String.make (String.index_from body first_dump '\n' - first_dump) 'X'
+  in
+  List.iter
+    (fun (name, at, line, rejected_at, needle) ->
+      match Stats_io.of_string ~path:"p" (framed (replace_line at line)) with
+      | Error (Encore_util.Snapshot.Malformed { offset; detail; _ }) ->
+          check Alcotest.int (name ^ ": offset of the rejected line")
+            (payload_at + rejected_at) offset;
+          check Alcotest.bool (name ^ ": detail names it, " ^ detail) true
+            (Encore_util.Strutil.contains_sub detail needle)
+      | Error e ->
+          Alcotest.failf "%s: expected Malformed, got %s" name
+            (Stats_io.load_error_to_string e)
+      | Ok _ -> Alcotest.failf "%s: the damaged payload loaded" name)
+    [ (let at = nth_line_after stats_at 7 in
+       ("stats line", at, "bogus,line", at, "bogus,line"));
+      ("image frame", second_frame, "@image x", second_frame, "@image x");
+      ("image dump", first_dump, blank_header, nth_line_after 0 1, "image 1");
+      ("image count", 0, "images -1", 0, "-1") ]
+
+(* Two snapshots, the newer one damaged at rest: the store rolls back to
+   the older one, which finalizes to the model of the statistics saved. *)
+let test_store_rolls_back damage () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let store = Stats_io.Store.create ~dir () in
+      let older = Suffstats.of_images (List.filteri (fun i _ -> i < 15) fleet)
+      and newer = Suffstats.of_images (List.filteri (fun i _ -> i < 25) fleet) in
+      let first = Stats_io.Store.save store older in
+      let head = Stats_io.Store.save store newer in
+      damage ~rng:(Encore_util.Prng.create 19) head;
+      match Stats_io.Store.load_latest store with
+      | Error e -> Alcotest.fail (Stats_io.load_error_to_string e)
+      | Ok (restored, path) ->
+          check Alcotest.string "the first snapshot is returned" first path;
+          check Alcotest.string "it finalizes to the saved statistics' model"
+            (model_string (Suffstats.learner_of older))
+            (model_string (Suffstats.learner_of restored)))
+
 let qcheck cases = List.map (QCheck_alcotest.to_alcotest ~long:false) cases
 
 let () =
@@ -264,5 +339,11 @@ let () =
           Alcotest.test_case "store round-trip" `Quick test_store_roundtrip;
           Alcotest.test_case "foreign schema rejected" `Quick
             test_envelope_rejects_foreign_schema;
+          Alcotest.test_case "malformed line offset" `Quick
+            test_malformed_line_offset;
+          Alcotest.test_case "store rolls back past a torn head" `Quick
+            (test_store_rolls_back Encore_inject.Chaos.truncate_file);
+          Alcotest.test_case "store rolls back past a flipped head" `Quick
+            (test_store_rolls_back Encore_inject.Chaos.bitflip_file);
         ] );
     ]
