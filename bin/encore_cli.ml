@@ -436,9 +436,10 @@ let chaos_cmd =
      files, garbage bytes, permanently flapping probes — learn through the \
      resilient path and compare detection against an undamaged model.  With \
      $(b,--durability): the model-store drill (truncate-snapshot, \
-     bitflip-snapshot, rollback to the newest good snapshot).  With $(b,--serve-storm): replay a request storm — \
-     queue-overflow bursts, malformed and oversized lines, crash-injection \
-     ops, a mid-storm reload — against the resident serve daemon."
+     bitflip-snapshot, rollback to the newest good snapshot).  With \
+     $(b,--serve-storm): replay a request storm — queue-overflow bursts, \
+     malformed and oversized lines, crash-injection ops, a mid-storm \
+     reload — against the resident serve daemon."
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(const chaos $ seed_arg $ app_arg $ count_arg 50

@@ -74,11 +74,10 @@ val durability :
   seed:int ->
   unit ->
   (durability_outcome, Encore_util.Resilience.diagnostic) result
-(** Run the drill under [dir] (a snapshot store is created beneath
-    it; the caller owns cleanup) on a stormed
-    population of [n] images (default 12, [fraction] damaged).
-    Deterministic in [seed].  [Error] only when the reference run
-    itself cannot learn. *)
+(** Run the drill under [dir] (a snapshot store is created beneath it;
+    the caller owns cleanup) on a stormed population of [n] images
+    (default 12, [fraction] damaged).  Deterministic in [seed].  [Error]
+    only when the reference run itself cannot learn. *)
 
 val durability_outcome_to_string : durability_outcome -> string
 

@@ -316,8 +316,8 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
     Ometrics.incr ~by:report.ok m_images_ok;
     Ometrics.incr ~by:(List.length report.quarantined) m_images_quarantined;
     Ometrics.incr ~by:(List.length report.warnings) m_warnings;
-    (* the metric snapshot is telemetry work too: left outside the span,
-       a GC slice landing on it read as uncovered learn time *)
+    (* the metric snapshot inside the span too: a GC slice that lands
+       on it is learn time, and must count as covered *)
     Otrace.with_span "report" (fun () ->
         emit_report_telemetry report;
         if Oevents.enabled () then Oevents.emit_metrics ());

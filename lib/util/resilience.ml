@@ -20,15 +20,6 @@ let kind_to_string = function
   | Custom_rule_error -> "custom-rule-error"
   | Timed_out -> "timed-out"
 
-let kind_of_string = function
-  | "parse-error" -> Some Parse_error
-  | "probe-failure" -> Some Probe_failure
-  | "corrupt-image" -> Some Corrupt_image
-  | "overflow" -> Some Overflow
-  | "custom-rule-error" -> Some Custom_rule_error
-  | "timed-out" -> Some Timed_out
-  | _ -> None
-
 type diagnostic = { kind : error_kind; subject : string; detail : string }
 
 let diag kind ~subject detail = { kind; subject; detail }

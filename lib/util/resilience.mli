@@ -21,7 +21,6 @@ type error_kind =
 
 val all_kinds : error_kind list
 val kind_to_string : error_kind -> string
-val kind_of_string : string -> error_kind option
 
 type diagnostic = {
   kind : error_kind;

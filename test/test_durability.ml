@@ -310,7 +310,7 @@ let test_pool_deadline_aborts_map () =
             (Pool.map pool (fun x -> x * 2) [ 1; 2 ])))
     [ 1; 4 ]
 
-(* --- timed-out runs ------------------------------------------------------------ *)
+(* --- timed-out runs ---------------------------------------------------------- *)
 
 (* Sequential poll schedule (jobs=1): one guard per stage plus one poll
    per probed image, so [after_polls (1 + n)] survives the ingest stage
@@ -321,7 +321,8 @@ let test_deadline_degrades_then_rerun_completes () =
   let model_text () =
     match Pipeline.learn_durable images with
     | Ok { Pipeline.model = Some m; _ } -> Model_io.to_string m
-    | Ok { Pipeline.model = None; _ } -> Alcotest.fail "run without a deadline timed out"
+    | Ok { Pipeline.model = None; _ } ->
+        Alcotest.fail "run without a deadline timed out"
     | Error d -> Alcotest.failf "run failed: %s" (Res.diagnostic_to_string d)
   in
   let reference = model_text () in

@@ -10,8 +10,8 @@
    its pre-rewrite reference in [test/oracle] returns.  Deep Apache
    nesting must stay cheap.  Mutants of a real statistics payload
    (truncated, bit-flipped, lines dropped, duplicated or swapped, counts
-   negated or garbled) must decode or be rejected without raising, and whatever
-   decodes must finalize without raising. *)
+   negated or garbled) must decode or be rejected without raising, and
+   whatever decodes must finalize without raising. *)
 
 module Collector = Encore_sysenv.Collector
 module Image = Encore_sysenv.Image
@@ -232,7 +232,7 @@ let prop_apache_tokens =
   QCheck.Test.make ~name:"apache token soup = reference" ~count:1500
     (token_text apache_tokens) apache_agrees
 
-(* --- statistics payloads ------------------------------------------------------ *)
+(* --- statistics payloads ---------------------------------------------------- *)
 
 (* the folded statistics of 16 clean mysql images *)
 let stats_payload =

@@ -293,8 +293,10 @@ let test_store_rolls_back damage () =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let store = Stats_io.Store.create ~dir () in
-      let older = Suffstats.of_images (List.filteri (fun i _ -> i < 15) fleet)
-      and newer = Suffstats.of_images (List.filteri (fun i _ -> i < 25) fleet) in
+      let first_n k =
+        Suffstats.of_images (List.filteri (fun i _ -> i < k) fleet)
+      in
+      let older = first_n 15 and newer = first_n 25 in
       let first = Stats_io.Store.save store older in
       let head = Stats_io.Store.save store newer in
       damage ~rng:(Encore_util.Prng.create 19) head;
