@@ -4,10 +4,14 @@
    so any refactor of the learning core that changes a single rule,
    type, value statistic or warning fails here.  The pins were
    computed with [Pipeline.learn_result]; every other learning entry
-   point must produce the same bytes. *)
+   point must produce the same bytes.  The paper tables that count
+   rules straight from the candidate evaluator are pinned cell by
+   cell. *)
 
 module Pipeline = Encore.Pipeline
 module Config = Encore.Config
+module Experiments = Encore.Experiments
+module Ablation = Encore.Ablation
 module Model_io = Encore_detect.Model_io
 module Image = Encore_sysenv.Image
 module Population = Encore_workloads.Population
@@ -127,6 +131,30 @@ let test_synthfleet_pin () =
   check Alcotest.string "synthfleet model bytes" synthfleet_pin
     (md5 (Model_io.to_string model))
 
+(* Every cell of the paper tables that count the candidate evaluator's
+   rules directly rather than through a learned model, at paper scale
+   and seed 42 (the [Config.default] seed). *)
+let table_pins =
+  let scale = Experiments.paper_scale in
+  [
+    ( "table12",
+      (fun () -> Experiments.table12 ~scale ()),
+      [ [ "Apache"; "23"; "10" ]; [ "MySQL"; "65"; "16" ]; [ "PHP"; "5"; "2" ] ] );
+    ( "table13",
+      (fun () -> Experiments.table13 ~scale ()),
+      [ [ "Apache"; "110"; "82"; "5" ]; [ "MySQL"; "209"; "129"; "15" ];
+        [ "PHP"; "64"; "59"; "0" ] ] );
+    ( "ablation confidence",
+      (fun () -> Ablation.confidence_sweep ~scale ()),
+      [ [ "0.80"; "208"; "66"; "142" ]; [ "0.90"; "209"; "65"; "144" ];
+        [ "0.95"; "214"; "65"; "149" ]; [ "1.00"; "221"; "66"; "155" ] ] );
+  ]
+
+let test_table_pin (name, table, rows) () =
+  check
+    (Alcotest.list (Alcotest.list Alcotest.string))
+    (name ^ " rows") rows (table ()).Experiments.rows
+
 let () =
   Alcotest.run "golden"
     [
@@ -150,4 +178,9 @@ let () =
               `Quick (test_fleet_pin pin))
           fleet_pins );
       ("synthfleet", [ Alcotest.test_case "1k model" `Quick test_synthfleet_pin ]);
+      ( "paper-tables",
+        List.map
+          (fun ((name, _, _) as pin) ->
+            Alcotest.test_case name `Quick (test_table_pin pin))
+          table_pins );
     ]
