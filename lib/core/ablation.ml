@@ -110,15 +110,16 @@ let confidence_sweep ?(config = Config.default)
         let params =
           { Rinfer.min_support_frac = config.Config.min_support_frac; min_confidence }
         in
-        let rules =
-          Filters.reduce_redundant
-            (Rinfer.infer ~params ~types:assembled.Assemble.types training)
+        let judged =
+          Rinfer.infer ~params ~types:assembled.Assemble.types training
         in
+        let rules = Filters.reduce_redundant judged in
         let kept, dropped =
           Filters.entropy_filter ~threshold:config.Config.entropy_threshold
             training rules
         in
         [ Printf.sprintf "%.2f" min_confidence;
+          string_of_int (List.length judged);
           string_of_int (List.length rules);
           string_of_int (List.length kept);
           string_of_int (List.length dropped) ])
@@ -127,12 +128,16 @@ let confidence_sweep ?(config = Config.default)
   {
     Experiments.exp_id = "ablation-confidence";
     title = "Rule population vs confidence threshold (MySQL)";
-    header = [ "MinConfidence"; "Candidates"; "Kept (after entropy)"; "Entropy-dropped" ];
+    header =
+      [ "MinConfidence"; "Judged"; "Reduced"; "Kept (after entropy)";
+        "Entropy-dropped" ];
     rows;
     notes =
-      "Expected: lowering the confidence floor admits progressively more \
-       coincidental rules, nearly all of which the entropy filter then has \
-       to remove; at 1.00 only exceptionless correlations remain.";
+      "Judged: rules passing support, confidence and lift; Reduced: after \
+       redundancy reduction.  Shape at paper scale: lowering the floor from \
+       1.00 to 0.80 judges more rules (812 to 892) yet leaves fewer after \
+       reduction (221 to 208), and the entropy filter keeps 65-66 at every \
+       floor.";
   }
 
 let type_selection ?(config = Config.default) ?(scale = Experiments.paper_scale) () =

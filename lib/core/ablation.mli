@@ -6,8 +6,9 @@
 
     - {!training_size}: detection quality vs training-set size (how many
       images does the rule learner need before Table 8 quality sets in);
-    - {!confidence_sweep}: rule count and false-positive count as the
-      confidence threshold moves (the support/confidence knobs of §5.2);
+    - {!confidence_sweep}: rules judged, left after redundancy reduction
+      and kept by the entropy filter as the confidence threshold moves
+      (the support/confidence knobs of §5.2);
     - {!type_selection}: candidate instantiations per template with and
       without type-based attribute selection — the mechanism that makes
       template learning tractable where raw mining explodes (§5.1);

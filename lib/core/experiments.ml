@@ -569,8 +569,9 @@ let table12 ?(config = Config.default) ?(scale = paper_scale) () =
     header = [ "App"; "DetectedRules"; "FalsePositives" ];
     rows;
     notes =
-      "Shape: tens of concrete rules per application with a modest \
-       false-positive tail (paper: Apache 42/9, MySQL 29/4, PHP 31/10).";
+      "Shape at paper scale: tens of concrete rules for Apache and MySQL \
+       but five for PHP, a quarter to under half of them false positives \
+       (paper: Apache 42/9, MySQL 29/4, PHP 31/10).";
   }
 
 let table13 ?(config = Config.default) ?(scale = paper_scale) () =

@@ -146,8 +146,10 @@ let table_pins =
         [ "PHP"; "64"; "59"; "0" ] ] );
     ( "ablation confidence",
       (fun () -> Ablation.confidence_sweep ~scale ()),
-      [ [ "0.80"; "208"; "66"; "142" ]; [ "0.90"; "209"; "65"; "144" ];
-        [ "0.95"; "214"; "65"; "149" ]; [ "1.00"; "221"; "66"; "155" ] ] );
+      [ [ "0.80"; "892"; "208"; "66"; "142" ];
+        [ "0.90"; "864"; "209"; "65"; "144" ];
+        [ "0.95"; "839"; "214"; "65"; "149" ];
+        [ "1.00"; "812"; "221"; "66"; "155" ] ] );
   ]
 
 let test_table_pin (name, table, rows) () =
