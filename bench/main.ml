@@ -520,7 +520,7 @@ module Rinfer = Encore_rules.Infer
 type learn_point = {
   lp_images : int;
   lp_reference_ns : int;  (* Oracle.infer_reference, sequential *)
-  lp_sharded_ns : int;    (* Infer.infer: bitset + sharded fan-out *)
+  lp_sharded_ns : int;    (* Infer.infer: bitset counts, sharded on the pool *)
 }
 
 let learn_ratio p =
@@ -540,14 +540,13 @@ let training_of images =
   ( assembled.Assemble.types,
     List.map2 (fun img (_, row) -> (img, row)) images rows )
 
-(* Rule-learning cost, reference evaluator vs engine: the test oracle's
-   [infer_reference] is the pre-bitset path (one task per candidate,
-   every candidate walking the full row range through Relation.eval)
-   run sequentially — what "learning" cost before the counts engine —
-   while [infer] is the
-   sharded bitset path under a [jobs]-domain pool.  Both paths are
-   handed the same prebuilt columnar view, so the comparison isolates
-   the evaluation strategy from shared data loading.  Each timed round
+(* Rule-learning cost, reference evaluator vs the candidate evaluator:
+   the test oracle's [infer_reference] is the pre-bitset path (every
+   candidate walking the full row range through Relation.eval) run
+   sequentially — what "learning" cost before the bitset overlay —
+   while [infer] counts every candidate over the bitset overlay in
+   shards on a [jobs]-domain pool.  Each path builds its own columnar
+   view from the same training rows.  Each timed round
    starts from a settled major heap ([Gc.full_major]): at 10k rows the
    floating garbage of a previous round otherwise bleeds major-GC
    slices into the next measurement and the points stop being
@@ -573,15 +572,12 @@ let measure_learn ~jobs =
   Encore_util.Pool.with_pool ~jobs (fun pool ->
       let point ~rounds n images =
         let types, training = training_of images in
-        let view =
-          Encore_dataset.Colview.of_rows (List.map snd training)
-        in
         (* warm both paths: first touch pays symtab/bitset build *)
-        ignore (Rinfer.infer ~pool ~view ~types training);
+        ignore (Rinfer.infer ~pool ~types training);
         Gc.compact ();
         let lp_reference_ns =
           best rounds (fun () ->
-              ignore (Oracle.infer_reference ~view ~types training))
+              ignore (Oracle.infer_reference ~types training))
         in
         (* the sharded runs are two orders of magnitude shorter, so a
            single stray GC slice or scheduler stall moves a point far
@@ -589,7 +585,7 @@ let measure_learn ~jobs =
            extra rounds where rounds are cheap *)
         let lp_sharded_ns =
           best (max rounds 5) (fun () ->
-              ignore (Rinfer.infer ~pool ~view ~types training))
+              ignore (Rinfer.infer ~pool ~types training))
         in
         { lp_images = n; lp_reference_ns; lp_sharded_ns }
       in
@@ -656,7 +652,13 @@ let append_ratio m =
 (* The acceptance bar for incremental learning: folding one observed
    image into a resident 10k-fleet learner must beat retraining from
    scratch by >= 10x, and the refreshed model must stay byte-identical
-   to the batch relearn. *)
+   to the batch relearn.  The retrain and the append are each timed
+   best of [merge_rounds], every round from a compacted heap, so the
+   garbage earlier rounds and stages leave does not land on either
+   side.  Appending leaves the learner unchanged, so every append
+   round grows the same resident learner. *)
+let merge_rounds = 3
+
 let measure_merge ~jobs =
   let n = Synthfleet.full_size in
   let images = Synthfleet.generate ~n () in
@@ -676,14 +678,26 @@ let measure_merge ~jobs =
     | Ok l -> l
     | Error d -> failwith d.Encore_util.Resilience.detail
   in
+  let best f =
+    let rec go k (r, best_ns) =
+      if k = 0 then (r, best_ns)
+      else begin
+        Gc.compact ();
+        let r, ns = time_ns f in
+        go (k - 1) (r, min ns best_ns)
+      end
+    in
+    Gc.compact ();
+    go (merge_rounds - 1) (time_ns f)
+  in
   let retrained, mg_retrain_ns =
-    time_ns (fun () ->
+    best (fun () ->
         match Encore.Pipeline.learn_resilient ~config grown with
         | Ok (m, _) -> m
         | Error d -> failwith d.Encore_util.Resilience.detail)
   in
   let appended, mg_append_ns =
-    time_ns (fun () -> Encore.Pipeline.learn_append ~config learner tail)
+    best (fun () -> Encore.Pipeline.learn_append ~config learner tail)
   in
   let mg_identical =
     Model_io.to_string (Encore.Pipeline.model_of_learner appended)
@@ -715,12 +729,14 @@ let print_merge_times ~jobs =
     m.mg_shards m.mg_fold_sharded_ns
     (float_of_int m.mg_fold_sharded_ns /. 1e6)
     (fold_ratio m);
-  Printf.printf "  batch relearn n+1       %12d ns  (%8.3f ms)\n"
+  Printf.printf "  batch relearn n+1       %12d ns  (%8.3f ms)  best of %d\n"
     m.mg_retrain_ns
-    (float_of_int m.mg_retrain_ns /. 1e6);
-  Printf.printf "  learn_append 1 image    %12d ns  (%8.3f ms)\n"
+    (float_of_int m.mg_retrain_ns /. 1e6)
+    merge_rounds;
+  Printf.printf "  learn_append 1 image    %12d ns  (%8.3f ms)  best of %d\n"
     m.mg_append_ns
-    (float_of_int m.mg_append_ns /. 1e6);
+    (float_of_int m.mg_append_ns /. 1e6)
+    merge_rounds;
   Printf.printf "  append speedup vs retrain  %.2fx  (gate: >= 10x)\n"
     (append_ratio m);
   Printf.printf "  appended == retrained      %b\n" m.mg_identical;

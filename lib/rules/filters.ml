@@ -1,13 +1,4 @@
-module Row = Encore_dataset.Row
-
-let attribute_entropy training attr =
-  let values = List.concat_map (fun (_, row) -> Row.get_all row attr) training in
-  Encore_util.Stats.entropy values
-
-(* Same value sequence as {!attribute_entropy} — the column's cells are
-   the rows' instance lists in row order — so the entropy is bit-equal,
-   without a per-row hashtable probe. *)
-let attribute_entropy_view view attr =
+let attribute_entropy view attr =
   match Encore_dataset.Colview.id view attr with
   | None -> Encore_util.Stats.entropy []
   | Some id ->
@@ -16,14 +7,6 @@ let attribute_entropy_view view attr =
 
 let pair_key (r : Template.rule) =
   if r.attr_a <= r.attr_b then (r.attr_a, r.attr_b) else (r.attr_b, r.attr_a)
-
-let by_confidence rules =
-  List.sort
-    (fun (a : Template.rule) b ->
-      match compare b.confidence a.confidence with
-      | 0 -> compare b.support a.support
-      | c -> c)
-    rules
 
 (* Spanning tree per equivalence class: keep a rule only if its two
    attributes were not already connected by kept rules. *)
@@ -42,7 +25,7 @@ let spanning_tree rules =
         Hashtbl.replace parent ra rb;
         true
       end)
-    (by_confidence rules)
+    (Infer.sort_rules rules)
 
 (* Hasse reduction of a strict order: drop (a,c) when kept rules give
    a<b and b<c. *)
@@ -86,16 +69,16 @@ let reduce_redundant rules =
         | _ -> true)
       rules
   in
-  by_confidence
+  Infer.sort_rules
     (spanning_tree eq_all @ spanning_tree eq_exists @ order_reduce num_less
      @ order_reduce size_less @ others)
 
 let entropy_filter ?(threshold = Encore_util.Stats.entropy_threshold_90_10)
     ?view training rules =
-  let attr_entropy =
+  let view =
     match view with
-    | Some v -> attribute_entropy_view v
-    | None -> attribute_entropy training
+    | Some v -> v
+    | None -> Encore_dataset.Colview.of_rows (List.map snd training)
   in
   (* memoize per-attribute entropy: many rules share attributes *)
   let cache = Hashtbl.create 64 in
@@ -103,7 +86,7 @@ let entropy_filter ?(threshold = Encore_util.Stats.entropy_threshold_90_10)
     match Hashtbl.find_opt cache attr with
     | Some h -> h
     | None ->
-        let h = attr_entropy attr in
+        let h = attribute_entropy view attr in
         Hashtbl.add cache attr h;
         h
   in

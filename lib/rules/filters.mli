@@ -7,18 +7,13 @@
     the threshold in the training table — near-constant attributes
     mostly generate noise rules. *)
 
-val attribute_entropy : Infer.training -> string -> float
-(** Entropy of an attribute's values over the training rows. *)
-
 val entropy_filter :
   ?threshold:float -> ?view:Encore_dataset.Colview.t -> Infer.training ->
   Template.rule list -> Template.rule list * Template.rule list
 (** [(kept, dropped)] partition.  [threshold] defaults to
-    {!Encore_util.Stats.entropy_threshold_90_10} (0.325).  With [view]
-    (a columnar view over the same rows, typically shared with
-    {!Infer.infer}), per-attribute entropy reads column arrays instead
-    of probing each row's hashtable — bit-identical results, an order
-    of magnitude less allocation on large fleets. *)
+    {!Encore_util.Stats.entropy_threshold_90_10} (0.325).  An
+    attribute's entropy is taken over its column of [view], a columnar
+    view over the training rows, built from them when not given. *)
 
 val reduce_redundant : Template.rule list -> Template.rule list
 (** Drop rules implied by the remaining ones:

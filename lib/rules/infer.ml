@@ -44,8 +44,7 @@ let expand_polarities templates =
 
 let min_lift_margin = 0.05
 
-(* One candidate's fate; tallied by the caller in candidate order so
-   parallel evaluation never shares mutable state. *)
+(* One candidate's fate, tallied in candidate order. *)
 type verdict =
   | Kept of Template.rule
   | Rejected_support     (* applicable too rarely, or vacuous *)
@@ -222,9 +221,6 @@ let engine_of ~types ~ctxs ~view ~bits =
     meta.ctypes;
   { view; ctxs; meta; bits; tru; fls; tany; ante_cnt; base_rate; numv; sizv }
 
-let engine_instantiations eng template = instantiations_idx eng.meta template
-let engine_attr eng i = eng.meta.names.(i)
-
 (* First index position whose row id is >= [x] (the arrays are
    ascending), so tail scans skip the already-counted prefix. *)
 let lower_bound arr x =
@@ -274,13 +270,11 @@ let engine_counts_from eng ~from_row (template, ia, ib) =
     (!applicable, !valid)
   end
 
-let co_presence eng ia ib =
-  Bitset.inter_count (Bitcol.presence eng.bits ia) (Bitcol.presence eng.bits ib)
-
-(* (applicable, valid) for one candidate, via popcounts and typed value
-   arrays where the columns allow it, the generic evaluator otherwise.
-   Must agree exactly with per-row {!Relation.eval}. *)
-let counts eng ((template, ia, ib) as cand) ~co_present =
+(* (applicable, valid) for one candidate over all rows, via popcounts
+   and typed value arrays where the columns allow it, the generic
+   evaluator otherwise.  Must agree exactly with per-row
+   {!Relation.eval}. *)
+let engine_counts eng ((template, ia, ib) as cand) =
   let generic () = engine_counts_from eng ~from_row:0 cand in
   match template.Template.relation with
   | Relation.Eq_all | Relation.Eq_exists -> (
@@ -288,14 +282,11 @@ let counts eng ((template, ia, ib) as cand) ~co_present =
       | Some va, Some vb ->
           (* single-instance cells: both equality flavours degenerate to
              one interned-id comparison per co-present row *)
-          let valid =
-            Bitset.fold_inter
-              (Bitcol.presence eng.bits ia)
-              (Bitcol.presence eng.bits ib)
-              ~init:0
-              (fun acc i -> if va.(i) = vb.(i) then acc + 1 else acc)
-          in
-          (co_present, valid)
+          let pa = Bitcol.presence eng.bits ia
+          and pb = Bitcol.presence eng.bits ib in
+          ( Bitset.inter_count pa pb,
+            Bitset.fold_inter pa pb ~init:0 (fun acc i ->
+                if va.(i) = vb.(i) then acc + 1 else acc) )
       | _ -> generic ())
   | Relation.Bool_implies (pa, pb) -> (
       match (eng.tany.(ia), eng.tany.(ib)) with
@@ -335,9 +326,6 @@ let counts eng ((template, ia, ib) as cand) ~co_present =
   | Relation.Subnet | Relation.Concat_path | Relation.Substring
   | Relation.User_in_group | Relation.Not_accessible | Relation.Ownership ->
       generic ()
-
-let engine_counts eng ((_, ia, ib) as cand) =
-  counts eng cand ~co_present:(co_presence eng ia ib)
 
 (* For implication rules, vacuous truth (antecedent never holding) must
    not count as evidence: require the antecedent polarity to actually
@@ -412,54 +400,6 @@ let engine_verdict eng ~params ~min_support (template, ia, ib) ~applicable
           support = applicable; confidence }
     else Rejected_confidence
 
-(* The batch judge.  Two prunes dispose of candidates before any
-   relation is counted: a vacuous implication (one array read), and
-   [applicable <= co-presence], so a co-presence popcount below minimum
-   support.  The rest are counted and judged exactly as the
-   sufficient-statistics learner judges its cached counts. *)
-let judge eng ~params ~min_support ((template, ia, ib) as cand) =
-  if vacuous eng ~min_support template.Template.relation ia then
-    Rejected_support
-  else
-    let co_present = co_presence eng ia ib in
-    if co_present < min_support then Rejected_support
-    else
-      let applicable, valid = counts eng cand ~co_present in
-      engine_verdict eng ~params ~min_support cand ~applicable ~valid
-
-(* --- sharded evaluation --------------------------------------------------- *)
-
-(* Candidates are judged in fixed-size shards, each folding into a
-   domain-local accumulator; shard boundaries depend only on the
-   candidate list, never on the job count, and the merge walks shards
-   in order — so the rule list and the rejection counters are
-   byte-identical at any [--jobs]. *)
-type shard_acc = {
-  kept_rev : Template.rule list;
-  rej_support : int;
-  rej_confidence : int;
-}
-
-let shard_size = 256
-
-let shard_candidates candidates =
-  let arr = Array.of_list candidates in
-  let n = Array.length arr in
-  let n_shards = (n + shard_size - 1) / shard_size in
-  List.init n_shards (fun s ->
-      Array.sub arr (s * shard_size) (min shard_size (n - (s * shard_size))))
-
-let evaluate_shard judge shard =
-  Array.fold_left
-    (fun acc cand ->
-      match judge cand with
-      | Kept rule -> { acc with kept_rev = rule :: acc.kept_rev }
-      | Rejected_support -> { acc with rej_support = acc.rej_support + 1 }
-      | Rejected_confidence ->
-          { acc with rej_confidence = acc.rej_confidence + 1 })
-    { kept_rev = []; rej_support = 0; rej_confidence = 0 }
-    shard
-
 let sort_rules rules =
   List.sort
     (fun (a : Template.rule) b ->
@@ -480,45 +420,81 @@ let emit_metrics ~candidates ~rej_support ~rej_confidence ~kept =
 let min_support_of ~params n =
   max 2 (int_of_float (ceil (params.min_support_frac *. float_of_int n)))
 
-let infer ?(params = default_params) ?(templates = Template.predefined)
-    ?jobs ?pool ?view ~types training =
-  let templates = expand_polarities templates in
-  let min_support = min_support_of ~params (List.length training) in
-  let view =
-    match view with
-    | Some v -> v
-    | None -> Encore_dataset.Colview.of_rows (List.map snd training)
+(* --- the candidate evaluator ---------------------------------------------- *)
+
+(* Keyed by (polarity-expanded template index, attribute a, attribute
+   b): names, not column ids, so a table stays valid for a view that
+   extends the one it was counted over. *)
+type counts = {
+  rows : int;
+  table : (int * string * string, int * int) Hashtbl.t;
+}
+
+(* Shard boundaries depend only on the candidate list, never on the
+   pool size, and [Pool.map] returns shards in order. *)
+let shard_size = 256
+
+let evaluate ?pool ?prior ~params ~templates ~types ~ctxs ~view ~bits () =
+  let eng = engine_of ~types ~ctxs ~view ~bits in
+  (* candidates are generated over interned column ids (the view's
+     first-appearance order), so counting never touches an attribute
+     name *)
+  let cands =
+    Array.of_list
+      (List.concat
+         (List.mapi
+            (fun ti t -> List.map (fun c -> (ti, c)) (instantiations_idx eng.meta t))
+            (expand_polarities templates)))
   in
+  let key (ti, (_, ia, ib)) = (ti, eng.meta.names.(ia), eng.meta.names.(ib)) in
+  (* counts are additive over a row partition: a candidate the prior
+     table holds is counted over the rows past it only *)
+  let count ((_, c) as cand) =
+    match prior with
+    | None -> engine_counts eng c
+    | Some p -> (
+        match Hashtbl.find_opt p.table (key cand) with
+        | Some (a0, v0) ->
+            let da, dv = engine_counts_from eng ~from_row:p.rows c in
+            (a0 + da, v0 + dv)
+        | None -> engine_counts eng c)
+  in
+  let n = Array.length cands in
+  let shard lo =
+    Array.init (min shard_size (n - lo)) (fun k -> count cands.(lo + k))
+  in
+  let starts =
+    List.init ((n + shard_size - 1) / shard_size) (fun s -> s * shard_size)
+  in
+  let counted =
+    Array.concat
+      (match pool with
+       | Some p -> Encore_util.Pool.map p shard starts
+       | None -> List.map shard starts)
+  in
+  let min_support = min_support_of ~params (Array.length ctxs) in
+  let table = Hashtbl.create ((2 * n) + 1) in
+  let kept_rev = ref [] and rej_support = ref 0 and rej_confidence = ref 0 in
+  Array.iteri
+    (fun i ((_, c) as cand) ->
+      let ((applicable, valid) as cnt) = counted.(i) in
+      Hashtbl.replace table (key cand) cnt;
+      match engine_verdict eng ~params ~min_support c ~applicable ~valid with
+      | Kept rule -> kept_rev := rule :: !kept_rev
+      | Rejected_support -> incr rej_support
+      | Rejected_confidence -> incr rej_confidence)
+    cands;
+  emit_metrics ~candidates:n ~rej_support:!rej_support
+    ~rej_confidence:!rej_confidence ~kept:(List.length !kept_rev);
+  ({ rows = Array.length ctxs; table }, sort_rules (List.rev !kept_rev))
+
+let infer ?(params = default_params) ?(templates = Template.predefined) ?pool
+    ~types training =
+  let view = Encore_dataset.Colview.of_rows (List.map snd training) in
   let ctxs =
     Array.of_list
       (List.map (fun (image, row) -> { Relation.image; row }) training)
   in
-  let eng = engine_of ~types ~ctxs ~view ~bits:(Bitcol.of_colview view) in
-  (* candidates are generated over interned column ids (the view's
-     first-appearance order), so the judging loop never touches an
-     attribute name until a rule is actually kept *)
-  let candidates = List.concat_map (engine_instantiations eng) templates in
-  let judge = judge eng ~params ~min_support in
-  let shards = shard_candidates candidates in
-  let accs =
-    (* zero state sharing between shard evaluations: each shard folds
-       into its own accumulator on whichever domain runs it; [Pool.map]
-       keeps shard order for the merge below *)
-    match pool with
-    | Some p -> Encore_util.Pool.map p (evaluate_shard judge) shards
-    | None -> (
-        match jobs with
-        | Some j when j > 1 ->
-            Encore_util.Pool.with_pool ~jobs:j (fun p ->
-                Encore_util.Pool.map p (evaluate_shard judge) shards)
-        | Some _ | None -> List.map (evaluate_shard judge) shards)
-  in
-  let rej_support =
-    List.fold_left (fun n s -> n + s.rej_support) 0 accs
-  and rej_confidence =
-    List.fold_left (fun n s -> n + s.rej_confidence) 0 accs
-  in
-  let rules = List.concat_map (fun s -> List.rev s.kept_rev) accs in
-  emit_metrics ~candidates:(List.length candidates) ~rej_support
-    ~rej_confidence ~kept:(List.length rules);
-  sort_rules rules
+  snd
+    (evaluate ?pool ~params ~templates ~types ~ctxs ~view
+       ~bits:(Bitcol.of_colview view) ())

@@ -248,63 +248,12 @@ type derived = {
   ctxs : Relation.ctx array;
   view : Colview.t;
   bits : Bitcol.t;
-  counts : (int * string * string, int * int) Hashtbl.t;
+  counts : Rinfer.counts;
   result : finalized;
 }
 
 let ctxs_of training =
   Array.of_list (List.map (fun (image, row) -> { Relation.image; row }) training)
-
-let shard_list n xs =
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-        if k = n then go (List.rev cur :: acc) [ x ] 1 rest
-        else go acc (x :: cur) (k + 1) rest
-  in
-  go [] [] 0 xs
-
-let indexed_candidates ~etemplates engine =
-  List.concat
-    (List.mapi
-       (fun ti tmpl ->
-         List.map (fun c -> (ti, c)) (Rinfer.engine_instantiations engine tmpl))
-       etemplates)
-
-let count_key engine (ti, (_, ia, ib)) =
-  (ti, Rinfer.engine_attr engine ia, Rinfer.engine_attr engine ib)
-
-let capture_counts ?pool engine cands =
-  let eval ((_, c) as cand) = (count_key engine cand, Rinfer.engine_counts engine c) in
-  let shards = shard_list 256 cands in
-  let results = List.concat (pmap pool (List.map eval) shards) in
-  let tbl = Hashtbl.create (2 * List.length results + 1) in
-  List.iter (fun (key, cnt) -> Hashtbl.replace tbl key cnt) results;
-  tbl
-
-(* Every candidate's verdict from its counts, in candidate order. *)
-let judge ~params ~n engine cands counts =
-  let min_support = Rinfer.min_support_of ~params n in
-  let kept_rev = ref [] and rej_support = ref 0 and rej_confidence = ref 0 in
-  List.iter
-    (fun ((_, c) as cand) ->
-      let applicable, valid =
-        match Hashtbl.find_opt counts (count_key engine cand) with
-        | Some c -> c
-        | None -> assert false (* counts is built over this candidate list *)
-      in
-      match
-        Rinfer.engine_verdict engine ~params ~min_support c ~applicable ~valid
-      with
-      | Rinfer.Kept rule -> kept_rev := rule :: !kept_rev
-      | Rinfer.Rejected_support -> incr rej_support
-      | Rinfer.Rejected_confidence -> incr rej_confidence)
-    cands;
-  Rinfer.emit_metrics
-    ~candidates:(List.length cands)
-    ~rej_support:!rej_support ~rej_confidence:!rej_confidence
-    ~kept:(List.length !kept_rev);
-  Rinfer.sort_rules (List.rev !kept_rev)
 
 let m_filtered_redundant = Ometrics.counter "rules.filtered_redundant"
 let m_filtered_entropy = Ometrics.counter "rules.filtered_entropy"
@@ -321,20 +270,18 @@ let filter ~entropy_threshold ~view training inferred =
   kept
 
 (* The finalize step over assembled rows: columnar view and overlay,
-   candidate counts through the engine, verdicts, the filter chain and
-   value statistics, each under the batch path's stage span.  [env]
-   decides the type environment once the view exists; [count] fills
-   the counts table (from scratch, or extending cached counts). *)
-let finalize_rows ~params ~etemplates ~entropy_threshold ~env ~view ~bits
-    ~ctxs ~count ~value_stats training =
-  let n = Array.length ctxs in
-  let env, counts, inferred =
+   candidate counts and verdicts, the filter chain and value
+   statistics, each under the batch path's stage span.  [env] decides
+   the type environment once the view exists; [prior] holds the counts
+   of the rows a resident learner already counted. *)
+let finalize_rows ?pool ?prior ~params ~templates ~entropy_threshold ~env ~view
+    ~bits ~ctxs ~value_stats training =
+  let env, (counts, inferred) =
     Otrace.with_span "rule-infer" (fun () ->
         let env = env view bits in
-        let engine = Rinfer.engine_of ~types:env ~ctxs ~view ~bits in
-        let cands = indexed_candidates ~etemplates engine in
-        let counts = count engine cands in
-        (env, counts, judge ~params ~n engine cands counts))
+        ( env,
+          Rinfer.evaluate ?pool ?prior ~params ~templates ~types:env ~ctxs
+            ~view ~bits () ))
   in
   let rules =
     Otrace.with_span "rule-filter" (fun () ->
@@ -349,7 +296,7 @@ let finalize_rows ~params ~etemplates ~entropy_threshold ~env ~view ~bits
         f_rules = rules;
         f_value_stats;
         f_known_attrs = Colview.attrs view;
-        f_training_count = n;
+        f_training_count = Array.length ctxs;
       };
   }
 
@@ -358,18 +305,17 @@ let columnar training =
       let view = Colview.of_rows (List.map snd training) in
       (view, Bitcol.of_colview view, ctxs_of training))
 
-let finalize_fresh ?pool ~params ~etemplates ~entropy_threshold ~env training =
+let finalize_fresh ?pool ~params ~templates ~entropy_threshold ~env training =
   let view, bits, ctxs = columnar training in
-  finalize_rows ~params ~etemplates ~entropy_threshold ~env ~view ~bits ~ctxs
-    ~count:(capture_counts ?pool)
+  finalize_rows ?pool ~params ~templates ~entropy_threshold ~env ~view ~bits
+    ~ctxs
     ~value_stats:(value_stats_of ~from_row:0 ~prev:[])
     training
 
 let finalize_training ?pool ?(params = Rinfer.default_params)
     ?(templates = Template.predefined) ?entropy_threshold ~types training =
-  (finalize_fresh ?pool ~params
-     ~etemplates:(Rinfer.expand_polarities templates)
-     ~entropy_threshold ~env:(fun _ _ -> types) training)
+  (finalize_fresh ?pool ~params ~templates ~entropy_threshold
+     ~env:(fun _ _ -> types) training)
     .result
 
 (* --- the resident learner ------------------------------------------------- *)
@@ -378,7 +324,6 @@ type learner = {
   stats : t;
   params : Rinfer.params;
   templates : Template.t list;
-  etemplates : Template.t list;  (* polarity-expanded, cached *)
   entropy_threshold : float option;
   raw_ctypes : (string * Ctype.t) list;
   derived : derived;  (* consistent with [stats] *)
@@ -394,7 +339,7 @@ let augment ?pool ~cfg_types parsed =
   let augment = Assemble.augment_row ~types:cfg_types in
   pmap pool (fun (img, raw) -> (img, augment img raw)) parsed
 
-let build ?pool ~params ~templates ~etemplates ~entropy_threshold stats =
+let build ?pool ~params ~templates ~entropy_threshold stats =
   Otrace.with_span "suffstats-finalize" @@ fun () ->
   let cfg_types, training =
     Otrace.with_span "assemble" (fun () ->
@@ -402,19 +347,17 @@ let build ?pool ~params ~templates ~etemplates ~entropy_threshold stats =
         (cfg_types, augment ?pool ~cfg_types (List.rev stats.images_rev)))
   in
   {
-    stats; params; templates; etemplates; entropy_threshold;
+    stats; params; templates; entropy_threshold;
     raw_ctypes = raw_ctypes_of cfg_types;
     derived =
-      finalize_fresh ?pool ~params ~etemplates ~entropy_threshold
+      finalize_fresh ?pool ~params ~templates ~entropy_threshold
         ~env:(fun view bits -> cfg_types @ aug_types stats ~cfg_types view bits)
         training;
   }
 
 let learner_of ?pool ?(params = Rinfer.default_params)
     ?(templates = Template.predefined) ?entropy_threshold stats =
-  build ?pool ~params ~templates
-    ~etemplates:(Rinfer.expand_polarities templates)
-    ~entropy_threshold stats
+  build ?pool ~params ~templates ~entropy_threshold stats
 
 let rec take k = function
   | x :: rest when k > 0 -> x :: take (k - 1) rest
@@ -440,7 +383,6 @@ let append ?pool learner images =
       (* a type decision moved: cached augmented rows no longer match
          what a batch run over the grown corpus would assemble *)
       build ?pool ~params:learner.params ~templates:learner.templates
-        ~etemplates:learner.etemplates
         ~entropy_threshold:learner.entropy_threshold stats'
     else begin
       Otrace.with_span "suffstats-append" @@ fun () ->
@@ -460,37 +402,20 @@ let append ?pool learner images =
               Bitcol.append old.bits view,
               Array.append old.ctxs (ctxs_of new_training) ))
       in
-      (* cached counts extend by the appended rows' delta; a newly
-         eligible pair (fresh attribute, or a non-raw type decision
-         moved) is counted over the full corpus *)
-      let count engine cands =
-        let counts = Hashtbl.create (2 * List.length cands + 1) in
-        List.iter
-          (fun ((_, c) as cand) ->
-            let key = count_key engine cand in
-            let cnt =
-              match Hashtbl.find_opt old.counts key with
-              | Some (a0, v0) ->
-                  let da, dv =
-                    Rinfer.engine_counts_from engine ~from_row:old_n c
-                  in
-                  (a0 + da, v0 + dv)
-              | None -> Rinfer.engine_counts engine c
-            in
-            Hashtbl.replace counts key cnt)
-          cands;
-        counts
-      in
       {
         learner with
         stats = stats';
         raw_ctypes = raw_ctypes_of cfg_types';
         derived =
-          finalize_rows ~params:learner.params ~etemplates:learner.etemplates
+          (* cached counts extend by the appended rows; a newly eligible
+             pair (fresh attribute, or a non-raw type decision moved) is
+             counted over the full corpus *)
+          finalize_rows ~prior:old.counts ~params:learner.params
+            ~templates:learner.templates
             ~entropy_threshold:learner.entropy_threshold
             ~env:(fun view bits ->
               cfg_types' @ aug_types stats' ~cfg_types:cfg_types' view bits)
-            ~view ~bits ~ctxs ~count
+            ~view ~bits ~ctxs
             ~value_stats:
               (value_stats_of ~from_row:old_n ~prev:old.result.f_value_stats)
             (old.training @ new_training);

@@ -72,7 +72,7 @@ val finalize_training :
   (Encore_sysenv.Image.t * Encore_dataset.Row.t) list -> finalized
 (** The finalize step alone, over a training set already assembled
     under [types]: columnar view and bitset overlay, candidate counts
-    and verdicts through the counts engine, the redundancy and entropy
+    and verdicts ({!Infer.evaluate}), the redundancy and entropy
     filters, value statistics.  {!learner_of} runs the same step after
     deciding types and augmenting rows from the statistics. *)
 
@@ -87,19 +87,18 @@ val learner_of :
   ?entropy_threshold:float ->
   t -> learner
 (** Finalize: assemble the corpus under the tallied type decisions,
-    count and judge every candidate through the counts engine
-    ({!Infer.engine_counts}, {!Infer.engine_verdict}), filter, and
-    collect value statistics. *)
+    count and judge every candidate ({!Infer.evaluate}, on [pool]),
+    filter, and collect value statistics. *)
 
 val append :
   ?pool:Encore_util.Pool.t ->
   learner -> Encore_sysenv.Image.t list -> learner
 (** Fold new images into the statistics and refresh the model.  When
     every previously-decided raw column keeps its type, only the new
-    rows are assembled and scanned (candidate counts extend by their
-    row-range delta); otherwise the learner rebuilds from the merged
-    statistics.  In both cases the result equals
-    [learner_of (fold add_image stats images)]. *)
+    rows are assembled and scanned: {!Infer.evaluate} extends the
+    cached candidate counts by the new rows, inline.  Otherwise the
+    learner rebuilds from the merged statistics, on [pool].  In both
+    cases the result equals [learner_of (fold add_image stats images)]. *)
 
 val stats : learner -> t
 val current : learner -> finalized

@@ -23,12 +23,9 @@ let evaluate_instantiation template training ~a ~b =
 
 type columnar = { cols : Colview.t; ctxs : Relation.ctx array }
 
-let columnar_of_training ?view training =
+let columnar_of_training training =
   {
-    cols =
-      (match view with
-       | Some v -> v
-       | None -> Colview.of_rows (List.map snd training));
+    cols = Colview.of_rows (List.map snd training);
     ctxs =
       Array.of_list
         (List.map (fun (image, row) -> { Relation.image; row }) training);
@@ -123,30 +120,17 @@ let candidates_of ~types ~templates attrs =
     templates
 
 let infer_reference ?(params = Rinfer.default_params)
-    ?(templates = Template.predefined) ?jobs ?pool ?view ~types training =
+    ?(templates = Template.predefined) ~types training =
   let templates = Rinfer.expand_polarities templates in
   let min_support = Rinfer.min_support_of ~params (List.length training) in
-  let columnar = columnar_of_training ?view training in
-  let candidates =
-    candidates_of ~types ~templates (Colview.attrs columnar.cols)
-  in
-  let judge = evaluate_candidate ~params ~min_support columnar in
-  let verdicts =
-    match pool with
-    | Some p -> Encore_util.Pool.map p judge candidates
-    | None -> (
-        match jobs with
-        | Some j when j > 1 ->
-            Encore_util.Pool.with_pool ~jobs:j (fun p ->
-                Encore_util.Pool.map p judge candidates)
-        | Some _ | None -> List.map judge candidates)
-  in
+  let columnar = columnar_of_training training in
   Rinfer.sort_rules
     (List.filter_map
-       (function
+       (fun cand ->
+         match evaluate_candidate ~params ~min_support columnar cand with
          | Rinfer.Kept rule -> Some rule
          | Rinfer.Rejected_support | Rinfer.Rejected_confidence -> None)
-       verdicts)
+       (candidates_of ~types ~templates (Colview.attrs columnar.cols)))
 
 module Dump_ref = Dump_ref
 module Ini_ref = Ini_ref

@@ -3,12 +3,12 @@
 
     Every candidate walks every training row through
     {!Encore_rules.Relation.eval}; vacuity and lift are recounted per
-    candidate from the raw cells.  Nothing is shared with the counts
-    engine behind {!Encore_rules.Infer.infer} beyond candidate
+    candidate from the raw cells.  Nothing is shared with the candidate
+    evaluator ({!Encore_rules.Infer.evaluate}) beyond candidate
     generation, polarity expansion, the support threshold, the relation
     semantics and the final rule order, so a property test pinning the
-    two together checks the engine's popcounts, typed value caches and
-    verdict arithmetic. *)
+    two together checks the evaluator's popcounts, typed value caches
+    and verdict arithmetic. *)
 
 type training = Encore_rules.Infer.training
 
@@ -23,8 +23,7 @@ type columnar = {
 (** Columnar training set: [Colview.column cols id] holds one instance
     list per row, [ctxs.(row)] the row's evaluation context. *)
 
-val columnar_of_training :
-  ?view:Encore_dataset.Colview.t -> training -> columnar
+val columnar_of_training : training -> columnar
 
 val evaluate_instantiation_cols :
   Encore_rules.Template.t -> columnar ->
@@ -54,12 +53,10 @@ val candidates_of :
 
 val infer_reference :
   ?params:Encore_rules.Infer.params ->
-  ?templates:Encore_rules.Template.t list -> ?jobs:int ->
-  ?pool:Encore_util.Pool.t -> ?view:Encore_dataset.Colview.t ->
+  ?templates:Encore_rules.Template.t list ->
   types:Encore_typing.Infer.env -> training -> Encore_rules.Template.rule list
 (** The rules {!Encore_rules.Infer.infer} must learn, in its order:
-    one task per candidate, each walking the full row range.  With
-    [pool] or [jobs > 1] candidates are judged on worker domains. *)
+    each candidate judged on its own, walking the full row range. *)
 
 (** {1 Text layers}
 

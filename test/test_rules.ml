@@ -239,7 +239,10 @@ let test_parallel_equals_sequential () =
   let sequential = Rinfer.infer ~types:types_for_training training in
   List.iter
     (fun jobs ->
-      let parallel = Rinfer.infer ~jobs ~types:types_for_training training in
+      let parallel =
+        Encore_util.Pool.with_pool ~jobs (fun pool ->
+            Rinfer.infer ~pool ~types:types_for_training training)
+      in
       check (Alcotest.list Alcotest.string)
         (Printf.sprintf "jobs=%d matches sequential" jobs)
         (render sequential) (render parallel))
@@ -248,7 +251,10 @@ let test_parallel_equals_sequential () =
 let test_parallel_jobs_exceed_candidates () =
   (* more domains than candidates must not break chunking *)
   let training = training_with_correlations 12 in
-  let rules = Rinfer.infer ~jobs:64 ~types:types_for_training training in
+  let rules =
+    Encore_util.Pool.with_pool ~jobs:64 (fun pool ->
+        Rinfer.infer ~pool ~types:types_for_training training)
+  in
   check Alcotest.bool "still finds rules" true (rules <> [])
 
 let test_expand_polarities () =
@@ -309,7 +315,8 @@ let prop_infer_equals_oracle =
       let types = assembled.Encore_dataset.Assemble.types in
       let params = { Rinfer.min_support_frac; min_confidence } in
       let templates = Lazy.force oracle_templates in
-      Rinfer.infer ~params ~templates ~jobs ~types training
+      Encore_util.Pool.with_pool ~jobs (fun pool ->
+          Rinfer.infer ~params ~templates ~pool ~types training)
       = Oracle.infer_reference ~params ~templates ~types training)
 
 (* --- Filters --------------------------------------------------------------------- *)
