@@ -82,14 +82,6 @@ let jobs_arg =
                  count; 1 = sequential). Learned models are identical for \
                  every value.")
 
-let chunk_arg =
-  Arg.(value & opt (some int) None
-       & info [ "chunk" ] ~docv:"K"
-           ~doc:"Chunks per worker for one pool round (default 4). \
-                 Lower values cut queue/GC synchronization on few-core \
-                 hosts; scheduling only, results are identical for \
-                 every value.")
-
 let read_file path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic)
@@ -304,11 +296,11 @@ let append_to_base ~config ~custom base (o : Encore.Pipeline.outcome) =
               stats = Some merged })
   | _ -> Ok o
 
-let learn seed profile app n custom mode max_retries chaos_frac jobs chunk
-    shards stats_dir append_dir deadline_s trace metrics =
+let learn seed profile app n custom mode max_retries chaos_frac jobs shards
+    stats_dir append_dir deadline_s trace metrics =
   with_telemetry ~trace ~metrics @@ fun () ->
   let config =
-    { Encore.Config.default with Encore.Config.seed; jobs; chunk }
+    { Encore.Config.default with Encore.Config.seed; jobs }
   in
   let images = Population.clean (Population.generate ~profile ~seed app ~n) in
   let images, stormed =
@@ -362,7 +354,7 @@ let learn_cmd =
   let doc = "Learn configuration rules from a generated population." in
   Cmd.v (Cmd.info "learn" ~doc)
     Term.(const learn $ seed_arg $ profile_arg $ app_arg $ count_arg 100 $ custom_arg
-          $ mode_arg $ max_retries_arg $ chaos_frac_arg $ jobs_arg $ chunk_arg
+          $ mode_arg $ max_retries_arg $ chaos_frac_arg $ jobs_arg
           $ shards_arg $ stats_arg $ append_arg $ deadline_arg
           $ trace_arg $ metrics_arg)
 

@@ -5,7 +5,6 @@ type t = {
   detection_score : float;
   seed : int;
   jobs : int;
-  chunk : int option;
 }
 
 let default =
@@ -16,7 +15,6 @@ let default =
     detection_score = 0.55;
     seed = 42;
     jobs = 1;
-    chunk = None;
   }
 
 let rule_params t =

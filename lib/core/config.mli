@@ -16,10 +16,6 @@ type t = {
           (default 1 = sequential; the CLI defaults its [-j] flag to
           [Domain.recommended_domain_count]).  Learned models are
           identical for every value. *)
-  chunk : int option;
-      (** per-worker chunk factor for transient pools ([--chunk];
-          [None] = the pool default).  Scheduling only — results never
-          depend on it. *)
 }
 
 val default : t

@@ -32,8 +32,8 @@ let with_configured_pool ~config pool f =
   match pool with
   | Some _ -> f pool
   | None when config.Config.jobs > 1 ->
-      Encore_util.Pool.with_pool ?chunk:config.Config.chunk
-        ~jobs:config.Config.jobs (fun p -> f (Some p))
+      Encore_util.Pool.with_pool ~jobs:config.Config.jobs (fun p ->
+          f (Some p))
   | None -> f None
 
 let learn_result ?(config = Config.default) ?custom ?pool images =

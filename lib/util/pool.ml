@@ -4,7 +4,6 @@ let g_busy = Encore_obs.Metrics.gauge "pool.domains_busy"
 
 type t = {
   n_jobs : int;
-  chunk : int;  (* chunks per worker for one map/map_reduce round *)
   queue : (unit -> unit) Queue.t;  (* tasks never raise: wrappers catch *)
   mutex : Mutex.t;
   nonempty : Condition.t;
@@ -17,7 +16,6 @@ type t = {
 }
 
 let jobs t = t.n_jobs
-let chunk t = t.chunk
 
 let rec record_high_water t busy_now =
   let hw = Atomic.get t.high_water in
@@ -81,11 +79,12 @@ let rec park () =
   serve t;
   park ()
 
-(* A few chunks per worker balances the load when item costs are
-   skewed, without paying queue synchronization per item. *)
-let default_chunk_factor = 4
+(* Chunks per worker for one {!map} round: a few balance the load when
+   item costs are skewed, without paying queue synchronization per
+   item. *)
+let chunk_factor = 4
 
-let create ?(chunk = default_chunk_factor) ~jobs () =
+let create ~jobs () =
   (* Never run more worker domains than the hardware can schedule:
      OCaml domains are heavyweight, and oversubscribing cores makes
      every pool operation slower than running inline.  A request for
@@ -94,7 +93,6 @@ let create ?(chunk = default_chunk_factor) ~jobs () =
   let t =
     {
       n_jobs = max 1 (min jobs (Domain.recommended_domain_count ()));
-      chunk = max 1 chunk;
       queue = Queue.create ();
       mutex = Mutex.create ();
       nonempty = Condition.create ();
@@ -139,12 +137,12 @@ let shutdown t =
   done;
   Mutex.unlock t.mutex
 
-let with_pool ?chunk ~jobs f =
-  let t = create ?chunk ~jobs () in
+let with_pool ~jobs f =
+  let t = create ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* Cooperative cancellation: while [f] runs, every item processed by
-   {!map} / {!map_reduce} polls [d] first and aborts the whole call
+   {!map} polls [d] first and aborts the whole call
    with [Deadline.Expired] (re-raised in the caller through the usual
    lowest-index propagation) once the budget is gone.  Unlimited
    tokens are not installed at all, keeping the common path free of
@@ -242,7 +240,7 @@ let map t f xs =
              | exception e -> Error (e, Printexc.get_raw_backtrace ()))
       done
     in
-    let bounds = chunk_bounds n (min n (t.n_jobs * t.chunk)) in
+    let bounds = chunk_bounds n (min n (t.n_jobs * chunk_factor)) in
     submit_and_wait t (List.map chunk bounds);
     Array.to_list results
     |> List.map (function
@@ -355,40 +353,3 @@ let map_prefix t ~deadline ?yield f xs =
   yield_upto claimed;
   let prefix = List.init claimed done_at in
   if claimed = n then Ok prefix else Error prefix
-
-let map_reduce t ~map:fm ~reduce ~init xs =
-  if inline t || (match xs with [] | [ _ ] -> true | _ -> false) then
-    List.fold_left
-      (fun acc x ->
-        poll_deadline t;
-        reduce acc (fm x))
-      init xs
-  else begin
-    let items = Array.of_list xs in
-    let n = Array.length items in
-    let n_chunks = min n (t.n_jobs * t.chunk) in
-    let accs = Array.make n_chunks None in
-    let chunk idx (lo, hi) () =
-      accs.(idx) <-
-        Some
-          (match
-             let acc = ref init in
-             for i = lo to hi - 1 do
-               poll_deadline t;
-               acc := reduce !acc (fm items.(i))
-             done;
-             !acc
-           with
-           | acc -> Ok acc
-           | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-    in
-    let bounds = chunk_bounds n n_chunks in
-    submit_and_wait t (List.mapi chunk bounds);
-    Array.fold_left
-      (fun acc slot ->
-        match slot with
-        | Some (Ok chunk_acc) -> reduce acc chunk_acc
-        | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-        | None -> assert false)
-      init accs
-  end

@@ -18,14 +18,13 @@
     pool still has its own queue, deadline and shutdown, and pools may
     nest: a task may create, use and shut down a pool of its own.
 
-    Determinism contract: {!map} and {!map_reduce} return results in
-    input order regardless of which worker ran which chunk, and an
-    exception raised by [f] is re-raised in the caller for the
+    Determinism contract: {!map} returns results in input order
+    regardless of which worker ran which chunk, and an exception raised by [f] is re-raised in the caller for the
     {e lowest} input index that failed.  A pool created with
     [jobs <= 1] spawns no domains and runs everything inline in the
     caller, making [jobs = 1] exactly the sequential path.
 
-    Work is queued as chunks (several items per task) to amortize queue
+    {!map} queues work as chunks, four per domain, to amortize queue
     synchronization; chunk boundaries are invisible in the results.
 
     Telemetry: every submitted chunk (one per domain for
@@ -38,7 +37,7 @@
 
 type t
 
-val create : ?chunk:int -> jobs:int -> unit -> t
+val create : jobs:int -> unit -> t
 (** Attach [jobs - 1] workers: parked worker domains first, newly
     spawned ones for the rest.  [jobs <= 1] attaches none (inline
     execution).
@@ -46,31 +45,21 @@ val create : ?chunk:int -> jobs:int -> unit -> t
     oversubscribing cores only adds contention, so a request for more
     domains than the hardware can schedule degrades gracefully — down
     to inline execution on a single-core host.  Results never depend
-    on the effective domain count.
-
-    [chunk] is the number of chunks each worker gets per {!map} /
-    {!map_reduce} round (default 4, clamped to >= 1).  Small values
-    amortize queue synchronization and GC safepoint traffic — the right
-    call on few-core hosts where the fan-out is sync-bound; larger
-    values rebalance skewed item costs.  Chunking never changes
-    results, only scheduling. *)
+    on the effective domain count. *)
 
 val jobs : t -> int
-
-val chunk : t -> int
-(** The per-worker chunk factor this pool was created with. *)
 
 val shutdown : t -> unit
 (** Drain the queue, then detach the workers and park their domains
     for a later {!create}; returns once every worker has left this
     pool.  Idempotent; the pool runs inline afterwards. *)
 
-val with_pool : ?chunk:int -> jobs:int -> (t -> 'a) -> 'a
+val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [create], run, then {!shutdown} — even on exceptions. *)
 
 val with_deadline : t -> Deadline.t -> (unit -> 'a) -> 'a
 (** Install a cooperative deadline for the duration of the callback:
-    every item processed by {!map} / {!map_reduce} (chunked or inline)
+    every item processed by {!map} (chunked or inline)
     polls the token first, and an expired token aborts the whole call
     with [Deadline.Expired] re-raised in the caller.  Results computed
     before the abort are discarded — a deadline-aborted map yields no
@@ -109,11 +98,3 @@ val map_prefix :
     The installed {!with_deadline} token is not polled; [deadline] is
     the only one.  A call on worker domains counts one [pool.tasks]
     task per domain it runs on; an inline call counts none. *)
-
-val map_reduce :
-  t -> map:('a -> 'b) -> reduce:('b -> 'b -> 'b) -> init:'b -> 'a list -> 'b
-(** [List.fold_left (fun acc x -> reduce acc (map x)) init xs], with
-    the [map] calls parallelized.  Each chunk folds from [init] and the
-    chunk accumulators are reduced in chunk order, so the result equals
-    the sequential fold whenever [reduce] is associative with [init] as
-    a neutral element. *)

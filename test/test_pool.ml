@@ -1,6 +1,6 @@
 (* Tests for Encore_util.Pool: deterministic ordering, exception
    propagation, worker reuse across calls, worker domains recycled
-   across pools (nested pools included), map_reduce, deadline
+   across pools (nested pools included), deadline
    cancellation firing inside worker domains, map_prefix's
    deadline-bounded prefix and streaming, and the map = List.map
    properties at every pool size. *)
@@ -106,22 +106,6 @@ let test_nested_pool_in_task () =
   in
   check (Alcotest.list ints) "inner pool results" (List.map expected xs)
     (Pool.map outer inner xs)
-
-(* --- map_reduce ----------------------------------------------------------- *)
-
-let test_map_reduce_sum () =
-  Pool.with_pool ~jobs:4 @@ fun p ->
-  let xs = List.init 1001 Fun.id in
-  check Alcotest.int "sum" 500_500
-    (Pool.map_reduce p ~map:Fun.id ~reduce:( + ) ~init:0 xs)
-
-let test_map_reduce_order_sensitive () =
-  (* list concatenation is associative with [] neutral, so the result
-     must equal the sequential fold even though it is order-sensitive *)
-  Pool.with_pool ~jobs:4 @@ fun p ->
-  let xs = List.init 300 Fun.id in
-  check ints "concat in order" xs
-    (Pool.map_reduce p ~map:(fun x -> [ x ]) ~reduce:( @ ) ~init:[] xs)
 
 (* --- deadlines firing inside worker domains -------------------------------- *)
 
@@ -298,11 +282,6 @@ let () =
             test_sequential_pools_recycle_domains;
           Alcotest.test_case "pool nested in a task" `Quick
             test_nested_pool_in_task;
-        ] );
-      ( "map_reduce",
-        [
-          Alcotest.test_case "sum" `Quick test_map_reduce_sum;
-          Alcotest.test_case "order-sensitive reduce" `Quick test_map_reduce_order_sensitive;
         ] );
       ( "deadline",
         [
