@@ -19,10 +19,11 @@
     nest: a task may create, use and shut down a pool of its own.
 
     Determinism contract: {!map} returns results in input order
-    regardless of which worker ran which chunk, and an exception raised by [f] is re-raised in the caller for the
-    {e lowest} input index that failed.  A pool created with
-    [jobs <= 1] spawns no domains and runs everything inline in the
-    caller, making [jobs = 1] exactly the sequential path.
+    regardless of which worker ran which chunk, and an exception
+    raised by [f] is re-raised in the caller for the {e lowest} input
+    index that failed.  A pool created with [jobs <= 1] spawns no
+    domains and runs everything inline in the caller, making
+    [jobs = 1] exactly the sequential path.
 
     {!map} queues work as chunks, four per domain, to amortize queue
     synchronization; chunk boundaries are invisible in the results.
