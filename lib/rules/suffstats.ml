@@ -529,7 +529,9 @@ let of_payload text =
     | None -> fail "missing @stats section"
   in
   (* column records: a raw/glob header line followed by its tally and
-     distinct lines *)
+     distinct lines.  Only records [to_payload] can write load: counts
+     are non-negative, a column, a tally type or a distinct value
+     appears once, and an overflowed column keeps no distinct values *)
   let rec read_cols acc_raw order_raw acc_glob order_glob cur_col =
     let flush () =
       match cur_col with
@@ -550,23 +552,36 @@ let of_payload text =
         | [ [ tag; attr; samples; overflow ] ]
           when tag = "raw" || tag = "glob" -> (
             match (int_of_string_opt samples, overflow) with
-            | Some samples, ("0" | "1") ->
+            | Some samples, ("0" | "1") when samples >= 0 ->
                 let acc_raw, order_raw, acc_glob, order_glob = flush () in
-                let cs =
-                  { empty_col with samples; overflow = overflow = "1" }
-                in
-                let side = if tag = "raw" then `Raw else `Glob in
-                read_cols acc_raw order_raw acc_glob order_glob
-                  (Some (side, attr, cs))
+                if Smap.mem attr (if tag = "raw" then acc_raw else acc_glob)
+                then fail "repeated column %S" line
+                else
+                  let cs =
+                    { empty_col with samples; overflow = overflow = "1" }
+                  in
+                  let side = if tag = "raw" then `Raw else `Glob in
+                  read_cols acc_raw order_raw acc_glob order_glob
+                    (Some (side, attr, cs))
             | _ -> fail "bad column header %S" line)
         | [ [ "t"; ct; c ] ] -> (
             match (cur_col, Ctype.of_string ct, int_of_string_opt c) with
-            | Some (side, attr, cs), Some ct, Some c ->
-                read_cols acc_raw order_raw acc_glob order_glob
-                  (Some (side, attr, { cs with tally = cs.tally @ [ (ct, c) ] }))
+            | Some (side, attr, cs), Some ct, Some c when c >= 0 ->
+                if List.exists (fun (ct', _) -> Ctype.equal ct ct') cs.tally
+                then fail "repeated tally type %S" line
+                else
+                  read_cols acc_raw order_raw acc_glob order_glob
+                    (Some
+                       (side, attr, { cs with tally = cs.tally @ [ (ct, c) ] }))
             | _ -> fail "bad tally line %S" line)
         | [ [ "d"; v ] ] -> (
             match cur_col with
+            | Some (_, _, cs) when cs.overflow ->
+                fail "distinct value on an overflowed column %S" line
+            | Some (_, _, cs) when List.mem v cs.distinct ->
+                fail "repeated distinct value %S" line
+            | Some (_, _, cs) when List.length cs.distinct >= distinct_cap ->
+                fail "more than %d distinct values %S" distinct_cap line
             | Some (side, attr, cs) ->
                 read_cols acc_raw order_raw acc_glob order_glob
                   (Some (side, attr, { cs with distinct = cs.distinct @ [ v ] }))

@@ -267,6 +267,36 @@ let test_malformed_line_offset () =
   let blank_header =
     String.make (String.index_from body first_dump '\n' - first_dump) 'X'
   in
+  let line_at at = String.sub body at (String.index_from body at '\n' - at) in
+  let rec find_line at prefix =
+    if Encore_util.Strutil.starts_with ~prefix (line_at at) then at
+    else find_line (nth_line_after at 1) prefix
+  in
+  (* the first column record: its header, first two tally lines and
+     first two distinct values; it is not overflowed *)
+  let header = stats_at in
+  let tally1 = nth_line_after header 1 and tally2 = nth_line_after header 2 in
+  let d1 = find_line header "d," in
+  let d2 = nth_line_after d1 1 in
+  let header2 = find_line (nth_line_after header 1) "raw," in
+  (* field [k] of a record line, negated *)
+  let negate k line =
+    String.concat ","
+      (List.mapi
+         (fun i f -> if i = k then "-" ^ f else f)
+         (String.split_on_char ',' line))
+  in
+  let overflowed =
+    match String.split_on_char ',' (line_at header) with
+    | [ tag; attr; samples; "0" ] -> String.concat "," [ tag; attr; samples; "1" ]
+    | _ -> Alcotest.failf "not a column header: %s" (line_at header)
+  in
+  (* four fresh distinct values after the first: the column's second
+     value is then its sixth *)
+  let four_more =
+    String.concat "\n"
+      (line_at d1 :: List.init 4 (fun i -> Printf.sprintf "d,fresh-%d" i))
+  in
   List.iter
     (fun (name, at, line, rejected_at, needle) ->
       match Stats_io.of_string ~path:"p" (framed (replace_line at line)) with
@@ -283,7 +313,20 @@ let test_malformed_line_offset () =
        ("stats line", at, "bogus,line", at, "bogus,line"));
       ("image frame", second_frame, "@image x", second_frame, "@image x");
       ("image dump", first_dump, blank_header, nth_line_after 0 1, "image 1");
-      ("image count", 0, "images -1", 0, "-1") ]
+      ("image count", 0, "images -1", 0, "-1");
+      ("negative samples", header, negate 2 (line_at header), header,
+       "bad column header");
+      ("negative tally count", tally1, negate 2 (line_at tally1), tally1,
+       "bad tally line");
+      ("repeated column", header2, line_at header, header2, "repeated column");
+      ("repeated tally type", tally2, line_at tally1, tally2,
+       "repeated tally type");
+      ("repeated distinct value", d2, line_at d1, d2,
+       "repeated distinct value");
+      ("more than distinct_cap values", d1, four_more,
+       d1 + String.length four_more + 1, "more than 5 distinct values");
+      ("distinct value on an overflowed column", header, overflowed, d1,
+       "overflowed column") ]
 
 (* Two snapshots, the newer one damaged at rest: the store rolls back to
    the older one, which finalizes to the model of the statistics saved. *)
