@@ -436,9 +436,9 @@ let shard_size = 256
 
 let evaluate ?pool ?prior ~params ~templates ~types ~ctxs ~view ~bits () =
   let eng = engine_of ~types ~ctxs ~view ~bits in
-  (* candidates are generated over interned column ids (the view's
-     first-appearance order), so counting never touches an attribute
-     name *)
+  (* candidates are generated over interned column ids, in the view's
+     first-appearance order; counting reads an attribute name only to
+     find a candidate's prior counts *)
   let cands =
     Array.of_list
       (List.concat
