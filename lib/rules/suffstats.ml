@@ -531,7 +531,8 @@ let of_payload text =
   (* column records: a raw/glob header line followed by its tally and
      distinct lines.  Only records [to_payload] can write load: counts
      are non-negative, a column, a tally type or a distinct value
-     appears once, and an overflowed column keeps no distinct values *)
+     appears once, an overflowed column keeps no distinct values, and a
+     global column keeps none at all *)
   let rec read_cols acc_raw order_raw acc_glob order_glob cur_col =
     let flush () =
       match cur_col with
@@ -552,7 +553,8 @@ let of_payload text =
         | [ [ tag; attr; samples; overflow ] ]
           when tag = "raw" || tag = "glob" -> (
             match (int_of_string_opt samples, overflow) with
-            | Some samples, ("0" | "1") when samples >= 0 ->
+            | Some samples, ("0" | "1")
+              when samples >= 0 && not (tag = "glob" && overflow = "1") ->
                 let acc_raw, order_raw, acc_glob, order_glob = flush () in
                 if Smap.mem attr (if tag = "raw" then acc_raw else acc_glob)
                 then fail "repeated column %S" line
@@ -576,6 +578,8 @@ let of_payload text =
             | _ -> fail "bad tally line %S" line)
         | [ [ "d"; v ] ] -> (
             match cur_col with
+            | Some (`Glob, _, _) ->
+                fail "distinct value on a global column %S" line
             | Some (_, _, cs) when cs.overflow ->
                 fail "distinct value on an overflowed column %S" line
             | Some (_, _, cs) when List.mem v cs.distinct ->

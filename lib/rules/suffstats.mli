@@ -120,7 +120,8 @@ val of_payload : string -> (t, int * string) result
 (** Total inverse of {!to_payload}: it loads only records
     {!to_payload} can write, so a negative count, a repeated column,
     tally type or distinct value, more distinct values than a column
-    keeps, or a distinct value on an overflowed column is rejected.
+    keeps, or a distinct value on an overflowed or global column is
+    rejected.
     [Error (offset, detail)] names the byte offset, within the payload,
     of the line it rejects (the end of the payload when a section is
     missing). *)

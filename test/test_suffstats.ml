@@ -279,6 +279,7 @@ let test_malformed_line_offset () =
   let d1 = find_line header "d," in
   let d2 = nth_line_after d1 1 in
   let header2 = find_line (nth_line_after header 1) "raw," in
+  let glob = find_line header "glob," in
   (* field [k] of a record line, negated *)
   let negate k line =
     String.concat ","
@@ -286,10 +287,10 @@ let test_malformed_line_offset () =
          (fun i f -> if i = k then "-" ^ f else f)
          (String.split_on_char ',' line))
   in
-  let overflowed =
-    match String.split_on_char ',' (line_at header) with
+  let overflowed at =
+    match String.split_on_char ',' (line_at at) with
     | [ tag; attr; samples; "0" ] -> String.concat "," [ tag; attr; samples; "1" ]
-    | _ -> Alcotest.failf "not a column header: %s" (line_at header)
+    | _ -> Alcotest.failf "not a column header: %s" (line_at at)
   in
   (* four fresh distinct values after the first: the column's second
      value is then its sixth *)
@@ -325,8 +326,13 @@ let test_malformed_line_offset () =
        "repeated distinct value");
       ("more than distinct_cap values", d1, four_more,
        d1 + String.length four_more + 1, "more than 5 distinct values");
-      ("distinct value on an overflowed column", header, overflowed, d1,
-       "overflowed column") ]
+      ("distinct value on an overflowed column", header, overflowed header,
+       d1, "overflowed column");
+      ("overflowed global column", glob, overflowed glob, glob,
+       "bad column header");
+      ("distinct value on a global column", glob,
+       line_at glob ^ "\nd,fresh", glob + String.length (line_at glob) + 1,
+       "global column") ]
 
 (* Two snapshots, the newer one damaged at rest: the store rolls back to
    the older one, which finalizes to the model of the statistics saved. *)
