@@ -63,8 +63,8 @@ val evaluate :
     through it.  [ctxs], [view] and [bits] must cover the same rows in
     the same order.
 
-    Every candidate of the polarity-expanded [templates] over the
-    view's attributes ({!instantiations}, in view column order) is
+    Every candidate of [templates] ({!expand_polarities} applied) over
+    the view's attributes ({!instantiations}, in view column order) is
     counted: popcounts over the presence bitsets and scans of typed
     value arrays for the equality, boolean implication and numeric and
     size order relations, per-row {!Relation.eval} over the co-presence
@@ -75,10 +75,10 @@ val evaluate :
     paper notes the instantiation loop "is highly parallelizable
     because there is zero state sharing" (section 5.1).
 
-    With [prior], the counts of a view these rows extend, a candidate
-    [prior] holds is counted over the rows past [prior]'s only (counts
-    are additive over a row partition); any other candidate is counted
-    over all rows.
+    [prior] holds the counts an earlier call with the same [templates]
+    returned over a prefix of these rows: a candidate it holds is
+    counted over the rows past that prefix only (counts are additive
+    over a row partition), any other candidate over all rows.
 
     Each candidate is then judged on its counts: support, vacuity of an
     implication's antecedent, confidence (the template's own floor
