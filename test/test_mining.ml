@@ -129,6 +129,26 @@ let test_overflow_cap () =
   let r = Apriori.mine ~max_itemsets:100 ~min_support:2 txs in
   check Alcotest.bool "apriori overflowed" true r.Apriori.overflowed
 
+(* The cap truncates the walk, not a reordered result: a capped [mine]
+   is the first [k] itemsets the uncapped one emits, in order. *)
+let test_capped_mine_is_prefix () =
+  let txs =
+    Array.init 6 (fun i ->
+        Itemset.of_list (List.filter (fun x -> (x + i) mod 5 <> 0) (List.init 12 Fun.id)))
+  in
+  let all = (Fpgrowth.mine ~min_support:2 txs).Fpgrowth.frequent in
+  List.iter
+    (fun k ->
+      let r = Fpgrowth.mine ~max_itemsets:k ~min_support:2 txs in
+      check Alcotest.bool (Printf.sprintf "overflowed at %d" k) true
+        r.Fpgrowth.overflowed;
+      check
+        (Alcotest.list (Alcotest.pair (Alcotest.list Alcotest.int) Alcotest.int))
+        (Printf.sprintf "first %d itemsets" k)
+        (List.filteri (fun i _ -> i < k) (List.map (fun (s, c) -> (Itemset.to_list s, c)) all))
+        (List.map (fun (s, c) -> (Itemset.to_list s, c)) r.Fpgrowth.frequent))
+    [ 1; 7; 100; List.length all - 1 ]
+
 let test_empty_transactions () =
   let r = Apriori.mine ~min_support:1 [||] in
   check Alcotest.int "nothing frequent" 0 (List.length r.Apriori.frequent);
@@ -162,6 +182,23 @@ let prop_fpgrowth_supports_correct =
       List.for_all
         (fun (itemset, support) -> Itemset.support db itemset = support)
         f.Fpgrowth.frequent)
+
+(* The count stops one past the cap: [count_only] reports the uncapped
+   total up to [k] and [k + 1] with the overflow flag beyond it. *)
+let prop_count_only_cap =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 10) (list_size (int_range 0 8) (int_range 0 9)))
+        (int_range 0 60))
+  in
+  QCheck.Test.make ~name:"count_only stops one past the cap" ~count:100
+    (QCheck.make gen)
+    (fun (txs, k) ->
+      let db = Array.of_list (List.map Itemset.of_list txs) in
+      let total = List.length (Fpgrowth.mine ~min_support:1 db).Fpgrowth.frequent in
+      Fpgrowth.count_only ~max_itemsets:k ~min_support:1 db
+      = (min total (k + 1), total > k))
 
 (* --- Association rules ------------------------------------------------------ *)
 
@@ -231,9 +268,11 @@ let () =
           Alcotest.test_case "algorithms agree (market)" `Quick test_apriori_fpgrowth_agree_market;
           Alcotest.test_case "count_only consistent" `Quick test_count_only_matches_mine;
           Alcotest.test_case "overflow cap" `Quick test_overflow_cap;
+          Alcotest.test_case "capped mine is a prefix" `Quick test_capped_mine_is_prefix;
           Alcotest.test_case "empty database" `Quick test_empty_transactions;
           qtest prop_apriori_fpgrowth_agree;
           qtest prop_fpgrowth_supports_correct;
+          qtest prop_count_only_cap;
         ] );
       ( "assoc",
         [
