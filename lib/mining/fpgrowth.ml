@@ -15,8 +15,6 @@ type tree = {
   header : (int, node list ref) Hashtbl.t;  (** item -> node chain *)
 }
 
-exception Overflow
-
 let new_node ?parent item =
   { item; count = 0; parent; children = Hashtbl.create 4 }
 
@@ -120,118 +118,52 @@ let conditional_base tree item =
           | path -> Some (path, node.count))
         !chain
 
-(* --- sharded mining ------------------------------------------------------- *)
+(* --- the walk ------------------------------------------------------------- *)
 
-(* The miner's enumeration is a depth-first walk rooted at each
-   top-level frequent item: emit [item], then recurse into its
-   conditional pattern base.  Those per-item subtrees share nothing but
-   the (read-only) top-level tree, so they fan out to pool domains as
-   shards — one shard per top-level item, in the top tree's frequent
-   order, merged by in-order concatenation.  The concatenation equals
-   the sequential walk's emission order exactly, so output bytes never
-   depend on the job count.
+exception Overflow
 
-   Overflow semantics: the sequential miner stops at emission
-   [max_itemsets + 1].  Each shard caps its local work at
-   [max_itemsets] (no shard can contribute more than the whole run may
-   emit), and the merge truncates the concatenation to the cap and
-   clamps the attempted count to [max_itemsets + 1] — byte-identical to
-   the sequential truncation point, with bounded work per shard. *)
-
-(* Walk one top-level item's subtree, calling [emit] per itemset in
-   sequential order; returns (attempted, deepest recursion, overflowed)
-   with attempted <= cap + 1. *)
-let grow_shard ~min_support ~cap ~emit (item, support, base) =
+(* Han, Pei & Yin's depth-first walk: emit each frequent item of the
+   current tree joined to the suffix, then recurse into its conditional
+   pattern base.  One counter bounds the whole walk: the emission past
+   [max_itemsets] raises, so an overflowing run stops after cap + 1
+   emissions and what it emitted is the uncapped walk's prefix.
+   Returns the emission count (at most cap + 1) and the overflow
+   flag. *)
+let walk ~max_itemsets ~min_support ~emit transactions =
   let n = ref 0 and max_depth = ref 0 in
-  let count itemset c =
-    incr n;
-    if !n > cap then raise Overflow;
-    emit itemset c
-  in
-  let rec grow weighted suffix depth =
+  let rec grow (tree, frequent) suffix depth =
     if depth > !max_depth then max_depth := depth;
-    let tree, frequent = build_tree ~min_support weighted in
     List.iter
-      (fun (it, sup) ->
-        let itemset = it :: suffix in
-        count itemset sup;
-        match conditional_base tree it with
+      (fun (item, support) ->
+        let itemset = item :: suffix in
+        incr n;
+        if !n > max_itemsets then raise Overflow;
+        emit itemset support;
+        match conditional_base tree item with
         | [] -> ()
-        | b -> grow b itemset (depth + 1))
+        | base -> grow (build_tree ~min_support base) itemset (depth + 1))
       frequent
+  in
+  let top =
+    build_tree ~min_support
+      (Array.to_list (Array.map (fun tx -> (Array.to_list tx, 1)) transactions))
   in
   let overflowed =
     try
-      count [ item ] support;
-      (match base with [] -> () | b -> grow b [ item ] 1);
+      grow top [] 0;
       false
     with Overflow -> true
   in
-  (!n, !max_depth, overflowed)
+  record_run ~tree:(fst top) ~max_depth:!max_depth ~emitted:!n ~max_itemsets;
+  (!n, overflowed)
 
-(* Top-level tree plus one shard per frequent item.  Conditional bases
-   are extracted here, before fan-out, so shard tasks never touch the
-   shared tree. *)
-let top_shards ~min_support transactions =
-  let weighted =
-    Array.to_list (Array.map (fun tx -> (Array.to_list tx, 1)) transactions)
+let mine ?(max_itemsets = 2_000_000) ~min_support transactions =
+  let out = ref [] in
+  let _, overflowed =
+    walk ~max_itemsets ~min_support transactions ~emit:(fun itemset c ->
+        out := (Itemset.of_list itemset, c) :: !out)
   in
-  let tree, frequent = build_tree ~min_support weighted in
-  let shards =
-    List.map
-      (fun (item, support) -> (item, support, conditional_base tree item))
-      frequent
-  in
-  (tree, shards)
+  { frequent = List.rev !out; overflowed }
 
-let map_shards ?pool f shards =
-  match pool with
-  | Some p -> Encore_util.Pool.map p f shards
-  | None -> List.map f shards
-
-let truncate n l =
-  let rec go acc n = function
-    | x :: tl when n > 0 -> go (x :: acc) (n - 1) tl
-    | _ -> List.rev acc
-  in
-  go [] n l
-
-let mine ?(max_itemsets = 2_000_000) ?pool ~min_support transactions =
-  let tree, shards = top_shards ~min_support transactions in
-  let results =
-    map_shards ?pool
-      (fun shard ->
-        let out = ref [] in
-        let emit itemset c = out := (Itemset.of_list itemset, c) :: !out in
-        let n, depth, _ = grow_shard ~min_support ~cap:max_itemsets ~emit shard in
-        (List.rev !out, n, depth))
-      shards
-  in
-  let attempted = List.fold_left (fun acc (_, n, _) -> acc + n) 0 results in
-  let max_depth = List.fold_left (fun acc (_, _, d) -> max acc d) 0 results in
-  let overflowed = attempted > max_itemsets in
-  let emitted = min attempted (max_itemsets + 1) in
-  record_run ~tree ~max_depth ~emitted ~max_itemsets;
-  let out = List.concat_map (fun (o, _, _) -> o) results in
-  let out = if overflowed then truncate max_itemsets out else out in
-  { frequent = out; overflowed }
-
-let count_only ?(max_itemsets = 2_000_000) ?pool ~min_support transactions =
-  let tree, shards = top_shards ~min_support transactions in
-  let results =
-    map_shards ?pool
-      (fun shard ->
-        let n, depth, _ =
-          grow_shard ~min_support ~cap:max_itemsets
-            ~emit:(fun _ _ -> ())
-            shard
-        in
-        (n, depth))
-      shards
-  in
-  let attempted = List.fold_left (fun acc (n, _) -> acc + n) 0 results in
-  let max_depth = List.fold_left (fun acc (_, d) -> max acc d) 0 results in
-  let overflowed = attempted > max_itemsets in
-  let emitted = min attempted (max_itemsets + 1) in
-  record_run ~tree ~max_depth ~emitted ~max_itemsets;
-  (emitted, overflowed)
+let count_only ?(max_itemsets = 2_000_000) ?pool:_ ~min_support transactions =
+  walk ~max_itemsets ~min_support ~emit:(fun _ _ -> ()) transactions
