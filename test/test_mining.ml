@@ -1,11 +1,10 @@
-(* Tests for encore_mining: itemsets, Apriori, FP-Growth and association
-   rules.  The central property: Apriori and FP-Growth agree on every
-   frequent itemset over random transaction databases. *)
+(* Tests for encore_mining: itemsets, Apriori and FP-Growth.  The
+   central property: Apriori and FP-Growth agree on every frequent
+   itemset over random transaction databases. *)
 
 module Itemset = Encore_mining.Itemset
 module Apriori = Encore_mining.Apriori
 module Fpgrowth = Encore_mining.Fpgrowth
-module Assoc = Encore_mining.Assoc
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -200,52 +199,6 @@ let prop_count_only_cap =
       Fpgrowth.count_only ~max_itemsets:k ~min_support:1 db
       = (min total (k + 1), total > k))
 
-(* --- Association rules ------------------------------------------------------ *)
-
-let test_assoc_rules_confidence () =
-  let r = Fpgrowth.mine ~min_support:3 market in
-  let rules = Assoc.rules ~min_confidence:0.7 r.Fpgrowth.frequent in
-  (* diaper -> beer: support({d,b})=3, support({d})=4 -> conf 0.75 *)
-  let found =
-    List.exists
-      (fun (rule : Assoc.rule) ->
-        Itemset.to_list rule.Assoc.antecedent = [ diaper ]
-        && Itemset.to_list rule.Assoc.consequent = [ beer ]
-        && abs_float (rule.Assoc.confidence -. 0.75) < 1e-9)
-      rules
-  in
-  check Alcotest.bool "diaper=>beer at 0.75" true found;
-  (* beer -> diaper: support({b})=3 -> conf 1.0 *)
-  let found =
-    List.exists
-      (fun (rule : Assoc.rule) ->
-        Itemset.to_list rule.Assoc.antecedent = [ beer ]
-        && Itemset.to_list rule.Assoc.consequent = [ diaper ]
-        && rule.Assoc.confidence = 1.0)
-      rules
-  in
-  check Alcotest.bool "beer=>diaper at 1.0" true found
-
-let test_assoc_threshold_excludes () =
-  let r = Fpgrowth.mine ~min_support:3 market in
-  let rules = Assoc.rules ~min_confidence:0.99 r.Fpgrowth.frequent in
-  check Alcotest.bool "0.75-confidence rule excluded" true
-    (not
-       (List.exists
-          (fun (rule : Assoc.rule) ->
-            Itemset.to_list rule.Assoc.antecedent = [ diaper ]
-            && Itemset.to_list rule.Assoc.consequent = [ beer ])
-          rules))
-
-let test_assoc_to_string () =
-  let rule =
-    { Assoc.antecedent = Itemset.of_list [ 0 ]; consequent = Itemset.of_list [ 1 ];
-      support = 3; confidence = 0.75 }
-  in
-  let label = function 0 -> "bread" | 1 -> "milk" | _ -> "?" in
-  check Alcotest.string "rendering" "{bread} => {milk} (sup=3, conf=0.75)"
-    (Assoc.to_string label rule)
-
 let () =
   Alcotest.run "encore_mining"
     [
@@ -273,11 +226,5 @@ let () =
           qtest prop_apriori_fpgrowth_agree;
           qtest prop_fpgrowth_supports_correct;
           qtest prop_count_only_cap;
-        ] );
-      ( "assoc",
-        [
-          Alcotest.test_case "confidence values" `Quick test_assoc_rules_confidence;
-          Alcotest.test_case "threshold excludes" `Quick test_assoc_threshold_excludes;
-          Alcotest.test_case "to_string" `Quick test_assoc_to_string;
         ] );
     ]
