@@ -252,24 +252,16 @@ let miners ?(config = Config.default) ?(scale = Experiments.paper_scale) () =
   let transactions, dict =
     Encore_dataset.Discretize.transactions assembled.Assemble.table
   in
-  let n_tx = Array.length transactions in
-  let min_support = max 2 (n_tx * 6 / 10) in
+  let min_support = max 2 (Array.length transactions * 6 / 10) in
   let cap = scale.Experiments.mining_cap in
-  let rng = Prng.create (config.Config.seed + 5) in
-  let item_order = Prng.shuffle rng (List.init (Array.length dict) Fun.id) in
+  let restrict =
+    Experiments.first_items ~seed:(config.Config.seed + 5)
+      ~items:(Array.length dict) transactions
+  in
   let rows =
     List.map
       (fun n_attrs ->
-        let allowed = Hashtbl.create n_attrs in
-        List.iteri
-          (fun i item -> if i < n_attrs then Hashtbl.replace allowed item ())
-          item_order;
-        let restricted =
-          Array.map
-            (fun tx ->
-              Array.of_list (List.filter (Hashtbl.mem allowed) (Array.to_list tx)))
-            transactions
-        in
+        let restricted = restrict n_attrs in
         let time f =
           let t0 = Sys.time () in
           let r = f () in

@@ -176,33 +176,30 @@ let table2 ?(config = Config.default) ?(scale = paper_scale) () =
 
 (* ---------------------------------------------------------------- T3 *)
 
+let first_items ~seed ~items transactions =
+  let order = Prng.shuffle (Prng.create seed) (List.init items Fun.id) in
+  fun n ->
+    let allowed = Hashtbl.create n in
+    List.iteri (fun i item -> if i < n then Hashtbl.replace allowed item ()) order;
+    Array.map
+      (fun tx -> Array.of_list (List.filter (Hashtbl.mem allowed) (Array.to_list tx)))
+      transactions
+
 let table3 ?(config = Config.default) ?(scale = paper_scale) () =
   let attr_steps = [ 60; 120; 180; 250 ] in
   let rows =
     List.concat_map
       (fun app ->
         let assembled = assembled_training ~config ~scale app in
-        let table = assembled.Assemble.table in
-        let transactions, dict = Discretize.transactions table in
-        let n_tx = Array.length transactions in
-        let min_support = max 2 (n_tx * 6 / 10) in
-        (* the paper randomly selects configuration entries; pick item
-           columns with a seeded shuffle so each step is a superset *)
-        let rng = Prng.create (config.Config.seed + 3) in
-        let item_order = Prng.shuffle rng (List.init (Array.length dict) Fun.id) in
+        let transactions, dict = Discretize.transactions assembled.Assemble.table in
+        let min_support = max 2 (Array.length transactions * 6 / 10) in
+        let restrict =
+          first_items ~seed:(config.Config.seed + 3) ~items:(Array.length dict)
+            transactions
+        in
         List.map
           (fun n_attrs ->
-            let allowed = Hashtbl.create n_attrs in
-            List.iteri
-              (fun i item -> if i < n_attrs then Hashtbl.replace allowed item ())
-              item_order;
-            let restricted =
-              Array.map
-                (fun tx ->
-                  Array.of_list
-                    (List.filter (Hashtbl.mem allowed) (Array.to_list tx)))
-                transactions
-            in
+            let restricted = restrict n_attrs in
             let t0 = Sys.time () in
             let count, overflowed =
               Fpgrowth.count_only ~max_itemsets:scale.mining_cap ~min_support

@@ -37,6 +37,15 @@ val table2 : ?config:Config.t -> ?scale:scale -> unit -> table
 val table3 : ?config:Config.t -> ?scale:scale -> unit -> table
 (** FP-Growth time and frequent-itemset size vs number of attributes. *)
 
+val first_items :
+  seed:int -> items:int -> int array array -> int -> int array array
+(** [first_items ~seed ~items transactions n] keeps, of each
+    transaction, only the first [n] ids of a [seed]ed shuffle of the
+    item ids [0 .. items - 1]: the paper's random selection of
+    configuration entries, in which a larger [n] keeps a superset.
+    Applied to its first three arguments it shuffles once.  Table 3 and
+    the miners ablation sweep the attribute count with it. *)
+
 val table8 : ?config:Config.t -> ?scale:scale -> unit -> table
 (** Injected-error detection: Baseline / Baseline+Env / EnCore per app. *)
 
