@@ -494,24 +494,36 @@ let chaos_cmd =
 
 (* Line source over a file descriptor for [Server.run]'s [recv]: polls
    with select so a signal-initiated drain is noticed within [tick],
-   splits reads into lines, and delivers a trailing unterminated line
-   before EOF. *)
-let fd_line_reader ?(tick = 0.25) fd =
+   scans each read once for newlines, and delivers a trailing
+   unterminated line before EOF.  A line never buffers past [max_line]
+   bytes: the reader drops it through its newline and reports
+   [`Overflow] once. *)
+let fd_line_reader ?(tick = 0.25) ~max_line fd =
   let buf = Buffer.create 4096 in
   let chunk = Bytes.create 4096 in
-  let lines = Queue.create () in
-  let eof = ref false in
-  let split_lines () =
-    let s = Buffer.contents buf in
-    Buffer.clear buf;
-    let rec feed = function
-      | [] -> ()
-      | [ tail ] -> Buffer.add_string buf tail
-      | line :: rest ->
-          Queue.push line lines;
-          feed rest
-    in
-    feed (String.split_on_char '\n' s)
+  let ready = Queue.create () in
+  let eof = ref false and discarding = ref false in
+  let rec split off n =
+    if off < n then begin
+      let stop =
+        match Bytes.index_from_opt chunk off '\n' with
+        | Some i when i < n -> i
+        | _ -> n
+      in
+      if not !discarding then
+        if Buffer.length buf + (stop - off) > max_line then begin
+          Buffer.clear buf;
+          discarding := true;
+          Queue.push `Overflow ready
+        end
+        else Buffer.add_subbytes buf chunk off (stop - off);
+      if stop < n then begin
+        if not !discarding then Queue.push (`Line (Buffer.contents buf)) ready;
+        Buffer.clear buf;
+        discarding := false;
+        split (stop + 1) n
+      end
+    end
   in
   let pull ~wait =
     match Unix.select [ fd ] [] [] (if wait then tick else 0.0) with
@@ -519,16 +531,14 @@ let fd_line_reader ?(tick = 0.25) fd =
     | _ -> (
         match Unix.read fd chunk 0 (Bytes.length chunk) with
         | 0 -> eof := true
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            split_lines ()
+        | n -> split 0 n
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   in
   fun ~wait ->
-    if Queue.is_empty lines && not !eof then pull ~wait;
-    match Queue.take_opt lines with
-    | Some line -> `Line line
+    if Queue.is_empty ready && not !eof then pull ~wait;
+    match Queue.take_opt ready with
+    | Some r -> r
     | None ->
         if !eof then
           if Buffer.length buf > 0 then begin
@@ -741,7 +751,11 @@ let serve model_path store_dir learn_stats_dir socket_path journal_path
             ~learn_feed:(Option.is_some learner_hook)
             srv path max_connections
       | None ->
-          let stdin_recv = fd_line_reader Unix.stdin in
+          let stdin_recv =
+            fd_line_reader
+              ~max_line:(Encore_serve.Server.max_request_bytes srv)
+              Unix.stdin
+          in
           (* the watcher feeds synthesized watch requests between client
              lines; polled only on waiting reads so a request storm is
              never stalled behind directory stats *)
@@ -852,7 +866,11 @@ let serve_cmd =
           $ Arg.(value & opt (some int) None
                  & info [ "max-request-bytes" ] ~docv:"N"
                      ~doc:"Longer request lines are rejected unqueued, so \
-                           queue memory stays bounded.")
+                           queue memory stays bounded.  Over stdio and the \
+                           socket alike, no line is buffered past $(docv) \
+                           bytes: a longer one is answered with a typed \
+                           $(i,overflow) error and dropped through its \
+                           newline.")
           $ Arg.(value & opt (some int) None
                  & info [ "ring-capacity" ] ~docv:"N"
                      ~doc:"Alert ring bound (drop-oldest beyond it).")
@@ -983,7 +1001,8 @@ let connect_with_backoff ?(attempts = 8) path =
    alerts), render one frame.  Transport is a Unix socket — connected
    with backoff, reconnected if the daemon goes away between frames —
    or stdio: requests on stdout, responses on stdin, frames on stderr,
-   so a harness can splice [top] onto a daemon's pipes. *)
+   so a harness can splice [top] onto a daemon's pipes.  Responses are
+   read whole: no line bound applies to the daemon's own output. *)
 let top socket_path interval frames raw =
   let collect recv =
     let rec go ~idle_budget acc =
@@ -992,6 +1011,7 @@ let top socket_path interval frames raw =
         match recv ~wait:true with
         | `Eof -> acc
         | `Idle -> go ~idle_budget:(idle_budget - 1) acc
+        | `Overflow -> go ~idle_budget acc
         | `Line line -> (
             match Jx.of_string line with
             | Error _ -> go ~idle_budget acc
@@ -1022,7 +1042,7 @@ let top socket_path interval frames raw =
         print_string line;
         flush stdout
       in
-      let recv = fd_line_reader Unix.stdin in
+      let recv = fd_line_reader ~max_line:max_int Unix.stdin in
       let rec loop frame =
         List.iter send probes;
         match collect recv with
@@ -1057,7 +1077,7 @@ let top socket_path interval frames raw =
           | None -> (
               match connect_with_backoff path with
               | Ok fd ->
-                  let c = (fd, fd_line_reader fd) in
+                  let c = (fd, fd_line_reader ~max_line:max_int fd) in
                   conn := Some c;
                   Ok c
               | Error msg -> Error msg)

@@ -818,11 +818,7 @@ let transport_storm ?(config = Config.default) ?(requests = 10_000)
       }
     in
     let mconfig =
-      {
-        Serve_mux.default_config with
-        Serve_mux.max_line_bytes = (1 lsl 16) + (1 lsl 13);
-        idle_polls_budget = 50_000;
-      }
+      { Serve_mux.default_config with Serve_mux.idle_polls_budget = 50_000 }
     in
     match Serve_journal.open_ ~path:(Filename.concat dir "transport.wal") with
     | Error e -> Error ("transport journal: " ^ e)
@@ -909,7 +905,7 @@ let transport_storm ?(config = Config.default) ?(requests = 10_000)
                 end
                 else if j mod 20 = 11 then begin
                   incr faults;
-                  Flood (mconfig.Serve_mux.max_line_bytes + 4096)
+                  Flood (Serve_server.max_request_bytes server + 4096)
                 end
                 else if j mod 20 = 17 then begin
                   incr faults;

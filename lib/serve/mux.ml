@@ -9,19 +9,18 @@
    bounded: a connection holding a partial frame for more than
    [idle_polls_budget] polls (slowloris) or growing its pending output
    past [max_write_buffer] (never reads) is evicted; an unterminated
-   frame past [max_line_bytes] is answered with a typed overflow and
-   the connection discards bytes until the next newline.  Drain is
+   frame past the server's [max_request_bytes] is answered with the
+   server's typed overflow and the connection discards bytes until the
+   next newline.  Drain is
    deterministic: every surviving connection receives the flushed
    alerts and the bye summary before its socket closes. *)
 
 module Json = Encore_obs.Jsonenc
-module Res = Encore_util.Resilience
 module Ometrics = Encore_obs.Metrics
 
 type config = {
   max_connections : int;
   read_chunk_bytes : int;
-  max_line_bytes : int;
   idle_polls_budget : int;
   max_write_buffer : int;
   tick_s : float;
@@ -31,10 +30,6 @@ let default_config =
   {
     max_connections = 64;
     read_chunk_bytes = 4096;
-    (* one byte of slack over the server's own request bound, so the
-       server's typed oversize rejection (not the mux's) answers lines
-       that are long but framed *)
-    max_line_bytes = (1 lsl 20) + (1 lsl 16);
     idle_polls_budget = 2000;
     max_write_buffer = 1 lsl 22;
     tick_s = 0.25;
@@ -59,6 +54,7 @@ type conn = {
 type t = {
   mconfig : config;
   server : Server.t;
+  max_frame : int;  (* the server's max_request_bytes *)
   listen_fd : Unix.file_descr option;
   conns : (int, conn) Hashtbl.t;
   mutable order : int list;  (* cids in accept order *)
@@ -73,7 +69,6 @@ let m_conns_accepted = Ometrics.counter "serve.connections_accepted"
 let m_conns_evicted = Ometrics.counter "serve.connections_evicted"
 let m_short_writes = Ometrics.counter "serve.short_writes"
 let m_send_truncated = Ometrics.counter "serve.send_truncated"
-let m_frame_overflow = Ometrics.counter "serve.frame_overflow"
 
 let create ?(config = default_config) ?listen_fd ?(orphan = fun _ -> ())
     server =
@@ -81,6 +76,7 @@ let create ?(config = default_config) ?listen_fd ?(orphan = fun _ -> ())
   {
     mconfig = config;
     server;
+    max_frame = Server.max_request_bytes server;
     listen_fd;
     conns = Hashtbl.create 16;
     order = [];
@@ -191,12 +187,6 @@ let route t (origin, resp) =
 
 (* --- reading --------------------------------------------------------------- *)
 
-let overflow_response t =
-  Proto.error_response
-    (Res.diag Res.Overflow ~subject:"serve.mux"
-       (Printf.sprintf "unterminated frame exceeds %d bytes: discarded"
-          t.mconfig.max_line_bytes))
-
 (* Split buffered bytes into frames, honouring discard mode and the
    per-connection frame bound. *)
 let ingest_bytes t (c : conn) s =
@@ -211,13 +201,12 @@ let ingest_bytes t (c : conn) s =
       if ch = '\n' then flush_line ()
       else if not c.discarding then begin
         Buffer.add_char c.rbuf ch;
-        if Buffer.length c.rbuf > t.mconfig.max_line_bytes then begin
+        if Buffer.length c.rbuf > t.max_frame then begin
           (* flood containment: answer a typed overflow now, drop what
              accumulated, skip the rest of this frame *)
-          Ometrics.incr m_frame_overflow;
           Buffer.clear c.rbuf;
           c.discarding <- true;
-          enqueue_out t c (response_line (overflow_response t));
+          enqueue_out t c (response_line (Server.frame_overflow t.server));
           flush_writes t c
         end
       end)

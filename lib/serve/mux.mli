@@ -15,9 +15,10 @@
     - a slowloris peer — holding a partial frame without progress for
       [idle_polls_budget] polls — is evicted; idle connections with no
       partial frame are never charged;
-    - an unterminated frame past [max_line_bytes] is answered with a
-      typed overflow response and the stream discards to the next
-      newline ([serve.frame_overflow]);
+    - an unterminated frame past the server's [max_request_bytes]
+      ({!Server.max_request_bytes}) is answered with
+      {!Server.frame_overflow} and the stream discards to the next
+      newline;
     - a half-closed peer still receives the responses to its admitted
       requests before its socket closes, and EOF with a torn trailing
       frame delivers that frame for a typed rejection.
@@ -29,17 +30,12 @@
 
     Metrics: [serve.connections_active] (gauge),
     [serve.connections_accepted], [serve.connections_evicted],
-    [serve.short_writes], [serve.send_truncated],
-    [serve.frame_overflow]. *)
+    [serve.short_writes], [serve.send_truncated]. *)
 
 type config = {
   max_connections : int;  (** accepted sockets beyond this wait in the
                               kernel backlog *)
   read_chunk_bytes : int;
-  max_line_bytes : int;
-      (** unterminated-frame bound; keep it above the server's
-          [max_request_bytes] so framed-but-long lines get the server's
-          typed rejection *)
   idle_polls_budget : int;  (** slowloris eviction threshold *)
   max_write_buffer : int;  (** pending output bound per connection *)
   tick_s : float;  (** select timeout when [wait] *)

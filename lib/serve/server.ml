@@ -111,6 +111,7 @@ let m_learned = Ometrics.counter "serve.learn_appended"
 let m_reload_rollbacks = Ometrics.counter "serve.reload_rollbacks"
 let m_journal_replayed = Ometrics.counter "serve.journal_replayed"
 let m_queue_depth = Ometrics.gauge "serve.queue_depth"
+let m_frame_overflow = Ometrics.counter "serve.frame_overflow"
 let h_request_us = Ometrics.histogram "serve.request_us"
 
 let breaker_level = function
@@ -176,6 +177,17 @@ let create ?(config = default_config) ?journal ?learner cache =
   t
 
 let pending t = Queue.length t.queue
+let max_request_bytes t = t.config.max_request_bytes
+
+(* A transport's answer to a frame it stopped buffering: not a request
+   (no trace id, not counted in serve.requests), since no line was
+   ever offered. *)
+let frame_overflow t =
+  Ometrics.incr m_frame_overflow;
+  Proto.error_response
+    (Res.diag Res.Overflow ~subject:"serve.frame"
+       (Printf.sprintf "unterminated frame exceeds %d bytes: discarded"
+          t.config.max_request_bytes))
 
 let state t = match t.state with
   | Running -> `Running
@@ -870,6 +882,9 @@ let run t ~recv ~send =
         match recv ~wait:(Queue.is_empty t.queue) with
         | `Line line ->
             emit (offer t line);
+            ingest ()
+        | `Overflow ->
+            emit [ frame_overflow t ];
             ingest ()
         | `Eof -> request_shutdown t
         | `Idle -> ())

@@ -32,8 +32,9 @@
     Metrics: [serve.requests], [serve.shed], [serve.errors],
     [serve.restarts], [serve.breaker_denied], [serve.ring_dropped],
     [serve.partial], [serve.reloads], [serve.reload_rollbacks],
-    [serve.journal_replayed], [serve.queue_depth] (high-water), and the
-    [serve.request_us] latency histogram (p99 source for bench).
+    [serve.journal_replayed], [serve.frame_overflow],
+    [serve.queue_depth] (high-water), and the [serve.request_us]
+    latency histogram (p99 source for bench).
 
     Telemetry (PR 7): every admitted request is assigned a trace id at
     {!offer} ([t-NNNNNN], monotonic per server) that is echoed in a
@@ -127,6 +128,17 @@ val step_routed : t -> (int option * Encore_obs.Jsonenc.t) list
 
 val pending : t -> int
 
+val max_request_bytes : t -> int
+(** The configured request bound, which is also both transports' frame
+    bound: {!Mux} and the [recv] of {!run} buffer at most this many
+    bytes of one line.  A longer line is dropped through its newline
+    and answered once with {!frame_overflow}. *)
+
+val frame_overflow : t -> Encore_obs.Jsonenc.t
+(** The typed [overflow] answer to a line a transport stopped
+    buffering past {!max_request_bytes}; counts
+    [serve.frame_overflow]. *)
+
 val state : t -> [ `Running | `Draining | `Stopped ]
 
 val request_shutdown : t -> unit
@@ -163,14 +175,16 @@ val drain_flush : t -> Encore_obs.Jsonenc.t list
 
 val run :
   t ->
-  recv:(wait:bool -> [ `Line of string | `Eof | `Idle ]) ->
+  recv:(wait:bool -> [ `Line of string | `Overflow | `Eof | `Idle ]) ->
   send:(Encore_obs.Jsonenc.t -> unit) ->
   int
 (** Reactor loop: greedily ingest available lines (blocking only when
     nothing is queued), process one request per iteration, drain on
     EOF/shutdown, and return the {!exit_code}.  [recv ~wait:false] must
     poll without blocking ([`Idle] when no line is ready); [recv] may
-    return [`Idle] spuriously (e.g. on [EINTR] after a signal). *)
+    return [`Idle] spuriously (e.g. on [EINTR] after a signal).
+    [`Overflow] reports a line [recv] dropped past {!max_request_bytes};
+    it is answered with {!frame_overflow}. *)
 
 val exit_code : t -> int
 (** [0] clean; [3] degraded — load was shed, the worker restarted, or

@@ -477,8 +477,8 @@ let test_mux_slowloris_evicted () =
 
 let test_mux_frame_overflow_resyncs () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let mconfig = { Mux.default_config with Mux.max_line_bytes = 256 } in
-  let _, mux, cls, _ = mux_fixture ~mconfig 1 in
+  let config = { Server.default_config with Server.max_request_bytes = 256 } in
+  let _, mux, cls, _ = mux_fixture ~config 1 in
   (* an unterminated flood past the bound: typed overflow, stream
      discarded to the next newline, then normal service resumes *)
   send_all cls.(0) (String.make 600 'x');
@@ -491,6 +491,35 @@ let test_mux_frame_overflow_resyncs () =
   check Alcotest.bool "stream resyncs after the newline" true
     (List.exists
        (fun s -> contains s "\"id\":\"after\"")
+       (read_lines cls.(0)));
+  Mux.shutdown_fds mux;
+  Unix.close cls.(0)
+
+(* The frame bound is the server's request limit, not a transport
+   constant: a 2 MB request under a 4 MB limit is answered. *)
+let test_mux_frame_bound_follows_server () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let config = { Server.default_config with Server.max_request_bytes = 4_000_000 } in
+  let _, mux, cls, _ = mux_fixture ~config 1 in
+  let line =
+    Printf.sprintf "{\"op\":\"status\",\"id\":\"big\",\"pad\":\"%s\"}\n"
+      (String.make 2_000_000 'x')
+  in
+  (* the socketpair buffers far less than 2 MB: step the mux whenever
+     the write would block *)
+  let rec feed off =
+    if off < String.length line then
+      match Unix.write_substring cls.(0) line off (String.length line - off) with
+      | n -> feed (off + n)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Mux.step ~wait:false mux;
+          feed off
+  in
+  feed 0;
+  steps mux 10;
+  check Alcotest.bool "2 MB request answered ok" true
+    (List.exists
+       (fun s -> contains s "\"id\":\"big\"" && contains s "\"ok\":true")
        (read_lines cls.(0)));
   Mux.shutdown_fds mux;
   Unix.close cls.(0)
@@ -596,6 +625,8 @@ let () =
             test_mux_slowloris_evicted;
           Alcotest.test_case "frame overflow resyncs" `Quick
             test_mux_frame_overflow_resyncs;
+          Alcotest.test_case "frame bound follows the server" `Quick
+            test_mux_frame_bound_follows_server;
           Alcotest.test_case "torn EOF frame rejected" `Quick
             test_mux_torn_eof_frame_rejected;
         ] );
