@@ -11,9 +11,9 @@
    past [max_write_buffer] (never reads) is evicted; an unterminated
    frame past the server's [max_request_bytes] is answered with the
    server's typed overflow and the connection discards bytes until the
-   next newline.  Drain is
-   deterministic: every surviving connection receives the flushed
-   alerts and the bye summary before its socket closes. *)
+   next newline.  Drain is deterministic: every surviving connection
+   receives the flushed alerts and the bye summary before its socket
+   closes. *)
 
 module Json = Encore_obs.Jsonenc
 module Ometrics = Encore_obs.Metrics
