@@ -129,10 +129,10 @@ val step_routed : t -> (int option * Encore_obs.Jsonenc.t) list
 val pending : t -> int
 
 val max_request_bytes : t -> int
-(** The configured request bound, which is also both transports' frame
-    bound: {!Mux} and the [recv] of {!run} buffer at most this many
-    bytes of one line.  A longer line is dropped through its newline
-    and answered once with {!frame_overflow}. *)
+(** The configured request bound, which is also the transports' frame
+    bound: {!Mux} buffers at most this many bytes of one line, and so
+    should a [recv] given to {!run}.  A longer line is dropped through
+    its newline and answered once with {!frame_overflow}. *)
 
 val frame_overflow : t -> Encore_obs.Jsonenc.t
 (** The typed [overflow] answer to a line a transport stopped
