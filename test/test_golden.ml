@@ -5,8 +5,9 @@
    type, value statistic or warning fails here.  The pins were
    computed with [Pipeline.learn_result]; every other learning entry
    point must produce the same bytes.  The paper tables that count
-   rules straight from the candidate evaluator, and the itemset counts
-   of the frequent-itemset mining tables, are pinned cell by cell. *)
+   rules straight from the candidate evaluator, the itemset counts of
+   the frequent-itemset mining tables, and the detection tables 9 and
+   10 are pinned cell by cell. *)
 
 module Pipeline = Encore.Pipeline
 module Config = Encore.Config
@@ -138,10 +139,11 @@ let columns keep (t : Experiments.table) =
 
 let all_columns (t : Experiments.table) = t.Experiments.rows
 
-(* Every cell of the paper tables that count the candidate evaluator's
-   rules directly rather than through a learned model, and every count
-   of the frequent-itemset tables, at paper scale and seed 42 (the
-   [Config.default] seed). *)
+(* Paper-table cells at paper scale and seed 42 (the [Config.default]
+   seed): every count of the frequent-itemset tables, the rule counts
+   of the candidate evaluator, and the ranks and detections that the
+   learned models give the real-world cases (table 9) and the fresh
+   images (table 10). *)
 let table_pins =
   let scale = Experiments.paper_scale in
   [
@@ -158,6 +160,15 @@ let table_pins =
       (fun () -> columns [ 0; 2; 4 ] (Ablation.miners ~scale ())),
       [ [ "60"; "47"; "47" ]; [ "120"; "511"; "511" ];
         [ "180"; "12031"; "12031" ] ] );
+    ( "table9",
+      (fun () -> columns [ 0; 3 ] (Experiments.table9 ~scale ())),
+      [ [ "1"; "1(2)" ]; [ "2"; "1(1)" ]; [ "3"; "1(1)" ]; [ "4"; "1(1)" ];
+        [ "5"; "1(1)" ]; [ "6"; "2(3)" ]; [ "7"; "2(2)" ]; [ "8"; "-" ];
+        [ "9"; "1(4)" ]; [ "10"; "1(2)" ] ] );
+    ( "table10",
+      (fun () -> all_columns (Experiments.table10 ~scale ())),
+      [ [ "EC2"; "12"; "20"; "6"; "38"; "38" ];
+        [ "PrivateCloud"; "6"; "13"; "3"; "22"; "22" ] ] );
     ( "table12",
       (fun () -> all_columns (Experiments.table12 ~scale ())),
       [ [ "Apache"; "23"; "10" ]; [ "MySQL"; "65"; "16" ]; [ "PHP"; "5"; "2" ] ] );
