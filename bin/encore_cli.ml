@@ -492,120 +492,27 @@ let chaos_cmd =
 
 (* --- serve ----------------------------------------------------------------- *)
 
-(* Line source over a file descriptor for [Server.run]'s [recv]: polls
-   with select so a signal-initiated drain is noticed within [tick],
-   scans each read once for newlines, and delivers a trailing
-   unterminated line before EOF.  A line never buffers past [max_line]
-   bytes: the reader drops it through its newline and reports
-   [`Overflow] once. *)
-let fd_line_reader ?(tick = 0.25) ~max_line fd =
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  let ready = Queue.create () in
-  let eof = ref false and discarding = ref false in
-  let rec split off n =
-    if off < n then begin
-      let stop =
-        match Bytes.index_from_opt chunk off '\n' with
-        | Some i when i < n -> i
-        | _ -> n
-      in
-      if not !discarding then
-        if Buffer.length buf + (stop - off) > max_line then begin
-          Buffer.clear buf;
-          discarding := true;
-          Queue.push `Overflow ready
-        end
-        else Buffer.add_subbytes buf chunk off (stop - off);
-      if stop < n then begin
-        if not !discarding then Queue.push (`Line (Buffer.contents buf)) ready;
-        Buffer.clear buf;
-        discarding := false;
-        split (stop + 1) n
-      end
-    end
-  in
-  let pull ~wait =
-    match Unix.select [ fd ] [] [] (if wait then tick else 0.0) with
-    | [], _, _ -> ()
-    | _ -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> eof := true
-        | n -> split 0 n
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  in
-  fun ~wait ->
-    if Queue.is_empty ready && not !eof then pull ~wait;
-    match Queue.take_opt ready with
-    | Some r -> r
-    | None ->
-        if !eof then
-          if Buffer.length buf > 0 then begin
-            let line = Buffer.contents buf in
-            Buffer.clear buf;
-            `Line line
-          end
-          else `Eof
-        else `Idle
-
 let response_line resp = Encore_obs.Jsonenc.to_string resp ^ "\n"
 
-(* Unix-socket transport: the select-driven multiplexer serves every
-   connected client concurrently — per-connection line readers, write
-   buffers that survive short writes, round-robin admission into the
-   bounded queue, slowloris/flood eviction — and the daemon stays
-   resident until a shutdown request or a signal drains it.  Responses
-   with no live origin (a SIGHUP reload, filesystem-watcher deltas, the
-   bye of a clientless daemon) go to stdout. *)
-let serve_socket ?watch ?(learn_feed = false) srv path max_connections =
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let sfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind sfd (Unix.ADDR_UNIX path);
-  Unix.listen sfd 16;
-  let orphan resp =
-    print_string (response_line resp);
-    flush stdout
-  in
-  let mconfig =
-    {
-      Encore_serve.Mux.default_config with
-      Encore_serve.Mux.max_connections =
-        Option.value
-          ~default:Encore_serve.Mux.default_config
-                     .Encore_serve.Mux.max_connections max_connections;
-    }
-  in
-  let mux = Encore_serve.Mux.create ~config:mconfig ~listen_fd:sfd ~orphan srv in
-  Fun.protect
-    ~finally:(fun () ->
-      Encore_serve.Mux.shutdown_fds mux;
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-    (fun () ->
-      let rec loop () =
-        if Encore_serve.Mux.stopped mux then Encore_serve.Server.exit_code srv
-        else begin
-          (match watch with
-          | Some w ->
-              List.iter
-                (fun d ->
-                  List.iter orphan
-                    (Encore_serve.Server.offer srv
-                       (Encore_serve.Fswatch.watch_request d)))
-                (Encore_serve.Fswatch.poll w);
-              if learn_feed then
-                List.iter
-                  (fun p ->
-                    List.iter orphan
-                      (Encore_serve.Server.offer srv
-                         (Encore_serve.Fswatch.learn_request p)))
-                  (Encore_serve.Fswatch.poll_images w)
-          | None -> ());
-          Encore_serve.Mux.step mux;
-          loop ()
-        end
-      in
-      loop ())
+(* The daemon's stdout outside its connections: the journal replay and
+   the responses with no live origin (a SIGHUP reload, the watch-dir
+   feed, the bye of a clientless daemon).  Written straight to the
+   descriptor, so nothing stays buffered once the reader went away and
+   the rest is dropped. *)
+let print_response =
+  let gone = ref false in
+  fun resp ->
+    let line = response_line resp in
+    let rec put off =
+      if off < String.length line then
+        match
+          Unix.single_write_substring Unix.stdout line off
+            (String.length line - off)
+        with
+        | n -> put (off + n)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> put off
+    in
+    if not !gone then try put 0 with Unix.Unix_error _ -> gone := true
 
 let serve model_path store_dir learn_stats_dir socket_path journal_path
     watch_dir max_connections seed profile n jobs queue_capacity
@@ -726,12 +633,8 @@ let serve model_path store_dir learn_stats_dir socket_path journal_path
             Encore_serve.Server.replay srv
               ~entries:recovery.Encore_serve.Journal.entries
               ~emit:(fun (e : Encore_serve.Journal.entry) resps ->
-                if not e.completed then
-                  List.iter
-                    (fun resp -> print_string (response_line resp))
-                    resps)
+                if not e.completed then List.iter print_response resps)
           in
-          flush stdout;
           Printf.eprintf "serve: replayed %d journaled request(s)%s\n%!"
             replayed
             (match recovery.Encore_serve.Journal.truncated_at with
@@ -745,57 +648,52 @@ let serve model_path store_dir learn_stats_dir socket_path journal_path
       Sys.set_signal Sys.sighup
         (Sys.Signal_handle (fun _ -> Encore_serve.Server.request_reload srv));
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      (match socket_path with
-      | Some path ->
-          serve_socket ?watch
-            ~learn_feed:(Option.is_some learner_hook)
-            srv path max_connections
-      | None ->
-          let stdin_recv =
-            fd_line_reader
-              ~max_line:(Encore_serve.Server.max_request_bytes srv)
-              Unix.stdin
-          in
-          (* the watcher feeds synthesized watch requests between client
-             lines; polled only on waiting reads so a request storm is
-             never stalled behind directory stats *)
-          let pending_watch = Queue.create () in
-          let recv ~wait =
-            (match watch with
-            | Some w when wait && Queue.is_empty pending_watch ->
-                List.iter
-                  (fun d ->
-                    Queue.push (Encore_serve.Fswatch.watch_request d)
-                      pending_watch)
-                  (Encore_serve.Fswatch.poll w);
-                if Option.is_some learner_hook then
-                  List.iter
-                    (fun p ->
-                      Queue.push (Encore_serve.Fswatch.learn_request p)
-                        pending_watch)
-                    (Encore_serve.Fswatch.poll_images w)
-            | _ -> ());
-            match Queue.take_opt pending_watch with
-            | Some line -> `Line line
-            | None -> stdin_recv ~wait
-          in
-          (* a scraper spliced onto our pipes (e.g. `encore-cli top`) may
-             disconnect while the drain is still flushing; dropping the
-             remaining responses beats dying on the closed pipe *)
-          let peer_gone = ref false in
-          let send resp =
-            if not !peer_gone then
-              try
-                print_string (response_line resp);
-                flush stdout
-              with Sys_error _ ->
-                peer_gone := true;
-                (* leave nothing buffered: the at-exit flush of the
-                   standard formatters would re-raise on the dead pipe
-                   (flush on a closed channel is defined as a no-op) *)
-                close_out_noerr stdout
-          in
-          Encore_serve.Server.run srv ~recv ~send)
+      (* one loop for either transport: the socket listener's clients,
+         or stdin/stdout as the one connection, whose EOF drains the
+         daemon once the lines read before it are answered *)
+      let listen_fd =
+        Option.map
+          (fun path ->
+            (try Unix.unlink path with Unix.Unix_error _ -> ());
+            let sfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Unix.bind sfd (Unix.ADDR_UNIX path);
+            Unix.listen sfd 16;
+            sfd)
+          socket_path
+      in
+      let mconfig =
+        { Encore_serve.Mux.default_config with
+          Encore_serve.Mux.max_connections =
+            Option.value
+              ~default:Encore_serve.Mux.default_config
+                         .Encore_serve.Mux.max_connections max_connections }
+      in
+      let mux =
+        Encore_serve.Mux.create ~config:mconfig ?listen_fd
+          ~orphan:print_response srv
+      in
+      if listen_fd = None then
+        ignore
+          (Encore_serve.Mux.attach mux ~input:Unix.stdin ~output:Unix.stdout);
+      let feed () =
+        match watch with
+        | None -> []
+        | Some w ->
+            List.map Encore_serve.Fswatch.watch_request
+              (Encore_serve.Fswatch.poll w)
+            @
+            if Option.is_some learner_hook then
+              List.map Encore_serve.Fswatch.learn_request
+                (Encore_serve.Fswatch.poll_images w)
+            else []
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Encore_serve.Mux.shutdown_fds mux;
+          Option.iter
+            (fun path -> try Unix.unlink path with Unix.Unix_error _ -> ())
+            socket_path)
+        (fun () -> Encore_serve.Mux.run ~feed mux)
 
 let serve_cmd =
   let doc =
@@ -996,6 +894,49 @@ let connect_with_backoff ?(attempts = 8) path =
   in
   go 0 0.25 Unix.ECONNREFUSED
 
+(* Line source over a file descriptor: polls with select so a silent
+   daemon costs one [`Idle] per 0.25 s tick, scans each read once for
+   newlines, and delivers a trailing unterminated line before EOF.
+   Lines are read whole: no bound applies to the daemon's own
+   output. *)
+let fd_line_reader fd =
+  let buf = Buffer.create 4096 in
+  let chunk = Bytes.create 4096 in
+  let ready = Queue.create () in
+  let eof = ref false in
+  let rec split off n =
+    if off < n then
+      match Bytes.index_from_opt chunk off '\n' with
+      | Some i when i < n ->
+          Buffer.add_subbytes buf chunk off (i - off);
+          Queue.push (Buffer.contents buf) ready;
+          Buffer.clear buf;
+          split (i + 1) n
+      | _ -> Buffer.add_subbytes buf chunk off (n - off)
+  in
+  let pull () =
+    match Unix.select [ fd ] [] [] 0.25 with
+    | [], _, _ -> ()
+    | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> eof := true
+        | n -> split 0 n
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  in
+  fun () ->
+    if Queue.is_empty ready && not !eof then pull ();
+    match Queue.take_opt ready with
+    | Some line -> `Line line
+    | None ->
+        if !eof && Buffer.length buf > 0 then begin
+          let line = Buffer.contents buf in
+          Buffer.clear buf;
+          `Line line
+        end
+        else if !eof then `Eof
+        else `Idle
+
 (* Poll a running daemon: send a metrics (json) and a health request,
    collect the two responses (skipping unrelated lines, e.g. drained
    alerts), render one frame.  Transport is a Unix socket — connected
@@ -1008,10 +949,9 @@ let top socket_path interval frames raw =
     let rec go ~idle_budget acc =
       if idle_budget <= 0 then acc
       else
-        match recv ~wait:true with
+        match recv () with
         | `Eof -> acc
         | `Idle -> go ~idle_budget:(idle_budget - 1) acc
-        | `Overflow -> go ~idle_budget acc
         | `Line line -> (
             match Jx.of_string line with
             | Error _ -> go ~idle_budget acc
@@ -1042,7 +982,7 @@ let top socket_path interval frames raw =
         print_string line;
         flush stdout
       in
-      let recv = fd_line_reader ~max_line:max_int Unix.stdin in
+      let recv = fd_line_reader Unix.stdin in
       let rec loop frame =
         List.iter send probes;
         match collect recv with
@@ -1077,7 +1017,7 @@ let top socket_path interval frames raw =
           | None -> (
               match connect_with_backoff path with
               | Ok fd ->
-                  let c = (fd, fd_line_reader ~max_line:max_int fd) in
+                  let c = (fd, fd_line_reader fd) in
                   conn := Some c;
                   Ok c
               | Error msg -> Error msg)

@@ -8,8 +8,9 @@
    watcher feeds deltas, it does not replay the directory.
 
    Polling stat signatures (not inotify) keeps the watcher portable and
-   free of extra dependencies; the serve loop calls [poll] on its idle
-   tick, so detection latency is one tick. *)
+   free of extra dependencies.  The serve loop ([Mux.run]) polls once
+   before each turn, when every queued request has been answered, so a
+   change is noticed within one select tick of an idle daemon. *)
 
 type delta = {
   d_image_id : string;

@@ -1,7 +1,8 @@
-(* Select-driven multi-client transport for the serve reactor.
+(* Select-driven transport for the serve reactor: the one loop that
+   serves every client of the daemon, its own stdin/stdout included.
 
-   The mux owns the file descriptors; the server stays transport-free.
-   Each connection gets an independent line reader (partial frames
+   The mux owns the descriptors; the server stays transport-free.  Each
+   connection gets an independent line reader (partial frames
    accumulate per connection, never bleed across clients) and a write
    buffer drained with a short-write/EAGAIN-correct loop.  Admission
    into the server's bounded queue is round-robin across connections so
@@ -9,14 +10,18 @@
    bounded: a connection holding a partial frame for more than
    [idle_polls_budget] polls (slowloris) or growing its pending output
    past [max_write_buffer] (never reads) is evicted; an unterminated
-   frame past the server's [max_request_bytes] is answered with the
-   server's typed overflow and the connection discards bytes until the
-   next newline.  Drain is deterministic: every surviving connection
-   receives the flushed alerts and the bye summary before its socket
-   closes. *)
+   frame past the server's [max_request_bytes] is answered with a typed
+   overflow and the connection discards bytes until the next newline;
+   one turn reads at most that many bytes from a connection.  Drain is
+   deterministic: every surviving connection receives the flushed
+   alerts and the bye summary before it closes.  A mux with no
+   listening socket drains by itself once no connection can send any
+   more: its last open input reached EOF, and the lines read before it
+   are answered. *)
 
 module Json = Encore_obs.Jsonenc
 module Ometrics = Encore_obs.Metrics
+module Res = Encore_util.Resilience
 
 type config = {
   max_connections : int;
@@ -37,7 +42,11 @@ let default_config =
 
 type conn = {
   cid : int;
-  fd : Unix.file_descr;
+  rfd : Unix.file_descr;
+  wfd : Unix.file_descr;  (* [rfd] for a socket *)
+  owned : bool;
+      (* an accepted or adopted socket, closed with the connection; a
+         borrowed pair (the daemon's stdin/stdout) is never closed *)
   rbuf : Buffer.t;  (* bytes of the current partial frame *)
   lines : string Queue.t;  (* complete frames awaiting admission *)
   mutable discarding : bool;
@@ -57,6 +66,7 @@ type t = {
   max_frame : int;  (* the server's max_request_bytes *)
   listen_fd : Unix.file_descr option;
   conns : (int, conn) Hashtbl.t;
+  chunk : Bytes.t;  (* the read buffer every connection shares *)
   mutable order : int list;  (* cids in accept order *)
   mutable rr : int;  (* round-robin admission offset *)
   mutable next_cid : int;
@@ -69,6 +79,7 @@ let m_conns_accepted = Ometrics.counter "serve.connections_accepted"
 let m_conns_evicted = Ometrics.counter "serve.connections_evicted"
 let m_short_writes = Ometrics.counter "serve.short_writes"
 let m_send_truncated = Ometrics.counter "serve.send_truncated"
+let m_frame_overflow = Ometrics.counter "serve.frame_overflow"
 
 let create ?(config = default_config) ?listen_fd ?(orphan = fun _ -> ())
     server =
@@ -79,6 +90,7 @@ let create ?(config = default_config) ?listen_fd ?(orphan = fun _ -> ())
     max_frame = Server.max_request_bytes server;
     listen_fd;
     conns = Hashtbl.create 16;
+    chunk = Bytes.create config.read_chunk_bytes;
     order = [];
     rr = 0;
     next_cid = 0;
@@ -94,7 +106,7 @@ let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let remove_conn t (c : conn) =
   if not c.closed then begin
     c.closed <- true;
-    close_fd c.fd;
+    if c.owned then close_fd c.rfd;
     Hashtbl.remove t.conns c.cid;
     t.order <- List.filter (fun cid -> cid <> c.cid) t.order;
     Ometrics.set m_conns_active (float_of_int (Hashtbl.length t.conns))
@@ -107,14 +119,15 @@ let evict t (c : conn) =
   Ometrics.incr m_conns_evicted;
   remove_conn t c
 
-let adopt t fd =
-  Unix.set_nonblock fd;
+let add_conn t ~owned rfd wfd =
   let cid = t.next_cid in
   t.next_cid <- cid + 1;
   let c =
     {
       cid;
-      fd;
+      rfd;
+      wfd;
+      owned;
       rbuf = Buffer.create 256;
       lines = Queue.create ();
       discarding = false;
@@ -132,6 +145,12 @@ let adopt t fd =
   Ometrics.set m_conns_active (float_of_int (Hashtbl.length t.conns));
   cid
 
+let adopt t fd =
+  Unix.set_nonblock fd;
+  add_conn t ~owned:true fd fd
+
+let attach t ~input ~output = add_conn t ~owned:false input output
+
 (* --- writing --------------------------------------------------------------- *)
 
 let enqueue_out t (c : conn) s =
@@ -144,27 +163,29 @@ let enqueue_out t (c : conn) s =
       evict t c
   end
 
-(* Drain as much pending output as the socket accepts right now.  Short
-   writes keep the remainder buffered (counted); EAGAIN stops quietly;
-   a dead peer truncates and closes. *)
+(* Drain as much pending output as the descriptor accepts right now,
+   one write call at a time so every byte count is exact.  Short writes
+   keep the remainder buffered (counted); EAGAIN stops quietly; a dead
+   peer truncates and closes.  A borrowed blocking output is written
+   through: a slow reader holds the loop back instead of losing
+   responses. *)
 let flush_writes t (c : conn) =
   let rec go () =
     match c.out with
     | [] -> ()
     | head :: rest -> (
-        let remaining = String.length head - c.out_off in
-        match Unix.write_substring c.fd head c.out_off remaining with
+        (* at most what one write call of the Unix library passes on *)
+        let len = min (String.length head - c.out_off) 65536 in
+        match Unix.single_write_substring c.wfd head c.out_off len with
         | n ->
             c.out_bytes <- c.out_bytes - n;
-            if n = remaining then begin
+            if n < len then Ometrics.incr m_short_writes;
+            if c.out_off + n = String.length head then begin
               c.out <- rest;
-              c.out_off <- 0;
-              go ()
+              c.out_off <- 0
             end
-            else begin
-              Ometrics.incr m_short_writes;
-              c.out_off <- c.out_off + n
-            end
+            else c.out_off <- c.out_off + n;
+            if n > 0 then go ()
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
           ->
             ()
@@ -187,38 +208,61 @@ let route t (origin, resp) =
 
 (* --- reading --------------------------------------------------------------- *)
 
-(* Split buffered bytes into frames, honouring discard mode and the
-   per-connection frame bound. *)
-let ingest_bytes t (c : conn) s =
-  let flush_line () =
-    let line = Buffer.contents c.rbuf in
-    Buffer.clear c.rbuf;
-    c.idle_polls <- 0;
-    if c.discarding then c.discarding <- false else Queue.push line c.lines
-  in
-  String.iter
-    (fun ch ->
-      if ch = '\n' then flush_line ()
-      else if not c.discarding then begin
-        Buffer.add_char c.rbuf ch;
-        if Buffer.length c.rbuf > t.max_frame then begin
+(* The answer to a frame the mux stopped buffering: not a request (no
+   trace id, not counted in serve.requests), since no line was ever
+   offered. *)
+let frame_overflow t =
+  Ometrics.incr m_frame_overflow;
+  Proto.error_response
+    (Res.diag Res.Overflow ~subject:"serve.frame"
+       (Printf.sprintf "unterminated frame exceeds %d bytes: discarded"
+          t.max_frame))
+
+(* Split the first [n] bytes of the read buffer into frames, one
+   newline scan per frame, honouring discard mode and the frame
+   bound. *)
+let ingest t (c : conn) n =
+  let rec split off =
+    if off < n then begin
+      let stop =
+        match Bytes.index_from_opt t.chunk off '\n' with
+        | Some i when i < n -> i
+        | _ -> n
+      in
+      if not c.discarding then
+        if Buffer.length c.rbuf + (stop - off) > t.max_frame then begin
           (* flood containment: answer a typed overflow now, drop what
              accumulated, skip the rest of this frame *)
           Buffer.clear c.rbuf;
           c.discarding <- true;
-          enqueue_out t c (response_line (Server.frame_overflow t.server));
+          enqueue_out t c (response_line (frame_overflow t));
           flush_writes t c
         end
-      end)
-    s;
-  if String.length s > 0 then c.idle_polls <- 0
+        else Buffer.add_subbytes c.rbuf t.chunk off (stop - off);
+      if stop < n then begin
+        if not c.discarding then Queue.push (Buffer.contents c.rbuf) c.lines;
+        Buffer.clear c.rbuf;
+        c.discarding <- false;
+        split (stop + 1)
+      end
+    end
+  in
+  split 0;
+  c.idle_polls <- 0
 
+let readable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | [], _, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error (_, _, _) -> false
+
+(* Read what the connection has ready, up to one frame bound per turn.
+   Each read follows a select that found the input ready, so a
+   borrowed blocking input never stalls the loop. *)
 let read_conn t (c : conn) =
-  let chunk = Bytes.create t.mconfig.read_chunk_bytes in
-  let rec go () =
-    if c.closed || not c.rd_open then ()
-    else
-      match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+  let rec go budget =
+    if (not c.closed) && c.rd_open && budget > 0 then
+      match Unix.read c.rfd t.chunk 0 (Bytes.length t.chunk) with
       | 0 ->
           c.rd_open <- false;
           (* a torn final frame still gets an answer: deliver it as a
@@ -228,14 +272,14 @@ let read_conn t (c : conn) =
             Buffer.clear c.rbuf
           end
       | n ->
-          ingest_bytes t c (Bytes.sub_string chunk 0 n);
-          go ()
+          ingest t c n;
+          if readable c.rfd then go (budget - n)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go budget
       | exception Unix.Unix_error (_, _, _) -> remove_conn t c
   in
-  go ()
+  go t.max_frame
 
 (* --- admission ------------------------------------------------------------- *)
 
@@ -327,11 +371,11 @@ let finish_drain t =
     in
     if pending <> [] && !budget > 0 then begin
       decr budget;
-      let fds = List.map (fun (c : conn) -> c.fd) pending in
+      let fds = List.map (fun (c : conn) -> c.wfd) pending in
       (match Unix.select [] fds [] 0.05 with
       | _, ws, _ ->
           List.iter
-            (fun (c : conn) -> if List.mem c.fd ws then flush_writes t c)
+            (fun (c : conn) -> if List.mem c.wfd ws then flush_writes t c)
             pending
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       settle ()
@@ -357,12 +401,12 @@ let step ?(wait = true) t =
       | Some sfd when Server.state t.server = `Running -> [ sfd ]
       | _ -> [])
       @ List.filter_map
-          (fun (c : conn) -> if c.rd_open then Some c.fd else None)
+          (fun (c : conn) -> if c.rd_open then Some c.rfd else None)
           conns
     in
     let wrs =
       List.filter_map
-        (fun (c : conn) -> if c.out <> [] then Some c.fd else None)
+        (fun (c : conn) -> if c.out <> [] then Some c.wfd else None)
         conns
     in
     let timeout = if wait then t.mconfig.tick_s else 0.0 in
@@ -372,11 +416,11 @@ let step ?(wait = true) t =
         | Some sfd when List.mem sfd rs -> accept_ready t
         | _ -> ());
         List.iter
-          (fun (c : conn) -> if List.mem c.fd rs then read_conn t c)
+          (fun (c : conn) -> if List.mem c.rfd rs then read_conn t c)
           conns;
         List.iter
           (fun (c : conn) ->
-            if (not c.closed) && List.mem c.fd ws then flush_writes t c)
+            if (not c.closed) && List.mem c.wfd ws then flush_writes t c)
           conns
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     admit_frames t;
@@ -389,22 +433,31 @@ let step ?(wait = true) t =
     in
     drain_queue ();
     charge_idle t;
+    (* with no listener, nothing can arrive once every input is at EOF,
+       and what was read before it is answered by now *)
+    if
+      t.listen_fd = None
+      && not (List.exists (fun (c : conn) -> c.rd_open) (live_conns t))
+    then Server.request_shutdown t.server;
     (* a client that half-closed after its last frame is done once its
-       output drains *)
-    List.iter
-      (fun (c : conn) ->
-        if
-          (not c.closed) && (not c.rd_open)
-          && Queue.is_empty c.lines && c.out = []
-          && Buffer.length c.rbuf = 0
-        then remove_conn t c)
-      (live_conns t);
+       output drains; during a drain it stays for its bye *)
+    if Server.state t.server = `Running then
+      List.iter
+        (fun (c : conn) ->
+          if
+            (not c.rd_open) && Queue.is_empty c.lines && c.out = []
+            && Buffer.length c.rbuf = 0
+          then remove_conn t c)
+        (live_conns t);
     if Server.state t.server = `Draining && Server.pending t.server = 0 then
       finish_drain t
   end
 
-let run t =
+let run ?(feed = fun () -> []) t =
   while not t.stopped do
+    List.iter
+      (fun line -> List.iter t.orphan (Server.offer t.server line))
+      (feed ());
     step t
   done;
   Server.exit_code t.server

@@ -51,14 +51,15 @@ let default_config =
 type state = Running | Draining | Stopped
 
 (* One admitted request waiting for {!step}: its trace id, the
-   connection that sent it (None for stdio / direct drivers — responses
-   with no origin go to the default sink), its journal sequence number
-   when the daemon journals, and the raw line. *)
+   connection that sent it (None for direct drivers and the watch-dir
+   feed — responses with no origin go to the default sink), its journal
+   sequence number when the daemon journals, and the line as parsed at
+   admission (each line is parsed once). *)
 type queue_item = {
   q_trace : string;
   q_origin : int option;
   q_seq : int option;
-  q_line : string;
+  q_req : (Proto.request, Res.diagnostic) result;
 }
 
 type t = {
@@ -70,9 +71,9 @@ type t = {
          the cache's provider; [Ok note] describes the fold *)
   queue : queue_item Queue.t;
   journal : Journal.t option;
-  recent_checks : string Ring.t;
-      (* last K raw check lines: the shadow corpus for reload
-         validation *)
+  recent_checks : Proto.check_source Ring.t;
+      (* the sources of the last K checks: the shadow corpus for
+         reload validation *)
   ring : Json.t Ring.t;
   sessions : (string, Image.t) Hashtbl.t;
       (* image id -> the image of its last complete check or watch:
@@ -111,7 +112,6 @@ let m_learned = Ometrics.counter "serve.learn_appended"
 let m_reload_rollbacks = Ometrics.counter "serve.reload_rollbacks"
 let m_journal_replayed = Ometrics.counter "serve.journal_replayed"
 let m_queue_depth = Ometrics.gauge "serve.queue_depth"
-let m_frame_overflow = Ometrics.counter "serve.frame_overflow"
 let h_request_us = Ometrics.histogram "serve.request_us"
 
 let breaker_level = function
@@ -178,16 +178,6 @@ let create ?(config = default_config) ?journal ?learner cache =
 
 let pending t = Queue.length t.queue
 let max_request_bytes t = t.config.max_request_bytes
-
-(* A transport's answer to a frame it stopped buffering: not a request
-   (no trace id, not counted in serve.requests), since no line was
-   ever offered. *)
-let frame_overflow t =
-  Ometrics.incr m_frame_overflow;
-  Proto.error_response
-    (Res.diag Res.Overflow ~subject:"serve.frame"
-       (Printf.sprintf "unterminated frame exceeds %d bytes: discarded"
-          t.config.max_request_bytes))
 
 let state t = match t.state with
   | Running -> `Running
@@ -309,31 +299,34 @@ let check_image t ?id ~op (img : Image.t) =
       Proto.verdict_response ?id ~op ~image:img.Image.image_id ~partial
         ~detections:(detections t warnings) warnings
 
-let do_check t ?id source =
+(* The one image intake of check, learn-append and the reload shadow:
+   the dump inline or from its path, decoded, then the integrity gate —
+   a dump whose config payload carries control bytes or a torn final
+   line was damaged in transit, and is refused rather than trusted. *)
+let intake t source =
   let text =
     match source with
     | Proto.Inline text -> Ok text
     | Proto.Path path -> read_dump t path
   in
-  match text with
-  | Error d -> Proto.error_response ?id ~op:"check" d
-  | Ok text -> (
+  Result.bind text (fun text ->
       match Collector.image_of_text text with
       | Error msg ->
-          Proto.error_response ?id ~op:"check"
-            (Res.diag Res.Parse_error ~subject ("bad image dump: " ^ msg))
+          Error (Res.diag Res.Parse_error ~subject ("bad image dump: " ^ msg))
       | Ok img -> (
-          (* integrity gate: a dump whose config payload carries control
-             bytes or a torn final line was damaged in transit — answer
-             a typed error rather than checking garbage *)
           match
             List.concat_map
               (fun (c : Image.config_file) ->
                 Res.scan_text ~subject:c.Image.path c.Image.text)
               img.Image.configs
           with
-          | d :: _ -> Proto.error_response ?id ~op:"check" d
-          | [] -> check_image t ?id ~op:"check" img))
+          | d :: _ -> Error d
+          | [] -> Ok img))
+
+let do_check t ?id source =
+  match intake t source with
+  | Error d -> Proto.error_response ?id ~op:"check" d
+  | Ok img -> check_image t ?id ~op:"check" img
 
 let do_watch t ?id ~image_id ~app ~config_text () =
   let refuse detail =
@@ -366,32 +359,20 @@ let do_watch t ?id ~image_id ~app ~config_text () =
    candidate that crashes on traffic the live model served is rolled
    back with a typed refusal — the live cache and its generation stay
    untouched. *)
-let shadow_check t cand line =
-  match Proto.parse line with
-  | Error _ -> Ok false  (* stale corpus line no longer parses: skip *)
-  | Ok (Proto.Check { source; _ }) -> (
-      let text =
-        match source with
-        | Proto.Inline text -> Ok text
-        | Proto.Path path -> read_dump t path
-      in
-      match text with
-      | Error _ -> Ok false  (* dump since deleted: nothing to shadow *)
-      | Ok text -> (
-          match Collector.image_of_text text with
-          | Error _ -> Ok false
-          | Ok img -> (
-              match Cache.engine_for cand ~app:(app_key img) with
-              | Error d -> Error d
-              | Ok eng -> (
-                  match Engine.check eng img with
-                  | _ -> Ok true
-                  | exception exn ->
-                      Error
-                        (Res.diag Res.Custom_rule_error ~subject
-                           (Printf.sprintf "shadow check of %s raised %s"
-                              img.Image.image_id (Printexc.to_string exn)))))))
-  | Ok _ -> Ok false
+let shadow_check t cand source =
+  match intake t source with
+  | Error _ -> Ok false  (* dump since deleted or damaged: nothing to shadow *)
+  | Ok img -> (
+      match Cache.engine_for cand ~app:(app_key img) with
+      | Error d -> Error d
+      | Ok eng -> (
+          match Engine.check eng img with
+          | _ -> Ok true
+          | exception exn ->
+              Error
+                (Res.diag Res.Custom_rule_error ~subject
+                   (Printf.sprintf "shadow check of %s raised %s"
+                      img.Image.image_id (Printexc.to_string exn)))))
 
 let do_reload t ?id () =
   let cand = Cache.candidate t.cache in
@@ -410,8 +391,8 @@ let do_reload t ?id () =
     | Ok () ->
         let rec shadow n = function
           | [] -> Ok n
-          | line :: rest -> (
-              match shadow_check t cand line with
+          | source :: rest -> (
+              match shadow_check t cand source with
               | Ok counted -> shadow (if counted then n + 1 else n) rest
               | Error d -> Error d)
         in
@@ -448,55 +429,35 @@ let do_reload t ?id () =
    persists to, not the request journal. *)
 let do_learn_append t ?id source =
   let op = "learn-append" in
-  let text =
-    match source with
-    | Proto.Inline text -> Ok text
-    | Proto.Path path -> read_dump t path
-  in
-  match text with
-  | Error d -> Proto.error_response ?id ~op d
-  | Ok text -> (
-      match Collector.image_of_text text with
+  match (intake t source, t.learner) with
+  | Error d, _ -> Proto.error_response ?id ~op d
+  | Ok _, None ->
+      Proto.error_response ?id ~op
+        (Res.diag Res.Custom_rule_error ~subject
+           "no learner attached: the daemon was started without learning \
+            statistics")
+  | Ok img, Some learn -> (
+      match learn img with
       | Error msg ->
           Proto.error_response ?id ~op
-            (Res.diag Res.Parse_error ~subject ("bad image dump: " ^ msg))
-      | Ok img -> (
-          match
-            List.concat_map
-              (fun (c : Image.config_file) ->
-                Res.scan_text ~subject:c.Image.path c.Image.text)
-              img.Image.configs
-          with
-          | d :: _ -> Proto.error_response ?id ~op d
-          | [] -> (
-              match t.learner with
-              | None ->
-                  Proto.error_response ?id ~op
-                    (Res.diag Res.Custom_rule_error ~subject
-                       "no learner attached: the daemon was started without \
-                        learning statistics")
-              | Some learn -> (
-                  match learn img with
-                  | Error msg ->
-                      Proto.error_response ?id ~op
-                        (Res.diag Res.Custom_rule_error ~subject msg)
-                  | Ok note ->
-                      t.learned <- t.learned + 1;
-                      Ometrics.incr m_learned;
-                      let reload = do_reload t ?id:None () in
-                      let adopted =
-                        match reload with
-                        | Json.Obj fields ->
-                            List.assoc_opt "ok" fields = Some (Json.Bool true)
-                        | _ -> false
-                      in
-                      Proto.ok_response ?id ~op
-                        [
-                          ("image", Json.Str img.Image.image_id);
-                          ("trained", Json.Str note);
-                          ("adopted", Json.Bool adopted);
-                          ("reload", reload);
-                        ]))))
+            (Res.diag Res.Custom_rule_error ~subject msg)
+      | Ok note ->
+          t.learned <- t.learned + 1;
+          Ometrics.incr m_learned;
+          let reload = do_reload t ?id:None () in
+          let adopted =
+            match reload with
+            | Json.Obj fields ->
+                List.assoc_opt "ok" fields = Some (Json.Bool true)
+            | _ -> false
+          in
+          Proto.ok_response ?id ~op
+            [
+              ("image", Json.Str img.Image.image_id);
+              ("trained", Json.Str note);
+              ("adopted", Json.Bool adopted);
+              ("reload", reload);
+            ])
 
 let do_status t ?id () =
   Proto.ok_response ?id ~op:"status"
@@ -721,46 +682,69 @@ let offer_from t ?origin line =
                    (String.length line) t.config.max_request_bytes)));
       ]
     end
-    else if Queue.length t.queue >= t.config.queue_capacity then begin
-      t.shed <- t.shed + 1;
-      Ometrics.incr m_shed;
-      (* a shed is still an answer: echo the correlation id and op when
-         the line parses so the client can retry the right request *)
-      let id, op =
-        match Proto.parse line with
-        | Ok req -> (Proto.request_id req, Some (Proto.request_op req))
-        | Error _ -> (None, None)
-      in
-      [
-        traced
-          (Proto.error_response ?id ?op ~overloaded:true
-             (Res.diag Res.Overflow ~subject
-                (Printf.sprintf "queue full (%d pending): request shed"
-                   (Queue.length t.queue))));
-      ]
-    end
-    else begin
-      (* WAL: the request record — trace id included, so a replay emits
-         byte-identical responses — is durable before the queue sees
-         it.  Shed and oversize rejections above are deliberately not
-         journaled: they were answered immediately and commit nothing. *)
-      let seq =
-        match t.journal with
-        | Some j
-          when (match Proto.parse line with
-               | Ok req -> journalable req
-               | Error _ -> false) ->
-            Some (Journal.append j (trace ^ " " ^ line))
-        | _ -> None
-      in
-      Queue.push { q_trace = trace; q_origin = origin; q_seq = seq; q_line = line }
-        t.queue;
-      Ometrics.set_max m_queue_depth (float_of_int (Queue.length t.queue));
-      []
-    end
+    else
+      let parsed = Proto.parse line in
+      if Queue.length t.queue >= t.config.queue_capacity then begin
+        t.shed <- t.shed + 1;
+        Ometrics.incr m_shed;
+        (* a shed is still an answer: echo the correlation id and op when
+           the line parses so the client can retry the right request *)
+        let id, op =
+          match parsed with
+          | Ok req -> (Proto.request_id req, Some (Proto.request_op req))
+          | Error _ -> (None, None)
+        in
+        [
+          traced
+            (Proto.error_response ?id ?op ~overloaded:true
+               (Res.diag Res.Overflow ~subject
+                  (Printf.sprintf "queue full (%d pending): request shed"
+                     (Queue.length t.queue))));
+        ]
+      end
+      else begin
+        (* WAL: the request record — trace id included, so a replay emits
+           byte-identical responses — is durable before the queue sees
+           it.  Shed and oversize rejections above are deliberately not
+           journaled: they were answered immediately and commit nothing. *)
+        let seq =
+          match (t.journal, parsed) with
+          | Some j, Ok req when journalable req ->
+              Some (Journal.append j (trace ^ " " ^ line))
+          | _ -> None
+        in
+        Queue.push
+          { q_trace = trace; q_origin = origin; q_seq = seq; q_req = parsed }
+          t.queue;
+        Ometrics.set_max m_queue_depth (float_of_int (Queue.length t.queue));
+        []
+      end
   end
 
 let offer t line = offer_from t line
+
+(* The body of every admitted request, live or replayed: a parse error
+   is a typed answer, a check joins the reload shadow corpus, and the
+   request is dispatched under its trace id.  Then its journal entry
+   [seq], if any, is marked done. *)
+let answer t ~trace ~seq parsed =
+  let resp =
+    match parsed with
+    | Error d ->
+        t.errors <- t.errors + 1;
+        Ometrics.incr m_errors;
+        Proto.error_response d
+    | Ok req ->
+        (match req with
+        | Proto.Check { source; _ } -> Ring.push t.recent_checks source
+        | _ -> ());
+        dispatch t ~trace req
+  in
+  (match (t.journal, seq) with
+  | Some j, Some seq -> Journal.mark_done j seq
+  | _ -> ());
+  t.answered <- t.answered + 1;
+  Proto.with_trace (Some trace) resp
 
 (* Process one queued request, tagging each response with the origin it
    must be routed to (None = default sink).  A SIGHUP-requested reload
@@ -774,25 +758,7 @@ let step_routed t =
   else
     match Queue.take_opt t.queue with
     | None -> []
-    | Some { q_trace = trace; q_origin; q_seq; q_line = line } -> (
-        let traced resp = Proto.with_trace (Some trace) resp in
-        let finish resps =
-          (match (t.journal, q_seq) with
-          | Some j, Some seq -> Journal.mark_done j seq
-          | _ -> ());
-          t.answered <- t.answered + 1;
-          List.map (fun r -> (q_origin, r)) resps
-        in
-        match Proto.parse line with
-        | Error d ->
-            t.errors <- t.errors + 1;
-            Ometrics.incr m_errors;
-            finish [ traced (Proto.error_response d) ]
-        | Ok req ->
-            (match req with
-            | Proto.Check _ -> Ring.push t.recent_checks line
-            | _ -> ());
-            finish [ traced (dispatch t ~trace req) ])
+    | Some q -> [ (q.q_origin, answer t ~trace:q.q_trace ~seq:q.q_seq q.q_req) ]
 
 let step t = List.map snd (step_routed t)
 
@@ -827,24 +793,8 @@ let replay t ~entries ~emit =
       Ometrics.incr m_requests;
       t.replayed <- t.replayed + 1;
       Ometrics.incr m_journal_replayed;
-      let traced resp = Proto.with_trace (Some trace) resp in
-      let resps =
-        match Proto.parse line with
-        | Error d ->
-            t.errors <- t.errors + 1;
-            Ometrics.incr m_errors;
-            [ traced (Proto.error_response d) ]
-        | Ok req ->
-            (match req with
-            | Proto.Check _ -> Ring.push t.recent_checks line
-            | _ -> ());
-            [ traced (dispatch t ~trace req) ]
-      in
-      t.answered <- t.answered + 1;
-      (match t.journal with
-      | Some j when not e.Journal.completed -> Journal.mark_done j e.Journal.seq
-      | _ -> ());
-      emit e resps)
+      let seq = if e.Journal.completed then None else Some e.Journal.seq in
+      emit e [ answer t ~trace ~seq (Proto.parse line) ])
     entries;
   List.length entries
 
@@ -868,42 +818,3 @@ let drain_flush t =
      start has nothing to replay *)
   (match t.journal with Some j -> Journal.reset j | None -> ());
   alerts @ [ bye ]
-
-let run t ~recv ~send =
-  let emit = List.iter send in
-  let rec ingest () =
-    match t.state with
-    | Draining | Stopped -> ()
-    | Running -> (
-        (* block only when there is nothing queued to work on; once a
-           line arrives, drain the transport greedily so a burst lands
-           on the bounded queue (and sheds) instead of lingering in the
-           kernel buffer *)
-        match recv ~wait:(Queue.is_empty t.queue) with
-        | `Line line ->
-            emit (offer t line);
-            ingest ()
-        | `Overflow ->
-            emit [ frame_overflow t ];
-            ingest ()
-        | `Eof -> request_shutdown t
-        | `Idle -> ())
-  in
-  let rec loop () =
-    match t.state with
-    | Stopped -> exit_code t
-    | Draining ->
-        if Queue.is_empty t.queue then begin
-          emit (drain_flush t);
-          loop ()
-        end
-        else begin
-          emit (step t);
-          loop ()
-        end
-    | Running ->
-        ingest ();
-        emit (step t);
-        loop ()
-  in
-  loop ()

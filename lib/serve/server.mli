@@ -1,13 +1,13 @@
-(** The serve reactor: a transport-free request loop with bounded
-    queueing, load shedding, supervised request processing and graceful
-    drain.
+(** The serve daemon's core: transport-free request processing with
+    bounded queueing, load shedding, supervised request processing and
+    graceful drain.
 
-    The daemon core is deliberately free of I/O: {!offer} hands it a
-    raw request line, {!step} processes one queued request, and both
-    return the responses to write.  {!run} wires them to a transport
-    through two closures — the CLI provides stdio or a Unix-socket
-    implementation, tests and the chaos storm drive {!offer}/{!step}
-    directly.
+    The core is deliberately free of I/O: {!offer} hands it a raw
+    request line, {!step} processes one queued request, and both return
+    the responses to write.  {!Mux} is the one transport loop: it feeds
+    every connection, the daemon's own stdin/stdout included, through
+    {!offer_from}/{!step_routed}.  Tests, bench and the chaos storm
+    drive {!offer}/{!step} directly.
 
     Robustness properties, in request order:
     - oversized lines are rejected {e before} queueing, so queue memory
@@ -25,15 +25,16 @@
       after the cooldown);
     - detections land in a bounded drop-oldest {!Ring}; the drain path
       flushes surviving alerts and reports the drop count;
-    - shutdown (request, EOF, or {!request_shutdown} from a signal
-      handler) finishes the queued requests, flushes the ring, emits a
-      final [bye] summary and stops.
+    - shutdown (a request, the transport's end of input, or
+      {!request_shutdown} from a signal handler) finishes the queued
+      requests, flushes the ring, emits a final [bye] summary and
+      stops.
 
     Metrics: [serve.requests], [serve.shed], [serve.errors],
     [serve.restarts], [serve.breaker_denied], [serve.ring_dropped],
     [serve.partial], [serve.reloads], [serve.reload_rollbacks],
-    [serve.journal_replayed], [serve.frame_overflow],
-    [serve.queue_depth] (high-water), and the [serve.request_us]
+    [serve.journal_replayed], [serve.queue_depth] (high-water), and
+    the [serve.request_us]
     latency histogram (p99 source for bench).
 
     Telemetry (PR 7): every admitted request is assigned a trace id at
@@ -105,9 +106,9 @@ val create :
     recovered statistics would double-count the image. *)
 
 val offer : t -> string -> Encore_obs.Jsonenc.t list
-(** Admit one raw request line.  [[]] when queued (or ignored: blank
-    line, draining daemon); immediate error responses when the line is
-    oversized or the queue sheds it. *)
+(** Admit one raw request line, parsing it once.  [[]] when queued (or
+    ignored: blank line, draining daemon); immediate error responses
+    when the line is oversized or the queue sheds it. *)
 
 val offer_from :
   t -> ?origin:int -> string -> Encore_obs.Jsonenc.t list
@@ -129,15 +130,8 @@ val step_routed : t -> (int option * Encore_obs.Jsonenc.t) list
 val pending : t -> int
 
 val max_request_bytes : t -> int
-(** The configured request bound, which is also the transports' frame
-    bound: {!Mux} buffers at most this many bytes of one line, and so
-    should a [recv] given to {!run}.  A longer line is dropped through
-    its newline and answered once with {!frame_overflow}. *)
-
-val frame_overflow : t -> Encore_obs.Jsonenc.t
-(** The typed [overflow] answer to a line a transport stopped
-    buffering past {!max_request_bytes}; counts
-    [serve.frame_overflow]. *)
+(** The configured request bound, which is also {!Mux}'s frame bound:
+    it buffers at most this many bytes of one line. *)
 
 val state : t -> [ `Running | `Draining | `Stopped ]
 
@@ -169,22 +163,9 @@ val replay :
 
 val drain_flush : t -> Encore_obs.Jsonenc.t list
 (** Flush the alert ring and produce the final [bye] summary; moves the
-    daemon to [`Stopped].  {!run} calls this once the queue is empty
+    daemon to [`Stopped].  {!Mux} calls this once the queue is empty
     after shutdown — call it directly only when driving
     {!offer}/{!step} by hand. *)
-
-val run :
-  t ->
-  recv:(wait:bool -> [ `Line of string | `Overflow | `Eof | `Idle ]) ->
-  send:(Encore_obs.Jsonenc.t -> unit) ->
-  int
-(** Reactor loop: greedily ingest available lines (blocking only when
-    nothing is queued), process one request per iteration, drain on
-    EOF/shutdown, and return the {!exit_code}.  [recv ~wait:false] must
-    poll without blocking ([`Idle] when no line is ready); [recv] may
-    return [`Idle] spuriously (e.g. on [EINTR] after a signal).
-    [`Overflow] reports a line [recv] dropped past {!max_request_bytes};
-    it is answered with {!frame_overflow}. *)
 
 val exit_code : t -> int
 (** [0] clean; [3] degraded — load was shed, the worker restarted, or

@@ -663,32 +663,6 @@ let test_server_graceful_drain () =
   check Alcotest.bool "stopped" true (Server.state srv = `Stopped);
   check Alcotest.int "clean exit" 0 (Server.exit_code srv)
 
-let test_server_run_loop_over_fake_transport () =
-  let srv = make_server () in
-  let img = target 918 "srv-run" in
-  let inbox =
-    ref [ check_line ~id:"c1" img; op_line ~id:"bye" "shutdown" ]
-  in
-  let sent = ref [] in
-  let recv ~wait:_ =
-    match !inbox with
-    | [] -> `Eof
-    | l :: rest ->
-        inbox := rest;
-        `Line l
-  in
-  let send j = sent := j :: !sent in
-  let code = Server.run srv ~recv ~send in
-  let sent = List.rev !sent in
-  check Alcotest.int "clean exit from the loop" 0 code;
-  check Alcotest.bool "check answered" true
-    (List.exists (fun j -> str_field "id" j = Some "c1" && is_ok j) sent);
-  check Alcotest.bool "bye emitted last" true
-    (match List.rev sent with
-    | last :: _ -> str_field "op" last = Some "bye"
-    | [] -> false);
-  check Alcotest.bool "stopped" true (Server.state srv = `Stopped)
-
 (* --- telemetry verbs -------------------------------------------------------- *)
 
 let test_server_metrics_verb () =
@@ -984,8 +958,6 @@ let () =
           Alcotest.test_case "partial verdict under deadline" `Quick
             test_server_partial_verdict_under_deadline;
           Alcotest.test_case "graceful drain" `Quick test_server_graceful_drain;
-          Alcotest.test_case "run loop over fake transport" `Quick
-            test_server_run_loop_over_fake_transport;
           Alcotest.test_case "ring bounds alerts" `Quick
             test_server_ring_bounds_alerts;
         ] );

@@ -3,7 +3,8 @@
    convergence and idempotence), shadow-validated model reload with
    automatic rollback, the select multiplexer's hostile-client bounds
    (slowloris eviction, frame overflow, torn EOF frames, drain byes),
-   the filesystem watcher, and a QCheck property that interleaved
+   stdin/stdout as one of its connections over a pipe pair, the
+   filesystem watcher, and a QCheck property that interleaved
    multi-client serving answers each client exactly as a serial run
    would. *)
 
@@ -424,6 +425,52 @@ let steps mux n =
     Mux.step ~wait:false mux
   done
 
+let step_until_stopped mux =
+  let budget = ref 200 in
+  while (not (Mux.stopped mux)) && !budget > 0 do
+    decr budget;
+    Mux.step ~wait:false mux
+  done
+
+(* A client of the daemon over one transport: [send] and [recv] are the
+   client's ends (nonblocking), [hangup] closes its sending side, and
+   [close] releases what the client holds. *)
+type client = {
+  send : Unix.file_descr;
+  recv : Unix.file_descr;
+  hangup : unit -> unit;
+  close : unit -> unit;
+}
+
+let socket_client mux =
+  let cfd, sfd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock cfd;
+  ignore (Mux.adopt mux sfd);
+  {
+    send = cfd;
+    recv = cfd;
+    hangup = (fun () -> Unix.shutdown cfd Unix.SHUTDOWN_SEND);
+    close = (fun () -> Unix.close cfd);
+  }
+
+(* The daemon's stdin/stdout as a pipe pair: its ends stay blocking, as
+   inherited descriptors do, and the mux borrows them, so the client
+   closes them too. *)
+let pipe_client mux =
+  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+  Unix.set_nonblock in_w;
+  Unix.set_nonblock out_r;
+  ignore (Mux.attach mux ~input:in_r ~output:out_w);
+  let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  {
+    send = in_w;
+    recv = out_r;
+    hangup = (fun () -> close_quietly in_w);
+    close = (fun () -> List.iter close_quietly [ in_w; in_r; out_r; out_w ]);
+  }
+
+let transports = [ ("socketpair", socket_client); ("pipe pair", pipe_client) ]
+
 let test_mux_routes_two_clients () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let _, mux, cls, _ = mux_fixture 2 in
@@ -478,22 +525,115 @@ let test_mux_slowloris_evicted () =
 let test_mux_frame_overflow_resyncs () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let config = { Server.default_config with Server.max_request_bytes = 256 } in
-  let _, mux, cls, _ = mux_fixture ~config 1 in
-  (* an unterminated flood past the bound: typed overflow, stream
-     discarded to the next newline, then normal service resumes *)
-  send_all cls.(0) (String.make 600 'x');
-  steps mux 10;
-  let l = read_lines cls.(0) in
-  check Alcotest.bool "typed overflow response" true
-    (List.exists (fun s -> contains s "unterminated frame exceeds") l);
-  send_all cls.(0) ("junk-tail\n" ^ op_line ~id:"after" "status" ^ "\n");
-  steps mux 10;
-  check Alcotest.bool "stream resyncs after the newline" true
+  List.iter
+    (fun (name, connect) ->
+      let _, mux, _, _ = mux_fixture ~config 0 in
+      let cl = connect mux in
+      (* an unterminated flood past the bound: typed overflow, stream
+         discarded to the next newline, then normal service resumes *)
+      send_all cl.send (String.make 600 'x');
+      steps mux 10;
+      let l = read_lines cl.recv in
+      check Alcotest.bool (name ^ ": typed overflow response") true
+        (List.exists (fun s -> contains s "unterminated frame exceeds") l);
+      send_all cl.send ("junk-tail\n" ^ op_line ~id:"after" "status" ^ "\n");
+      steps mux 10;
+      check Alcotest.bool (name ^ ": stream resyncs after the newline") true
+        (List.exists
+           (fun s -> contains s "\"id\":\"after\"")
+           (read_lines cl.recv));
+      Mux.shutdown_fds mux;
+      cl.close ())
+    transports
+
+(* Stdin and stdout as one connection: requests written and the input
+   closed at once are all answered, in order, before the EOF drains the
+   daemon — so the health probe still reads ok — and the bye comes
+   last. *)
+let test_mux_stdio_eof_drains_after_answers () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let srv, mux, _, orphaned = mux_fixture 0 in
+  let cl = pipe_client mux in
+  send_all cl.send
+    (String.concat "\n"
+       [
+         op_line ~id:"s1" "status";
+         check_line ~id:"c1" (target 873 "stdio-a");
+         op_line ~id:"h1" "health";
+       ]
+    ^ "\n");
+  cl.hangup ();
+  step_until_stopped mux;
+  check Alcotest.bool "mux drained" true (Mux.stopped mux);
+  let l = read_lines cl.recv in
+  let parsed =
+    List.map
+      (fun s ->
+        match Json.of_string s with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "unparsable response %S: %s" s e)
+      l
+  in
+  check
+    Alcotest.(list string)
+    "every id answered in order" [ "s1"; "c1"; "h1" ]
+    (List.filter_map (str_field "id") parsed);
+  check Alcotest.bool "health ok" true
     (List.exists
-       (fun s -> contains s "\"id\":\"after\"")
-       (read_lines cls.(0)));
-  Mux.shutdown_fds mux;
-  Unix.close cls.(0)
+       (fun j -> str_field "id" j = Some "h1" && str_field "health" j = Some "ok")
+       parsed);
+  check
+    Alcotest.(option string)
+    "bye last" (Some "bye")
+    (match List.rev parsed with j :: _ -> str_field "op" j | [] -> None);
+  check Alcotest.int "clean exit" 0 (Server.exit_code srv);
+  check Alcotest.int "nothing orphaned" 0 (List.length !orphaned);
+  cl.close ()
+
+(* A burst written before the first turn is admitted in one pass over
+   either transport, so the bounded queue sheds the same lines. *)
+let test_mux_stdio_burst_sheds_as_socket () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let overloaded (_, connect) =
+    let srv, mux, _, _ = mux_fixture 0 in
+    let cl = connect mux in
+    send_all cl.send
+      (String.concat ""
+         (List.init 200 (fun i ->
+              op_line ~id:(Printf.sprintf "b%d" i) "status" ^ "\n")));
+    (* one turn answers the whole burst: about 40 KB, which the pipe
+       buffer holds while the daemon's blocking writes fill it *)
+    Mux.step ~wait:false mux;
+    let got = read_lines cl.recv in
+    check Alcotest.int "every line answered in one turn" 200 (List.length got);
+    Mux.shutdown_fds mux;
+    cl.close ();
+    ( Server.shed_count srv,
+      List.length (List.filter (fun s -> contains s "\"overloaded\":true") got) )
+  in
+  match List.map overloaded transports with
+  | [ sock; pipe ] ->
+      check Alcotest.(pair int int) "socketpair sheds 136" (136, 136) sock;
+      check Alcotest.(pair int int) "pipe pair sheds as the socketpair" sock pipe
+  | _ -> assert false
+
+(* A stdout reader that goes away early costs the daemon its output,
+   not its life: the connection is dropped, and with no input left the
+   daemon drains, its bye going to the default sink. *)
+let test_mux_stdio_reader_gone_drains () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let _, mux, _, orphaned = mux_fixture 0 in
+  let cl = pipe_client mux in
+  Unix.close cl.recv;
+  send_all cl.send
+    (op_line ~id:"s1" "status" ^ "\n" ^ check_line ~id:"c1" (target 874 "stdio-b")
+   ^ "\n");
+  step_until_stopped mux;
+  check Alcotest.bool "mux drained" true (Mux.stopped mux);
+  check Alcotest.int "connection dropped" 0 (Mux.connection_count mux);
+  check Alcotest.bool "bye to the default sink" true
+    (List.exists (fun j -> str_field "op" j = Some "bye") !orphaned);
+  cl.close ()
 
 (* The frame bound is the server's request limit, not a transport
    constant: a 2 MB request under a 4 MB limit is answered. *)
@@ -629,6 +769,12 @@ let () =
             test_mux_frame_bound_follows_server;
           Alcotest.test_case "torn EOF frame rejected" `Quick
             test_mux_torn_eof_frame_rejected;
+          Alcotest.test_case "stdio EOF drains after answers" `Quick
+            test_mux_stdio_eof_drains_after_answers;
+          Alcotest.test_case "stdio burst sheds as a socket does" `Quick
+            test_mux_stdio_burst_sheds_as_socket;
+          Alcotest.test_case "stdio reader gone, daemon drains" `Quick
+            test_mux_stdio_reader_gone_drains;
         ] );
       ( "fswatch",
         [ Alcotest.test_case "stat-signature deltas" `Quick test_fswatch_deltas ] );
