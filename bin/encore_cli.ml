@@ -492,8 +492,6 @@ let chaos_cmd =
 
 (* --- serve ----------------------------------------------------------------- *)
 
-let response_line resp = Encore_obs.Jsonenc.to_string resp ^ "\n"
-
 (* The daemon's stdout outside its connections: the journal replay and
    the responses with no live origin (a SIGHUP reload, the watch-dir
    feed, the bye of a clientless daemon).  Written straight to the
@@ -502,7 +500,7 @@ let response_line resp = Encore_obs.Jsonenc.to_string resp ^ "\n"
 let print_response =
   let gone = ref false in
   fun resp ->
-    let line = response_line resp in
+    let line = Encore_obs.Jsonenc.to_string resp ^ "\n" in
     let rec put off =
       if off < String.length line then
         match

@@ -12,7 +12,8 @@
    past [max_write_buffer] (never reads) is evicted; an unterminated
    frame past the server's [max_request_bytes] is answered with a typed
    overflow and the connection discards bytes until the next newline;
-   one turn reads at most that many bytes from a connection.  Drain is
+   one turn stops reading a connection once it has read that many
+   bytes.  Drain is
    deterministic: every surviving connection receives the flushed
    alerts and the bye summary before it closes.  A mux with no
    listening socket drains by itself once no connection can send any
@@ -256,9 +257,10 @@ let readable fd =
   | _ -> true
   | exception Unix.Unix_error (_, _, _) -> false
 
-(* Read what the connection has ready, up to one frame bound per turn.
-   Each read follows a select that found the input ready, so a
-   borrowed blocking input never stalls the loop. *)
+(* Read what the connection has ready, stopping for this turn once a
+   frame bound's worth has been read.  Each read follows a select that
+   found the input ready, so a borrowed blocking input never stalls the
+   loop. *)
 let read_conn t (c : conn) =
   let rec go budget =
     if (not c.closed) && c.rd_open && budget > 0 then

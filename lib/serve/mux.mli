@@ -20,8 +20,8 @@
     - an unterminated frame past the server's [max_request_bytes]
       ({!Server.max_request_bytes}) is answered once with a typed
       [overflow] error ([serve.frame_overflow]) and the stream discards
-      to the next newline; one turn reads at most that many bytes from
-      a connection;
+      to the next newline; one turn stops reading a connection once it
+      has read that many bytes;
     - a half-closed peer still receives the responses to its admitted
       requests before its socket closes, and EOF with a torn trailing
       frame delivers that frame for a typed rejection.

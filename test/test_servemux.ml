@@ -433,12 +433,11 @@ let step_until_stopped mux =
   done
 
 (* A client of the daemon over one transport: [send] and [recv] are the
-   client's ends (nonblocking), [hangup] closes its sending side, and
-   [close] releases what the client holds. *)
+   client's ends (nonblocking), and [close] releases what the client
+   holds. *)
 type client = {
   send : Unix.file_descr;
   recv : Unix.file_descr;
-  hangup : unit -> unit;
   close : unit -> unit;
 }
 
@@ -446,12 +445,7 @@ let socket_client mux =
   let cfd, sfd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_nonblock cfd;
   ignore (Mux.adopt mux sfd);
-  {
-    send = cfd;
-    recv = cfd;
-    hangup = (fun () -> Unix.shutdown cfd Unix.SHUTDOWN_SEND);
-    close = (fun () -> Unix.close cfd);
-  }
+  { send = cfd; recv = cfd; close = (fun () -> Unix.close cfd) }
 
 (* The daemon's stdin/stdout as a pipe pair: its ends stay blocking, as
    inherited descriptors do, and the mux borrows them, so the client
@@ -465,7 +459,6 @@ let pipe_client mux =
   {
     send = in_w;
     recv = out_r;
-    hangup = (fun () -> close_quietly in_w);
     close = (fun () -> List.iter close_quietly [ in_w; in_r; out_r; out_w ]);
   }
 
@@ -487,11 +480,7 @@ let test_mux_routes_two_clients () =
     && not (List.exists (fun l -> contains l "\"id\":\"a1\"") l1));
   (* shutdown from one client: everyone gets the bye *)
   send_all cls.(0) (op_line ~id:"quit" "shutdown" ^ "\n");
-  let budget = ref 200 in
-  while (not (Mux.stopped mux)) && !budget > 0 do
-    decr budget;
-    Mux.step ~wait:false mux
-  done;
+  step_until_stopped mux;
   check Alcotest.bool "mux drained" true (Mux.stopped mux);
   let l0 = read_lines cls.(0) and l1 = read_lines cls.(1) in
   check Alcotest.bool "both clients got the bye" true
@@ -562,7 +551,7 @@ let test_mux_stdio_eof_drains_after_answers () =
          op_line ~id:"h1" "health";
        ]
     ^ "\n");
-  cl.hangup ();
+  Unix.close cl.send;
   step_until_stopped mux;
   check Alcotest.bool "mux drained" true (Mux.stopped mux);
   let l = read_lines cl.recv in
