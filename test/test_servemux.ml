@@ -657,7 +657,9 @@ let test_mux_torn_eof_frame_rejected () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let _, mux, cls, _ = mux_fixture 1 in
   (* half-close with a torn trailing frame: the frame is delivered for
-     a typed rejection, and the response still reaches the client *)
+     a typed rejection, and the response still reaches the client; it
+     was the last open input, so the drain follows and the half-closed
+     client gets the bye too *)
   send_all cls.(0) "{\"op\":\"check\",\"id\":\"torn";
   Unix.shutdown cls.(0) Unix.SHUTDOWN_SEND;
   steps mux 10;
@@ -666,6 +668,8 @@ let test_mux_torn_eof_frame_rejected () =
     (List.exists
        (fun s -> contains s "\"ok\":false" && contains s "parse-error")
        l);
+  check Alcotest.bool "bye to the half-closed client" true
+    (List.exists (fun s -> contains s "\"op\":\"bye\"") l);
   Mux.shutdown_fds mux;
   Unix.close cls.(0)
 
