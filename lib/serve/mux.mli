@@ -23,8 +23,9 @@
       to the next newline; one turn stops reading a connection once it
       has read that many bytes;
     - a half-closed peer still receives the responses to its admitted
-      requests before its socket closes, and EOF with a torn trailing
-      frame delivers that frame for a typed rejection.
+      requests (and, during a drain, the bye) before its socket closes,
+      and EOF with a torn trailing frame delivers that frame for a
+      typed rejection.
 
     Drain is deterministic: when the server finishes its queue after
     shutdown, every surviving connection receives the flushed alerts
@@ -74,7 +75,7 @@ val attach : t -> input:Unix.file_descr -> output:Unix.file_descr -> int
     returns its connection id.  Their file status flags are left alone,
     since they are shared with the parent process, and the mux never
     closes them.  Reads happen only when select reports [input] ready;
-    writes to [output] block, so a slow reader holds the loop back
+    a blocking [output] holds the loop back while its reader is slow,
     rather than losing a response. *)
 
 val step : ?wait:bool -> t -> unit
@@ -95,4 +96,5 @@ val stopped : t -> bool
 val connection_count : t -> int
 
 val shutdown_fds : t -> unit
-(** Close every connection and the listener (abnormal teardown). *)
+(** Drop every connection, closing its socket, and close the listener
+    (abnormal teardown). *)

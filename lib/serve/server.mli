@@ -1,6 +1,6 @@
-(** The serve daemon's core: transport-free request processing with
-    bounded queueing, load shedding, supervised request processing and
-    graceful drain.
+(** The serve daemon's core: transport-free request handling with
+    bounded queueing, load shedding, supervised processing and graceful
+    drain.
 
     The core is deliberately free of I/O: {!offer} hands it a raw
     request line, {!step} processes one queued request, and both return
@@ -34,8 +34,7 @@
     [serve.restarts], [serve.breaker_denied], [serve.ring_dropped],
     [serve.partial], [serve.reloads], [serve.reload_rollbacks],
     [serve.journal_replayed], [serve.queue_depth] (high-water), and
-    the [serve.request_us]
-    latency histogram (p99 source for bench).
+    the [serve.request_us] latency histogram (p99 source for bench).
 
     Telemetry (PR 7): every admitted request is assigned a trace id at
     {!offer} ([t-NNNNNN], monotonic per server) that is echoed in a
