@@ -13,10 +13,9 @@
    frame past the server's [max_request_bytes] is answered with a typed
    overflow and the connection discards bytes until the next newline;
    one turn stops reading a connection once it has read that many
-   bytes.  Drain is
-   deterministic: every surviving connection receives the flushed
-   alerts and the bye summary before it closes.  A mux with no
-   listening socket drains by itself once no connection can send any
+   bytes.  Drain is deterministic: every surviving connection receives
+   the flushed alerts and the bye summary before it closes.  A mux with
+   no listening socket drains by itself once no connection can send any
    more: its last open input reached EOF, and the lines read before it
    are answered. *)
 

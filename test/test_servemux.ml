@@ -447,19 +447,31 @@ let socket_client mux =
   ignore (Mux.adopt mux sfd);
   { send = cfd; recv = cfd; close = (fun () -> Unix.close cfd) }
 
-(* The daemon's stdin/stdout as a pipe pair: its ends stay blocking, as
-   inherited descriptors do, and the mux borrows them, so the client
-   closes them too. *)
-let pipe_client mux =
+(* The daemon's stdin/stdout as a pipe pair.  The daemon's ends stay
+   blocking, as inherited descriptors do; the client's ends (returned
+   first) are nonblocking.  The mux only borrows the daemon's ends, so
+   the returned function closes them. *)
+let stdio_pipes mux =
   let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
   Unix.set_nonblock in_w;
   Unix.set_nonblock out_r;
   ignore (Mux.attach mux ~input:in_r ~output:out_w);
-  let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  ( in_w,
+    out_r,
+    fun () ->
+      Unix.close in_r;
+      Unix.close out_w )
+
+let pipe_client mux =
+  let send, recv, release = stdio_pipes mux in
   {
-    send = in_w;
-    recv = out_r;
-    close = (fun () -> List.iter close_quietly [ in_w; in_r; out_r; out_w ]);
+    send;
+    recv;
+    close =
+      (fun () ->
+        Unix.close send;
+        Unix.close recv;
+        release ());
   }
 
 let transports = [ ("socketpair", socket_client); ("pipe pair", pipe_client) ]
@@ -542,8 +554,8 @@ let test_mux_frame_overflow_resyncs () =
 let test_mux_stdio_eof_drains_after_answers () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let srv, mux, _, orphaned = mux_fixture 0 in
-  let cl = pipe_client mux in
-  send_all cl.send
+  let send, recv, release = stdio_pipes mux in
+  send_all send
     (String.concat "\n"
        [
          op_line ~id:"s1" "status";
@@ -551,10 +563,10 @@ let test_mux_stdio_eof_drains_after_answers () =
          op_line ~id:"h1" "health";
        ]
     ^ "\n");
-  Unix.close cl.send;
+  Unix.close send;
   step_until_stopped mux;
   check Alcotest.bool "mux drained" true (Mux.stopped mux);
-  let l = read_lines cl.recv in
+  let l = read_lines recv in
   let parsed =
     List.map
       (fun s ->
@@ -577,7 +589,8 @@ let test_mux_stdio_eof_drains_after_answers () =
     (match List.rev parsed with j :: _ -> str_field "op" j | [] -> None);
   check Alcotest.int "clean exit" 0 (Server.exit_code srv);
   check Alcotest.int "nothing orphaned" 0 (List.length !orphaned);
-  cl.close ()
+  Unix.close recv;
+  release ()
 
 (* A burst written before the first turn is admitted in one pass over
    either transport, so the bounded queue sheds the same lines. *)
@@ -612,9 +625,9 @@ let test_mux_stdio_burst_sheds_as_socket () =
 let test_mux_stdio_reader_gone_drains () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let _, mux, _, orphaned = mux_fixture 0 in
-  let cl = pipe_client mux in
-  Unix.close cl.recv;
-  send_all cl.send
+  let send, recv, release = stdio_pipes mux in
+  Unix.close recv;
+  send_all send
     (op_line ~id:"s1" "status" ^ "\n" ^ check_line ~id:"c1" (target 874 "stdio-b")
    ^ "\n");
   step_until_stopped mux;
@@ -622,7 +635,8 @@ let test_mux_stdio_reader_gone_drains () =
   check Alcotest.int "connection dropped" 0 (Mux.connection_count mux);
   check Alcotest.bool "bye to the default sink" true
     (List.exists (fun j -> str_field "op" j = Some "bye") !orphaned);
-  cl.close ()
+  Unix.close send;
+  release ()
 
 (* The frame bound is the server's request limit, not a transport
    constant: a 2 MB request under a 4 MB limit is answered. *)
