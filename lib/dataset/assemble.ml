@@ -23,22 +23,35 @@ let augmenter types =
     types;
   tbl
 
-(* The parsed pairs, then each typed instance's augmentations in pair
-   order, then the image globals. *)
-let augmented tbl img pairs =
-  let rev_aug =
-    List.fold_left
-      (fun acc (attr, value) ->
-        match Hashtbl.find_opt tbl attr with
-        | None -> acc
-        | Some t -> List.rev_append (Augment.augment t img value) acc)
-      [] pairs
-  in
-  Row.of_list (pairs @ List.rev_append rev_aug (Augment.globals img))
+(* The one pair order of an assembled row: the parsed pairs, then each
+   typed instance's augmentations in pair order, then the image
+   globals.  [iter_parsed] feeds the parsed pairs; [resolve] runs once
+   per pair and its result goes to [visit] with the pair. *)
+let walk ~resolve ~augmentation img iter_parsed visit =
+  let rev_typed = ref [] in
+  iter_parsed (fun attr value ->
+      let r = resolve attr in
+      visit attr value r;
+      match augmentation r with
+      | Some t -> rev_typed := (t, value) :: !rev_typed
+      | None -> ());
+  let visit_all = List.iter (fun (attr, value) -> visit attr value (resolve attr)) in
+  List.iter
+    (fun (t, value) -> visit_all (Augment.augment t img value))
+    (List.rev !rev_typed);
+  visit_all (Augment.globals img)
+
+let row_of_walk walk_with =
+  let rev = ref [] in
+  walk_with (fun attr value _ -> rev := (attr, value) :: !rev);
+  Row.of_list (List.rev !rev)
 
 let augment_row ~types =
   let tbl = augmenter types in
-  fun img base_row -> augmented tbl img (Row.to_list base_row)
+  fun img base_row ->
+    row_of_walk
+      (walk ~resolve:(Hashtbl.find_opt tbl) ~augmentation:Fun.id img (fun f ->
+           List.iter (fun (attr, value) -> f attr value) (Row.to_list base_row)))
 
 let pmap pool f xs =
   match pool with
@@ -88,14 +101,20 @@ let assemble_training ?pool images =
   in
   { table; types = config_types @ aug_types }
 
+(* the parsed pairs feed the walk directly: Row.to_list (Row.of_list
+   pairs) = pairs, so skipping the intermediate [parse_only] row changes
+   nothing observable *)
+let walk_target ~resolve ~augmentation img visit =
+  walk ~resolve ~augmentation img
+    (fun f ->
+      List.iter (fun (kv : Kv.t) -> f kv.key kv.value) (Registry.parse_image img))
+    visit
+
 let target_assembler ~types =
   let tbl = augmenter types in
   fun img ->
-    (* the parsed pairs feed augmentation and the final row directly:
-       Row.to_list (Row.of_list pairs) = pairs, so skipping the
-       intermediate [parse_only] row changes nothing observable *)
-    augmented tbl img
-      (List.map (fun (kv : Kv.t) -> (kv.key, kv.value)) (Registry.parse_image img))
+    row_of_walk
+      (walk_target ~resolve:(Hashtbl.find_opt tbl) ~augmentation:Fun.id img)
 
 let assemble_target ~types img = target_assembler ~types img
 

@@ -33,6 +33,22 @@ val assemble_training :
     parse and augmentation passes run on its worker domains; the result
     is identical for any pool size. *)
 
+val walk_target :
+  resolve:(string -> 'r) ->
+  augmentation:('r -> Augment.typed option) ->
+  Encore_sysenv.Image.t ->
+  (string -> string -> 'r -> unit) ->
+  unit
+(** The pairs of a target's assembled row, in row order, without the
+    row: the parsed configuration entries, then each entry's
+    augmentations in entry order, then the image globals.  [resolve]
+    runs once per pair, and the visitor gets the pair with its result;
+    [augmentation] names how a parsed entry with that result augments
+    ({!Augment.typed} of its attribute under the training type
+    environment), [None] for an entry that does not.  With [resolve]
+    and [augmentation] from the training types, the visited pairs are
+    [Row.to_list (assemble_target ~types img)]. *)
+
 val target_assembler :
   types:Encore_typing.Infer.env -> Encore_sysenv.Image.t -> Row.t
 (** Parse then {!augment_row}: partially applied to [~types], returns an

@@ -1,4 +1,3 @@
-module Row = Encore_dataset.Row
 module Assemble = Encore_dataset.Assemble
 module Augment = Encore_dataset.Augment
 module Tinfer = Encore_typing.Infer
@@ -57,33 +56,91 @@ type value_column = {
   vc_cardinality : int;
 }
 
-(* Everything the per-pair checks know about one column, merged so the
-   fused type/value pass costs a single hash probe per row pair. *)
-type column = {
-  col_typed : typed_column option;
-  col_values : value_column option;
+(* Everything the checks know about one attribute the model names,
+   resolved at compile time, so a target pair costs one probe: whether
+   training knew the name, its type and value columns, how a parsed
+   entry of it augments, and its rule slot. *)
+type entry = {
+  id : int;  (* dense, for the per-check first-occurrence marks *)
+  known : bool;
+  typed : typed_column option;
+  values : value_column option;
+  augmentation : Augment.typed option;
+  slot : int;  (* index into a check's rule values; -1 when no rule names it *)
 }
+
+(* What a target pair whose attribute the model never names resolves
+   to. *)
+let unnamed =
+  { id = -1; known = false; typed = None; values = None; augmentation = None;
+    slot = -1 }
+
+(* A rule with its slot-A and slot-B indices and its fired counter. *)
+type compiled_rule = {
+  rule : Template.rule;
+  slot_a : int;
+  slot_b : int;
+  fired : Ometrics.counter;
+}
+
+(* The near-miss and suspicious-value counters of one app label. *)
+type app_counters = { near_miss : Ometrics.counter; suspicious : Ometrics.counter }
 
 type t = {
   source : model;
-  (* target assembly with the type environment hashed once *)
-  assemble : Encore_sysenv.Image.t -> Row.t;
-  known : (string, unit) Hashtbl.t;
+  entries : (string, entry) Hashtbl.t;
+  n_entries : int;
+  n_slots : int;
   (* (attribute, key basename) in training first-appearance order: the
      near-miss scan walks it with a length-difference prune, which
      cannot change the winner (distance >= |length difference|) *)
   near_index : (string * string) array;
   (* rules in learned order: at paper scale there are fewer rules than
-     row attributes, so evaluating each rule directly (rule_holds is a
-     no-op when the slot-A attribute is absent) beats selecting
-     per-attribute buckets and re-sorting them *)
-  rules : Template.rule array;
-  columns : (string, column) Hashtbl.t;
+     row attributes, so evaluating each rule directly (a rule with an
+     empty slot is skipped) beats selecting per-attribute buckets and
+     re-sorting them *)
+  rules : compiled_rule array;
+  by_app : app_counters array;  (* Image.all_apps order, then "default" *)
 }
 
 let model t = t.source
 
 let m_compiles = Ometrics.counter "detect.compiles"
+
+(* Labelled series for the fleet exposition: which rules fire, and how
+   often each app trips the name / suspicious-value checks. *)
+let rule_fired_counter rule =
+  Ometrics.counter
+    (Ometrics.labeled "detect.rule_fired"
+       [ ("rule", rule.Template.attr_a ^ "->" ^ rule.Template.attr_b) ])
+
+let app_counters app =
+  let by_app name = Ometrics.counter (Ometrics.labeled name [ ("app", app) ]) in
+  { near_miss = by_app "detect.near_miss"; suspicious = by_app "detect.suspicious" }
+
+let typed_column (d : Tinfer.decision) =
+  {
+    tc_type = d.Tinfer.ctype;
+    tc_type_name = Ctype.to_string d.Tinfer.ctype;
+    tc_agreement = d.Tinfer.agreement;
+    (* String_t columns keep a trivial matcher: the check skips them,
+       exactly like the interpreted walk did *)
+    tc_syntactic =
+      (if Ctype.equal d.Tinfer.ctype Ctype.String_t then fun _ -> true
+       else Syntactic.matcher d.Tinfer.ctype);
+  }
+
+(* precompute each training value's syntactic verdict under the
+   column's matcher, so checking a seen value costs one probe *)
+let value_column typed values =
+  let syn =
+    match typed with
+    | Some tc when not (Ctype.equal tc.tc_type Ctype.String_t) -> tc.tc_syntactic
+    | Some _ | None -> fun _ -> true
+  in
+  let vc_seen = Hashtbl.create (2 * List.length values + 1) in
+  List.iter (fun v -> Hashtbl.replace vc_seen v (syn v)) values;
+  { vc_seen; vc_cardinality = List.length values }
 
 (* Assoc-list semantics everywhere below: the first binding of a key
    wins, exactly like the List.assoc walks this engine replaces. *)
@@ -94,74 +151,161 @@ let compile source =
   Ometrics.incr m_compiles;
   let known = Hashtbl.create (2 * List.length source.known_attrs + 1) in
   List.iter (fun a -> add_first known a ()) source.known_attrs;
-  let near_index =
+  let decisions = Hashtbl.create 256 in
+  List.iter (fun (attr, d) -> add_first decisions attr d) source.types;
+  let value_lists = Hashtbl.create 256 in
+  List.iter (fun (attr, vs) -> add_first value_lists attr vs) source.value_stats;
+  let slots = Hashtbl.create 64 in
+  let slot_of attr =
+    match Hashtbl.find_opt slots attr with
+    | Some s -> s
+    | None ->
+        let s = Hashtbl.length slots in
+        Hashtbl.add slots attr s;
+        s
+  in
+  let rules =
     Array.of_list
       (List.map
-         (fun a -> (a, Encore_confparse.Kv.key_basename a))
-         source.known_attrs)
+         (fun (rule : Template.rule) ->
+           let slot_a = slot_of rule.Template.attr_a in
+           { rule; slot_a; slot_b = slot_of rule.Template.attr_b;
+             fired = rule_fired_counter rule })
+         source.rules)
   in
-  let columns = Hashtbl.create 256 in
-  List.iter
-    (fun (attr, (d : Tinfer.decision)) ->
-      (* String_t columns stay in the table (first binding must keep
-         masking any duplicate) but their matcher is trivial: the check
-         skips them, exactly like the interpreted walk did *)
-      add_first columns attr
+  let entries = Hashtbl.create 512 in
+  let resolve attr =
+    if not (Hashtbl.mem entries attr) then begin
+      let decision = Hashtbl.find_opt decisions attr in
+      let typed = Option.map typed_column decision in
+      Hashtbl.add entries attr
         {
-          col_typed =
-            Some
-              {
-                tc_type = d.Tinfer.ctype;
-                tc_type_name = Ctype.to_string d.Tinfer.ctype;
-                tc_agreement = d.Tinfer.agreement;
-                tc_syntactic =
-                  (if Ctype.equal d.Tinfer.ctype Ctype.String_t then fun _ ->
-                     true
-                   else Syntactic.matcher d.Tinfer.ctype);
-              };
-          col_values = None;
-        })
-    source.types;
-  List.iter
-    (fun (attr, values) ->
-      let vc col_typed =
-        (* precompute each training value's syntactic verdict under the
-           column's matcher, so checking a seen value costs one probe *)
-        let syn =
-          match col_typed with
-          | Some tc when not (Ctype.equal tc.tc_type Ctype.String_t) ->
-              tc.tc_syntactic
-          | Some _ | None -> fun _ -> true
-        in
-        let vc_seen = Hashtbl.create (2 * List.length values + 1) in
-        List.iter (fun v -> Hashtbl.replace vc_seen v (syn v)) values;
-        { vc_seen; vc_cardinality = List.length values }
-      in
-      match Hashtbl.find_opt columns attr with
-      | Some ({ col_values = None; _ } as c) ->
-          Hashtbl.replace columns attr
-            { c with col_values = Some (vc c.col_typed) }
-      | Some { col_values = Some _; _ } -> () (* first binding wins *)
-      | None ->
-          Hashtbl.add columns attr
-            { col_typed = None; col_values = Some (vc None) })
-    source.value_stats;
+          id = Hashtbl.length entries;
+          known = Hashtbl.mem known attr;
+          typed;
+          values = Option.map (value_column typed) (Hashtbl.find_opt value_lists attr);
+          augmentation =
+            Option.map (fun (d : Tinfer.decision) -> Augment.typed attr d.Tinfer.ctype)
+              decision;
+          slot = Option.value ~default:(-1) (Hashtbl.find_opt slots attr);
+        }
+    end
+  in
+  List.iter resolve source.known_attrs;
+  List.iter (fun (attr, _) -> resolve attr) source.types;
+  List.iter (fun (attr, _) -> resolve attr) source.value_stats;
+  Hashtbl.iter (fun attr _ -> resolve attr) slots;
   {
     source;
-    assemble = Assemble.target_assembler ~types:source.types;
-    known;
-    near_index;
-    rules = Array.of_list source.rules;
-    columns;
+    entries;
+    n_entries = Hashtbl.length entries;
+    n_slots = Hashtbl.length slots;
+    near_index =
+      Array.of_list
+        (List.map
+           (fun a -> (a, Encore_confparse.Kv.key_basename a))
+           source.known_attrs);
+    rules;
+    by_app =
+      Array.of_list
+        (List.map app_counters
+           (List.map Encore_sysenv.Image.app_to_string Encore_sysenv.Image.all_apps
+           @ [ "default" ]));
   }
+
+(* --- the target scan ---------------------------------------------------------- *)
+
+(* One target's pairs in row order ({!Assemble.walk_target}), each with
+   its resolved entry and a mark on the first pair of each attribute,
+   plus every rule slot's values.  Built once per check; the stages
+   below read it instead of a [Row.t]. *)
+type scan = {
+  mutable n : int;
+  mutable pair_attr : string array;
+  mutable pair_value : string array;
+  mutable pair_entry : entry array;
+  mutable pair_first : Bytes.t;  (* '\001' on an attribute's first pair *)
+  seen : Bytes.t;  (* by entry id: the attribute has had its first pair *)
+  mutable unnamed_seen : (string, unit) Hashtbl.t option;
+  slot_values : string list array;  (* newest first *)
+}
+
+let grow s =
+  let cap = 2 * Array.length s.pair_attr in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 s.n;
+    b
+  in
+  s.pair_attr <- extend s.pair_attr "";
+  s.pair_value <- extend s.pair_value "";
+  s.pair_entry <- extend s.pair_entry unnamed;
+  let first = Bytes.make cap '\000' in
+  Bytes.blit s.pair_first 0 first 0 s.n;
+  s.pair_first <- first
+
+(* Whether this is the attribute's first pair in the target. *)
+let first_pair s attr e =
+  if e.id >= 0 then
+    Bytes.get s.seen e.id = '\000'
+    && (Bytes.set s.seen e.id '\001';
+        true)
+  else
+    let tbl =
+      match s.unnamed_seen with
+      | Some tbl -> tbl
+      | None ->
+          let tbl = Hashtbl.create 8 in
+          s.unnamed_seen <- Some tbl;
+          tbl
+    in
+    (not (Hashtbl.mem tbl attr))
+    && (Hashtbl.add tbl attr ();
+        true)
+
+let push s attr value e =
+  if s.n = Array.length s.pair_attr then grow s;
+  let i = s.n in
+  s.pair_attr.(i) <- attr;
+  s.pair_value.(i) <- value;
+  s.pair_entry.(i) <- e;
+  if first_pair s attr e then Bytes.set s.pair_first i '\001';
+  if e.slot >= 0 then s.slot_values.(e.slot) <- value :: s.slot_values.(e.slot);
+  s.n <- i + 1
+
+let resolve t attr =
+  match Hashtbl.find_opt t.entries attr with Some e -> e | None -> unnamed
+
+let scan t img =
+  let cap = 128 in
+  let s =
+    {
+      n = 0;
+      pair_attr = Array.make cap "";
+      pair_value = Array.make cap "";
+      pair_entry = Array.make cap unnamed;
+      pair_first = Bytes.make cap '\000';
+      seen = Bytes.make t.n_entries '\000';
+      unnamed_seen = None;
+      slot_values = Array.make t.n_slots [];
+    }
+  in
+  Assemble.walk_target ~resolve:(resolve t)
+    ~augmentation:(fun e -> e.augmentation)
+    img (push s);
+  s
+
+(* A slot's values in row order. *)
+let slot s i =
+  match s.slot_values.(i) with ([] | [ _ ]) as vs -> vs | vs -> List.rev vs
 
 (* --- check 1: entry names ----------------------------------------------- *)
 
 (* Only original configuration entries (not augmented, not globals)
-   are name-checked.  The known-attribute probe runs first: almost
-   every attribute of a healthy image is known, and one hash probe is
-   far cheaper than the augmentation-suffix scan.  Filter order does
-   not change the outcome — both tests must pass for a warning. *)
+   are name-checked.  The known-attribute flag is tested first: almost
+   every attribute of a healthy image is known, and the flag is far
+   cheaper than the augmentation-suffix scan.  Filter order does not
+   change the outcome — both tests must pass for a warning. *)
 let is_config_attr attr =
   (not (Augment.is_augmented attr)) && Strutil.contains_char attr '/'
 
@@ -195,8 +339,8 @@ let nearest_known t base =
 (* One attribute's name verdict: [None] when the attribute is known (or
    not an original config entry), the misspelling/unknown warning
    otherwise. *)
-let name_warning t attr =
-  if Hashtbl.mem t.known attr || not (is_config_attr attr) then None
+let name_warning t attr e =
+  if e.known || not (is_config_attr attr) then None
   else
     (* likely misspelling: close to some trained attribute *)
     let base = Encore_confparse.Kv.key_basename attr in
@@ -224,21 +368,17 @@ let name_warning t attr =
 
 (* --- check 2: correlation rules ------------------------------------------ *)
 
-(* Labelled series for the fleet exposition: which rules fire, and how
-   often each app trips the name / suspicious-value checks. *)
-let m_rule_fired rule =
-  Ometrics.counter
-    (Ometrics.labeled "detect.rule_fired"
-       [ ("rule", rule.Template.attr_a ^ "->" ^ rule.Template.attr_b) ])
-
-let by_app name app = Ometrics.counter (Ometrics.labeled name [ ("app", app) ])
-
-(* One rule's verdict in a target context: [None] when the rule holds or
-   its slot attributes are absent there. *)
-let rule_warning rule ctx =
-  match Template.rule_holds rule ctx with
+(* One rule's verdict on the target: [None] when the rule holds or a
+   slot attribute is absent there ([Relation.eval] skips an empty
+   instance list). *)
+let rule_warning img s cr =
+  let rule = cr.rule in
+  match
+    Relation.eval rule.Template.template.Template.relation img
+      ~a:(slot s cr.slot_a) ~b:(slot s cr.slot_b)
+  with
   | Some false ->
-      Ometrics.incr (m_rule_fired rule);
+      Ometrics.incr cr.fired;
       Some
         {
           Warning.kind = Warning.Correlation_violation rule;
@@ -252,66 +392,59 @@ let rule_warning rule ctx =
 
 (* --- checks 3 and 4: data types + suspicious values ----------------------- *)
 
-(* One pair's column verdicts, accumulated onto the two reverse lists: a
-   single [columns] probe serves both the type check and the value
-   check. *)
-let column_pair t ~types ~values img rev_types rev_values (attr, value) =
-  match Hashtbl.find_opt t.columns attr with
-  | None -> ()
-  | Some c ->
-      (* one membership probe serves the value check and, through
-         the cached verdict, the type check's syntactic matcher *)
-      let cached =
-        match c.col_values with
-        | Some vc -> Hashtbl.find_opt vc.vc_seen value
-        | None -> None
-      in
-      (if types then
-         match c.col_typed with
-         | Some tc when not (Ctype.equal tc.tc_type Ctype.String_t) ->
-             let syn_ok =
-               match cached with
-               | Some b -> b
-               | None -> tc.tc_syntactic value
-             in
-             if syn_ok && Semantic.verify img tc.tc_type value then ()
-             else
-               rev_types :=
-                 {
-                   Warning.kind =
-                     Warning.Type_violation
-                       { attr; expected = tc.tc_type; value };
-                   attrs = [ attr ];
-                   message =
-                     Printf.sprintf "type violation: %s='%s' fails %s check"
-                       attr value tc.tc_type_name;
-                   score = 0.4 +. (0.5 *. tc.tc_agreement);
-                 }
-                 :: !rev_types
-         | Some _ | None -> ());
-      if values then
-        match c.col_values with
-        | None -> ()
-        | Some vc ->
-            if cached <> None then ()
-            else
-              (* Inverse Change Frequency: unseen values of stable
-                 attributes are the most suspicious *)
-              let icf = 1.0 /. float_of_int (max 1 vc.vc_cardinality) in
-              rev_values :=
-                {
-                  Warning.kind =
-                    Warning.Suspicious_value
-                      { attr; value; training_cardinality = vc.vc_cardinality };
-                  attrs = [ attr ];
-                  message =
-                    Printf.sprintf
-                      "suspicious value: %s='%s' unseen in training (%d \
-                       distinct values seen)"
-                      attr value vc.vc_cardinality;
-                  score = 0.2 +. (0.6 *. icf);
-                }
-                :: !rev_values
+(* One pair's column verdicts, accumulated onto the two reverse lists:
+   the pair's entry serves both the type check and the value check. *)
+let column_pair ~types ~values img rev_types rev_values attr value e =
+  (* one membership probe serves the value check and, through the
+     cached verdict, the type check's syntactic matcher *)
+  let cached =
+    match e.values with
+    | Some vc -> Hashtbl.find_opt vc.vc_seen value
+    | None -> None
+  in
+  (if types then
+     match e.typed with
+     | Some tc when not (Ctype.equal tc.tc_type Ctype.String_t) ->
+         let syn_ok =
+           match cached with Some b -> b | None -> tc.tc_syntactic value
+         in
+         if syn_ok && Semantic.verify img tc.tc_type value then ()
+         else
+           rev_types :=
+             {
+               Warning.kind =
+                 Warning.Type_violation { attr; expected = tc.tc_type; value };
+               attrs = [ attr ];
+               message =
+                 Printf.sprintf "type violation: %s='%s' fails %s check" attr
+                   value tc.tc_type_name;
+               score = 0.4 +. (0.5 *. tc.tc_agreement);
+             }
+             :: !rev_types
+     | Some _ | None -> ());
+  if values then
+    match e.values with
+    | None -> ()
+    | Some vc ->
+        if cached <> None then ()
+        else
+          (* Inverse Change Frequency: unseen values of stable
+             attributes are the most suspicious *)
+          let icf = 1.0 /. float_of_int (max 1 vc.vc_cardinality) in
+          rev_values :=
+            {
+              Warning.kind =
+                Warning.Suspicious_value
+                  { attr; value; training_cardinality = vc.vc_cardinality };
+              attrs = [ attr ];
+              message =
+                Printf.sprintf
+                  "suspicious value: %s='%s' unseen in training (%d distinct \
+                   values seen)"
+                  attr value vc.vc_cardinality;
+              score = 0.2 +. (0.6 *. icf);
+            }
+            :: !rev_values
 
 (* --- the check entry point ------------------------------------------------ *)
 
@@ -321,13 +454,25 @@ let m_warn_type = Ometrics.counter "detect.warnings.type"
 let m_warn_value = Ometrics.counter "detect.warnings.value"
 let m_checks = Ometrics.counter "detect.checks"
 
-(* The one check body.  Each stage walks its units — a row pair for the
-   fused type/value walk, an attribute for names, a rule for
-   correlations — and polls [deadline] before each one.  Expiry keeps
-   every warning the finished units produced and ranks them as a
-   [Partial] verdict.  The stage lists are concatenated in the order
-   names, rules, types, values before the rank sort, each in unit
-   order. *)
+(* The app label's counters: the first config's app, "default" for an
+   image without configs. *)
+let app_counters_of t (img : Encore_sysenv.Image.t) =
+  let rec index i = function
+    | [] -> i
+    | app :: apps ->
+        (match img.Encore_sysenv.Image.configs with
+         | { Encore_sysenv.Image.app = a; _ } :: _ when a = app -> i
+         | _ -> index (i + 1) apps)
+  in
+  t.by_app.(index 0 Encore_sysenv.Image.all_apps)
+
+(* The one check body.  Each stage walks its units — a target pair for
+   the fused type/value walk, an attribute's first pair for names, a
+   rule for correlations — and polls [deadline] before each one.
+   Expiry keeps every warning the finished units produced and ranks
+   them as a [Partial] verdict.  The stage lists are concatenated in
+   the order names, rules, types, values before the rank sort, each in
+   unit order. *)
 let verdict ?(checks = all_checks) ?deadline t img =
   Otrace.with_span "check"
     ~attrs:[ ("image", Encore_obs.Jsonenc.Str img.Encore_sysenv.Image.image_id) ]
@@ -338,10 +483,7 @@ let verdict ?(checks = all_checks) ?deadline t img =
         | None -> ignore
         | Some d -> fun () -> Deadline.raise_if_expired d
       in
-      let row =
-        Otrace.with_span "assemble-target" (fun () -> t.assemble img)
-      in
-      let ctx = { Relation.image = img; row } in
+      let s = Otrace.with_span "assemble-target" (fun () -> scan t img) in
       let rev_names = ref [] and rev_rules = ref [] in
       let rev_types = ref [] and rev_values = ref [] in
       let emit acc = function Some w -> acc := w :: !acc | None -> () in
@@ -349,28 +491,26 @@ let verdict ?(checks = all_checks) ?deadline t img =
         match
           if checks.check_types || checks.check_values then
             Otrace.with_span "check-columns" (fun () ->
-                List.iter
-                  (fun pair ->
-                    poll ();
-                    column_pair t ~types:checks.check_types
-                      ~values:checks.check_values img rev_types rev_values
-                      pair)
-                  (Row.to_list row));
+                for i = 0 to s.n - 1 do
+                  poll ();
+                  column_pair ~types:checks.check_types
+                    ~values:checks.check_values img rev_types rev_values
+                    s.pair_attr.(i) s.pair_value.(i) s.pair_entry.(i)
+                done);
           if checks.check_names then
             Otrace.with_span "check-names" (fun () ->
-                List.iter
-                  (fun attr ->
+                for i = 0 to s.n - 1 do
+                  if Bytes.get s.pair_first i = '\001' then begin
                     poll ();
-                    emit rev_names (name_warning t attr))
-                  (Row.attrs row));
+                    emit rev_names (name_warning t s.pair_attr.(i) s.pair_entry.(i))
+                  end
+                done);
           if checks.check_rules then
-            (* rule_holds yields None for rules whose slot attributes
-               the image does not carry *)
             Otrace.with_span "check-rules" (fun () ->
                 Array.iter
-                  (fun rule ->
+                  (fun cr ->
                     poll ();
-                    emit rev_rules (rule_warning rule ctx))
+                    emit rev_rules (rule_warning img s cr))
                   t.rules)
         with
         | () -> true
@@ -386,20 +526,14 @@ let verdict ?(checks = all_checks) ?deadline t img =
         @ counted m_warn_type rev_types
         @ counted m_warn_value rev_values
       in
-      let app =
-        match img.Encore_sysenv.Image.configs with
-        | { Encore_sysenv.Image.app; _ } :: _ ->
-            Encore_sysenv.Image.app_to_string app
-        | [] -> "default"
-      in
+      let app = app_counters_of t img in
       List.iter
         (fun (w : Warning.t) ->
           match w.Warning.kind with
           | Warning.Entry_name_violation { nearest = Some _; _ } ->
               (* the near index produced a candidate: a name hit *)
-              Ometrics.incr (by_app "detect.near_miss" app)
-          | Warning.Suspicious_value _ ->
-              Ometrics.incr (by_app "detect.suspicious" app)
+              Ometrics.incr app.near_miss
+          | Warning.Suspicious_value _ -> Ometrics.incr app.suspicious
           | _ -> ())
         warnings;
       let ranked = List.sort Warning.compare_rank warnings in

@@ -133,7 +133,7 @@ let instantiations ~types template attrs =
    one array read instead of a popcount. *)
 type engine = {
   view : Encore_dataset.Colview.t;
-  ctxs : Relation.ctx array;
+  images : Encore_sysenv.Image.t array;
   meta : meta;
   bits : Bitcol.t;
   tru : Bitset.t option array;   (* single value truthy-true, per attr id *)
@@ -166,7 +166,7 @@ let build_value_cache bits view a ~zero parse =
         (Bitcol.index bits a);
       Some (vals, ok)
 
-let engine_of ~types ~ctxs ~view ~bits =
+let engine_of ~types ~images ~view ~bits =
   let meta =
     meta_of_names ~types (Array.of_list (Encore_dataset.Colview.attrs view))
   in
@@ -219,7 +219,7 @@ let engine_of ~types ~ctxs ~view ~bits =
               Encore_util.Strutil.parse_size
       | _ -> ())
     meta.ctypes;
-  { view; ctxs; meta; bits; tru; fls; tany; ante_cnt; base_rate; numv; sizv }
+  { view; images; meta; bits; tru; fls; tany; ante_cnt; base_rate; numv; sizv }
 
 (* First index position whose row id is >= [x] (the arrays are
    ascending), so tail scans skip the already-counted prefix. *)
@@ -248,7 +248,7 @@ let engine_counts_from eng ~from_row (template, ia, ib) =
     let applicable = ref 0 and valid = ref 0 in
     let visit i =
       match
-        Relation.eval template.Template.relation eng.ctxs.(i) ~a:ca.(i)
+        Relation.eval template.Template.relation eng.images.(i) ~a:ca.(i)
           ~b:cb.(i)
       with
       | None -> ()
@@ -434,8 +434,8 @@ type counts = {
    pool size, and [Pool.map] returns shards in order. *)
 let shard_size = 256
 
-let evaluate ?pool ?prior ~params ~templates ~types ~ctxs ~view ~bits () =
-  let eng = engine_of ~types ~ctxs ~view ~bits in
+let evaluate ?pool ?prior ~params ~templates ~types ~images ~view ~bits () =
+  let eng = engine_of ~types ~images ~view ~bits in
   (* candidates are generated over interned column ids, in the view's
      first-appearance order; counting reads an attribute name only to
      find a candidate's prior counts *)
@@ -472,7 +472,7 @@ let evaluate ?pool ?prior ~params ~templates ~types ~ctxs ~view ~bits () =
        | Some p -> Encore_util.Pool.map p shard starts
        | None -> List.map shard starts)
   in
-  let min_support = min_support_of ~params (Array.length ctxs) in
+  let min_support = min_support_of ~params (Array.length images) in
   let table = Hashtbl.create ((2 * n) + 1) in
   let kept_rev = ref [] and rej_support = ref 0 and rej_confidence = ref 0 in
   Array.iteri
@@ -486,15 +486,12 @@ let evaluate ?pool ?prior ~params ~templates ~types ~ctxs ~view ~bits () =
     cands;
   emit_metrics ~candidates:n ~rej_support:!rej_support
     ~rej_confidence:!rej_confidence ~kept:(List.length !kept_rev);
-  ({ rows = Array.length ctxs; table }, sort_rules (List.rev !kept_rev))
+  ({ rows = Array.length images; table }, sort_rules (List.rev !kept_rev))
 
 let infer ?(params = default_params) ?(templates = Template.predefined) ?pool
     ~types training =
   let view = Encore_dataset.Colview.of_rows (List.map snd training) in
-  let ctxs =
-    Array.of_list
-      (List.map (fun (image, row) -> { Relation.image; row }) training)
-  in
+  let images = Array.of_list (List.map fst training) in
   snd
-    (evaluate ?pool ~params ~templates ~types ~ctxs ~view
+    (evaluate ?pool ~params ~templates ~types ~images ~view
        ~bits:(Bitcol.of_colview view) ())

@@ -54,13 +54,13 @@ val evaluate :
   params:params ->
   templates:Template.t list ->
   types:Encore_typing.Infer.env ->
-  ctxs:Relation.ctx array ->
+  images:Encore_sysenv.Image.t array ->
   view:Encore_dataset.Colview.t ->
   bits:Encore_dataset.Bitcol.t ->
   unit ->
   counts * Template.rule list
 (** The candidate evaluator: every learning path counts and judges
-    through it.  [ctxs], [view] and [bits] must cover the same rows in
+    through it.  [images], [view] and [bits] must cover the same rows in
     the same order.
 
     Every candidate of [templates] ({!expand_polarities} applied) over

@@ -63,8 +63,6 @@ let of_symbol = function
   | "<#" -> Some Size_less
   | _ -> None
 
-type ctx = { image : Encore_sysenv.Image.t; row : Encore_dataset.Row.t }
-
 let is_pathish = function
   | Ctype.File_path | Ctype.Partial_file_path | Ctype.File_name | Ctype.Url ->
       true
@@ -174,7 +172,7 @@ let opt_all_pairs (f : string -> string -> bool option) xs ys =
     in
     outer true xs
 
-let eval rel ctx ~a ~b =
+let eval rel (image : Encore_sysenv.Image.t) ~a ~b =
   if a = [] || b = [] then None
   else
     match rel with
@@ -198,27 +196,27 @@ let eval rel ctx ~a ~b =
         Some
           (all_pairs
              (fun root frag ->
-               Fs.exists ctx.image.fs (Strutil.path_join root frag))
+               Fs.exists image.fs (Strutil.path_join root frag))
              a b)
     | Substring -> Some (all_pairs (fun x y -> Strutil.contains_sub y x) a b)
     | User_in_group ->
         Some
           (all_pairs
-             (fun user group -> Accounts.user_in_group ctx.image.accounts ~user ~group)
+             (fun user group -> Accounts.user_in_group image.accounts ~user ~group)
              a b)
     | Not_accessible ->
         Some
           (all_pairs
              (fun path user ->
-               let groups = Accounts.groups_of_user ctx.image.accounts user in
-               Fs.exists ctx.image.fs path
-               && not (Fs.readable_by ctx.image.fs ~user ~groups path))
+               let groups = Accounts.groups_of_user image.accounts user in
+               Fs.exists image.fs path
+               && not (Fs.readable_by image.fs ~user ~groups path))
              a b)
     | Ownership ->
         Some
           (all_pairs
              (fun path user ->
-               match Fs.lookup ctx.image.fs path with
+               match Fs.lookup image.fs path with
                | Some m -> m.Fs.owner = user
                | None -> false)
              a b)

@@ -1,9 +1,8 @@
 (** Relation semantics for the rule templates (paper Table 6).
 
-    A relation is a validation method: given the evaluation context (the
-    image's environment plus the image's assembled row), it decides
-    whether the relation holds between the instances of the two
-    participating attributes.  [eval] returns [None] when the relation is
+    A relation is a validation method: given the image whose environment
+    it may consult and the instances of the two participating attributes
+    in that image, it decides whether the relation holds.  [eval] returns [None] when the relation is
     not applicable in that context (missing attribute, unparsable value)
     so that inapplicable images count toward neither support nor
     confidence. *)
@@ -31,11 +30,6 @@ val symbol : t -> string
 
 val of_symbol : string -> t option
 
-type ctx = {
-  image : Encore_sysenv.Image.t;
-  row : Encore_dataset.Row.t;
-}
-
 val slot_a_ok : t -> Ctype.t -> bool
 (** May an attribute of this type fill slot A? *)
 
@@ -48,8 +42,10 @@ val same_type_required : t -> bool
 (** Eq/substring relations additionally require both slots to share one
     type. *)
 
-val eval : t -> ctx -> a:string list -> b:string list -> bool option
-(** Validation method on the instance lists of the two attributes. *)
+val eval :
+  t -> Encore_sysenv.Image.t -> a:string list -> b:string list -> bool option
+(** Validation method on the instance lists of the two attributes in
+    one image; [None] when either list is empty. *)
 
 val truthy : string -> bool option
 (** The boolean reading of a value ([on]/[true]/[yes]/[1]/[enabled] and

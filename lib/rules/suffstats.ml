@@ -245,15 +245,14 @@ let value_stats_of ~from_row ~prev view =
    resident learner keeps it to extend incrementally. *)
 type derived = {
   training : (Image.t * Row.t) list;  (* augmented rows, corpus order *)
-  ctxs : Relation.ctx array;
+  images : Image.t array;  (* the rows' images, what relations consult *)
   view : Colview.t;
   bits : Bitcol.t;
   counts : Rinfer.counts;
   result : finalized;
 }
 
-let ctxs_of training =
-  Array.of_list (List.map (fun (image, row) -> { Relation.image; row }) training)
+let images_of training = Array.of_list (List.map fst training)
 
 let m_filtered_redundant = Ometrics.counter "rules.filtered_redundant"
 let m_filtered_entropy = Ometrics.counter "rules.filtered_entropy"
@@ -275,12 +274,12 @@ let filter ~entropy_threshold ~view training inferred =
    the type environment once the view exists; [prior] holds the counts
    of the rows a resident learner already counted. *)
 let finalize_rows ?pool ?prior ~params ~templates ~entropy_threshold ~env ~view
-    ~bits ~ctxs ~value_stats training =
+    ~bits ~images ~value_stats training =
   let env, (counts, inferred) =
     Otrace.with_span "rule-infer" (fun () ->
         let env = env view bits in
         ( env,
-          Rinfer.evaluate ?pool ?prior ~params ~templates ~types:env ~ctxs
+          Rinfer.evaluate ?pool ?prior ~params ~templates ~types:env ~images
             ~view ~bits () ))
   in
   let rules =
@@ -289,26 +288,26 @@ let finalize_rows ?pool ?prior ~params ~templates ~entropy_threshold ~env ~view
   in
   let f_value_stats = Otrace.with_span "value-stats" (fun () -> value_stats view) in
   {
-    training; ctxs; view; bits; counts;
+    training; images; view; bits; counts;
     result =
       {
         f_types = env;
         f_rules = rules;
         f_value_stats;
         f_known_attrs = Colview.attrs view;
-        f_training_count = Array.length ctxs;
+        f_training_count = Array.length images;
       };
   }
 
 let columnar training =
   Otrace.with_span "columnar" (fun () ->
       let view = Colview.of_rows (List.map snd training) in
-      (view, Bitcol.of_colview view, ctxs_of training))
+      (view, Bitcol.of_colview view, images_of training))
 
 let finalize_fresh ?pool ~params ~templates ~entropy_threshold ~env training =
-  let view, bits, ctxs = columnar training in
+  let view, bits, images = columnar training in
   finalize_rows ?pool ~params ~templates ~entropy_threshold ~env ~view ~bits
-    ~ctxs
+    ~images
     ~value_stats:(value_stats_of ~from_row:0 ~prev:[])
     training
 
@@ -387,20 +386,20 @@ let append ?pool learner images =
     else begin
       Otrace.with_span "suffstats-append" @@ fun () ->
       let old = learner.derived in
-      let old_n = Array.length old.ctxs in
+      let old_n = Array.length old.images in
       let new_training =
         Otrace.with_span "assemble" (fun () ->
             augment ~cfg_types:cfg_types'
               (List.rev (take (List.length images) stats'.images_rev)))
       in
-      let view, bits, ctxs =
+      let view, bits, images =
         Otrace.with_span "columnar" (fun () ->
             let view =
               Colview.append_rows old.view (List.map snd new_training)
             in
             ( view,
               Bitcol.append old.bits view,
-              Array.append old.ctxs (ctxs_of new_training) ))
+              Array.append old.images (images_of new_training) ))
       in
       {
         learner with
@@ -415,7 +414,7 @@ let append ?pool learner images =
             ~entropy_threshold:learner.entropy_threshold
             ~env:(fun view bits ->
               cfg_types' @ aug_types stats' ~cfg_types:cfg_types' view bits)
-            ~view ~bits ~ctxs
+            ~view ~bits ~images
             ~value_stats:
               (value_stats_of ~from_row:old_n ~prev:old.result.f_value_stats)
             (old.training @ new_training);

@@ -83,8 +83,6 @@ let rule_to_string r =
     (Relation.symbol r.template.relation)
     r.attr_b r.template.tname r.support r.confidence
 
-let rule_holds r (ctx : Relation.ctx) =
-  let a = Row.get_all ctx.row r.attr_a in
-  let b = Row.get_all ctx.row r.attr_b in
-  if a = [] || b = [] then None
-  else Relation.eval r.template.relation ctx ~a ~b
+let rule_holds r image row =
+  Relation.eval r.template.relation image ~a:(Row.get_all row r.attr_a)
+    ~b:(Row.get_all row r.attr_b)

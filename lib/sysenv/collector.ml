@@ -170,7 +170,7 @@ let slices_from v first = slices_down v first (v.n - 1) []
    first-match-wins: [seen] has bit [i] set once a record for [facts.(i)]
    was applied, whose first field (if any) replaced the default. *)
 type restoring = {
-  mutable fs : Fs.t;
+  mutable fs_rev : (string * Fs.meta) list;  (* FS records, newest first *)
   mutable accounts : Accounts.t;
   mutable users_rev : Accounts.user list;
   mutable services : Services.t;
@@ -193,7 +193,7 @@ let fact_keys =
 
 let new_restoring () =
   {
-    fs = Fs.empty; accounts = Accounts.empty; users_rev = [];
+    fs_rev = []; accounts = Accounts.empty; users_rev = [];
     services = Services.empty; env_rev = [];
     facts = Array.map (fun (_, _, default) -> default) fact_keys;
     seen = 0; owner = "root"; group = "root";
@@ -206,23 +206,29 @@ let rec fact_index v i =
     if slice_is v 0 section && slice_is v 1 key then i else fact_index v (i + 1)
 
 (* An FS record has exactly six fields: kind, owner, group, octal
-   permission, size and symlink target.  A bad path raises
-   [Invalid_argument] from [Fs.add]. *)
+   permission, size and symlink target.  Its metadata is what
+   [Fs.add_dir], [Fs.add_file] or [Fs.add_symlink] would store: a
+   directory or symlink has size 0, and a symlink mode 0777.  The tree
+   is built once, in [finish], where a bad path raises
+   [Invalid_argument]. *)
 let apply_fs r v =
   let dir = slice_is v 2 "dir" and file = slice_is v 2 "file" in
   if dir || file || slice_is v 2 "symlink" then begin
-    let path = slice v 1 in
     let owner = slice_shared v 3 r.owner in
     let group = slice_shared v 4 r.group in
     r.owner <- owner;
     r.group <- group;
-    let perm = slice_perm_or v 5 ~default:0o644 in
-    r.fs <-
-      (if dir then Fs.add_dir ~owner ~group ~perm r.fs path
-       else if file then
-         Fs.add_file ~owner ~group ~perm ~size:(slice_int_or v 6 ~default:0)
-           r.fs path
-       else Fs.add_symlink ~owner ~group r.fs path ~target:(slice v 7))
+    let meta =
+      if dir then
+        { Fs.owner; group; perm = slice_perm_or v 5 ~default:0o644; size = 0;
+          kind = Fs.Directory }
+      else if file then
+        { Fs.owner; group; perm = slice_perm_or v 5 ~default:0o644;
+          size = slice_int_or v 6 ~default:0; kind = Fs.Regular }
+      else
+        { Fs.owner; group; perm = 0o777; size = 0; kind = Fs.Symlink (slice v 7) }
+    in
+    r.fs_rev <- (slice v 1, meta) :: r.fs_rev
   end
 
 let apply r v =
@@ -291,7 +297,8 @@ let finish r ~id ~configs =
     | _ -> None
   in
   Image.make ~hostname:(fact 0) ~ip_address:(fact 1) ~fs_type:(fact 2)
-    ~fs:r.fs ~accounts ~services:r.services ~env_vars:(List.rev r.env_rev)
+    ~fs:(Fs.of_list (List.rev r.fs_rev))
+    ~accounts ~services:r.services ~env_vars:(List.rev r.env_rev)
     ~hardware ~os ~id configs
 
 let load_record v r =
@@ -408,14 +415,17 @@ let has_prefix text pos stop prefix =
   stop - pos >= String.length prefix && Strutil.equal_sub text pos prefix
 
 (* The [@env] tail is scanned where it lies; records are applied as they
-   are read.  Stays total on damaged dumps: a corrupted environment
-   record (e.g. control bytes spliced into a path) surfaces as a parse
-   error, not an exception. *)
+   are read, and the file tree is built once at the end.  Stays total on
+   damaged dumps: a corrupted environment record (e.g. control bytes
+   spliced into a path) surfaces as a parse error, not an exception. *)
 let decode_env text pos ~id ~configs ~flakiness =
   let r = new_restoring () and v = new_view () in
   v.src <- text;
-  match apply_lines r v text pos (String.length text) with
-  | () -> Ok (Image.with_flakiness (finish r ~id ~configs) flakiness)
+  match
+    apply_lines r v text pos (String.length text);
+    finish r ~id ~configs
+  with
+  | img -> Ok (Image.with_flakiness img flakiness)
   | exception Invalid_argument msg -> Error ("corrupt image dump: " ^ msg)
 
 (* "@config <app> <bytes> <path>": the path may contain spaces.  The

@@ -1,5 +1,3 @@
-module Smap = Map.Make (String)
-
 type kind = Regular | Directory | Symlink of string
 
 type meta = {
@@ -10,15 +8,17 @@ type meta = {
   kind : kind;
 }
 
-(* Flat representation: a map from absolute path to metadata.  The tree
-   structure is recovered from path prefixes; this keeps insertion and
-   lookup trivially correct at the modest scale of a config snapshot. *)
-type t = meta Smap.t
+(* Sorted parallel arrays: [paths] ascends in [String.compare] order and
+   [metas.(i)] belongs to [paths.(i)].  The root "/" is a prefix of
+   every other path, so it is always at index 0, and the descendants of
+   a directory [d] are the contiguous run of paths that start with
+   [d ^ "/"].  Every ancestor of a present path is present. *)
+type t = { paths : string array; metas : meta array }
 
 let root_meta =
   { owner = "root"; group = "root"; perm = 0o755; size = 0; kind = Directory }
 
-let empty = Smap.add "/" root_meta Smap.empty
+let empty = { paths = [| "/" |]; metas = [| root_meta |] }
 
 (* Collector dumps and config values arrive with cosmetic noise: "./"
    prefixes, trailing or doubled slashes, "." and ".." components.
@@ -81,23 +81,139 @@ let normalize path =
   | Ok p -> p
   | Error e -> invalid_arg ("Fs: " ^ e)
 
-let parent path = Encore_util.Strutil.dirname path
+(* --- sorted-array search ---------------------------------------------------- *)
 
-(* Every constructor keeps all ancestors of a present path present, so
-   the walk up stops at the first present one.  Missing ancestors are
-   added top-down. *)
-let rec ensure_dirs fs path =
-  if path = "/" || Smap.mem path fs then fs
-  else
-    Smap.add path { root_meta with kind = Directory }
-      (ensure_dirs fs (parent path))
+(* [String.compare s (String.sub p 0 k)], without the copy *)
+let compare_prefix s p k =
+  let ls = String.length s in
+  let n = if ls < k then ls else k in
+  let rec go i =
+    if i = n then compare ls k
+    else
+      let c = Char.compare (String.unsafe_get s i) (String.unsafe_get p i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
 
+(* The first index in [lo, hi) of [paths] whose path is not below the
+   first [k] bytes of [p]. *)
+let lower_bound paths p k lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if compare_prefix paths.(mid) p k < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The index in [0, hi) of the path spelled by the first [k] bytes of
+   [p], or -1. *)
+let index_below paths hi p k =
+  let i = lower_bound paths p k 0 hi in
+  if i < hi && compare_prefix paths.(i) p k = 0 then i else -1
+
+let index fs p = index_below fs.paths (Array.length fs.paths) p (String.length p)
+
+(* Length of a canonical non-root path's parent: its last '/' (1 for a
+   child of the root). *)
+let parent_length p =
+  match String.rindex_opt p '/' with Some 0 | None -> 1 | Some i -> i
+
+let with_meta fs i meta =
+  let metas = Array.copy fs.metas in
+  metas.(i) <- meta;
+  { fs with metas }
+
+(* [fs] with [news] inserted: ascending (path, meta) pairs whose paths
+   are all absent from [fs]. *)
+let insert fs news =
+  let n = Array.length fs.paths in
+  let size = n + List.length news in
+  let paths = Array.make size "" and metas = Array.make size root_meta in
+  let rec go i j = function
+    | [] ->
+        Array.blit fs.paths i paths j (n - i);
+        Array.blit fs.metas i metas j (n - i)
+    | (p, m) :: rest ->
+        let pos = lower_bound fs.paths p (String.length p) i n in
+        Array.blit fs.paths i paths j (pos - i);
+        Array.blit fs.metas i metas j (pos - i);
+        let j = j + (pos - i) in
+        paths.(j) <- p;
+        metas.(j) <- m;
+        go pos (j + 1) rest
+  in
+  go 0 0 news;
+  { paths; metas }
+
+(* --- construction ----------------------------------------------------------- *)
+
+(* The missing ancestors of a present path's absent child are added
+   top-down as root-owned directories; every constructor keeps all
+   ancestors of a present path present, so the walk up stops at the
+   first present one. *)
 let add fs path meta =
   let path = normalize path in
-  if path = "/" then Smap.add "/" meta fs
+  let i = index fs path in
+  if i >= 0 then with_meta fs i meta
   else
-    let fs = ensure_dirs fs (parent path) in
-    Smap.add path meta fs
+    let rec with_missing p acc =
+      let k = parent_length p in
+      if index_below fs.paths (Array.length fs.paths) p k >= 0 then acc
+      else
+        let q = String.sub p 0 k in
+        with_missing q ((q, root_meta) :: acc)
+    in
+    insert fs (with_missing path [ (path, meta) ])
+
+(* Records that ascend strictly from the root, each after its parent:
+   the order of every [Collector.image_to_text] dump.  [paths.(0)] is
+   the root sentinel, so a "/" record fails the test. *)
+let ascends_parents_first paths =
+  let n = Array.length paths in
+  let rec from i =
+    i >= n
+    ||
+    let p = paths.(i) in
+    String.compare paths.(i - 1) p < 0
+    && (let k = parent_length p in
+        k = 1 || index_below paths i p k >= 0)
+    && from (i + 1)
+  in
+  from 1
+
+(* Any other order: the last record per path wins, and every ancestor
+   of a recorded path that no record names is a root-owned directory.
+   That is what folding [add] leaves, since [add] never overwrites a
+   present ancestor and a later record always overwrites. *)
+let of_unordered paths metas =
+  let last = Hashtbl.create (Array.length paths) in
+  Array.iteri (fun i p -> if i > 0 then Hashtbl.replace last p metas.(i)) paths;
+  let entries = ref (Hashtbl.fold (fun p m acc -> (p, m) :: acc) last []) in
+  let rec ancestors p =
+    let q = String.sub p 0 (parent_length p) in
+    if not (Hashtbl.mem last q || q = "/") then begin
+      Hashtbl.add last q root_meta;
+      entries := (q, root_meta) :: !entries;
+      ancestors q
+    end
+  in
+  List.iter (fun (p, _) -> if p <> "/" then ancestors p) !entries;
+  if not (Hashtbl.mem last "/") then entries := ("/", root_meta) :: !entries;
+  let sorted =
+    Array.of_list (List.sort (fun (a, _) (b, _) -> String.compare a b) !entries)
+  in
+  { paths = Array.map fst sorted; metas = Array.map snd sorted }
+
+let of_list records =
+  let n = List.length records + 1 in
+  let paths = Array.make n "/" and metas = Array.make n root_meta in
+  List.iteri
+    (fun i (p, m) ->
+      paths.(i + 1) <- normalize p;
+      metas.(i + 1) <- m)
+    records;
+  if ascends_parents_first paths then { paths; metas }
+  else of_unordered paths metas
 
 let add_dir ?(owner = "root") ?(group = "root") ?(perm = 0o755) fs path =
   add fs path { owner; group; perm; size = 0; kind = Directory }
@@ -110,18 +226,29 @@ let add_symlink ?(owner = "root") ?(group = "root") fs path ~target =
   add fs path { owner; group; perm = 0o777; size = 0; kind = Symlink target }
 
 let remove fs path =
-  let path = Result.value ~default:"" (canonicalize path) in
-  if path = "/" || path = "" then fs
-  else
-    let prefix = path ^ "/" in
-    Smap.filter
-      (fun p _ -> p <> path && not (Encore_util.Strutil.starts_with ~prefix p))
-      fs
+  match canonicalize path with
+  | Error _ | Ok "/" -> fs
+  | Ok path ->
+      let prefix = path ^ "/" in
+      let keep i =
+        let p = fs.paths.(i) in
+        p <> path && not (Encore_util.Strutil.starts_with ~prefix p)
+      in
+      let kept =
+        Array.of_list
+          (List.filter keep (List.init (Array.length fs.paths) Fun.id))
+      in
+      { paths = Array.map (fun i -> fs.paths.(i)) kept;
+        metas = Array.map (fun i -> fs.metas.(i)) kept }
+
+(* --- queries ---------------------------------------------------------------- *)
 
 let lookup fs path =
   match canonicalize path with
   | Error _ -> None
-  | Ok p -> Smap.find_opt p fs
+  | Ok p ->
+      let i = index fs p in
+      if i >= 0 then Some fs.metas.(i) else None
 
 let rec resolve_n fs path n =
   if n = 0 then None
@@ -144,30 +271,27 @@ let is_file fs path =
   | Some { kind = Regular; _ } -> true
   | Some _ | None -> false
 
-(* Walk only the subtree under [path]: map keys are ordered, so the
-   descendants of "/a/b" are exactly the contiguous key range that
-   starts with "/a/b/" — [to_seq_from] positions there in O(log n) and
-   the walk stops at the first key outside the prefix.  [f] receives
-   the path suffix after the prefix and the entry's metadata; a [true]
-   return short-circuits the walk. *)
+(* Walk only the subtree under [path]: its descendants are the
+   contiguous run of paths that start with "[path]/", found by binary
+   search; the walk stops at the first path outside the prefix.  [f]
+   receives the path suffix after the prefix and the entry's metadata;
+   a [true] return short-circuits the walk. *)
 let subtree_exists fs path f =
   match canonicalize path with
   | Error _ -> false
   | Ok p ->
       let prefix = if p = "/" then "/" else p ^ "/" in
-      let rec walk seq =
-        match Seq.uncons seq with
-        | Some ((q, m), rest)
-          when q = "/" || Encore_util.Strutil.starts_with ~prefix q ->
-            (q <> "/"
-             && f
-                  (String.sub q (String.length prefix)
-                     (String.length q - String.length prefix))
-                  m)
-            || walk rest
-        | Some _ | None -> false
+      let plen = String.length prefix and n = Array.length fs.paths in
+      let rec walk i =
+        i < n
+        &&
+        let q = fs.paths.(i) in
+        Encore_util.Strutil.starts_with ~prefix q
+        && ((q <> "/"
+             && f (String.sub q plen (String.length q - plen)) fs.metas.(i))
+            || walk (i + 1))
       in
-      walk (Smap.to_seq_from prefix fs)
+      walk (lower_bound fs.paths prefix plen 0 n)
 
 let children fs path =
   let acc = ref [] in
@@ -188,19 +312,17 @@ let has_symlink fs path =
   direct_child_exists fs path (fun m ->
       match m.kind with Symlink _ -> true | Regular | Directory -> false)
 
-let all_paths fs =
-  Smap.fold (fun p _ acc -> if p = "/" then acc else p :: acc) fs []
-  |> List.sort compare
+let all_paths fs = List.tl (Array.to_list fs.paths)
 
-let chown fs path ~owner ~group =
-  match lookup fs path with
-  | None -> fs
-  | Some m -> Smap.add (normalize path) { m with owner; group } fs
+let update fs path f =
+  match canonicalize path with
+  | Error _ -> fs
+  | Ok p ->
+      let i = index fs p in
+      if i < 0 then fs else with_meta fs i (f fs.metas.(i))
 
-let chmod fs path ~perm =
-  match lookup fs path with
-  | None -> fs
-  | Some m -> Smap.add (normalize path) { m with perm } fs
+let chown fs path ~owner ~group = update fs path (fun m -> { m with owner; group })
+let chmod fs path ~perm = update fs path (fun m -> { m with perm })
 
 let readable_by fs ~user ~groups path =
   if user = "root" then exists fs path
@@ -216,4 +338,8 @@ let readable_by fs ~user ~groups path =
         bits land 4 <> 0
 
 let fold f fs acc =
-  Smap.fold (fun p m acc -> if p = "/" then acc else f p m acc) fs acc
+  let acc = ref acc in
+  for i = 1 to Array.length fs.paths - 1 do
+    acc := f fs.paths.(i) fs.metas.(i) !acc
+  done;
+  !acc

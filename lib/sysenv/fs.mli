@@ -7,7 +7,17 @@
     metadata dumped by its data collector.
 
     Paths are absolute, ['/']-separated, with no trailing slash (except
-    the root ["/"] itself). *)
+    the root ["/"] itself).
+
+    A tree is two sorted parallel arrays, paths and their metadata,
+    with the root first.  {!lookup} is a binary search, and a subtree
+    walk ({!children}, {!has_subdir}, {!has_symlink}) scans the
+    contiguous run of paths under its directory.  The arrays are
+    immutable, so every update copies them: {!add} costs O(n) in the
+    size of the tree, and folding it over n records costs O(n{^2}).
+    A whole tree is built with {!of_list}, in O(n) when the records
+    ascend parent first (every collector dump does) and O(n log n)
+    otherwise. *)
 
 type kind = Regular | Directory | Symlink of string
 
@@ -37,6 +47,15 @@ val add : t -> string -> meta -> t
     any missing parent directories (root-owned, 0755).  The path is
     normalized with {!canonicalize} first.
     @raise Invalid_argument if [path] does not canonicalize. *)
+
+val of_list : (string * meta) list -> t
+(** The tree that folding {!add} over the records in order from
+    {!empty} builds: the last record for a path wins, and an ancestor
+    that no record names is a root-owned 0755 directory.  Records that
+    ascend in canonical path order, each after its parent, are copied
+    in one pass; any other order is sorted.
+    @raise Invalid_argument at the first path that does not
+    canonicalize, with {!add}'s message. *)
 
 val add_dir :
   ?owner:string -> ?group:string -> ?perm:int -> t -> string -> t

@@ -13,22 +13,19 @@ let evaluate_instantiation template training ~a ~b =
       if va = [] || vb = [] then (applicable, valid)
       else
         match
-          Relation.eval template.Template.relation
-            { Relation.image; row } ~a:va ~b:vb
+          Relation.eval template.Template.relation image ~a:va ~b:vb
         with
         | None -> (applicable, valid)
         | Some true -> (applicable + 1, valid + 1)
         | Some false -> (applicable + 1, valid))
     (0, 0) training
 
-type columnar = { cols : Colview.t; ctxs : Relation.ctx array }
+type columnar = { cols : Colview.t; images : Encore_sysenv.Image.t array }
 
 let columnar_of_training training =
   {
     cols = Colview.of_rows (List.map snd training);
-    ctxs =
-      Array.of_list
-        (List.map (fun (image, row) -> { Relation.image; row }) training);
+    images = Array.of_list (List.map fst training);
   }
 
 let column c attr =
@@ -38,13 +35,13 @@ let column c attr =
 
 let evaluate_instantiation_cols template c ~ca ~cb =
   let applicable = ref 0 and valid = ref 0 in
-  let n = Array.length c.ctxs in
+  let n = Array.length c.images in
   if Array.length ca = n && Array.length cb = n then
     for i = 0 to n - 1 do
       let va = ca.(i) and vb = cb.(i) in
       if va <> [] && vb <> [] then
         match
-          Relation.eval template.Template.relation c.ctxs.(i) ~a:va ~b:vb
+          Relation.eval template.Template.relation c.images.(i) ~a:va ~b:vb
         with
         | None -> ()
         | Some true ->

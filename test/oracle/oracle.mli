@@ -18,10 +18,10 @@ val evaluate_instantiation :
 
 type columnar = {
   cols : Encore_dataset.Colview.t;
-  ctxs : Encore_rules.Relation.ctx array;
+  images : Encore_sysenv.Image.t array;
 }
 (** Columnar training set: [Colview.column cols id] holds one instance
-    list per row, [ctxs.(row)] the row's evaluation context. *)
+    list per row, [images.(row)] the row's image. *)
 
 val columnar_of_training : training -> columnar
 

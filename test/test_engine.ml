@@ -23,7 +23,6 @@ module Ctype = Encore_typing.Ctype
 module Syntactic = Encore_typing.Syntactic
 module Semantic = Encore_typing.Semantic
 module Template = Encore_rules.Template
-module Relation = Encore_rules.Relation
 module Strutil = Encore_util.Strutil
 module Kv = Encore_confparse.Kv
 module Pool = Encore_util.Pool
@@ -92,10 +91,10 @@ let ref_name_warnings (model : Detector.model) row =
           })
     (ref_config_attrs row)
 
-let ref_rule_warnings (model : Detector.model) ctx =
+let ref_rule_warnings (model : Detector.model) img row =
   List.filter_map
     (fun (rule : Template.rule) ->
-      match Template.rule_holds rule ctx with
+      match Template.rule_holds rule img row with
       | Some false ->
           Some
             {
@@ -159,10 +158,10 @@ let ref_value_warnings (model : Detector.model) row =
 
 let ref_check ?(checks = Detector.all_checks) (model : Detector.model) img =
   let row = Assemble.assemble_target ~types:model.types img in
-  let ctx = { Relation.image = img; row } in
   let warnings =
     (if checks.Detector.check_names then ref_name_warnings model row else [])
-    @ (if checks.Detector.check_rules then ref_rule_warnings model ctx else [])
+    @ (if checks.Detector.check_rules then ref_rule_warnings model img row
+       else [])
     @ (if checks.Detector.check_types then ref_type_warnings model row img
        else [])
     @ (if checks.Detector.check_values then ref_value_warnings model row

@@ -21,9 +21,7 @@ let env_image () =
   let accounts = Accounts.add_service_account Accounts.base "mysql" in
   Image.make ~id:"rel" ~fs ~accounts []
 
-let ctx row = { Relation.image = env_image (); row = Row.of_list row }
-
-let eval rel ~a ~b = Relation.eval rel (ctx []) ~a ~b
+let eval rel ~a ~b = Relation.eval rel (env_image ()) ~a ~b
 
 let some_bool = Alcotest.option Alcotest.bool
 
@@ -135,12 +133,13 @@ let test_rule_holds_in_context () =
     { Template.template = ownership; attr_a = "m/datadir"; attr_b = "m/user";
       support = 10; confidence = 1.0 }
   in
-  let good = ctx [ ("m/datadir", "/data"); ("m/user", "mysql") ] in
-  check some_bool "holds" (Some true) (Template.rule_holds rule good);
-  let bad = ctx [ ("m/datadir", "/data"); ("m/user", "root") ] in
-  check some_bool "violated" (Some false) (Template.rule_holds rule bad);
-  let absent = ctx [ ("m/user", "mysql") ] in
-  check some_bool "skipped when attribute absent" None (Template.rule_holds rule absent)
+  let holds row = Template.rule_holds rule (env_image ()) (Row.of_list row) in
+  check some_bool "holds" (Some true)
+    (holds [ ("m/datadir", "/data"); ("m/user", "mysql") ]);
+  check some_bool "violated" (Some false)
+    (holds [ ("m/datadir", "/data"); ("m/user", "root") ]);
+  check some_bool "skipped when attribute absent" None
+    (holds [ ("m/user", "mysql") ])
 
 (* --- Inference ---------------------------------------------------------------- *)
 
