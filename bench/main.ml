@@ -18,7 +18,8 @@
    its JSON key keep the name "checkpoint"):
    dune exec bench/main.exe -- --stage checkpoint
    Fleet-checking throughput (compile-once engine vs a single-image
-   loop that recompiles per check) at paper scale:
+   loop that recompiles per check) at paper scale, plus time and words
+   per image for decoding the targets' dumps and for check_fleet:
    dune exec bench/main.exe -- --stage check [--jobs N]
    Serve-daemon throughput and latency under a watch change storm:
    dune exec bench/main.exe -- --stage serve
@@ -290,6 +291,9 @@ type check_measurement = {
   single_loop_ns : int;  (* Pipeline.check per image: compile every call *)
   fleet_ns : int;        (* Pipeline.check_fleet: compile once, pooled *)
   fleet_seq_ns : int;    (* Pipeline.check_fleet at jobs=1 *)
+  decode_ns : int;       (* Collector.image_of_text of every target's dump *)
+  decode_words : float;  (* words allocated per decoded dump *)
+  check_words : float;   (* words allocated per image by check_fleet, jobs=1 *)
 }
 
 let images_per_s ~fleet_size ns =
@@ -305,12 +309,28 @@ let fleet_parallel_speedup m =
   if m.fleet_ns <= 0 then 0.0
   else float_of_int m.fleet_seq_ns /. float_of_int m.fleet_ns
 
+(* Words allocated by [f ()], every domain included: the minor
+   collection is stop-the-world, so each live domain samples its
+   counters first. *)
+let words_of f =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  ignore (Sys.opaque_identity (f ()));
+  words () -. w0
+
 (* Serving-path cost at paper scale: check [fleet_size] held-out images
    against a paper-scale mysql model, once through the naive
    single-image loop (Pipeline.check compiles the engine on every
    call) and once through Pipeline.check_fleet (one Engine.compile,
    worker pool), the latter both at [jobs] and at jobs=1.  Every path
-   produces identical warnings; only the throughput differs. *)
+   produces identical warnings; only the throughput differs.  The
+   targets' collector dumps are decoded too, so the two layers of an
+   inline check, decode and check, each get a time and an allocation
+   per image. *)
 let measure_check ~jobs =
   let images =
     Population.clean (Population.generate ~seed:7 Image.Mysql ~n:paper_n)
@@ -323,9 +343,12 @@ let measure_check ~jobs =
           (Encore_util.Prng.create (5000 + i))
           ~id:(Printf.sprintf "fleet-%03d" i))
   in
+  let dumps = List.map Encore_sysenv.Collector.image_to_text fleet in
+  let decode () = List.map Encore_sysenv.Collector.image_of_text dumps in
   let config = { Encore.Config.default with Encore.Config.jobs = jobs } in
   let seq_config = { config with Encore.Config.jobs = 1 } in
   (* warm every path outside the timed region *)
+  ignore (decode ());
   List.iter (fun img -> ignore (Encore.Pipeline.check model img)) fleet;
   ignore (Encore.Pipeline.check_fleet ~config model fleet);
   ignore (Encore.Pipeline.check_fleet ~config:seq_config model fleet);
@@ -351,7 +374,15 @@ let measure_check ~jobs =
     best (fun () ->
         ignore (Encore.Pipeline.check_fleet ~config:seq_config model fleet))
   in
-  { fleet_size; check_jobs = jobs; single_loop_ns; fleet_ns; fleet_seq_ns }
+  let decode_ns = best (fun () -> ignore (decode ())) in
+  let per_image w = w /. float_of_int fleet_size in
+  { fleet_size; check_jobs = jobs; single_loop_ns; fleet_ns; fleet_seq_ns;
+    decode_ns;
+    decode_words = per_image (words_of decode);
+    check_words =
+      per_image
+        (words_of (fun () ->
+             Encore.Pipeline.check_fleet ~config:seq_config model fleet)) }
 
 let print_check_times ~jobs =
   let m = measure_check ~jobs in
@@ -369,7 +400,13 @@ let print_check_times ~jobs =
     (images_per_s ~fleet_size:m.fleet_size m.fleet_ns);
   Printf.printf "  fleet speedup                          %12.2fx\n" (check_speedup m);
   Printf.printf "  parallel speedup (jobs=%d / jobs=1)     %12.2fx\n" m.check_jobs
-    (fleet_parallel_speedup m)
+    (fleet_parallel_speedup m);
+  let per_image_us ns = float_of_int ns /. 1e3 /. float_of_int m.fleet_size in
+  Printf.printf "\n  per image                 time (us)    words\n";
+  Printf.printf "  decode (image_of_text)    %9.1f  %7.0f\n"
+    (per_image_us m.decode_ns) m.decode_words;
+  Printf.printf "  check_fleet, jobs=1       %9.1f  %7.0f\n"
+    (per_image_us m.fleet_seq_ns) m.check_words
 
 (* --- serve daemon throughput + latency -------------------------------------- *)
 
@@ -834,6 +871,9 @@ let write_json ~jobs path =
               Json.Float (images_per_s ~fleet_size:chk.fleet_size chk.fleet_ns));
              ("fleet_speedup", Json.Float (check_speedup chk));
              ("fleet_seq_ns", Json.Int chk.fleet_seq_ns);
+             ("decode_ns", Json.Int chk.decode_ns);
+             ("decode_words_per_image", Json.Float chk.decode_words);
+             ("check_words_per_image", Json.Float chk.check_words);
              ("fleet_parallel_speedup",
               Json.Float (fleet_parallel_speedup chk)) ]);
         ("learn",

@@ -1128,6 +1128,9 @@ let transport_storm ?(config = Config.default) ?(requests = 10_000)
         (match Serve_journal.open_ ~path:wal with
         | Error e -> Error ("crash journal: " ^ e)
         | Ok (j1, _) ->
+            (* a run before this one in the same [dir] left its entries
+               behind: the drill counts and replays this run's only *)
+            Serve_journal.reset j1;
             let rng = Prng.create (seed + 777) in
             let bad_dumps =
               Array.init 8 (fun j ->

@@ -110,13 +110,11 @@ let walk_target ~resolve ~augmentation img visit =
       List.iter (fun (kv : Kv.t) -> f kv.key kv.value) (Registry.parse_image img))
     visit
 
-let target_assembler ~types =
+let assemble_target ~types =
   let tbl = augmenter types in
   fun img ->
     row_of_walk
       (walk_target ~resolve:(Hashtbl.find_opt tbl) ~augmentation:Fun.id img)
-
-let assemble_target ~types img = target_assembler ~types img
 
 let type_of types attr =
   match Infer.find types attr with

@@ -49,15 +49,12 @@ val walk_target :
     and [augmentation] from the training types, the visited pairs are
     [Row.to_list (assemble_target ~types img)]. *)
 
-val target_assembler :
-  types:Encore_typing.Infer.env -> Encore_sysenv.Image.t -> Row.t
-(** Parse then {!augment_row}: partially applied to [~types], returns an
-    assembler built once — the check-many path.  For every image,
-    [target_assembler ~types img = assemble_target ~types img]. *)
-
 val assemble_target :
   types:Encore_typing.Infer.env -> Encore_sysenv.Image.t -> Row.t
-(** Assemble one target image using the training type environment. *)
+(** Assemble one target image using the training type environment:
+    the pairs {!walk_target} visits, as a row.  Partially applied to
+    [~types], returns an assembler with the type environment hashed
+    once. *)
 
 val type_of :
   Encore_typing.Infer.env -> string -> Encore_typing.Ctype.t

@@ -46,13 +46,16 @@ type typed_column = {
   tc_syntactic : string -> bool;
 }
 
+(* A target value against its column's training values. *)
+type seen = Unseen | Seen_valid | Seen_invalid
+
 (* One column's training-value statistics: hashed membership with the
-   value's precomputed syntactic verdict as payload (true when the
+   value's precomputed syntactic verdict as payload (valid when the
    column has no non-trivial matcher), plus the cardinality the ICF
    score needs.  Caching the verdict at compile time means the check
    never runs a regex on a training-seen value. *)
 type value_column = {
-  vc_seen : (string, bool) Hashtbl.t;
+  vc_seen : (string, seen) Hashtbl.t;
   vc_cardinality : int;
 }
 
@@ -100,7 +103,8 @@ type t = {
      empty slot is skipped) beats selecting per-attribute buckets and
      re-sorting them *)
   rules : compiled_rule array;
-  by_app : app_counters array;  (* Image.all_apps order, then "default" *)
+  by_app : (Encore_sysenv.Image.app * app_counters) list;
+  no_app : app_counters;  (* "default": an image without configs *)
 }
 
 let model t = t.source
@@ -139,7 +143,9 @@ let value_column typed values =
     | Some _ | None -> fun _ -> true
   in
   let vc_seen = Hashtbl.create (2 * List.length values + 1) in
-  List.iter (fun v -> Hashtbl.replace vc_seen v (syn v)) values;
+  List.iter
+    (fun v -> Hashtbl.replace vc_seen v (if syn v then Seen_valid else Seen_invalid))
+    values;
   { vc_seen; vc_cardinality = List.length values }
 
 (* Assoc-list semantics everywhere below: the first binding of a key
@@ -194,7 +200,11 @@ let compile source =
   List.iter resolve source.known_attrs;
   List.iter (fun (attr, _) -> resolve attr) source.types;
   List.iter (fun (attr, _) -> resolve attr) source.value_stats;
-  Hashtbl.iter (fun attr _ -> resolve attr) slots;
+  Array.iter
+    (fun cr ->
+      resolve cr.rule.Template.attr_a;
+      resolve cr.rule.Template.attr_b)
+    rules;
   {
     source;
     entries;
@@ -207,10 +217,10 @@ let compile source =
            source.known_attrs);
     rules;
     by_app =
-      Array.of_list
-        (List.map app_counters
-           (List.map Encore_sysenv.Image.app_to_string Encore_sysenv.Image.all_apps
-           @ [ "default" ]));
+      List.map
+        (fun app -> (app, app_counters (Encore_sysenv.Image.app_to_string app)))
+        Encore_sysenv.Image.all_apps;
+    no_app = app_counters "default";
   }
 
 (* --- the target scan ---------------------------------------------------------- *)
@@ -274,7 +284,7 @@ let push s attr value e =
   s.n <- i + 1
 
 let resolve t attr =
-  match Hashtbl.find_opt t.entries attr with Some e -> e | None -> unnamed
+  match Hashtbl.find t.entries attr with e -> e | exception Not_found -> unnamed
 
 let scan t img =
   let cap = 128 in
@@ -399,14 +409,20 @@ let column_pair ~types ~values img rev_types rev_values attr value e =
      cached verdict, the type check's syntactic matcher *)
   let cached =
     match e.values with
-    | Some vc -> Hashtbl.find_opt vc.vc_seen value
-    | None -> None
+    | Some vc -> (
+        match Hashtbl.find vc.vc_seen value with
+        | seen -> seen
+        | exception Not_found -> Unseen)
+    | None -> Unseen
   in
   (if types then
      match e.typed with
      | Some tc when not (Ctype.equal tc.tc_type Ctype.String_t) ->
          let syn_ok =
-           match cached with Some b -> b | None -> tc.tc_syntactic value
+           match cached with
+           | Seen_valid -> true
+           | Seen_invalid -> false
+           | Unseen -> tc.tc_syntactic value
          in
          if syn_ok && Semantic.verify img tc.tc_type value then ()
          else
@@ -426,7 +442,7 @@ let column_pair ~types ~values img rev_types rev_values attr value e =
     match e.values with
     | None -> ()
     | Some vc ->
-        if cached <> None then ()
+        if cached <> Unseen then ()
         else
           (* Inverse Change Frequency: unseen values of stable
              attributes are the most suspicious *)
@@ -457,14 +473,10 @@ let m_checks = Ometrics.counter "detect.checks"
 (* The app label's counters: the first config's app, "default" for an
    image without configs. *)
 let app_counters_of t (img : Encore_sysenv.Image.t) =
-  let rec index i = function
-    | [] -> i
-    | app :: apps ->
-        (match img.Encore_sysenv.Image.configs with
-         | { Encore_sysenv.Image.app = a; _ } :: _ when a = app -> i
-         | _ -> index (i + 1) apps)
-  in
-  t.by_app.(index 0 Encore_sysenv.Image.all_apps)
+  match img.Encore_sysenv.Image.configs with
+  | { Encore_sysenv.Image.app; _ } :: _ ->
+      Option.value ~default:t.no_app (List.assoc_opt app t.by_app)
+  | [] -> t.no_app
 
 (* The one check body.  Each stage walks its units — a target pair for
    the fused type/value walk, an attribute's first pair for names, a

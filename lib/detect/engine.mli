@@ -4,35 +4,44 @@
     A learned {!model} is an exchange format — assoc lists and plain
     rule lists, easy to serialize and diff — but walking it per checked
     image makes every check a linear re-scan of the whole model.
-    {!compile} builds, once per model, the hashed indices the four
-    detector checks actually need:
+    {!compile} resolves, once per model, every attribute the model names
+    into one table entry:
 
-    - a known-attribute set and a near-miss index (attribute basenames
-      precomputed) for the misspelling check.  An unknown key is first
-      scanned with edit distances cut off at 3, which finds any 1-2
-      edit misspelling; only a key far from every known name is
-      scanned again without the cut-off, to name its nearest entry;
-    - a target assembler with the type environment hashed once
-      ({!Encore_dataset.Assemble.target_assembler});
-    - the correlation rules as an array in learned order (evaluating a
-      rule whose attributes the image lacks is a single failed hash
-      probe, cheaper at paper scale than per-attribute bucketing);
-    - one merged per-attribute column table: the type decision with its
-      syntactic matcher resolved to a closure at compile time
-      ({!Encore_typing.Syntactic.matcher}), and the training-value hash
-      set — with each seen value's syntactic verdict precomputed — plus
-      its cardinality for the Inverse-Change-Frequency score.  The type
-      and value checks run as one fused walk, a single probe per row
-      pair.
+    - whether training knew the name (the misspelling check);
+    - its type decision, with the syntactic matcher resolved to a
+      closure ({!Encore_typing.Syntactic.matcher});
+    - its training-value hash set, each seen value's syntactic verdict
+      precomputed, and the cardinality the Inverse-Change-Frequency
+      score needs;
+    - how a parsed entry of it augments
+      ({!Encore_dataset.Augment.typed} under the training types);
+    - its rule slot, when some rule names it.
+
+    Beside the table, compile builds a near-miss index (attribute
+    basenames precomputed), the rules in learned order with their slot
+    indices, and every labelled counter a check may bump: each rule's
+    fired counter and each app's near-miss and suspicious-value
+    counters.  An unknown key is first scanned with edit distances cut
+    off at 3, which finds any 1-2 edit misspelling; only a key far from
+    every known name is scanned again without the cut-off, to name its
+    nearest entry.
+
+    A check builds no target row.  It walks the target's pairs in the
+    one order {!Encore_dataset.Assemble.walk_target} defines, probing
+    the table once per pair: the probe gives the pair's columns, its
+    augmentation and its rule slot, marks the attribute's first pair,
+    and adds the value to a per-check array of slot values.  The fused
+    type and value check then walks the pairs, the name check walks the
+    first pairs, and each rule reads its two slots.
 
     Every check — {!Detector.check}, [Pipeline.check_fleet] and the
     serve daemon's [check] and [watch] — runs the one body behind
     {!verdict}.  Its output is byte-identical to the interpreted walk
     it replaced; an equivalence property test in [test/test_engine.ml]
-    pins the contract against a reference interpreted implementation.
-    A compiled engine is immutable after {!compile} and safe to share
-    across pool worker domains — [Pipeline.check_fleet] compiles once
-    and fans the image list out. *)
+    pins the contract against a reference interpreted implementation
+    over the assembled row.  A compiled engine is immutable after
+    {!compile} and safe to share across pool worker domains —
+    [Pipeline.check_fleet] compiles once and fans the image list out. *)
 
 type model = {
   types : Encore_typing.Infer.env;
@@ -60,8 +69,9 @@ type t
     domains. *)
 
 val compile : model -> t
-(** Build the hashed indices.  O(model size); every subsequent
-    {!check} touches only the buckets the target image hits. *)
+(** Build the entry table and the indices.  O(model size); every
+    subsequent {!check} touches only the entries the target image
+    hits. *)
 
 val model : t -> model
 (** The model the engine was compiled from. *)
@@ -81,11 +91,11 @@ val verdict :
   Encore_sysenv.Image.t ->
   verdict
 (** The paper's four checks over the compiled indices, ranked best
-    first.  [deadline] is polled once before each unit of work — a row
-    pair of the fused type/value walk, an attribute's name check, a
-    rule — and its expiry yields a [Partial] verdict holding what the
-    finished units found.  Without [deadline] the verdict is always
-    [Complete]. *)
+    first.  [deadline] is polled once before each unit of work — a
+    target pair of the fused type/value walk, a distinct attribute's
+    name check, a rule — and its expiry yields a [Partial] verdict
+    holding what the finished units found.  Without [deadline] the
+    verdict is always [Complete]. *)
 
 val check :
   ?checks:checks -> t -> Encore_sysenv.Image.t -> Warning.t list

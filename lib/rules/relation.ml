@@ -143,11 +143,19 @@ let in_subnet a b =
            | _ -> None))
   | None -> if a = b then Some true else Some (Strutil.starts_with ~prefix:(b ^ ".") (a ^ "."))
 
-let all_pairs f xs ys =
-  List.for_all (fun x -> List.for_all (fun y -> f x y) ys) xs
+(* Every / some (x, y) pair satisfies [f], in list order.  Plain
+   recursion rather than nested [List.for_all] closures: this runs once
+   per rule per checked image, and per row of every generic candidate
+   when learning. *)
+let rec all_with f x = function [] -> true | y :: ys -> f x y && all_with f x ys
 
-let exists_pair f xs ys =
-  List.exists (fun x -> List.exists (fun y -> f x y) ys) xs
+let rec all_pairs f xs ys =
+  match xs with [] -> true | x :: xs -> all_with f x ys && all_pairs f xs ys
+
+let rec any_with f x = function [] -> false | y :: ys -> f x y || any_with f x ys
+
+let rec exists_pair f xs ys =
+  match xs with [] -> false | x :: xs -> any_with f x ys || exists_pair f xs ys
 
 let opt_all_pairs (f : string -> string -> bool option) xs ys =
   (* None if any pair is inapplicable; Some conjunction otherwise.

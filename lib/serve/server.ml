@@ -302,8 +302,10 @@ let check_image t ?id ~op (img : Image.t) =
 (* The one image intake of check, learn-append and the reload shadow:
    the dump inline or from its path, decoded, then the integrity gate —
    a dump whose config payload carries control bytes or a torn final
-   line was damaged in transit, and is refused rather than trusted. *)
+   line was damaged in transit, and is refused rather than trusted.
+   Spanned as [intake], beside the engine's [check]. *)
 let intake t source =
+  Otrace.with_span "intake" @@ fun () ->
   let text =
     match source with
     | Proto.Inline text -> Ok text

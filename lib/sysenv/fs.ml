@@ -83,17 +83,18 @@ let normalize path =
 
 (* --- sorted-array search ---------------------------------------------------- *)
 
-(* [String.compare s (String.sub p 0 k)], without the copy *)
+(* [String.compare s (String.sub p 0 k)], without the copy.  The
+   comparison loops are top-level functions of all their variables: a
+   local closure would be allocated on every call. *)
+let rec compare_from s p i n ls k =
+  if i = n then Int.compare ls k
+  else
+    let c = Char.compare (String.unsafe_get s i) (String.unsafe_get p i) in
+    if c <> 0 then c else compare_from s p (i + 1) n ls k
+
 let compare_prefix s p k =
   let ls = String.length s in
-  let n = if ls < k then ls else k in
-  let rec go i =
-    if i = n then compare ls k
-    else
-      let c = Char.compare (String.unsafe_get s i) (String.unsafe_get p i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  compare_from s p 0 (if ls < k then ls else k) ls k
 
 (* The first index in [lo, hi) of [paths] whose path is not below the
    first [k] bytes of [p]. *)
@@ -112,6 +113,38 @@ let index_below paths hi p k =
   if i < hi && compare_prefix paths.(i) p k = 0 then i else -1
 
 let index fs p = index_below fs.paths (Array.length fs.paths) p (String.length p)
+
+(* The descendants of a canonical directory path [p] are the paths that
+   start with its directory prefix: [p ^ "/"], or "/" for the root.
+   These read the prefix without building it; [k] is its length. *)
+let dir_prefix_length p = if String.length p = 1 then 1 else String.length p + 1
+
+let dir_prefix_char p i =
+  if i < String.length p then String.unsafe_get p i else '/'
+
+let rec compare_dir_from s p i n ls k =
+  if i = n then Int.compare ls k
+  else
+    let c = Char.compare (String.unsafe_get s i) (dir_prefix_char p i) in
+    if c <> 0 then c else compare_dir_from s p (i + 1) n ls k
+
+(* [String.compare s prefix] *)
+let compare_dir_prefix s p k =
+  let ls = String.length s in
+  compare_dir_from s p 0 (if ls < k then ls else k) ls k
+
+let rec equal_dir_from s p i k =
+  i = k || (String.unsafe_get s i = dir_prefix_char p i && equal_dir_from s p (i + 1) k)
+
+let under_dir s p k = String.length s >= k && equal_dir_from s p 0 k
+
+let lower_bound_dir paths p k =
+  let lo = ref 0 and hi = ref (Array.length paths) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if compare_dir_prefix paths.(mid) p k < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 (* Length of a canonical non-root path's parent: its last '/' (1 for a
    child of the root). *)
@@ -271,40 +304,38 @@ let is_file fs path =
   | Some { kind = Regular; _ } -> true
   | Some _ | None -> false
 
-(* Walk only the subtree under [path]: its descendants are the
-   contiguous run of paths that start with "[path]/", found by binary
-   search; the walk stops at the first path outside the prefix.  [f]
-   receives the path suffix after the prefix and the entry's metadata;
+(* Walk the descendants of [path] in path order: the contiguous run of
+   paths under its directory prefix, found by binary search (the root,
+   at index 0, is nobody's descendant).  [f q k m] gets a descendant's
+   path, the prefix length (its suffix starts at [k]) and its metadata;
    a [true] return short-circuits the walk. *)
 let subtree_exists fs path f =
   match canonicalize path with
   | Error _ -> false
   | Ok p ->
-      let prefix = if p = "/" then "/" else p ^ "/" in
-      let plen = String.length prefix and n = Array.length fs.paths in
+      let k = dir_prefix_length p and n = Array.length fs.paths in
       let rec walk i =
         i < n
         &&
         let q = fs.paths.(i) in
-        Encore_util.Strutil.starts_with ~prefix q
-        && ((q <> "/"
-             && f (String.sub q plen (String.length q - plen)) fs.metas.(i))
-            || walk (i + 1))
+        under_dir q p k && (f q k fs.metas.(i) || walk (i + 1))
       in
-      walk (lower_bound fs.paths prefix plen 0 n)
+      walk (max 1 (lower_bound_dir fs.paths p k))
 
+let is_child q k = not (String.contains_from q k '/')
+
+(* the walk meets the children in path order, which for one common
+   prefix is the order of their basenames *)
 let children fs path =
   let acc = ref [] in
   ignore
-    (subtree_exists fs path (fun rest _ ->
-         if not (Encore_util.Strutil.contains_char rest '/') then
-           acc := rest :: !acc;
+    (subtree_exists fs path (fun q k _ ->
+         if is_child q k then acc := String.sub q k (String.length q - k) :: !acc;
          false));
-  List.sort compare !acc
+  List.rev !acc
 
 let direct_child_exists fs path pred =
-  subtree_exists fs path (fun rest m ->
-      (not (Encore_util.Strutil.contains_char rest '/')) && pred m)
+  subtree_exists fs path (fun q k m -> is_child q k && pred m)
 
 let has_subdir fs path = direct_child_exists fs path (fun m -> m.kind = Directory)
 

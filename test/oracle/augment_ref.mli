@@ -8,4 +8,4 @@ val augment_row :
 val target_assembler :
   types:Encore_typing.Infer.env -> Encore_sysenv.Image.t ->
   Encore_dataset.Row.t
-(** What {!Encore_dataset.Assemble.target_assembler} must return. *)
+(** What {!Encore_dataset.Assemble.assemble_target} must return. *)

@@ -403,7 +403,7 @@ let test_assemble_matches_reference () =
           images
       in
       let augment = Assemble.augment_row ~types
-      and assemble = Assemble.target_assembler ~types in
+      and assemble = Assemble.assemble_target ~types in
       List.iter
         (fun img ->
           let raw = Assemble.parse_only img in

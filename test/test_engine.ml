@@ -279,6 +279,120 @@ let test_equivalence_far_key () =
        far);
   check_equivalent ~ctx:"far key" m img
 
+(* Apache and php models and targets, clean and with one ConfErr error
+   each: the apache lens's repeated directives and sections reach the
+   engine only here. *)
+let test_equivalence_other_apps () =
+  List.iter
+    (fun (app, seed) ->
+      let m =
+        Detector.learn (Population.clean (Population.generate ~seed app ~n:40))
+      in
+      let rng = Prng.create (seed + 4099) in
+      List.iteri
+        (fun i img ->
+          check_equivalent ~ctx:img.Image.image_id m img;
+          if i mod 2 = 0 then
+            check_equivalent
+              ~ctx:(img.Image.image_id ^ " mutant")
+              m
+              (Conferr.inject rng app img ~n:1).Conferr.image)
+        (List.init 12 (fun i ->
+             Population.generator_for app Profile.ec2
+               (Prng.create (seed + 100 + i))
+               ~id:(Printf.sprintf "%s-%02d" (Image.app_to_string app) i))))
+    [ (Image.Apache, 21); (Image.Php, 31) ]
+
+(* A mysql target that repeats a trained key with a second value, an
+   unknown key, and the slot-A attribute of an ownership rule, which
+   also repeats that attribute's augmentations.  Generated targets
+   never repeat an attribute. *)
+let repeated_target () =
+  let base =
+    Population.generator_for Image.Mysql Profile.ec2 (Prng.create 43)
+      ~id:"repeats"
+  in
+  let text =
+    match Image.config_for base Image.Mysql with
+    | Some c -> c.Image.text
+    | None -> Alcotest.fail "fixture has no mysql config"
+  in
+  let extra =
+    "[mysqld]\ndatadir = /tmp\nport = 3307\nqwzvxkjhpf = 1\nqwzvxkjhpf = 2\n"
+  in
+  let header = "[mysqld]\n" in
+  let rec find i =
+    if i + String.length header > String.length text then None
+    else if String.sub text i (String.length header) = header then Some i
+    else find (i + 1)
+  in
+  match find 0 with
+  | None -> Alcotest.fail "fixture has no [mysqld] section"
+  | Some i ->
+      Image.set_config base Image.Mysql
+        (String.sub text 0 i ^ extra
+        ^ String.sub text (i + String.length header)
+            (String.length text - i - String.length header))
+
+let test_equivalence_repeated_attrs () =
+  let m = model () in
+  let img = repeated_target () in
+  let row = Assemble.assemble_target ~types:m.Detector.types img in
+  let instances attr = List.length (Row.get_all row attr) in
+  check Alcotest.int "trained key twice" 2 (instances "mysql/mysqld/port");
+  check Alcotest.int "unknown key twice" 2 (instances "mysql/mysqld/qwzvxkjhpf");
+  check Alcotest.int "slot-A attribute twice" 2
+    (instances "mysql/mysqld/datadir");
+  check Alcotest.int "its augmentation twice" 2
+    (instances "mysql/mysqld/datadir.owner");
+  check Alcotest.bool "a rule reads the repeated slot A" true
+    (List.exists
+       (fun (r : Template.rule) -> r.Template.attr_a = "mysql/mysqld/datadir")
+       m.Detector.rules);
+  let warnings = Engine.check (Engine.compile m) img in
+  check Alcotest.int "the repeated unknown key is named once" 1
+    (List.length
+       (List.filter
+          (fun (w : Warning.t) ->
+            match w.Warning.kind with
+            | Warning.Entry_name_violation { unseen; _ } ->
+                unseen = "mysql/mysqld/qwzvxkjhpf"
+            | _ -> false)
+          warnings));
+  check_equivalent ~ctx:"repeated attributes" m img
+
+(* The deadline is polled once per pair of the target's row, once per
+   distinct attribute and once per rule: a budget of exactly that many
+   polls completes, one fewer does not. *)
+let test_deadline_polls_per_unit () =
+  let m = model () in
+  let engine = Engine.compile m in
+  let mutant =
+    (Conferr.inject (Prng.create 5) Image.Mysql (List.hd (targets 600 1)) ~n:2)
+      .Conferr.image
+  in
+  List.iter
+    (fun (label, img) ->
+      let row = Assemble.assemble_target ~types:m.Detector.types img in
+      let units =
+        List.length (Row.to_list row)
+        + List.length (Row.attrs row)
+        + List.length m.Detector.rules
+      in
+      let run k = Engine.verdict ~deadline:(Deadline.after_polls k) engine img in
+      (match run units with
+      | Engine.Complete ws ->
+          check Alcotest.bool (label ^ ": complete = check") true
+            (ws = Engine.check engine img)
+      | Engine.Partial _ ->
+          Alcotest.failf "%s: %d polls did not complete" label units);
+      match run (units - 1) with
+      | Engine.Partial _ -> ()
+      | Engine.Complete _ ->
+          Alcotest.failf "%s: %d polls already completed" label (units - 1))
+    [ ("clean", List.hd (targets 700 1)); ("mutant", mutant);
+      ("repeats", repeated_target ()) ]
+
 let test_equivalence_partial_checks () =
   let m = model () in
   let img =
@@ -531,6 +645,12 @@ let () =
             test_equivalence_conferr_typos;
           Alcotest.test_case "key far from every name" `Quick
             test_equivalence_far_key;
+          Alcotest.test_case "apache and php targets" `Quick
+            test_equivalence_other_apps;
+          Alcotest.test_case "repeated attributes" `Quick
+            test_equivalence_repeated_attrs;
+          Alcotest.test_case "deadline polls per unit" `Quick
+            test_deadline_polls_per_unit;
         ] );
       ( "fleet",
         [

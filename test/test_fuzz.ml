@@ -15,6 +15,7 @@
 
 module Collector = Encore_sysenv.Collector
 module Image = Encore_sysenv.Image
+module Fs = Encore_sysenv.Fs
 module Ini = Encore_confparse.Ini
 module Apache = Encore_confparse.Apache_lens
 module Population = Encore_workloads.Population
@@ -385,6 +386,40 @@ let test_long_lines () =
       "<Directory " ^ String.make mb '/' ^ ">";
       "LoadModule" ^ String.concat "" (List.init (mb / 2) (fun _ -> " a")) ]
 
+(* --- 100k file records ---------------------------------------------------- *)
+
+(* The collector writes a tree's records ascending, parents first; the
+   same records reversed take the decoder's sorting build, which must
+   land on the same tree in O(n log n) (folding one-record inserts into
+   sorted arrays would be quadratic). *)
+let test_reversed_fs_records () =
+  let records =
+    List.concat
+      (List.init 100 (fun d ->
+           Printf.sprintf "FS|/d%03d|dir|root|root|755|0|" d
+           :: List.init 1000 (fun f ->
+                  Printf.sprintf "FS|/d%03d/f%05d|file|u%d|g|640|%d|" d
+                    ((d * 1000) + f) (f mod 7) f)))
+  in
+  let dump lines =
+    "ENCORE-IMAGE 1 big\n@env\n" ^ String.concat "\n" lines ^ "\n"
+  in
+  let decode text =
+    match Collector.image_of_text text with
+    | Ok img -> img.Image.fs
+    | Error e -> Alcotest.failf "decode failed: %s" e
+  in
+  let sorted = decode (dump records) in
+  let t0 = Unix.gettimeofday () in
+  let reversed = decode (dump (List.rev records)) in
+  let dt = Unix.gettimeofday () -. t0 in
+  let listing fs = Fs.fold (fun p m acc -> (p, m) :: acc) fs [] in
+  check Alcotest.int "100,100 paths" 100_100 (List.length (listing sorted));
+  check Alcotest.bool "reversed records, same tree" true
+    (listing sorted = listing reversed);
+  check Alcotest.bool (Printf.sprintf "reversed decode in %.3f s < 5 s" dt)
+    true (dt < 5.0)
+
 (* --- deep nesting --------------------------------------------------------- *)
 
 let openers n = List.init n (fun i -> Printf.sprintf "<Directory /d%d>\n" i)
@@ -429,6 +464,8 @@ let () =
       ( "bounds",
         [
           Alcotest.test_case "1 MB lines" `Quick test_long_lines;
+          Alcotest.test_case "100k reversed FS records" `Quick
+            test_reversed_fs_records;
           Alcotest.test_case "10k nested openers" `Quick test_deep_nesting_bounded;
           Alcotest.test_case "2k nested sections" `Quick test_deep_nesting_reference;
         ] );

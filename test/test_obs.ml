@@ -702,6 +702,52 @@ let test_check_fleet_coverage () =
           Alcotest.failf "expected one root span, got %d" (List.length roots))
     [ 1; 2 ]
 
+(* A served check with its dump inline: the request's own span is the
+   dump intake (read, decode, integrity gate) plus the engine check. *)
+let test_serve_check_coverage () =
+  let model =
+    match Encore.Pipeline.learn_result (learn_images ()) with
+    | Ok m -> m
+    | Error d ->
+        Alcotest.failf "learn failed: %s"
+          (Encore_util.Resilience.diagnostic_to_string d)
+  in
+  let server =
+    Encore_serve.Server.create
+      (Encore_serve.Cache.create ~provider:(fun ~app:_ -> Ok model))
+  in
+  let serve i img =
+    let line =
+      Jsonenc.to_string
+        (Jsonenc.Obj
+           [ ("op", Jsonenc.Str "check"); ("id", Jsonenc.Str (string_of_int i));
+             ("image", Jsonenc.Str (Encore_sysenv.Collector.image_to_text img));
+           ])
+    in
+    ignore (Encore_serve.Server.offer server line);
+    ignore (Encore_serve.Server.step server)
+  in
+  let targets =
+    Population.images (Population.generate ~seed:13 Image.Mysql ~n:11)
+  in
+  (* the first request compiles the engine; the rest hit the cache *)
+  serve 0 (List.hd targets);
+  let targets = List.tl targets in
+  let roots = traced_roots (fun () -> List.iteri serve targets) in
+  let requests = spans_named "serve-request" roots in
+  check Alcotest.int "one span per request" (List.length targets)
+    (List.length requests);
+  List.iter
+    (fun sp ->
+      let s = Summary.of_spans [ sp ] in
+      check Alcotest.(list string) "request stages" [ "check"; "intake" ]
+        (stage_names s);
+      check Alcotest.bool
+        (Printf.sprintf "served check coverage %.1f%% >= 95%%"
+           s.Summary.coverage_pct)
+        true (s.Summary.coverage_pct >= 95.0))
+    requests
+
 (* Overlapping stage intervals count once; a JSONL span line without a
    start time counts its duration. *)
 let test_summary_coverage_union () =
@@ -810,6 +856,8 @@ let () =
         ] );
       ( "fleetspans",
         [ t "check_fleet covers its wall time" test_check_fleet_coverage ] );
+      ( "servespans",
+        [ t "a served check covers its wall time" test_serve_check_coverage ] );
       ( "determinism",
         [ t "seeded metric snapshots are identical" test_snapshot_determinism ] );
     ]

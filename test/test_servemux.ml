@@ -725,25 +725,34 @@ let test_fswatch_deltas () =
 
 (* --- the transport storm drill ---------------------------------------------- *)
 
+(* Run twice in one directory: the second run finds the first one's
+   journals and must start from empty ones, not recover their entries. *)
 let test_transport_storm_drill () =
   let dir = tmp_name "storm" in
-  match
-    Chaosrun.transport_storm ~requests:400 ~clients:4 ~n:8 ~dir ~seed:29 ()
-  with
-  | Error e -> Alcotest.fail e
-  | Ok o ->
-      if not (Chaosrun.transport_ok o) then
-        Alcotest.failf "transport storm contract violated:\n%s"
-          (Chaosrun.transport_outcome_to_string o);
-      check Alcotest.int "nothing lost" 0 o.Chaosrun.tr_lost;
-      check Alcotest.int "nothing misrouted" 0 o.Chaosrun.tr_misrouted;
-      check Alcotest.bool "fault mix at least 5%" true
-        (o.Chaosrun.tr_faults * 20 >= o.Chaosrun.tr_frames);
-      check Alcotest.bool "crash replay converged" true
-        (o.Chaosrun.cr_responses_identical && o.Chaosrun.cr_ring_identical);
-      Sys.readdir dir
-      |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
-      Unix.rmdir dir
+  let run label =
+    match
+      Chaosrun.transport_storm ~requests:400 ~clients:4 ~n:8 ~dir ~seed:29 ()
+    with
+    | Error e -> Alcotest.fail (label ^ ": " ^ e)
+    | Ok o ->
+        if not (Chaosrun.transport_ok o) then
+          Alcotest.failf "%s: transport storm contract violated:\n%s" label
+            (Chaosrun.transport_outcome_to_string o);
+        check Alcotest.int (label ^ ": nothing lost") 0 o.Chaosrun.tr_lost;
+        check Alcotest.int (label ^ ": nothing misrouted") 0
+          o.Chaosrun.tr_misrouted;
+        check Alcotest.bool (label ^ ": fault mix at least 5%") true
+          (o.Chaosrun.tr_faults * 20 >= o.Chaosrun.tr_frames);
+        check Alcotest.bool (label ^ ": crash replay converged") true
+          (o.Chaosrun.cr_responses_identical && o.Chaosrun.cr_ring_identical);
+        o
+  in
+  let first = run "first run" in
+  let again = run "second run, same directory" in
+  check Alcotest.int "the second run journals only its own requests"
+    first.Chaosrun.cr_journaled again.Chaosrun.cr_journaled;
+  Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
+  Unix.rmdir dir
 
 let () =
   Alcotest.run "encore_servemux"

@@ -185,6 +185,65 @@ let prop_fs_add_matches_reference =
       List.rev (Fs.fold (fun p m acc -> (p, m) :: acc) fs [])
       = M.bindings (reference ops))
 
+(* [Fs.of_list] against folding [Fs.add] over the same records.  The
+   record lists are random (so shuffled, with repeated paths and
+   missing parents), or the ascending records of a tree, whole (the
+   one-pass build) or with records dropped (ascending, parents
+   missing).  Paths come spelled non-canonically, a few name the root,
+   and a few do not canonicalize at all: then both must raise the same
+   message.  Segments with '-' and '.' sort between a directory and
+   its children. *)
+let prop_fs_of_list_matches_add =
+  let open QCheck.Gen in
+  let seg = oneofl [ "a"; "b"; "etc"; "a-b"; "a.c"; "x1" ] in
+  let canonical =
+    map (fun segs -> "/" ^ String.concat "/" segs) (list_size (int_range 1 5) seg)
+  in
+  let spelled =
+    canonical >>= fun p ->
+    oneof
+      [ return p; return p; return (p ^ "/"); return ("/" ^ p);
+        return ("./" ^ p); return (p ^ "/."); map (fun s -> p ^ "/" ^ s ^ "/..") seg ]
+  in
+  let path =
+    frequency
+      [ (30, spelled); (1, oneofl [ "/"; "//"; "/."; "/a/.." ]);
+        (1, oneofl [ "rel/x"; "/.."; ""; "/a/../../x" ]) ]
+  in
+  let meta =
+    map4
+      (fun owner perm size kind -> { Fs.owner; group = owner; perm; size; kind })
+      (oneofl [ "root"; "mysql"; "www" ])
+      (int_bound 0o777) (int_bound 4096)
+      (oneofl [ Fs.Regular; Fs.Directory; Fs.Symlink "/etc" ])
+  in
+  let added records =
+    List.fold_left (fun fs (p, m) -> Fs.add fs p m) Fs.empty records
+  in
+  let tree_records =
+    list_size (int_range 0 30) (pair canonical meta) >|= fun records ->
+    List.rev (Fs.fold (fun p m acc -> (p, m) :: acc) (added records) [])
+  in
+  let records =
+    frequency
+      [ (2, list_size (int_range 0 30) (pair path meta)); (1, tree_records);
+        (1, tree_records >>= fun rs ->
+            map (fun keep -> List.filteri (fun i _ -> List.nth keep (i mod 7)) rs)
+              (list_repeat 7 bool)) ]
+  in
+  let outcome build =
+    match build () with
+    | fs -> Ok (Fs.fold (fun p m acc -> (p, m) :: acc) fs [], Fs.lookup fs "/")
+    | exception Invalid_argument msg -> Error msg
+  in
+  QCheck.Test.make ~name:"Fs.of_list equals folding Fs.add" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(list (fun (p, (m : Fs.meta)) ->
+                  Printf.sprintf "%S %s %o" p m.Fs.owner m.Fs.perm))
+       records)
+    (fun records ->
+      outcome (fun () -> added records) = outcome (fun () -> Fs.of_list records))
+
 (* --- Accounts ----------------------------------------------------------- *)
 
 let test_accounts_base () =
@@ -333,6 +392,7 @@ let () =
           Alcotest.test_case "fold" `Quick test_fs_fold_counts;
           qtest prop_fs_add_then_exists;
           qtest prop_fs_add_matches_reference;
+          qtest prop_fs_of_list_matches_add;
         ] );
       ( "accounts",
         [
