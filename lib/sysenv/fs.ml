@@ -83,68 +83,50 @@ let normalize path =
 
 (* --- sorted-array search ---------------------------------------------------- *)
 
-(* [String.compare s (String.sub p 0 k)], without the copy.  The
-   comparison loops are top-level functions of all their variables: a
-   local closure would be allocated on every call. *)
+(* Search keys are prefixes of a path followed by '/': the first [k]
+   bytes of [p ^ "/"], read without building the string.  With
+   [k <= String.length p] that is a prefix of [p] itself; with [k]
+   from [dir_prefix_length p] it is [p]'s directory prefix, which every
+   descendant of [p] starts with ("/" for the root). *)
+let key_char p i = if i < String.length p then String.unsafe_get p i else '/'
+
+let dir_prefix_length p = if String.length p = 1 then 1 else String.length p + 1
+
+(* The comparison loops are top-level functions of all their
+   variables: a local closure would be allocated on every call. *)
 let rec compare_from s p i n ls k =
   if i = n then Int.compare ls k
   else
-    let c = Char.compare (String.unsafe_get s i) (String.unsafe_get p i) in
+    let c = Char.compare (String.unsafe_get s i) (key_char p i) in
     if c <> 0 then c else compare_from s p (i + 1) n ls k
 
-let compare_prefix s p k =
+(* [String.compare s key] *)
+let compare_key s p k =
   let ls = String.length s in
   compare_from s p 0 (if ls < k then ls else k) ls k
 
+let rec equal_from s p i k =
+  i = k || (String.unsafe_get s i = key_char p i && equal_from s p (i + 1) k)
+
+(* [s] starts with the key *)
+let has_key_prefix s p k = String.length s >= k && equal_from s p 0 k
+
 (* The first index in [lo, hi) of [paths] whose path is not below the
-   first [k] bytes of [p]. *)
+   key. *)
 let lower_bound paths p k lo hi =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if compare_prefix paths.(mid) p k < 0 then lo := mid + 1 else hi := mid
+    if compare_key paths.(mid) p k < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
-(* The index in [0, hi) of the path spelled by the first [k] bytes of
-   [p], or -1. *)
+(* The index in [0, hi) of the path spelled by the key, or -1. *)
 let index_below paths hi p k =
   let i = lower_bound paths p k 0 hi in
-  if i < hi && compare_prefix paths.(i) p k = 0 then i else -1
+  if i < hi && compare_key paths.(i) p k = 0 then i else -1
 
 let index fs p = index_below fs.paths (Array.length fs.paths) p (String.length p)
-
-(* The descendants of a canonical directory path [p] are the paths that
-   start with its directory prefix: [p ^ "/"], or "/" for the root.
-   These read the prefix without building it; [k] is its length. *)
-let dir_prefix_length p = if String.length p = 1 then 1 else String.length p + 1
-
-let dir_prefix_char p i =
-  if i < String.length p then String.unsafe_get p i else '/'
-
-let rec compare_dir_from s p i n ls k =
-  if i = n then Int.compare ls k
-  else
-    let c = Char.compare (String.unsafe_get s i) (dir_prefix_char p i) in
-    if c <> 0 then c else compare_dir_from s p (i + 1) n ls k
-
-(* [String.compare s prefix] *)
-let compare_dir_prefix s p k =
-  let ls = String.length s in
-  compare_dir_from s p 0 (if ls < k then ls else k) ls k
-
-let rec equal_dir_from s p i k =
-  i = k || (String.unsafe_get s i = dir_prefix_char p i && equal_dir_from s p (i + 1) k)
-
-let under_dir s p k = String.length s >= k && equal_dir_from s p 0 k
-
-let lower_bound_dir paths p k =
-  let lo = ref 0 and hi = ref (Array.length paths) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if compare_dir_prefix paths.(mid) p k < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
 
 (* Length of a canonical non-root path's parent: its last '/' (1 for a
    child of the root). *)
@@ -318,9 +300,9 @@ let subtree_exists fs path f =
         i < n
         &&
         let q = fs.paths.(i) in
-        under_dir q p k && (f q k fs.metas.(i) || walk (i + 1))
+        has_key_prefix q p k && (f q k fs.metas.(i) || walk (i + 1))
       in
-      walk (max 1 (lower_bound_dir fs.paths p k))
+      walk (max 1 (lower_bound fs.paths p k 0 n))
 
 let is_child q k = not (String.contains_from q k '/')
 
