@@ -37,8 +37,8 @@ let warnings_of = function Complete ws | Partial ws -> ws
 (* --- compiled indices ---------------------------------------------------- *)
 
 (* One typed column: the inference decision plus the syntactic matcher
-   resolved at compile time.  [String_t] columns are absent (they match
-   everything, so the check skips them). *)
+   resolved at compile time.  A [String_t] column matches everything,
+   so the check skips it. *)
 type typed_column = {
   tc_type : Ctype.t;
   tc_type_name : string;
@@ -180,7 +180,7 @@ let compile source =
          source.rules)
   in
   let entries = Hashtbl.create 512 in
-  let resolve attr =
+  let add_entry attr =
     if not (Hashtbl.mem entries attr) then begin
       let decision = Hashtbl.find_opt decisions attr in
       let typed = Option.map typed_column decision in
@@ -197,13 +197,13 @@ let compile source =
         }
     end
   in
-  List.iter resolve source.known_attrs;
-  List.iter (fun (attr, _) -> resolve attr) source.types;
-  List.iter (fun (attr, _) -> resolve attr) source.value_stats;
+  List.iter add_entry source.known_attrs;
+  List.iter (fun (attr, _) -> add_entry attr) source.types;
+  List.iter (fun (attr, _) -> add_entry attr) source.value_stats;
   Array.iter
     (fun cr ->
-      resolve cr.rule.Template.attr_a;
-      resolve cr.rule.Template.attr_b)
+      add_entry cr.rule.Template.attr_a;
+      add_entry cr.rule.Template.attr_b)
     rules;
   {
     source;

@@ -100,10 +100,13 @@ let rec compare_from s p i n ls k =
     let c = Char.compare (String.unsafe_get s i) (key_char p i) in
     if c <> 0 then c else compare_from s p (i + 1) n ls k
 
-(* [String.compare s key] *)
+(* [String.compare s key]; a whole path compares with [String.compare]
+   itself, which runs as one [memcmp] *)
 let compare_key s p k =
-  let ls = String.length s in
-  compare_from s p 0 (if ls < k then ls else k) ls k
+  if k = String.length p then String.compare s p
+  else
+    let ls = String.length s in
+    compare_from s p 0 (if ls < k then ls else k) ls k
 
 let rec equal_from s p i k =
   i = k || (String.unsafe_get s i = key_char p i && equal_from s p (i + 1) k)
@@ -128,10 +131,11 @@ let index_below paths hi p k =
 
 let index fs p = index_below fs.paths (Array.length fs.paths) p (String.length p)
 
+let rec last_slash p i = if i <= 0 || String.unsafe_get p i = '/' then i else last_slash p (i - 1)
+
 (* Length of a canonical non-root path's parent: its last '/' (1 for a
    child of the root). *)
-let parent_length p =
-  match String.rindex_opt p '/' with Some 0 | None -> 1 | Some i -> i
+let parent_length p = max 1 (last_slash p (String.length p - 1))
 
 let with_meta fs i meta =
   let metas = Array.copy fs.metas in
@@ -180,6 +184,18 @@ let add fs path meta =
     in
     insert fs (with_missing path [ (path, meta) ])
 
+(* Whether the parent of [paths.(i)], its first [k] bytes, is among
+   the paths before it, which ascend and each follow their own parent.
+   A dump lists a directory just before its first child and siblings
+   one after another, so the previous path is mostly the parent or a
+   sibling (whose parent was found); otherwise a binary search. *)
+let parent_listed paths i k =
+  let p = paths.(i) and prev = paths.(i - 1) in
+  k = 1
+  || (String.length prev = k && equal_from prev p 0 k)
+  || (parent_length prev = k && equal_from prev p 0 k)
+  || index_below paths i p k >= 0
+
 (* Records that ascend strictly from the root, each after its parent:
    the order of every [Collector.image_to_text] dump.  [paths.(0)] is
    the root sentinel, so a "/" record fails the test. *)
@@ -187,12 +203,9 @@ let ascends_parents_first paths =
   let n = Array.length paths in
   let rec from i =
     i >= n
-    ||
-    let p = paths.(i) in
-    String.compare paths.(i - 1) p < 0
-    && (let k = parent_length p in
-        k = 1 || index_below paths i p k >= 0)
-    && from (i + 1)
+    || String.compare paths.(i - 1) paths.(i) < 0
+       && parent_listed paths i (parent_length paths.(i))
+       && from (i + 1)
   in
   from 1
 
