@@ -176,11 +176,8 @@ let add fs path meta =
   if i >= 0 then with_meta fs i meta
   else
     let rec with_missing p acc =
-      let k = parent_length p in
-      if index_below fs.paths (Array.length fs.paths) p k >= 0 then acc
-      else
-        let q = String.sub p 0 k in
-        with_missing q ((q, root_meta) :: acc)
+      let q = String.sub p 0 (parent_length p) in
+      if index fs q >= 0 then acc else with_missing q ((q, root_meta) :: acc)
     in
     insert fs (with_missing path [ (path, meta) ])
 

@@ -20,15 +20,20 @@ let base_files =
     ("/etc/hosts", 0o644); ("/etc/hostname", 0o644); ("/etc/fstab", 0o644);
     ("/bin/sh", 0o755); ("/bin/bash", 0o755); ("/usr/bin/env", 0o755) ]
 
-let create rng =
+(* The tree every image starts from, built once: trees are immutable,
+   and each [Fs.add] copies the tree it extends. *)
+let base_fs =
   let fs = List.fold_left Fs.add_dir Fs.empty base_dirs in
   let fs =
     List.fold_left
       (fun fs (path, perm) -> Fs.add_file ~perm fs path)
       fs base_files
   in
-  let fs = Fs.chmod fs "/tmp" ~perm:0o777 in
-  { fs; accounts = Accounts.base; services = Encore_sysenv.Services.base; rng }
+  Fs.chmod fs "/tmp" ~perm:0o777
+
+let create rng =
+  { fs = base_fs; accounts = Accounts.base;
+    services = Encore_sysenv.Services.base; rng }
 
 let add_service_user b name =
   b.accounts <- Accounts.add_service_account b.accounts name;
