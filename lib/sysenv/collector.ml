@@ -206,11 +206,8 @@ let rec fact_index v i =
     if slice_is v 0 section && slice_is v 1 key then i else fact_index v (i + 1)
 
 (* An FS record has exactly six fields: kind, owner, group, octal
-   permission, size and symlink target.  Its metadata is what
-   [Fs.add_dir], [Fs.add_file] or [Fs.add_symlink] would store: a
-   directory or symlink has size 0, and a symlink mode 0777.  The tree
-   is built once, in [finish], where a bad path raises
-   [Invalid_argument]. *)
+   permission, size and symlink target.  The tree is built once, in
+   [finish], where a bad path raises [Invalid_argument]. *)
 let apply_fs r v =
   let dir = slice_is v 2 "dir" and file = slice_is v 2 "file" in
   if dir || file || slice_is v 2 "symlink" then begin
@@ -219,14 +216,11 @@ let apply_fs r v =
     r.owner <- owner;
     r.group <- group;
     let meta =
-      if dir then
-        { Fs.owner; group; perm = slice_perm_or v 5 ~default:0o644; size = 0;
-          kind = Fs.Directory }
+      if dir then Fs.dir_meta ~owner ~group ~perm:(slice_perm_or v 5 ~default:0o644)
       else if file then
-        { Fs.owner; group; perm = slice_perm_or v 5 ~default:0o644;
-          size = slice_int_or v 6 ~default:0; kind = Fs.Regular }
-      else
-        { Fs.owner; group; perm = 0o777; size = 0; kind = Fs.Symlink (slice v 7) }
+        Fs.file_meta ~owner ~group ~perm:(slice_perm_or v 5 ~default:0o644)
+          ~size:(slice_int_or v 6 ~default:0)
+      else Fs.symlink_meta ~owner ~group ~target:(slice v 7)
     in
     r.fs_rev <- (slice v 1, meta) :: r.fs_rev
   end

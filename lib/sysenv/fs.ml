@@ -182,16 +182,8 @@ let add fs path meta =
     insert fs (with_missing path [ (path, meta) ])
 
 (* Whether the parent of [paths.(i)], its first [k] bytes, is among
-   the paths before it, which ascend and each follow their own parent.
-   A dump lists a directory just before its first child and siblings
-   one after another, so the previous path is mostly the parent or a
-   sibling (whose parent was found); otherwise a binary search. *)
-let parent_listed paths i k =
-  let p = paths.(i) and prev = paths.(i - 1) in
-  k = 1
-  || (String.length prev = k && equal_from prev p 0 k)
-  || (parent_length prev = k && equal_from prev p 0 k)
-  || index_below paths i p k >= 0
+   the ascending paths before it. *)
+let parent_listed paths i k = k = 1 || index_below paths i paths.(i) k >= 0
 
 (* Records that ascend strictly from the root, each after its parent:
    the order of every [Collector.image_to_text] dump.  [paths.(0)] is
@@ -240,15 +232,21 @@ let of_list records =
   if ascends_parents_first paths then { paths; metas }
   else of_unordered paths metas
 
+let dir_meta ~owner ~group ~perm = { owner; group; perm; size = 0; kind = Directory }
+let file_meta ~owner ~group ~perm ~size = { owner; group; perm; size; kind = Regular }
+
+let symlink_meta ~owner ~group ~target =
+  { owner; group; perm = 0o777; size = 0; kind = Symlink target }
+
 let add_dir ?(owner = "root") ?(group = "root") ?(perm = 0o755) fs path =
-  add fs path { owner; group; perm; size = 0; kind = Directory }
+  add fs path (dir_meta ~owner ~group ~perm)
 
 let add_file ?(owner = "root") ?(group = "root") ?(perm = 0o644) ?(size = 1024)
     fs path =
-  add fs path { owner; group; perm; size; kind = Regular }
+  add fs path (file_meta ~owner ~group ~perm ~size)
 
 let add_symlink ?(owner = "root") ?(group = "root") fs path ~target =
-  add fs path { owner; group; perm = 0o777; size = 0; kind = Symlink target }
+  add fs path (symlink_meta ~owner ~group ~target)
 
 let remove fs path =
   match canonicalize path with

@@ -15,9 +15,10 @@
     contiguous run of paths under its directory.  The arrays are
     immutable, so every update copies them: {!add} costs O(n) in the
     size of the tree, and folding it over n records costs O(n{^2}).
-    A whole tree is built with {!of_list}, in O(n) when the records
-    ascend parent first (every collector dump does) and O(n log n)
-    otherwise. *)
+    A whole tree is built with {!of_list} in O(n log n): records that
+    ascend parent first (every collector dump does) are taken in one
+    pass, with a binary search for each record's parent; any other
+    order is sorted. *)
 
 type kind = Regular | Directory | Symlink of string
 
@@ -52,10 +53,19 @@ val of_list : (string * meta) list -> t
 (** The tree that folding {!add} over the records in order from
     {!empty} builds: the last record for a path wins, and an ancestor
     that no record names is a root-owned 0755 directory.  Records that
-    ascend in canonical path order, each after its parent, are copied
+    ascend in canonical path order, each after its parent, are taken
     in one pass; any other order is sorted.
     @raise Invalid_argument at the first path that does not
     canonicalize, with {!add}'s message. *)
+
+(** {2 Metadata by kind}
+
+    The metadata {!add_dir}, {!add_file} and {!add_symlink} store.  A
+    directory or a symlink has size 0, and a symlink mode 0777. *)
+
+val dir_meta : owner:string -> group:string -> perm:int -> meta
+val file_meta : owner:string -> group:string -> perm:int -> size:int -> meta
+val symlink_meta : owner:string -> group:string -> target:string -> meta
 
 val add_dir :
   ?owner:string -> ?group:string -> ?perm:int -> t -> string -> t

@@ -70,15 +70,20 @@ let generate_lamp ?(profile = Profile.private_cloud) ~seed ~n () =
       let apache_img = Apache_app.generate profile sub ~id:(id ^ "-apache") in
       (* merge: rebuild on one builder so the filesystem is shared *)
       let b = Imagebase.create sub in
-      b.Imagebase.fs <- mysql_img.Image.fs;
       b.Imagebase.accounts <- mysql_img.Image.accounts;
-      (* overlay apache's tree and accounts *)
-      let fs =
-        Encore_sysenv.Fs.fold
-          (fun path meta acc -> Encore_sysenv.Fs.add acc path meta)
-          apache_img.Image.fs b.Imagebase.fs
+      (* overlay apache's tree and accounts; the merged tree keeps
+         mysql's root, whose metadata a generator may have set *)
+      let records fs =
+        List.rev (Encore_sysenv.Fs.fold (fun p m acc -> (p, m) :: acc) fs [])
       in
-      b.Imagebase.fs <- fs;
+      let mysql_root =
+        match Encore_sysenv.Fs.lookup mysql_img.Image.fs "/" with
+        | Some m -> [ ("/", m) ]
+        | None -> []
+      in
+      b.Imagebase.fs <-
+        Encore_sysenv.Fs.of_list
+          (mysql_root @ records mysql_img.Image.fs @ records apache_img.Image.fs);
       List.iter
         (fun (u : Encore_sysenv.Accounts.user) ->
           b.Imagebase.accounts <-
