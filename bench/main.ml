@@ -38,7 +38,21 @@ module Population = Encore_workloads.Population
 module Profile = Encore_workloads.Profile
 module Image = Encore_sysenv.Image
 module Assemble = Encore_dataset.Assemble
-module Detector = Encore_detect.Detector
+module Engine = Encore_detect.Engine
+
+(* A model from a clean corpus: without a customization file,
+   [learn_result] has nothing to fail on. *)
+let learn images =
+  match Encore.Pipeline.learn_result images with
+  | Ok model -> model
+  | Error d -> failwith d.Encore_util.Resilience.detail
+
+(* The total path [encore-cli learn] runs: ingest, fold, finalize. *)
+let learn_durable ?config images =
+  match Encore.Pipeline.learn_durable ?config images with
+  | Ok { Encore.Pipeline.model = Some model; _ } -> model
+  | Ok { Encore.Pipeline.model = None; _ } -> failwith "learn_durable: no model"
+  | Error d -> failwith d.Encore_util.Resilience.detail
 
 (* --- phase 1: regenerate the paper's tables ------------------------------- *)
 
@@ -65,7 +79,7 @@ let scale = Experiments.test_scale
 let fixture_images =
   lazy (Population.clean (Population.generate ~seed:7 Image.Mysql ~n:25))
 
-let fixture_model = lazy (Detector.learn (Lazy.force fixture_images))
+let fixture_model = lazy (learn (Lazy.force fixture_images))
 
 let fixture_assembled =
   lazy (Assemble.assemble_training (Lazy.force fixture_images))
@@ -112,7 +126,9 @@ let stage_tests () =
            Encore_rules.Infer.infer ~types:assembled.Assemble.types training));
     Test.make ~name:"detector-check"
       (Staged.stage (fun () ->
-           Detector.check (Lazy.force fixture_model) (Lazy.force fixture_target)));
+           Engine.check
+             (Engine.compile (Lazy.force fixture_model))
+             (Lazy.force fixture_target)));
     Test.make ~name:"fpgrowth-assembled"
       (Staged.stage (fun () ->
            let transactions, _ = Lazy.force fixture_transactions in
@@ -132,9 +148,9 @@ let stage_tests () =
              (Lazy.force fixture_target)));
     (* instrumented path with the nil trace sink: its cost must stay
        within noise of the uninstrumented stages above *)
-    Test.make ~name:"learn-resilient-25"
+    Test.make ~name:"learn-durable-25"
       (Staged.stage (fun () ->
-           Encore.Pipeline.learn_resilient (Lazy.force fixture_images))) ]
+           Encore.Pipeline.learn_durable (Lazy.force fixture_images))) ]
 
 let run_benchmarks () =
   (* force fixtures outside the timed region *)
@@ -179,7 +195,7 @@ let paper_n =
   | Some n -> n
   | None -> 100
 
-(* One paper-scale learn (resilient path) + check with [jobs] worker
+(* One paper-scale learn (durable path) + check with [jobs] worker
    domains, traced into the memory sink; returns the per-stage wall-time
    summary.  Trace and metric state is reset afterwards so back-to-back
    runs at different job counts don't contaminate each other. *)
@@ -199,12 +215,10 @@ let run_summary ~jobs =
       Trace.clear ();
       Encore_obs.Metrics.reset ())
     (fun () ->
-      (match Encore.Pipeline.learn_resilient ~config images with
-       | Ok (model, _report) -> ignore (Detector.check model target)
-       | Error d ->
-           prerr_endline
-             ("learn failed: " ^ Encore_util.Resilience.diagnostic_to_string d);
-           exit 1);
+      ignore
+        (Engine.check
+           (Engine.compile (learn_durable ~config images))
+           target);
       Summary.of_spans (Trace.roots ()))
 
 let print_stage_times ~jobs =
@@ -246,7 +260,7 @@ let measure_checkpoint () =
   let images =
     Population.clean (Population.generate ~seed:7 Image.Mysql ~n:paper_n)
   in
-  let model = Detector.learn images in
+  let model = learn images in
   let payload_bytes = String.length (Model_io.to_string model) in
   let dir = Filename.temp_file "encore-bench" ".store" in
   Sys.remove dir;
@@ -288,7 +302,7 @@ let print_checkpoint_times () =
 type check_measurement = {
   fleet_size : int;
   check_jobs : int;
-  single_loop_ns : int;  (* Pipeline.check per image: compile every call *)
+  single_loop_ns : int;  (* Engine.check per image: compile every call *)
   fleet_ns : int;        (* Pipeline.check_fleet: compile once, pooled *)
   fleet_seq_ns : int;    (* Pipeline.check_fleet at jobs=1 *)
   decode_ns : int;       (* Collector.image_of_text of every target's dump *)
@@ -324,8 +338,8 @@ let words_of f =
 
 (* Serving-path cost at paper scale: check [fleet_size] held-out images
    against a paper-scale mysql model, once through the naive
-   single-image loop (Pipeline.check compiles the engine on every
-   call) and once through Pipeline.check_fleet (one Engine.compile,
+   single-image loop (Engine.compile on every check, on purpose: the
+   loop is what the fleet speedup is measured against) and once through Pipeline.check_fleet (one Engine.compile,
    worker pool), the latter both at [jobs] and at jobs=1.  Every path
    produces identical warnings; only the throughput differs.  The
    targets' collector dumps are decoded too, so the two layers of an
@@ -335,7 +349,7 @@ let measure_check ~jobs =
   let images =
     Population.clean (Population.generate ~seed:7 Image.Mysql ~n:paper_n)
   in
-  let model = Detector.learn images in
+  let model = learn images in
   let fleet_size = 100 in
   let fleet =
     List.init fleet_size (fun i ->
@@ -349,7 +363,12 @@ let measure_check ~jobs =
   let seq_config = { config with Encore.Config.jobs = 1 } in
   (* warm every path outside the timed region *)
   ignore (decode ());
-  List.iter (fun img -> ignore (Encore.Pipeline.check model img)) fleet;
+  let single_loop () =
+    List.iter
+      (fun img -> ignore (Engine.check (Engine.compile model) img))
+      fleet
+  in
+  single_loop ();
   ignore (Encore.Pipeline.check_fleet ~config model fleet);
   ignore (Encore.Pipeline.check_fleet ~config:seq_config model fleet);
   (* best of N rounds per path: throughput is a property of the code,
@@ -363,10 +382,7 @@ let measure_check ~jobs =
     done;
     !m
   in
-  let single_loop_ns =
-    best (fun () ->
-        List.iter (fun img -> ignore (Encore.Pipeline.check model img)) fleet)
-  in
+  let single_loop_ns = best single_loop in
   let fleet_ns =
     best (fun () -> ignore (Encore.Pipeline.check_fleet ~config model fleet))
   in
@@ -438,7 +454,7 @@ let measure_serve () =
   let images =
     Population.clean (Population.generate ~seed:7 Image.Mysql ~n:paper_n)
   in
-  let model = Detector.learn images in
+  let model = learn images in
   let srv =
     Encore_serve.Server.create
       (Encore_serve.Cache.create ~provider:(fun ~app:_ -> Ok model))
@@ -728,10 +744,7 @@ let measure_merge ~jobs =
     go (merge_rounds - 1) (time_ns f)
   in
   let retrained, mg_retrain_ns =
-    best (fun () ->
-        match Encore.Pipeline.learn_resilient ~config grown with
-        | Ok (m, _) -> m
-        | Error d -> failwith d.Encore_util.Resilience.detail)
+    best (fun () -> learn_durable ~config grown)
   in
   let appended, mg_append_ns =
     best (fun () -> Encore.Pipeline.learn_append ~config learner tail)

@@ -29,6 +29,7 @@
 module Population = Encore_workloads.Population
 module Profile = Encore_workloads.Profile
 module Detector = Encore_detect.Detector
+module Engine = Encore_detect.Engine
 module Report = Encore_detect.Report
 module Image = Encore_sysenv.Image
 module Conferr = Encore_inject.Conferr
@@ -87,11 +88,26 @@ let read_file path =
   Fun.protect ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* The model and the number of images it was learned from. *)
 let learn_model ?custom ~seed ~profile ~jobs app n =
   let images = Population.clean (Population.generate ~profile ~seed app ~n) in
   let custom = Option.map read_file custom in
   let config = { Encore.Config.default with Encore.Config.seed; jobs } in
-  (Encore.Pipeline.learn ~config ?custom images, List.length images)
+  Result.map
+    (fun model -> (model, List.length images))
+    (Encore.Pipeline.learn_result ~config ?custom images)
+
+let learning_failed d =
+  prerr_endline
+    ("learning failed: " ^ Encore_util.Resilience.diagnostic_to_string d);
+  1
+
+(* [f model trained], or exit code 1 when learning fails (a malformed
+   customization file). *)
+let with_learned_model ?custom ~seed ~profile ~jobs app n f =
+  match learn_model ?custom ~seed ~profile ~jobs app n with
+  | Ok (model, trained) -> f model trained
+  | Error d -> learning_failed d
 
 (* --- telemetry plumbing -------------------------------------------------- *)
 
@@ -326,9 +342,7 @@ let learn seed profile app n custom mode max_retries chaos_frac jobs shards
     append_to_base ~config ~custom base o
   in
   (match result with
-   | Error d ->
-       prerr_endline
-         ("learning failed: " ^ Encore_util.Resilience.diagnostic_to_string d)
+   | Error d -> ignore (learning_failed d)
    | Ok o -> (
        (match (stats_dir, o.Encore.Pipeline.stats) with
         | Some dir, Some stats ->
@@ -581,7 +595,13 @@ let serve model_path store_dir learn_stats_dir socket_path journal_path
     | None, None -> (
         match Image.app_of_string name with
         | None -> Error (Printf.sprintf "unknown application %S" name)
-        | Some app -> Ok (fst (learn_model ~seed ~profile ~jobs app n))))
+        | Some app -> (
+            match learn_model ~seed ~profile ~jobs app n with
+            | Ok (model, _) -> Ok model
+            | Error d ->
+                Error
+                  ("learning failed: "
+                  ^ Encore_util.Resilience.diagnostic_to_string d))))
   in
   let dc = Encore_serve.Server.default_config in
   let config =
@@ -1146,7 +1166,8 @@ let check_fleet_mode ~seed ~profile ~app ~n ~custom ~threshold ~jobs ~fleet
       prerr_endline "fleet check: no *.img dumps found";
       1
   | Ok loaded ->
-      let model, trained = learn_model ?custom ~seed ~profile ~jobs app n in
+      with_learned_model ?custom ~seed ~profile ~jobs app n
+      @@ fun model trained ->
       Printf.printf "model: %d rules from %d images; checking %d target(s)\n"
         (List.length model.Detector.rules) trained (List.length loaded);
       let config =
@@ -1182,7 +1203,8 @@ let check seed profile app n custom threshold jobs fleet targets report_path
     check_fleet_mode ~seed ~profile ~app ~n ~custom ~threshold ~jobs ~fleet
       ~targets ~report_path ~deadline_s
   else begin
-    let model, trained = learn_model ?custom ~seed ~profile ~jobs app n in
+    with_learned_model ?custom ~seed ~profile ~jobs app n
+    @@ fun model trained ->
     Printf.printf "model: %d rules from %d images\n" (List.length model.Detector.rules) trained;
     let rng = Encore_util.Prng.create (seed + 10_000) in
     let target = Population.generator_for app profile rng ~id:"held-out" in
@@ -1194,7 +1216,7 @@ let check seed profile app n custom threshold jobs fleet targets report_path
     let warnings =
       List.filter
         (fun w -> w.Encore_detect.Warning.score >= threshold)
-        (Detector.check model campaign.Conferr.image)
+        (Engine.check (Engine.compile model) campaign.Conferr.image)
     in
     print_endline "\nranked warnings:";
     print_string (Report.to_string warnings);
@@ -1302,7 +1324,8 @@ let save seed profile app n custom jobs output store_dir keep =
       prerr_endline "save: pass --output FILE and/or --store DIR";
       2
   | _ ->
-      let model, trained = learn_model ?custom ~seed ~profile ~jobs app n in
+      with_learned_model ?custom ~seed ~profile ~jobs app n
+      @@ fun model trained ->
       let describe dest =
         Printf.printf
           "saved a model learned from %d images (%d rules, %d typed columns) \
@@ -1360,7 +1383,7 @@ let load_check model_path seed app threshold advise =
       let warnings =
         List.filter
           (fun w -> w.Encore_detect.Warning.score >= threshold)
-          (Detector.check model campaign.Conferr.image)
+          (Engine.check (Engine.compile model) campaign.Conferr.image)
       in
       print_endline "\nranked warnings:";
       print_string (Report.to_string warnings);
@@ -1383,7 +1406,8 @@ let load_cmd =
 (* --- testgen -------------------------------------------------------------------- *)
 
 let testgen seed profile app n jobs =
-  let model, _ = learn_model ~seed ~profile ~jobs app n in
+  with_learned_model ~seed ~profile ~jobs app n @@ fun model _ ->
+  let engine = Engine.compile model in
   let rng = Encore_util.Prng.create (seed + 30_000) in
   let img = Population.generator_for app profile rng ~id:"seed-image" in
   let cases = Encore.Testgen.generate model img in
@@ -1392,7 +1416,7 @@ let testgen seed profile app n jobs =
   let verified = ref 0 in
   List.iter
     (fun (c : Encore.Testgen.test_case) ->
-      let ok = Encore.Testgen.verify_detected model c in
+      let ok = Encore.Testgen.verify_detected engine c in
       if ok then incr verified;
       Printf.printf "  [%s] %s\n    target rule: %s\n"
         (if ok then "re-detected" else "silent     ")
@@ -1438,7 +1462,7 @@ let ablation which scale_name seed =
 let ablation_cmd =
   let doc =
     "Run an ablation study: training-size, confidence, type-selection, \
-     checks or all."
+     checks, miners or all."
   in
   Cmd.v (Cmd.info "ablation" ~doc)
     Term.(const ablation
@@ -1464,14 +1488,14 @@ let run_case case_id seed jobs =
         Option.value ~default:100
           (List.assoc_opt case.Encore_workloads.Cases.app Population.paper_training_sizes)
       in
-      let model, _ =
-        learn_model ~seed ~profile:Profile.ec2 ~jobs
-          case.Encore_workloads.Cases.app n
-      in
+      with_learned_model ~seed ~profile:Profile.ec2 ~jobs
+        case.Encore_workloads.Cases.app n
+      @@ fun model _ ->
       let warnings =
         List.filter
           (fun w -> w.Encore_detect.Warning.score >= 0.55)
-          (Detector.check model case.Encore_workloads.Cases.target)
+          (Engine.check (Engine.compile model)
+             case.Encore_workloads.Cases.target)
       in
       (if warnings = [] then
          print_endline

@@ -12,6 +12,7 @@
 module Population = Encore_workloads.Population
 module Profile = Encore_workloads.Profile
 module Detector = Encore_detect.Detector
+module Engine = Encore_detect.Engine
 module Report = Encore_detect.Report
 module Fault = Encore_inject.Fault
 module Image = Encore_sysenv.Image
@@ -22,7 +23,12 @@ let () =
   let training =
     Population.clean (Population.generate ~seed:61 Image.Apache ~n:100)
   in
-  let model = Detector.learn training in
+  let model =
+    match Encore.Pipeline.learn_result training with
+    | Ok model -> model
+    | Error d -> failwith (Encore_util.Resilience.diagnostic_to_string d)
+  in
+  let engine = Engine.compile model in
   Printf.printf "trained on %d images (%d rules)\n\n" (List.length training)
     (List.length model.Detector.rules);
 
@@ -35,7 +41,7 @@ let () =
         Report.merge_by_attr
           (List.filter
              (fun w -> w.Encore_detect.Warning.score >= detection_threshold)
-             (Detector.check model img))
+             (Engine.check engine img))
       in
       let has_latent = labeled.Population.latent <> [] in
       if has_latent then incr seeded;

@@ -12,6 +12,7 @@
 module Population = Encore_workloads.Population
 module Profile = Encore_workloads.Profile
 module Detector = Encore_detect.Detector
+module Engine = Encore_detect.Engine
 module Report = Encore_detect.Report
 module Image = Encore_sysenv.Image
 module Kv = Encore_confparse.Kv
@@ -34,7 +35,11 @@ let () =
 
   Encore_typing.Custom_registry.clear ();
   let training = Population.clean (Population.generate ~seed:88 Image.Mysql ~n:80) in
-  let model = Encore.Pipeline.learn ~custom:customization training in
+  let model =
+    match Encore.Pipeline.learn_result ~custom:customization training with
+    | Ok model -> model
+    | Error d -> failwith (Encore_util.Resilience.diagnostic_to_string d)
+  in
 
   print_endline "rules instantiated from the custom template:";
   let custom_rules =
@@ -63,7 +68,7 @@ let () =
       let ws =
         List.filter
           (fun w -> w.Encore_detect.Warning.score >= 0.45)
-          (Detector.check model broken)
+          (Engine.check (Engine.compile model) broken)
       in
       print_string (Report.to_string ws);
       Encore_typing.Custom_registry.clear ()

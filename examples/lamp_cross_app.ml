@@ -12,6 +12,7 @@
 
 module Population = Encore_workloads.Population
 module Detector = Encore_detect.Detector
+module Engine = Encore_detect.Engine
 module Report = Encore_detect.Report
 module Image = Encore_sysenv.Image
 module Kv = Encore_confparse.Kv
@@ -21,7 +22,12 @@ let () =
     Population.images (Population.generate_lamp ~seed:301 ~n:60 ())
   in
   Printf.printf "training on %d LAMP images\n" (List.length training);
-  let model = Detector.learn training in
+  let model =
+    match Encore.Pipeline.learn_result training with
+    | Ok model -> model
+    | Error d -> failwith (Encore_util.Resilience.diagnostic_to_string d)
+  in
+  let engine = Engine.compile model in
 
   let cross_app =
     List.filter
@@ -74,7 +80,7 @@ let () =
             && List.exists
                  (fun a -> Encore_util.Strutil.contains_sub a "socket")
                  w.Encore_detect.Warning.attrs)
-          (Detector.check model broken)
+          (Engine.check engine broken)
       in
       print_string (Report.to_string ws)
   | None ->

@@ -16,6 +16,7 @@ module Population = Encore_workloads.Population
 module Profile = Encore_workloads.Profile
 module Baseline = Encore_detect.Baseline
 module Detector = Encore_detect.Detector
+module Engine = Encore_detect.Engine
 module Report = Encore_detect.Report
 module Image = Encore_sysenv.Image
 module Fs = Encore_sysenv.Fs
@@ -55,9 +56,14 @@ let () =
   print_string (Report.to_string ws);
 
   section "EnCore (environment + correlation rules)";
-  let model = Detector.learn training in
+  let model =
+    match Encore.Pipeline.learn_result training with
+    | Ok model -> model
+    | Error d -> failwith (Encore_util.Resilience.diagnostic_to_string d)
+  in
+  let engine = Engine.compile model in
   let ws = List.filter (fun w -> w.Encore_detect.Warning.score >= 0.45)
-      (Detector.check model broken) in
+      (Engine.check engine broken) in
   print_string (Report.to_string ws);
 
   (* show the concrete rule that fired, as learned from the templates *)

@@ -14,6 +14,7 @@
 module Population = Encore_workloads.Population
 module Profile = Encore_workloads.Profile
 module Detector = Encore_detect.Detector
+module Engine = Encore_detect.Engine
 module Report = Encore_detect.Report
 module Image = Encore_sysenv.Image
 module Kv = Encore_confparse.Kv
@@ -34,7 +35,12 @@ let edit_value img key value =
 
 let () =
   let training = Population.clean (Population.generate ~seed:47 Image.Php ~n:80) in
-  let model = Detector.learn training in
+  let model =
+    match Encore.Pipeline.learn_result training with
+    | Ok model -> model
+    | Error d -> failwith (Encore_util.Resilience.diagnostic_to_string d)
+  in
+  let engine = Engine.compile model in
   Printf.printf "model: %d rules learned from %d images\n"
     (List.length model.Detector.rules) (List.length training);
 
@@ -48,7 +54,7 @@ let () =
   (* problem #10: upload_max_filesize raised above post_max_size *)
   print_endline "\n--- invert the upload limits (upload_max_filesize = 1G) ---";
   let inverted = edit_value target "php/PHP/upload_max_filesize" "1G" in
-  print_string (Report.to_string (strong (Detector.check model inverted)));
+  print_string (Report.to_string (strong (Engine.check engine inverted)));
 
   (* Figure 1(a): extension_dir points at a file *)
   print_endline "\n--- point extension_dir at a regular file ---";
@@ -59,9 +65,9 @@ let () =
     | [] -> failwith "extension dir empty"
   in
   let fig1a = edit_value target "php/PHP/extension_dir" some_file in
-  print_string (Report.to_string (strong (Detector.check model fig1a)));
+  print_string (Report.to_string (strong (Engine.check engine fig1a)));
 
   (* and a wrong location entirely (problem #5) *)
   print_endline "\n--- point extension_dir at a missing location ---";
   let missing = edit_value target "php/PHP/extension_dir" "/usr/lib/php5/20131226" in
-  print_string (Report.to_string (strong (Detector.check model missing)))
+  print_string (Report.to_string (strong (Engine.check engine missing)))

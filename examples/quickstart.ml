@@ -2,7 +2,8 @@
 
    1. obtain a training set of configured system images
    2. learn a model (types + correlation rules + value statistics)
-   3. check a target image and read the ranked warnings
+   3. compile the model once, then check target images and read the
+      ranked warnings
 
    Run with: dune exec examples/quickstart.exe *)
 
@@ -10,6 +11,7 @@ module Population = Encore_workloads.Population
 module Profile = Encore_workloads.Profile
 module Image = Encore_sysenv.Image
 module Fs = Encore_sysenv.Fs
+module Engine = Encore_detect.Engine
 
 let () =
   (* 1. a deterministic population of 60 MySQL system images standing in
@@ -21,7 +23,11 @@ let () =
 
   (* 2. learn: parse every config, infer entry types, integrate the
      environment, and mine correlation rules through the 11 templates *)
-  let model = Encore.Pipeline.learn training in
+  let model =
+    match Encore.Pipeline.learn_result training with
+    | Ok model -> model
+    | Error d -> failwith (Encore_util.Resilience.diagnostic_to_string d)
+  in
   Printf.printf "learned %d correlation rules, for example:\n"
     (List.length model.Encore_detect.Detector.rules);
   List.iteri
@@ -47,11 +53,20 @@ let () =
     Image.with_fs target (Fs.chown target.Image.fs datadir ~owner:"root" ~group:"root")
   in
 
+  (* compile once; keep the warnings at or above the detection score *)
+  let engine = Engine.compile model in
+  let detections img =
+    List.filter
+      (fun w ->
+        w.Encore_detect.Warning.score
+        >= Encore.Config.default.Encore.Config.detection_score)
+      (Engine.check engine img)
+  in
   print_endline "\nchecking the misconfigured image:";
-  let warnings = Encore.Pipeline.detections model broken in
+  let warnings = detections broken in
   print_string (Encore_detect.Report.to_string warnings);
 
   (* the clean version stays quiet *)
-  let quiet = Encore.Pipeline.detections model target in
+  let quiet = detections target in
   Printf.printf "\nand the clean original produces %d warning(s)\n"
     (List.length quiet)

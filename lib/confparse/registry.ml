@@ -7,18 +7,33 @@ let ini_lens = { parse = Ini.parse; render = Ini.render }
 let apache_lens = { parse = Apache_lens.parse; render = Apache_lens.render }
 let sshd_lens = { parse = Sshd_lens.parse; render = Sshd_lens.render }
 
-let default () =
-  [ ("apache", apache_lens); ("mysql", ini_lens); ("php", ini_lens);
-    ("sshd", sshd_lens) ]
+(* The builtin lenses, each with its diagnostic-collecting parser.  The
+   [lens] record stays minimal (registered lenses only have to supply
+   parse/render), so the richer entry point rides beside it. *)
+let builtins =
+  [ ("apache", (apache_lens, Apache_lens.parse_diag));
+    ("mysql", (ini_lens, Ini.parse_diag));
+    ("php", (ini_lens, Ini.parse_diag));
+    ("sshd", (sshd_lens, Sshd_lens.parse_diag)) ]
+
+let default () = List.map (fun (app, (lens, _)) -> (app, lens)) builtins
 
 let custom : (string, lens) Hashtbl.t = Hashtbl.create 8
 
 let register name lens = Hashtbl.replace custom name lens
+let unregister name = Hashtbl.remove custom name
 
-let lens_for name =
-  match Hashtbl.find_opt custom name with
-  | Some lens -> Some lens
-  | None -> List.assoc_opt name (default ())
+(* The one lens lookup: a registered lens first, then the builtin one.
+   Only a builtin comes with a diagnostic parser. *)
+let resolve app =
+  match Hashtbl.find_opt custom app with
+  | Some lens -> Some (lens, None)
+  | None ->
+      Option.map
+        (fun (lens, parse_diag) -> (lens, Some parse_diag))
+        (List.assoc_opt app builtins)
+
+let lens_for app = Option.map fst (resolve app)
 
 let parse_image (img : Encore_sysenv.Image.t) =
   List.concat_map
@@ -29,13 +44,6 @@ let parse_image (img : Encore_sysenv.Image.t) =
       | Some lens -> lens.parse ~app cf.text)
     img.configs
 
-(* Diagnostic-collecting counterparts of the builtin lens parsers.  The
-   [lens] record itself stays minimal (custom lenses only have to supply
-   parse/render), so the richer entry points live in a side table. *)
-let builtin_diag_parsers =
-  [ ("apache", Apache_lens.parse_diag); ("mysql", Ini.parse_diag);
-    ("php", Ini.parse_diag); ("sshd", Sshd_lens.parse_diag) ]
-
 type image_parse = {
   kvs : Kv.t list;
   fatal : Encore_util.Resilience.diagnostic list;
@@ -44,41 +52,45 @@ type image_parse = {
 
 let parse_image_diag (img : Encore_sysenv.Image.t) =
   let module Res = Encore_util.Resilience in
-  let kvs = ref [] and fatal = ref [] and warnings = ref [] in
-  List.iter
-    (fun (cf : Encore_sysenv.Image.config_file) ->
-      let app = Encore_sysenv.Image.app_to_string cf.app in
-      let subject = img.Encore_sysenv.Image.image_id ^ ":" ^ cf.path in
-      match Res.scan_text ~subject cf.text with
-      | _ :: _ as bad ->
-          (* the file payload itself is damaged; parsing it would yield
-             garbage attributes, so mark it fatal and keep its kvs out *)
-          fatal := !fatal @ bad
-      | [] -> (
-          match List.assoc_opt app builtin_diag_parsers with
-          | Some parse_diag ->
-              let pairs, diags = parse_diag ~app cf.text in
-              kvs := !kvs @ pairs;
-              warnings :=
-                !warnings
-                @ List.map
-                    (fun (line, msg) ->
-                      Res.diag Res.Parse_error
-                        ~subject:(Printf.sprintf "%s:%d" subject line)
-                        msg)
-                    diags
-          | None -> (
-              (* custom lens: no diagnostic channel; a raising parser is
-                 a rule-author bug, surfaced as Custom_rule_error *)
-              match lens_for app with
-              | None -> ()
-              | Some lens -> (
-                  match lens.parse ~app cf.text with
-                  | pairs -> kvs := !kvs @ pairs
-                  | exception e ->
-                      fatal :=
-                        !fatal
-                        @ [ Res.diag Res.Custom_rule_error ~subject
-                              (Printexc.to_string e) ]))))
-    img.configs;
-  { kvs = !kvs; fatal = !fatal; warnings = !warnings }
+  let parse_file (cf : Encore_sysenv.Image.config_file) =
+    let app = Encore_sysenv.Image.app_to_string cf.app in
+    let subject = img.Encore_sysenv.Image.image_id ^ ":" ^ cf.path in
+    match Res.scan_text ~subject cf.text with
+    | _ :: _ as bad ->
+        (* the file payload itself is damaged; parsing it would yield
+           garbage attributes, so mark it fatal and keep its kvs out *)
+        { kvs = []; fatal = bad; warnings = [] }
+    | [] -> (
+        match resolve app with
+        | None -> { kvs = []; fatal = []; warnings = [] }
+        | Some (_, Some parse_diag) ->
+            let kvs, diags = parse_diag ~app cf.text in
+            let warnings =
+              List.map
+                (fun (line, msg) ->
+                  Res.diag Res.Parse_error
+                    ~subject:(Printf.sprintf "%s:%d" subject line)
+                    msg)
+                diags
+            in
+            { kvs; fatal = []; warnings }
+        | Some (lens, None) -> (
+            (* registered lens: no diagnostic channel; a raising parser
+               is a rule-author bug, surfaced as Custom_rule_error *)
+            match lens.parse ~app cf.text with
+            | kvs -> { kvs; fatal = []; warnings = [] }
+            | exception e ->
+                {
+                  kvs = [];
+                  fatal =
+                    [ Res.diag Res.Custom_rule_error ~subject
+                        (Printexc.to_string e) ];
+                  warnings = [];
+                }))
+  in
+  let files = List.map parse_file img.configs in
+  {
+    kvs = List.concat_map (fun f -> f.kvs) files;
+    fatal = List.concat_map (fun f -> f.fatal) files;
+    warnings = List.concat_map (fun f -> f.warnings) files;
+  }

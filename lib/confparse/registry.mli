@@ -15,10 +15,16 @@ val default : unit -> (string * lens) list
     sshd -> sshd lens. *)
 
 val lens_for : string -> lens option
-(** Look up in the default registry extended by {!register}. *)
+(** Look up in the default registry extended by {!register}: a
+    registered lens first, then the builtin one.  {!parse_image} and
+    {!parse_image_diag} both resolve lenses this way. *)
 
 val register : string -> lens -> unit
 (** Bind (or override) the lens used for an application name. *)
+
+val unregister : string -> unit
+(** Drop the binding {!register} made for an application name; its
+    builtin lens, if any, applies again. *)
 
 val parse_image : Encore_sysenv.Image.t -> Kv.t list
 (** Parse every config file carried by an image with its app's lens,
@@ -37,8 +43,9 @@ type image_parse = {
 }
 
 val parse_image_diag : Encore_sysenv.Image.t -> image_parse
-(** Resilient counterpart of {!parse_image}.  Never raises: config
-    files whose raw text fails {!Encore_util.Resilience.scan_text} are
-    excluded wholesale and reported under [fatal]; builtin lenses
-    contribute skipped-line diagnostics under [warnings]; custom lenses
-    that raise are caught and reported as [Custom_rule_error]. *)
+(** Resilient counterpart of {!parse_image}, with the same lenses and
+    the same pairs in the same order.  Never raises: config files whose
+    raw text fails {!Encore_util.Resilience.scan_text} are excluded
+    wholesale and reported under [fatal]; builtin lenses contribute
+    skipped-line diagnostics under [warnings]; registered lenses that
+    raise are caught and reported as [Custom_rule_error]. *)

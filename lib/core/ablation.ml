@@ -2,6 +2,7 @@ module Image = Encore_sysenv.Image
 module Population = Encore_workloads.Population
 module Profile = Encore_workloads.Profile
 module Detector = Encore_detect.Detector
+module Engine = Encore_detect.Engine
 module Warning = Encore_detect.Warning
 module Report = Encore_detect.Report
 module Conferr = Encore_inject.Conferr
@@ -30,8 +31,8 @@ let needles_of (inj : Fault.injection) =
         Encore_confparse.Kv.key_basename inj.Fault.target_attr ]
   | _ -> [ Encore_confparse.Kv.key_basename inj.Fault.target_attr ]
 
-let detected_count ~config model campaign =
-  let warnings = Detector.check model campaign.Conferr.image in
+let detected_count ~config ?checks engine campaign =
+  let warnings = Engine.check ?checks engine campaign.Conferr.image in
   let strong =
     List.filter
       (fun w -> w.Warning.score >= config.Config.detection_score)
@@ -43,6 +44,12 @@ let detected_count ~config model campaign =
          List.exists (fun n -> Report.rank_of_attr strong n <> None) (needles_of inj))
        campaign.Conferr.injections)
 
+(* Learn from a clean population, compiled for checking. *)
+let learn_engine ~config images =
+  match Pipeline.learn_result ~config images with
+  | Ok model -> Engine.compile model
+  | Error _ -> assert false (* only a customization file can fail *)
+
 let training_size ?(config = Config.default) ?(sizes = [ 10; 25; 50; 100; 187 ]) () =
   let app = Image.Mysql in
   let campaign = campaign ~config app in
@@ -53,15 +60,11 @@ let training_size ?(config = Config.default) ?(sizes = [ 10; 25; 50; 100; 187 ])
           Population.clean
             (Population.generate ~seed:config.Config.seed app ~n)
         in
-        let model =
-          Detector.learn
-            ~params:(Config.rule_params config)
-            ~entropy_threshold:config.Config.entropy_threshold images
-        in
+        let engine = learn_engine ~config images in
         [ string_of_int n;
           string_of_int (List.length images);
-          string_of_int (List.length model.Detector.rules);
-          Printf.sprintf "%d/15" (detected_count ~config model campaign) ])
+          string_of_int (List.length (Engine.model engine).Detector.rules);
+          Printf.sprintf "%d/15" (detected_count ~config engine campaign) ])
       sizes
   in
   {
@@ -198,40 +201,22 @@ let check_breakdown ?(config = Config.default) ?(scale = Experiments.paper_scale
         let images =
           Population.clean (Population.generate ~seed:config.Config.seed app ~n)
         in
-        let model =
-          Detector.learn
-            ~params:(Config.rule_params config)
-            ~entropy_threshold:config.Config.entropy_threshold images
-        in
+        let engine = learn_engine ~config images in
         let campaign = campaign ~config app in
         let variants =
-          [ ("names", { Detector.all_checks with check_rules = false;
+          [ ("names", { Engine.all_checks with check_rules = false;
                         check_types = false; check_values = false });
-            ("rules", { Detector.all_checks with check_names = false;
+            ("rules", { Engine.all_checks with check_names = false;
                         check_types = false; check_values = false });
-            ("types", { Detector.all_checks with check_names = false;
+            ("types", { Engine.all_checks with check_names = false;
                         check_rules = false; check_values = false });
-            ("values", { Detector.all_checks with check_names = false;
+            ("values", { Engine.all_checks with check_names = false;
                          check_rules = false; check_types = false });
-            ("all", Detector.all_checks) ]
+            ("all", Engine.all_checks) ]
         in
         List.map
           (fun (label, checks) ->
-            let warnings = Detector.check ~checks model campaign.Conferr.image in
-            let strong =
-              List.filter
-                (fun w -> w.Warning.score >= config.Config.detection_score)
-                warnings
-            in
-            let hits =
-              List.length
-                (List.filter
-                   (fun inj ->
-                     List.exists
-                       (fun needle -> Report.rank_of_attr strong needle <> None)
-                       (needles_of inj))
-                   campaign.Conferr.injections)
-            in
+            let hits = detected_count ~config ~checks engine campaign in
             [ app_label app; label; Printf.sprintf "%d/15" hits ])
           variants)
       [ Image.Apache; Image.Mysql; Image.Php ]

@@ -6,8 +6,11 @@ module Chaos = Encore_inject.Chaos
 module Conferr = Encore_inject.Conferr
 module Population = Encore_workloads.Population
 module Profile = Encore_workloads.Profile
+module Engine = Encore_detect.Engine
 module Report = Encore_detect.Report
 module Warning = Encore_detect.Warning
+
+let ( let* ) = Result.bind
 
 type outcome = {
   population : int;
@@ -104,19 +107,23 @@ let run ?(config = Config.default) ?(n = 50) ?(fraction = 0.3) ?faults
           (fun line -> if line <> "" then Encore_obs.Events.write_line line)
           (String.split_on_char '\n' (Buffer.contents captured)))
       (fun () ->
-        Pipeline.learn_resilient ~config ?max_retries
+        Pipeline.learn_durable ~config ?max_retries
           ~mode:Pipeline.Keep_going stormed.Chaos.images)
   in
   match learned with
   | Error d -> Error d
-  | Ok (chaos_model, report) ->
+  | Ok { Pipeline.model = None; _ } ->
+      Error
+        (Res.diag Res.Timed_out ~subject:"chaos run"
+           "learning timed out without a deadline")
+  | Ok { Pipeline.model = Some chaos_model; report; _ } ->
       let telemetry_consistent, telemetry_notes =
         reconcile_telemetry
           (Encore_obs.Summary.of_lines
              (String.split_on_char '\n' (Buffer.contents captured)))
           report
       in
-      let clean_model = Pipeline.learn ~config images in
+      let* clean_model = Pipeline.learn_result ~config images in
       let quarantine_exact =
         let ids = List.map fst report.Pipeline.quarantined in
         List.sort_uniq compare ids = List.sort_uniq compare victims
@@ -131,11 +138,11 @@ let run ?(config = Config.default) ?(n = 50) ?(fraction = 0.3) ?faults
       let injections = campaign.Conferr.injections in
       let clean_detected =
         count_detected ~config
-          (Pipeline.check ~config clean_model campaign.Conferr.image)
+          (Engine.check (Engine.compile clean_model) campaign.Conferr.image)
           injections
       in
       let degraded =
-        Pipeline.check_degraded ~config ~report chaos_model
+        Pipeline.check_degraded ~report (Engine.compile chaos_model)
           campaign.Conferr.image
       in
       let chaos_detected =
@@ -252,7 +259,6 @@ module Serve_cache = Encore_serve.Cache
 module Serve_proto = Encore_serve.Proto
 module Json = Encore_obs.Jsonenc
 module Collector = Encore_sysenv.Collector
-module Engine = Encore_detect.Engine
 
 type serve_outcome = {
   serve_requests : int;
@@ -323,7 +329,7 @@ let serve_storm ?(config = Config.default) ?(requests = 10_000) ?(n = 16)
     ?(app = Image.Mysql) ~seed () =
   let profile = { Profile.ec2 with Profile.latent_error_rate = 0.0 } in
   let images = Population.images (Population.generate ~profile ~seed app ~n) in
-  let model = Pipeline.learn ~config images in
+  let* model = Pipeline.learn_result ~config images in
   (* independent compile of the same model: the oracle every watch
      verdict is compared with *)
   let reference = Engine.compile model in
@@ -800,7 +806,10 @@ let transport_storm ?(config = Config.default) ?(requests = 10_000)
     let images =
       Population.images (Population.generate ~profile ~seed app ~n)
     in
-    let model = Pipeline.learn ~config images in
+    let* model =
+      Result.map_error Res.diagnostic_to_string
+        (Pipeline.learn_result ~config images)
+    in
     let arr = Array.of_list images in
     let npop = Array.length arr in
     let dumps = Array.map Collector.image_to_text arr in

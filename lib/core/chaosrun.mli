@@ -5,7 +5,7 @@
     per-application population, damage a fraction of it with
     {!Encore_inject.Chaos} faults (truncated files, garbage bytes,
     permanently flapping probes), learn through
-    {!Pipeline.learn_resilient}, and compare the chaos-trained model
+    {!Pipeline.learn_durable}, and compare the chaos-trained model
     against a model trained on the undamaged population over the same
     ConfErr-injected target.  A resilient pipeline must (a) never
     raise, (b) quarantine exactly the stormed images, and (c) keep its

@@ -8,7 +8,7 @@ module Assemble = Encore_dataset.Assemble
 module Table_ds = Encore_dataset.Table
 module Discretize = Encore_dataset.Discretize
 module Fpgrowth = Encore_mining.Fpgrowth
-module Detector = Encore_detect.Detector
+module Engine = Encore_detect.Engine
 module Baseline = Encore_detect.Baseline
 module Warning = Encore_detect.Warning
 module Report = Encore_detect.Report
@@ -78,23 +78,25 @@ let training_population ~seed ~scale app =
       Hashtbl.add population_cache key p;
       p
 
-let model_cache : (string, Detector.model) Hashtbl.t = Hashtbl.create 8
+(* The compiled engine of each trained model, so every check of a
+   table (and of every table sharing the model) reuses one compile. *)
+let engine_cache : (string, Engine.t) Hashtbl.t = Hashtbl.create 8
 
-let trained_model ~config ~scale app =
+let trained_engine ~config ~scale app =
   let seed = config.Config.seed in
   let n = training_size scale app in
   let key = Printf.sprintf "%d/%s/%d" seed (Image.app_to_string app) n in
-  match Hashtbl.find_opt model_cache key with
-  | Some m -> m
+  match Hashtbl.find_opt engine_cache key with
+  | Some e -> e
   | None ->
       let images = Population.clean (training_population ~seed ~scale app) in
-      let m =
-        Detector.learn
-          ~params:(Config.rule_params config)
-          ~entropy_threshold:config.Config.entropy_threshold images
+      let e =
+        match Pipeline.learn_result ~config images with
+        | Ok model -> Engine.compile model
+        | Error _ -> assert false (* only a customization file can fail *)
       in
-      Hashtbl.add model_cache key m;
-      m
+      Hashtbl.add engine_cache key e;
+      e
 
 let assembled_cache : (string, Assemble.assembled) Hashtbl.t = Hashtbl.create 8
 
@@ -248,12 +250,12 @@ let table8 ?(config = Config.default) ?(scale = paper_scale) () =
   let rows =
     List.map
       (fun app ->
-        let model = trained_model ~config ~scale app in
-        let bl_model =
+        let engine = trained_engine ~config ~scale app in
+        let bl_engine =
           Baseline.baseline_model
             (Population.clean (training_population ~seed:config.Config.seed ~scale app))
         in
-        let ble_model =
+        let ble_engine =
           Baseline.baseline_env_model
             (Population.clean (training_population ~seed:config.Config.seed ~scale app))
         in
@@ -266,15 +268,15 @@ let table8 ?(config = Config.default) ?(scale = paper_scale) () =
         let campaign =
           Conferr.inject ~env_fault_fraction:0.0 rng app target ~n:n_faults
         in
-        let count check_fn model =
-          let warnings = check_fn model campaign.Conferr.image in
+        let count check_fn engine =
+          let warnings = check_fn engine campaign.Conferr.image in
           List.length
             (List.filter (injection_detected ~config warnings)
                campaign.Conferr.injections)
         in
-        let bl = count Baseline.baseline_check bl_model in
-        let ble = count Baseline.baseline_env_check ble_model in
-        let enc = count (fun m img -> Detector.check m img) model in
+        let bl = count Baseline.baseline_check bl_engine in
+        let ble = count Baseline.baseline_env_check ble_engine in
+        let enc = count Engine.check engine in
         [ app_label app;
           string_of_int (List.length campaign.Conferr.injections);
           string_of_int bl; string_of_int ble; string_of_int enc ])
@@ -298,8 +300,8 @@ let table9 ?(config = Config.default) ?(scale = paper_scale) () =
   let rows =
     List.map
       (fun (c : Cases.case) ->
-        let model = trained_model ~config ~scale c.Cases.app in
-        let warnings = Detector.check model c.Cases.target in
+        let engine = trained_engine ~config ~scale c.Cases.app in
+        let warnings = Engine.check engine c.Cases.target in
         let strong =
           Report.merge_by_attr
             (List.filter
@@ -352,7 +354,7 @@ let scan_population ~config ~scale ~profile ~seed_offset ~total =
   let images_with = ref 0 in
   List.iter
     (fun app ->
-      let model = trained_model ~config ~scale app in
+      let engine = trained_engine ~config ~scale app in
       let targets =
         Population.generate ~profile
           ~seed:(config.Config.seed + seed_offset) app ~n:per_app
@@ -362,7 +364,7 @@ let scan_population ~config ~scale ~profile ~seed_offset ~total =
           match l.Population.latent with
           | [] -> ()
           | injections ->
-              let warnings = Detector.check model l.Population.image in
+              let warnings = Engine.check engine l.Population.image in
               let hits =
                 List.filter (injection_detected ~config warnings) injections
               in

@@ -36,23 +36,7 @@ let with_configured_pool ~config pool f =
           f (Some p))
   | None -> f None
 
-let learn_result ?(config = Config.default) ?custom ?pool images =
-  match templates_result custom with
-  | Error d -> Error d
-  | Ok templates ->
-      Ok
-        (with_configured_pool ~config pool (fun pool ->
-             Detector.learn
-               ~params:(Config.rule_params config)
-               ~templates
-               ~entropy_threshold:config.Config.entropy_threshold ?pool images))
-
-let learn ?config ?custom ?pool images =
-  match learn_result ?config ?custom ?pool images with
-  | Ok model -> model
-  | Error d -> invalid_arg (d.Res.subject ^ ", " ^ d.Res.detail)
-
-(* --- mergeable sufficient-statistics learning ----------------------------- *)
+(* --- learning: fold the images, then finalize the statistics ------------ *)
 
 let stats_of_images ?(config = Config.default) ?pool ?shards images =
   with_configured_pool ~config pool (fun pool ->
@@ -63,6 +47,21 @@ let finalize_stats ~config ~templates ?pool stats =
   Encore_rules.Suffstats.learner_of ?pool
     ~params:(Config.rule_params config)
     ~templates ~entropy_threshold:config.Config.entropy_threshold stats
+
+let model_of_learner learner =
+  Detector.model_of_finalized (Encore_rules.Suffstats.current learner)
+
+(* A sequential fold, then a pooled finalize, under one root span. *)
+let learn_result ?(config = Config.default) ?custom ?pool images =
+  match templates_result custom with
+  | Error d -> Error d
+  | Ok templates ->
+      Ok
+        (with_configured_pool ~config pool (fun pool ->
+             Otrace.with_span "learn" (fun () ->
+                 model_of_learner
+                   (finalize_stats ~config ~templates ?pool
+                      (stats_of_images ~config ?pool images)))))
 
 let learner_result ?(config = Config.default) ?custom ?pool ?mining_cap:_
     stats =
@@ -76,16 +75,6 @@ let learner_result ?(config = Config.default) ?custom ?pool ?mining_cap:_
 let learn_append ?(config = Config.default) ?pool learner images =
   with_configured_pool ~config pool (fun pool ->
       Encore_rules.Suffstats.append ?pool learner images)
-
-let model_of_learner learner =
-  Detector.model_of_finalized (Encore_rules.Suffstats.current learner)
-
-let check ?config:_ model img = Detector.check model img
-
-let detections ?(config = Config.default) model img =
-  List.filter
-    (fun w -> w.Encore_detect.Warning.score >= config.Config.detection_score)
-    (check model img)
 
 (* --- resilient ingestion ------------------------------------------------- *)
 
@@ -384,16 +373,6 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
       in
       Ok { model = None; stats = !folded; report }
 
-let learn_resilient ?config ?custom ?mode ?max_retries ?flaky ?pool images =
-  match learn_durable ?config ?custom ?mode ?max_retries ?flaky ?pool images with
-  | Error d -> Error d
-  | Ok { model = Some model; report; _ } -> Ok (model, report)
-  | Ok { model = None; _ } ->
-      (* unreachable: without a deadline the pipeline cannot time out *)
-      Error
-        (Res.diag Res.Timed_out ~subject:"pipeline"
-           "pipeline timed out without a deadline")
-
 let exit_code = function
   | Error _ -> 1
   | Ok { report; _ } ->
@@ -579,12 +558,8 @@ let fleet_report_to_string r =
            r.fleet_checked r.fleet_total));
   Buffer.contents buf
 
-let check_degraded ?config ?report model img =
-  let result =
-    match config with
-    | Some config -> check ~config model img
-    | None -> check model img
-  in
+let check_degraded ?report engine img =
+  let result = Encore_detect.Engine.check engine img in
   let notes = ref [] in
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
   (match report with
@@ -605,7 +580,7 @@ let check_degraded ?config ?report model img =
     List.sort_uniq compare
       (List.map
          (fun (r : Template.rule) -> r.Template.template.Template.tname)
-         model.Detector.rules)
+         (Encore_detect.Engine.model engine).Detector.rules)
   in
   let missing =
     List.filter

@@ -5,18 +5,21 @@
     Every model is built one way: the training images are folded into
     sufficient statistics ({!Encore_rules.Suffstats}), which are then
     finalized — types decided, rows assembled, candidates counted and
-    judged through the counts engine, rules filtered.  The entry points
-    differ only in what surrounds that path.  {!learn_result} assumes a
-    clean corpus.  {!learn_durable} (and its wrapper
-    {!learn_resilient}) is total: every fallible ingestion step reports
+    judged through the counts engine, rules filtered.  Two entry points
+    learn from images.  {!learn_result} assumes a clean corpus.
+    {!learn_durable} is total: every fallible ingestion step reports
     through {!Encore_util.Resilience.diagnostic}, damaged images are
     quarantined instead of killing the run, the returned
     {!ingest_report} accounts for every failure, and a deadline bounds
-    the run.
-    {!stats_of_images}, {!learner_result} and {!learn_append} expose
-    the fold and the finalize step separately, for incremental
-    learning.  All of them produce byte-identical models on the same
-    corpus. *)
+    the run.  {!stats_of_images}, {!learner_result} and
+    {!learn_append} expose the fold and the finalize step separately,
+    for incremental learning.  All of them produce byte-identical
+    models on the same corpus.
+
+    Checking goes through a compiled engine: {!Encore_detect.Engine.compile}
+    once per model, then {!Encore_detect.Engine.check} (or
+    {!Encore_detect.Engine.verdict}) per image; {!check_fleet} does
+    both for a list of targets. *)
 
 type model = Encore_detect.Detector.model
 
@@ -24,22 +27,18 @@ val learn_result :
   ?config:Config.t -> ?custom:string -> ?pool:Encore_util.Pool.t ->
   Encore_sysenv.Image.t list ->
   (model, Encore_util.Resilience.diagnostic) result
-(** Learn a model from training images.  [custom] is the text of a
-    customization file (paper Figure 6): its types are registered and
-    its templates used in addition to the predefined ones.  A malformed
-    customization file yields [Error] with kind [Custom_rule_error].
+(** Learn a model from training images: fold them into sufficient
+    statistics ({!stats_of_images}), then finalize those, under one
+    [learn] span.  [custom] is the text of a customization file (paper
+    Figure 6): its types are registered and its templates used in
+    addition to the predefined ones.  A malformed customization file
+    yields [Error] with kind [Custom_rule_error].
 
     Parallelism: with [pool], the finalize step's row assembly and
-    candidate counting run on its worker domains.  Without [pool], a transient pool of
-    [config.jobs] workers is used when [config.jobs > 1]; otherwise the
-    pipeline is sequential.  The learned model is byte-identical in all
-    cases. *)
-
-val learn :
-  ?config:Config.t -> ?custom:string -> ?pool:Encore_util.Pool.t ->
-  Encore_sysenv.Image.t list -> model
-(** Raising wrapper over {!learn_result}, kept for API compatibility.
-    @raise Invalid_argument when the customization file is malformed. *)
+    candidate counting run on its worker domains; the fold is
+    sequential.  Without [pool], a transient pool of [config.jobs]
+    workers is used when [config.jobs > 1]; otherwise the pipeline is
+    sequential.  The learned model is byte-identical in all cases. *)
 
 (** {1 Fold and finalize, separately}
 
@@ -64,8 +63,8 @@ val learner_result :
   (Encore_rules.Suffstats.learner, Encore_util.Resilience.diagnostic) result
 (** Finalize statistics into a resident learner under the configured
     thresholds (and optional customization file, as {!learn_result}).
-    The learner's model is byte-identical to {!learn_resilient}'s on
-    the same corpus.
+    The learner's model is byte-identical to {!learn_result}'s on the
+    same corpus.
 
     [mining_cap] is accepted and ignored: learning no longer runs an
     FP-growth probe, and the argument stays only because the frozen
@@ -81,16 +80,6 @@ val learn_append :
     corpus. *)
 
 val model_of_learner : Encore_rules.Suffstats.learner -> model
-
-val check :
-  ?config:Config.t -> model -> Encore_sysenv.Image.t ->
-  Encore_detect.Warning.t list
-(** Ranked warnings for a target image. *)
-
-val detections :
-  ?config:Config.t -> model -> Encore_sysenv.Image.t ->
-  Encore_detect.Warning.t list
-(** Warnings at or above the configured detection score. *)
 
 (** {1 Resilient ingestion} *)
 
@@ -154,13 +143,31 @@ val learn_durable :
   ?deadline:Encore_util.Deadline.t ->
   Encore_sysenv.Image.t list ->
   (outcome, Encore_util.Resilience.diagnostic) result
-(** {!learn_resilient} under a deadline, returning the folded
-    statistics beside the model.  The run proceeds in three {!stage}s:
-    ingest, which keeps the images that survive probing and parsing;
-    assemble, which folds those images into sufficient statistics (with
-    [shards > 1], in that many contiguous chunks on the pool, merged in
-    order — the statistics are identical for every shard count); and
-    model, which finalizes them.
+(** Total learning path, returning the folded statistics beside the
+    model.  The run proceeds in three {!stage}s: ingest, which keeps
+    the images that survive probing and parsing; assemble, which folds
+    those images into sufficient statistics (with [shards > 1], in that
+    many contiguous chunks on the pool, merged in order — the
+    statistics are identical for every shard count); and model, which
+    finalizes them.
+
+    Ingest probes each image through [flaky] (default: a reliable
+    simulator — only the image's own flakiness can fail it) with up to
+    [max_retries] deterministic retries, then parses it through the
+    diagnostic lens registry.  Images whose probe never succeeds or
+    whose config payload is damaged are quarantined ([Keep_going],
+    default) or returned as [Error] ([Fail_fast]).  [Error] in
+    keep-going mode only for a malformed customization file or a
+    fully-quarantined population.
+
+    Parallelism follows the same rule as {!learn_result}: an explicit
+    [pool], else a transient pool of [config.jobs] workers.  In
+    keep-going mode probing, parsing and the finalize fan out (the fold
+    too, with [shards > 1]); each image probes against its own fork of the flaky
+    simulator's PRNG stream, taken in image order, so draws do not
+    depend on scheduling.  Fail-fast mode probes sequentially, so no
+    draw is made past the first failure.  The model and ingest report
+    are byte-identical for any pool size.
 
     With [deadline], the token is polled at every stage boundary,
     before every probe, and (via {!Encore_util.Pool.with_deadline}) at
@@ -176,34 +183,6 @@ val exit_code : (outcome, Encore_util.Resilience.diagnostic) result -> int
     [3] for a degraded one (timed out or quarantined images), [1] for a
     failed one.  [2] is reserved for usage errors
     (set by the CLI's argument parser). *)
-
-val learn_resilient :
-  ?config:Config.t ->
-  ?custom:string ->
-  ?mode:mode ->
-  ?max_retries:int ->
-  ?flaky:Encore_sysenv.Flaky.t ->
-  ?pool:Encore_util.Pool.t ->
-  Encore_sysenv.Image.t list ->
-  (model * ingest_report, Encore_util.Resilience.diagnostic) result
-(** Total learning path.  Each image is probed through [flaky] (default:
-    a reliable simulator — only the image's own flakiness can fail it)
-    with up to [max_retries] deterministic retries, then parsed through
-    the diagnostic lens registry.  Images whose probe never succeeds or
-    whose config payload is damaged are quarantined ([Keep_going],
-    default) or returned as [Error] ([Fail_fast]).  The model is
-    trained on the survivors.  [Error] in keep-going mode only for a
-    malformed customization file or a fully-quarantined population.
-    Never raises.
-
-    Parallelism follows the same rule as {!learn_result}: an explicit
-    [pool], else a transient pool of [config.jobs] workers.  In
-    keep-going mode probing, parsing, assembly and rule inference all
-    fan out; each image probes against its own fork of the flaky
-    simulator's PRNG stream, taken in image order, so draws do not
-    depend on scheduling.  Fail-fast mode probes sequentially, so no
-    draw is made past the first failure.  The model and ingest report
-    are byte-identical for any pool size. *)
 
 val report_to_string : ingest_report -> string
 
@@ -280,8 +259,9 @@ type degraded_check = {
 }
 
 val check_degraded :
-  ?config:Config.t -> ?report:ingest_report -> model ->
+  ?report:ingest_report -> Encore_detect.Engine.t ->
   Encore_sysenv.Image.t -> degraded_check
-(** {!check}, annotated with what the model {e cannot} see:
-    quarantined training images, failed custom lenses, and predefined
-    template classes for which no rule survived learning. *)
+(** {!Encore_detect.Engine.check}, annotated with what the engine's
+    model {e cannot} see: quarantined training images, failed custom
+    lenses, and predefined template classes for which no rule survived
+    learning. *)

@@ -3,6 +3,7 @@ module Fs = Encore_sysenv.Fs
 module Row = Encore_dataset.Row
 module Assemble = Encore_dataset.Assemble
 module Detector = Encore_detect.Detector
+module Engine = Encore_detect.Engine
 module Warning = Encore_detect.Warning
 module Template = Encore_rules.Template
 module Relation = Encore_rules.Relation
@@ -125,8 +126,8 @@ let generate model img =
       | None -> None)
     model.Detector.rules
 
-let verify_detected model case =
-  let warnings = Detector.check model case.image in
+let verify_detected engine case =
+  let warnings = Engine.check engine case.image in
   List.exists
     (fun (w : Warning.t) ->
       match w.Warning.kind with

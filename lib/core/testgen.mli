@@ -18,7 +18,8 @@ val generate :
     for which a violating mutation exists.  Rules whose attributes the
     image does not carry are skipped. *)
 
-val verify_detected :
-  Encore_detect.Detector.model -> test_case -> bool
+val verify_detected : Encore_detect.Engine.t -> test_case -> bool
 (** Does checking the mutated image re-raise a correlation warning for
-    the targeted rule?  Self-test of the generate/detect loop. *)
+    the targeted rule?  Self-test of the generate/detect loop.  Pass
+    the engine compiled from the model the cases were generated from;
+    one compile serves every case. *)

@@ -24,29 +24,30 @@ let stats_of_rows rows =
 let baseline_model images =
   let rows = List.map Assemble.parse_only images in
   let known_attrs, value_stats = stats_of_rows rows in
-  {
-    Detector.types = [];
-    rules = [];
-    value_stats;
-    known_attrs;
-    training_count = List.length images;
-    overflowed = false;
-  }
+  Engine.compile
+    {
+      Engine.types = [];
+      rules = [];
+      value_stats;
+      known_attrs;
+      training_count = List.length images;
+      overflowed = false;
+    }
 
 let no_rules_no_types =
-  { Detector.check_names = true; check_rules = false; check_types = false;
+  { Engine.check_names = true; check_rules = false; check_types = false;
     check_values = true }
 
 let no_rules =
-  { Detector.check_names = true; check_rules = false; check_types = true;
+  { Engine.check_names = true; check_rules = false; check_types = true;
     check_values = true }
 
-let baseline_check model img =
+let baseline_check engine img =
   (* With model.types empty, the target row carries only the raw config
      entries plus image globals; globals are not in value_stats so the
      remaining work is pure value comparison.  Filter to configuration
      attributes so global facts never warn by name. *)
-  let warnings = Detector.check ~checks:no_rules_no_types model img in
+  let warnings = Engine.check ~checks:no_rules_no_types engine img in
   List.filter
     (fun w ->
       List.exists
@@ -60,13 +61,14 @@ let baseline_env_model images =
   let known_attrs, value_stats =
     stats_of_rows (List.map snd rows)
   in
-  {
-    Detector.types = assembled.Assemble.types;
-    rules = [];
-    value_stats;
-    known_attrs;
-    training_count = List.length images;
-    overflowed = false;
-  }
+  Engine.compile
+    {
+      Engine.types = assembled.Assemble.types;
+      rules = [];
+      value_stats;
+      known_attrs;
+      training_count = List.length images;
+      overflowed = false;
+    }
 
-let baseline_env_check model img = Detector.check ~checks:no_rules model img
+let baseline_env_check engine img = Engine.check ~checks:no_rules engine img

@@ -8,19 +8,20 @@
 
     [Baseline+Env] adds the type-based environment integration (type
     checks and value comparison over augmented attributes) but still no
-    correlation rules. *)
+    correlation rules.
 
-val baseline_model : Encore_sysenv.Image.t list -> Detector.model
+    Each model comes back compiled ({!Engine.compile}), so checking
+    many images compiles it once; {!Engine.model} gives the model. *)
+
+val baseline_model : Encore_sysenv.Image.t list -> Engine.t
 (** Learn from raw (non-augmented) configuration data only; no rules. *)
 
-val baseline_check :
-  Detector.model -> Encore_sysenv.Image.t -> Warning.t list
+val baseline_check : Engine.t -> Encore_sysenv.Image.t -> Warning.t list
 (** Name + suspicious-value checks on raw configuration entries. *)
 
-val baseline_env_model : Encore_sysenv.Image.t list -> Detector.model
+val baseline_env_model : Encore_sysenv.Image.t list -> Engine.t
 (** Learn from augmented data (types + environment attributes); no
     correlation rules. *)
 
-val baseline_env_check :
-  Detector.model -> Encore_sysenv.Image.t -> Warning.t list
+val baseline_env_check : Engine.t -> Encore_sysenv.Image.t -> Warning.t list
 (** Name + type + suspicious-value checks; no correlation check. *)

@@ -1,7 +1,6 @@
 module Tinfer = Encore_typing.Infer
 module Template = Encore_rules.Template
 module Suffstats = Encore_rules.Suffstats
-module Otrace = Encore_obs.Trace
 
 type model = Engine.model = {
   types : Tinfer.env;
@@ -27,25 +26,3 @@ let model_of_training ?params ?templates ?entropy_threshold ?pool ~types
   model_of_finalized
     (Suffstats.finalize_training ?pool ?params ?templates ?entropy_threshold
        ~types training)
-
-let learn ?params ?templates ?entropy_threshold ?pool images =
-  Otrace.with_span "learn" (fun () ->
-      model_of_finalized
-        (Suffstats.current
-           (Suffstats.learner_of ?pool ?params ?templates ?entropy_threshold
-              (Suffstats.of_images images))))
-
-type checks = Engine.checks = {
-  check_names : bool;
-  check_rules : bool;
-  check_types : bool;
-  check_values : bool;
-}
-
-let all_checks = Engine.all_checks
-
-(* The one evaluation path: compile, then check.  Callers holding a
-   model and checking many images should {!Engine.compile} once
-   themselves (or go through [Pipeline.check_fleet]); this wrapper
-   exists for the one-shot callers. *)
-let check ?checks model img = Engine.check ?checks (Engine.compile model) img

@@ -16,11 +16,11 @@
        Inverse Change Frequency — unseen values of low-diversity
        columns rank highest.
 
-    Evaluation happens in {!Engine}: {!check} compiles the model and
-    runs the compiled engine, so single-shot checking and fleet
-    checking share exactly one evaluation path.  To check many images
-    against one model, compile once with {!Engine.compile} (or use
-    [Pipeline.check_fleet]). *)
+    Models are learned through [Pipeline.learn_result] or
+    [Pipeline.learn_durable].  Checking happens in {!Engine}: compile a
+    model once with {!Engine.compile}, then run {!Engine.check} (or
+    {!Engine.verdict}) per target image; [Pipeline.check_fleet] does
+    both for a list of targets. *)
 
 type model = Engine.model = {
   types : Encore_typing.Infer.env;
@@ -37,20 +37,6 @@ type model = Engine.model = {
           it still load and round-trip.  No check reads it. *)
 }
 
-val learn :
-  ?params:Encore_rules.Infer.params ->
-  ?templates:Encore_rules.Template.t list ->
-  ?entropy_threshold:float ->
-  ?pool:Encore_util.Pool.t ->
-  Encore_sysenv.Image.t list -> model
-(** Full learning pipeline, the one every entry point shares: fold the
-    images into sufficient statistics ({!Encore_rules.Suffstats}), then
-    finalize them — decide types, assemble the training set, infer
-    rules from the templates through the counts engine, apply
-    support/confidence plus the redundancy and entropy filters.  With
-    [pool], the finalize step runs on its worker domains; the model is
-    identical for any pool size. *)
-
 val model_of_finalized : Encore_rules.Suffstats.finalized -> model
 (** Repackage a finalized sufficient-statistics model. *)
 
@@ -64,18 +50,4 @@ val model_of_training :
 (** {!Encore_rules.Suffstats.finalize_training} over an
     already-assembled training set, repackaged.  Kept only because the
     frozen benchmark (perfbench/) links it; learning goes through
-    {!learn}. *)
-
-type checks = Engine.checks = {
-  check_names : bool;
-  check_rules : bool;
-  check_types : bool;
-  check_values : bool;
-}
-
-val all_checks : checks
-
-val check :
-  ?checks:checks -> model -> Encore_sysenv.Image.t -> Warning.t list
-(** Ranked warnings (best first) for a target image: [Engine.check]
-    over a freshly compiled engine. *)
+    [Pipeline]. *)

@@ -34,8 +34,8 @@
     type and value check then walks the pairs, the name check walks the
     first pairs, and each rule reads its two slots.
 
-    Every check — {!Detector.check}, [Pipeline.check_fleet] and the
-    serve daemon's [check] and [watch] — runs the one body behind
+    Every check — {!check}, [Pipeline.check_fleet] and the serve
+    daemon's [check] and [watch] — runs the one body behind
     {!verdict}.  Its output is byte-identical to the interpreted walk
     it replaced; an equivalence property test in [test/test_engine.ml]
     pins the contract against a reference interpreted implementation
@@ -100,5 +100,5 @@ val verdict :
 val check :
   ?checks:checks -> t -> Encore_sysenv.Image.t -> Warning.t list
 (** {!verdict} without a deadline: ranked warnings (best first) for a
-    target image.  Identical output to the historical interpreted
-    [Detector.check]. *)
+    target image.  Identical output to the interpreted walk over the
+    assembled row that it replaced. *)

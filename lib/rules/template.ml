@@ -1,5 +1,4 @@
 module Ctype = Encore_typing.Ctype
-module Row = Encore_dataset.Row
 
 type t = {
   tname : string;
@@ -82,7 +81,3 @@ let rule_to_string r =
   Printf.sprintf "%s %s %s  (template=%s, sup=%d, conf=%.2f)" r.attr_a
     (Relation.symbol r.template.relation)
     r.attr_b r.template.tname r.support r.confidence
-
-let rule_holds r image row =
-  Relation.eval r.template.relation image ~a:(Row.get_all row r.attr_a)
-    ~b:(Row.get_all row r.attr_b)

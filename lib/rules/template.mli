@@ -42,9 +42,3 @@ type rule = {
 }
 
 val rule_to_string : rule -> string
-
-val rule_holds :
-  rule -> Encore_sysenv.Image.t -> Encore_dataset.Row.t -> bool option
-(** Re-evaluate a learned rule on an image's assembled row; [None] when
-    the involved attributes are absent there (the detector then skips
-    the rule, paper section 6). *)

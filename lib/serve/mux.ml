@@ -23,22 +23,18 @@ module Json = Encore_obs.Jsonenc
 module Ometrics = Encore_obs.Metrics
 module Res = Encore_util.Resilience
 
-type config = {
-  max_connections : int;
-  read_chunk_bytes : int;
-  idle_polls_budget : int;
-  max_write_buffer : int;
-  tick_s : float;
-}
+type config = { max_connections : int; idle_polls_budget : int }
 
-let default_config =
-  {
-    max_connections = 64;
-    read_chunk_bytes = 4096;
-    idle_polls_budget = 2000;
-    max_write_buffer = 1 lsl 22;
-    tick_s = 0.25;
-  }
+let default_config = { max_connections = 64; idle_polls_budget = 2000 }
+
+(* bytes asked of one read(2) *)
+let read_chunk_bytes = 4096
+
+(* a peer whose pending output passes it is evicted *)
+let max_write_buffer = 1 lsl 22
+
+(* select timeout, in seconds, when the caller waits *)
+let tick_s = 0.25
 
 type conn = {
   cid : int;
@@ -90,7 +86,7 @@ let create ?(config = default_config) ?listen_fd ?(orphan = fun _ -> ())
     max_frame = Server.max_request_bytes server;
     listen_fd;
     conns = Hashtbl.create 16;
-    chunk = Bytes.create config.read_chunk_bytes;
+    chunk = Bytes.create read_chunk_bytes;
     order = [];
     rr = 0;
     next_cid = 0;
@@ -157,7 +153,7 @@ let enqueue_out t (c : conn) s =
   if not c.closed then begin
     c.out <- c.out @ [ s ];
     c.out_bytes <- c.out_bytes + String.length s;
-    if c.out_bytes > t.mconfig.max_write_buffer then
+    if c.out_bytes > max_write_buffer then
       (* the client stopped reading; holding its output unboundedly
          would let one dead peer exhaust the daemon *)
       evict t c
@@ -410,7 +406,7 @@ let step ?(wait = true) t =
         (fun (c : conn) -> if c.out <> [] then Some c.wfd else None)
         conns
     in
-    let timeout = if wait then t.mconfig.tick_s else 0.0 in
+    let timeout = if wait then tick_s else 0.0 in
     (match Unix.select rds wrs [] timeout with
     | rs, ws, _ ->
         (match t.listen_fd with

@@ -13,7 +13,7 @@
       ([serve.short_writes]) — a response line is never silently
       truncated to a live peer;
     - a peer that stops reading is evicted once its pending output
-      exceeds [max_write_buffer];
+      exceeds 4 MiB;
     - a slowloris peer — holding a partial frame without progress for
       [idle_polls_budget] polls — is evicted; idle connections with no
       partial frame are never charged;
@@ -42,11 +42,10 @@
 type config = {
   max_connections : int;  (** accepted sockets beyond this wait in the
                               kernel backlog *)
-  read_chunk_bytes : int;
   idle_polls_budget : int;  (** slowloris eviction threshold *)
-  max_write_buffer : int;  (** pending output bound per connection *)
-  tick_s : float;  (** select timeout when [wait] *)
 }
+(** Fixed: reads ask for 4 KiB at a time, and a waiting {!step}
+    blocks in [select] for at most 0.25 s. *)
 
 val default_config : config
 

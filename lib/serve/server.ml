@@ -19,15 +19,8 @@ type config = {
   deadline_s : float option;
   ring_capacity : int;
   alert_score : float;
-  max_sessions : int;
   breaker_threshold : int;
   breaker_cooldown : int;
-  window_intervals : int;
-  window_interval_ns : int64;
-  sampler_interval_ns : int64;
-  health_p99_us : float;
-  reload_shadow_k : int;
-      (* recent check requests replayed against a reload candidate *)
 }
 
 let default_config =
@@ -38,15 +31,25 @@ let default_config =
     deadline_s = None;
     ring_capacity = 256;
     alert_score = 0.7;
-    max_sessions = 128;
     breaker_threshold = 3;
     breaker_cooldown = 4;
-    window_intervals = 10;
-    window_interval_ns = 1_000_000_000L;
-    sampler_interval_ns = 1_000_000_000L;
-    health_p99_us = 250_000.0;
-    reload_shadow_k = 8;
   }
+
+(* watch sessions kept (the oldest is evicted past it) *)
+let max_sessions = 128
+
+(* the rolling latency window: ten one-second intervals *)
+let window_intervals = 10
+let window_interval_ns = 1_000_000_000L
+
+(* runtime-sampler cadence *)
+let sampler_interval_ns = 1_000_000_000L
+
+(* a rolling p99 above it flags the health verdict degraded *)
+let health_p99_us = 250_000.0
+
+(* recent check requests replayed in shadow against a reload candidate *)
+let reload_shadow_k = 8
 
 type state = Running | Draining | Stopped
 
@@ -144,7 +147,7 @@ let create ?(config = default_config) ?journal ?learner cache =
       learner;
       queue = Queue.create ();
       journal;
-      recent_checks = Ring.create ~capacity:config.reload_shadow_k;
+      recent_checks = Ring.create ~capacity:reload_shadow_k;
       ring = Ring.create ~capacity:config.ring_capacity;
       sessions = Hashtbl.create 64;
       session_order = [];
@@ -165,10 +168,10 @@ let create ?(config = default_config) ?journal ?learner cache =
       reload_requested = false;
       trace_seq = 0;
       lat =
-        Owindow.create ~intervals:config.window_intervals
-          ~interval_ns:config.window_interval_ns ();
+        Owindow.create ~intervals:window_intervals
+          ~interval_ns:window_interval_ns ();
       sampler =
-        Osampler.create ~interval_ns:config.sampler_interval_ns
+        Osampler.create ~interval_ns:sampler_interval_ns
           ~gauges:(fun () -> !gauges_src ())
           ();
     }
@@ -223,7 +226,7 @@ let put_session t (img : Image.t) =
   let fresh = not (Hashtbl.mem t.sessions id) in
   Hashtbl.replace t.sessions id img;
   if fresh then t.session_order <- t.session_order @ [ id ];
-  if List.length t.session_order > t.config.max_sessions then
+  if List.length t.session_order > max_sessions then
     match t.session_order with
     | oldest :: rest ->
         Hashtbl.remove t.sessions oldest;
@@ -537,10 +540,10 @@ let health t =
       flag 1 "worker breaker open: check/watch denied during backoff"
   | Res.Half_open -> flag 1 "worker breaker half-open: probing with one trial"
   | Res.Closed -> ());
-  if wv.Owindow.w_count > 0 && wv.Owindow.w_p99 > t.config.health_p99_us then
+  if wv.Owindow.w_count > 0 && wv.Owindow.w_p99 > health_p99_us then
     flag 1
       (Printf.sprintf "rolling p99 %.0fus exceeds threshold %.0fus"
-         wv.Owindow.w_p99 t.config.health_p99_us);
+         wv.Owindow.w_p99 health_p99_us);
   if occupancy >= 1.0 then flag 2 "queue full: requests are being shed"
   else if occupancy >= 0.75 then
     flag 1 (Printf.sprintf "queue %.0f%% occupied" (occupancy *. 100.0));

@@ -41,14 +41,13 @@
     [trace] field of each response and stamped onto the
     [serve-request] span, joining responses to the JSONL event log.
     Worker latency additionally feeds a rolling
-    {!Encore_obs.Window} (p50/p90/p99 over the last
-    [window_intervals * window_interval_ns]); a runtime
-    {!Encore_obs.Sampler} polled on {!step} mirrors GC stats plus
+    {!Encore_obs.Window} (p50/p90/p99 over the last ten seconds); a
+    runtime {!Encore_obs.Sampler} polled on {!step} mirrors GC stats plus
     [serve.sampled.queue_depth] / [.queue_occupancy] / [.breaker] /
     [.ring_dropped] / [.sessions] gauges on its cadence.  The
     [metrics] verb exposes the registry as Prometheus text (or JSON
     with the window view); the [health] verb derives an ok / degraded
-    / unhealthy verdict from rolling p99 vs. [health_p99_us], breaker
+    / unhealthy verdict from rolling p99 vs. a 250 ms threshold, breaker
     state, queue occupancy and lifecycle, with the reasons listed —
     both bypass the breaker so the daemon stays observable while
     degraded. *)
@@ -67,18 +66,14 @@ type config = {
   ring_capacity : int;  (** alert ring bound *)
   alert_score : float;  (** warnings at or above it count as detections
                             and enter the ring *)
-  max_sessions : int;  (** watch sessions kept (oldest evicted) *)
   breaker_threshold : int;  (** worker crashes before the circuit opens *)
   breaker_cooldown : int;  (** denied requests before a half-open trial *)
-  window_intervals : int;  (** rolling-window ring size (default 10) *)
-  window_interval_ns : int64;  (** width of one window interval (1s) *)
-  sampler_interval_ns : int64;  (** runtime-sampler cadence (1s) *)
-  health_p99_us : float;
-      (** rolling p99 above this flags the health verdict degraded *)
-  reload_shadow_k : int;
-      (** recent check requests replayed in shadow against a reload
-          candidate before the cache generation bumps (default 8) *)
 }
+(** The daemon's fixed settings are not here: it keeps 128 watch
+    sessions (the oldest evicted), a rolling window of ten one-second
+    intervals, a one-second sampler cadence, a 250 ms p99 health
+    threshold and 8 recent checks replayed in shadow against a reload
+    candidate before the cache generation bumps. *)
 
 val default_config : config
 

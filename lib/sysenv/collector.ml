@@ -100,12 +100,11 @@ module Strutil = Encore_util.Strutil
 (* One record read in place: slice [i] spans [bounds.(2i)] up to
    [bounds.(2i+1)] of [src].  Slice 0 is the section, slice 1 the key,
    the rest are the fields.  The dump scanner points the view at one
-   [@env] line and [restore] at one joined record, so both go through
-   the same restoration rules and the scanner copies out only the
-   strings the image keeps. *)
-type view = { mutable src : string; mutable bounds : int array; mutable n : int }
+   [@env] line at a time, so it copies out only the strings the image
+   keeps. *)
+type view = { src : string; mutable bounds : int array; mutable n : int }
 
-let new_view () = { src = ""; bounds = Array.make 16 0; n = 0 }
+let new_view src = { src; bounds = Array.make 16 0; n = 0 }
 
 let push v start stop =
   let k = 2 * v.n in
@@ -267,7 +266,7 @@ let finish r ~id ~configs =
   (* users last: [Accounts.add_user] invents a group when the user's
      gid has none yet, so replaying a user before the dumped groups
      would materialize groups the serialized image never had and break
-     the to_text/of_text round trip *)
+     the image_to_text/image_of_text round trip *)
   let accounts =
     List.fold_left Accounts.add_user r.accounts (List.rev r.users_rev)
   in
@@ -294,32 +293,6 @@ let finish r ~id ~configs =
     ~fs:(Fs.of_list (List.rev r.fs_rev))
     ~accounts ~services:r.services ~env_vars:(List.rev r.env_rev)
     ~hardware ~os ~id configs
-
-let load_record v r =
-  let parts = r.section :: r.key :: r.fields in
-  v.src <- String.concat "|" parts;
-  v.n <- 0;
-  ignore
-    (List.fold_left
-       (fun start part ->
-         let stop = start + String.length part in
-         push v start stop;
-         stop + 1)
-       0 parts)
-
-let restore ~id ~configs records =
-  let r = new_restoring () and v = new_view () in
-  List.iter
-    (fun record ->
-      load_record v record;
-      apply r v)
-    records;
-  finish r ~id ~configs
-
-let find records ~section ~key =
-  List.find_map
-    (fun r -> if r.section = section && r.key = key then Some r.fields else None)
-    records
 
 (* --- the line scanner -------------------------------------------------------- *)
 
@@ -351,24 +324,6 @@ let trimmed v =
   v.bounds.(0) <- Strutil.skip_spaces v.src v.bounds.(0) v.bounds.(1);
   v.bounds.(last) <- Strutil.trim_end v.src v.bounds.(last - 1) v.bounds.(last);
   slice_len v 0 > 0 && slice_len v 1 > 0
-
-let rec records_from v text pos len acc =
-  if pos >= len then List.rev acc
-  else begin
-    v.n <- 0;
-    let nl = split_line v text pos pos in
-    let acc =
-      if trimmed v then
-        { section = slice v 0; key = slice v 1; fields = slices_from v 2 } :: acc
-      else acc
-    in
-    records_from v text (nl + 1) len acc
-  end
-
-let of_text text =
-  let v = new_view () in
-  v.src <- text;
-  records_from v text 0 (String.length text) []
 
 let rec apply_lines r v text pos len =
   if pos < len then begin
@@ -413,8 +368,7 @@ let has_prefix text pos stop prefix =
    damaged dumps: a corrupted environment record (e.g. control bytes
    spliced into a path) surfaces as a parse error, not an exception. *)
 let decode_env text pos ~id ~configs ~flakiness =
-  let r = new_restoring () and v = new_view () in
-  v.src <- text;
+  let r = new_restoring () and v = new_view text in
   match
     apply_lines r v text pos (String.length text);
     finish r ~id ~configs

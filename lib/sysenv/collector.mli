@@ -15,11 +15,6 @@ val collect : Image.t -> record list
 val to_text : record list -> string
 (** Stable line-oriented rendering: [section|key|field1|field2|...]. *)
 
-val of_text : string -> record list
-(** Inverse of {!to_text}; skips malformed lines. *)
-
-val find : record list -> section:string -> key:string -> string list option
-
 val image_to_text : Image.t -> string
 (** Whole-image dump: the on-disk unit of the fleet serving path.  An
     [ENCORE-IMAGE 1 <id>] magic line, optional [@flakiness] header,
@@ -32,12 +27,3 @@ val image_of_text : string -> (Image.t, string) result
     rebuilds [i]'s id, configs, flakiness and environment.  Total —
     a malformed dump yields [Error] with a one-line reason, never an
     exception. *)
-
-val restore :
-  id:string -> configs:Image.config_file list -> record list -> Image.t
-(** Rebuild a system image from collected records plus its configuration
-    files: the assembler-side entry point when the collector ran on a
-    remote machine and shipped its dump.  Unrecognized records are
-    ignored; missing sections leave the image's defaults.  For every
-    image [i], [restore ~id ~configs (collect i)] reproduces [i]'s
-    environment (filesystem, accounts, services, host facts). *)

@@ -129,6 +129,11 @@ let infer_reference ?(params = Rinfer.default_params)
          | Rinfer.Rejected_support | Rinfer.Rejected_confidence -> None)
        (candidates_of ~types ~templates (Colview.attrs columnar.cols)))
 
+let rule_holds (r : Template.rule) image row =
+  Relation.eval r.Template.template.Template.relation image
+    ~a:(Row.get_all row r.Template.attr_a)
+    ~b:(Row.get_all row r.Template.attr_b)
+
 module Dump_ref = Dump_ref
 module Ini_ref = Ini_ref
 module Apache_ref = Apache_ref

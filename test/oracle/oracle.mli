@@ -58,6 +58,13 @@ val infer_reference :
 (** The rules {!Encore_rules.Infer.infer} must learn, in its order:
     each candidate judged on its own, walking the full row range. *)
 
+val rule_holds :
+  Encore_rules.Template.rule -> Encore_sysenv.Image.t ->
+  Encore_dataset.Row.t -> bool option
+(** Re-evaluate a learned rule on an image's assembled row; [None] when
+    the involved attributes are absent there (the detector then skips
+    the rule, paper section 6). *)
+
 (** {1 Text layers}
 
     The byte-level decoders a checked image passes through, as they

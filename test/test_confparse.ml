@@ -417,6 +417,62 @@ let test_registry_custom_lens () =
       check pair_list "custom parse" [ ("x/raw", "hello") ] (kv_pairs (l.Registry.parse ~app:"x" "hello\n"))
   | None -> Alcotest.fail "custom lens not registered"
 
+(* A lens registered for a builtin app overrides it in both parses:
+   the diagnostic parse that ingest runs judges an image by the same
+   pairs the fold trains on. *)
+let test_registry_override_both_parses () =
+  let one_pair =
+    {
+      Registry.parse = (fun ~app:_ _ -> [ Kv.make "mysql/override" "1" ]);
+      render = (fun ~app:_ _ -> "");
+    }
+  in
+  let img =
+    Image.make ~id:"o"
+      [ { Image.app = Image.Mysql; path = "/etc/my.cnf";
+          text = "[mysqld]\nport=3306\nuser=mysql\n" } ]
+  in
+  let builtin = kv_pairs (Registry.parse_image_diag img).Registry.kvs in
+  Fun.protect
+    ~finally:(fun () -> Registry.unregister "mysql")
+    (fun () ->
+      Registry.register "mysql" one_pair;
+      check pair_list "parse_image" [ ("mysql/override", "1") ]
+        (kv_pairs (Registry.parse_image img));
+      check pair_list "parse_image_diag" [ ("mysql/override", "1") ]
+        (kv_pairs (Registry.parse_image_diag img).Registry.kvs));
+  check pair_list "builtin lens again after unregister" builtin
+    (kv_pairs (Registry.parse_image_diag img).Registry.kvs);
+  check Alcotest.int "builtin pairs" 2 (List.length builtin)
+
+(* A registered lens that raises quarantines the file's image through a
+   typed diagnostic instead of escaping. *)
+let test_registry_raising_lens_is_fatal () =
+  let raising =
+    {
+      Registry.parse = (fun ~app:_ _ -> invalid_arg "broken lens");
+      render = (fun ~app:_ _ -> "");
+    }
+  in
+  let img =
+    Image.make ~id:"r"
+      [ { Image.app = Image.Php; path = "/etc/php.ini"; text = "a = 1\n" } ]
+  in
+  let parsed =
+    Fun.protect
+      ~finally:(fun () -> Registry.unregister "php")
+      (fun () ->
+        Registry.register "php" raising;
+        Registry.parse_image_diag img)
+  in
+  check pair_list "no pairs" [] (kv_pairs parsed.Registry.kvs);
+  check (Alcotest.list Alcotest.string) "one custom-rule error"
+    [ "custom-rule-error" ]
+    (List.map
+       (fun (d : Encore_util.Resilience.diagnostic) ->
+         Encore_util.Resilience.kind_to_string d.Encore_util.Resilience.kind)
+       parsed.Registry.fatal)
+
 let () =
   Alcotest.run "encore_confparse"
     [
@@ -470,5 +526,9 @@ let () =
           Alcotest.test_case "default lenses" `Quick test_registry_default_lenses;
           Alcotest.test_case "parse image" `Quick test_registry_parse_image;
           Alcotest.test_case "custom lens" `Quick test_registry_custom_lens;
+          Alcotest.test_case "override reaches both parses" `Quick
+            test_registry_override_both_parses;
+          Alcotest.test_case "raising lens is fatal" `Quick
+            test_registry_raising_lens_is_fatal;
         ] );
     ]

@@ -2,6 +2,7 @@
    ranking and report helpers. *)
 
 module Detector = Encore_detect.Detector
+module Engine = Encore_detect.Engine
 module Baseline = Encore_detect.Baseline
 module Warning = Encore_detect.Warning
 module Report = Encore_detect.Report
@@ -42,9 +43,12 @@ let training_images n =
       make_image ~user ~owner ~datadir ~port ~small ~big
         (Printf.sprintf "train-%d" i))
 
-let model () = Detector.learn (training_images 20)
+let engine () =
+  match Encore.Pipeline.learn_result (training_images 20) with
+  | Ok m -> Engine.compile m
+  | Error d -> Alcotest.fail d.Encore_util.Resilience.detail
 
-let warnings_for img = Detector.check (model ()) img
+let warnings_for img = Engine.check (engine ()) img
 
 let has_kind kind_label warnings attr_needle =
   List.exists
@@ -122,12 +126,11 @@ let test_rule_skipped_when_attr_absent () =
 
 let test_checks_toggle () =
   let img = make_image ~owner:"dbadmin" ~charset:"latin5" "toggle" in
-  let m = model () in
   let only_values =
-    { Detector.check_names = false; check_rules = false; check_types = false;
+    { Engine.check_names = false; check_rules = false; check_types = false;
       check_values = true }
   in
-  let ws = Detector.check ~checks:only_values m img in
+  let ws = Engine.check ~checks:only_values (engine ()) img in
   check Alcotest.bool "no correlation kind" true
     (List.for_all (fun w -> Warning.kind_label w = "value") ws)
 
@@ -142,8 +145,8 @@ let test_warnings_ranked_descending () =
 
 let test_baseline_no_rules_no_env () =
   let bl = Baseline.baseline_model (training_images 20) in
-  check Alcotest.int "no rules" 0 (List.length bl.Detector.rules);
-  check Alcotest.int "no types" 0 (List.length bl.Detector.types);
+  check Alcotest.int "no rules" 0 (List.length (Engine.model bl).Detector.rules);
+  check Alcotest.int "no types" 0 (List.length (Engine.model bl).Detector.types);
   (* environment-only fault invisible to the baseline *)
   let img = make_image ~owner:"dbadmin" "bl-chown" in
   let ws = Baseline.baseline_check bl img in

@@ -195,7 +195,11 @@ let training ?(seed = 7) n =
   Population.images
     (Population.generate ~profile:clean_profile ~seed Image.Mysql ~n)
 
-let small_model = lazy (Pipeline.learn (training 8))
+let small_model =
+  lazy
+    (match Pipeline.learn_result (training 8) with
+     | Ok m -> m
+     | Error d -> Alcotest.fail d.Encore_util.Resilience.detail)
 
 let test_model_save_load_roundtrip () =
   with_dir @@ fun dir ->

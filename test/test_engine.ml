@@ -34,12 +34,10 @@ let check = Alcotest.check
 
 (* --- reference interpreted checker ---------------------------------------
 
-   A direct port of the pre-engine [Detector.check]: linear assoc-list
-   walks over the model, no compiled indices, no telemetry.  The
-   equivalence property below pins [Engine.check] (and the thin
-   [Detector.check] wrapper) to this implementation — comparing the
-   wrapper against [Engine.check] alone would be vacuous now that the
-   wrapper delegates. *)
+   A direct port of the pre-engine interpreted checker: linear
+   assoc-list walks over the model, no compiled indices, no telemetry.
+   The equivalence property below pins [Engine.check] to this
+   implementation. *)
 
 let ref_config_attrs row =
   List.filter
@@ -94,7 +92,7 @@ let ref_name_warnings (model : Detector.model) row =
 let ref_rule_warnings (model : Detector.model) img row =
   List.filter_map
     (fun (rule : Template.rule) ->
-      match Template.rule_holds rule img row with
+      match Oracle.rule_holds rule img row with
       | Some false ->
           Some
             {
@@ -156,23 +154,28 @@ let ref_value_warnings (model : Detector.model) row =
               })
     (Row.to_list row)
 
-let ref_check ?(checks = Detector.all_checks) (model : Detector.model) img =
+let ref_check ?(checks = Engine.all_checks) (model : Detector.model) img =
   let row = Assemble.assemble_target ~types:model.types img in
   let warnings =
-    (if checks.Detector.check_names then ref_name_warnings model row else [])
-    @ (if checks.Detector.check_rules then ref_rule_warnings model img row
+    (if checks.Engine.check_names then ref_name_warnings model row else [])
+    @ (if checks.Engine.check_rules then ref_rule_warnings model img row
        else [])
-    @ (if checks.Detector.check_types then ref_type_warnings model row img
+    @ (if checks.Engine.check_types then ref_type_warnings model row img
        else [])
-    @ (if checks.Detector.check_values then ref_value_warnings model row
+    @ (if checks.Engine.check_values then ref_value_warnings model row
        else [])
   in
   List.sort Warning.compare_rank warnings
 
 (* --- fixtures -------------------------------------------------------------- *)
 
+let learn images =
+  match Pipeline.learn_result images with
+  | Ok m -> m
+  | Error d -> Alcotest.fail d.Encore_util.Resilience.detail
+
 let training () = Population.clean (Population.generate ~seed:11 Image.Mysql ~n:40)
-let model () = Detector.learn (training ())
+let model () = learn (training ())
 
 let targets seed n =
   List.init n (fun i ->
@@ -189,7 +192,6 @@ let warning_str (w : Warning.t) =
 let check_equivalent ~ctx m img =
   let expected = ref_check m img in
   let engine = Engine.check (Engine.compile m) img in
-  let wrapper = Detector.check m img in
   check
     Alcotest.(list string)
     (ctx ^ ": engine = reference")
@@ -197,10 +199,7 @@ let check_equivalent ~ctx m img =
     (List.map warning_str engine);
   check Alcotest.bool
     (ctx ^ ": engine structurally equal")
-    true (expected = engine);
-  check Alcotest.bool
-    (ctx ^ ": Detector.check = Engine.check")
-    true (engine = wrapper)
+    true (expected = engine)
 
 (* --- equivalence property -------------------------------------------------- *)
 
@@ -286,7 +285,7 @@ let test_equivalence_other_apps () =
   List.iter
     (fun (app, seed) ->
       let m =
-        Detector.learn (Population.clean (Population.generate ~seed app ~n:40))
+        learn (Population.clean (Population.generate ~seed app ~n:40))
       in
       let rng = Prng.create (seed + 4099) in
       List.iteri
@@ -409,15 +408,15 @@ let test_equivalence_partial_checks () =
         (List.map warning_str expected)
         (List.map warning_str engine))
     [
-      ("names", { Detector.all_checks with check_rules = false;
+      ("names", { Engine.all_checks with check_rules = false;
                   check_types = false; check_values = false });
-      ("rules", { Detector.all_checks with check_names = false;
+      ("rules", { Engine.all_checks with check_names = false;
                   check_types = false; check_values = false });
-      ("types", { Detector.all_checks with check_names = false;
+      ("types", { Engine.all_checks with check_names = false;
                   check_rules = false; check_values = false });
-      ("values", { Detector.all_checks with check_names = false;
+      ("values", { Engine.all_checks with check_names = false;
                    check_rules = false; check_types = false });
-      ("none", { Detector.check_names = false; check_rules = false;
+      ("none", { Engine.check_names = false; check_rules = false;
                  check_types = false; check_values = false });
     ]
 
@@ -531,7 +530,8 @@ let test_degraded_notes_quarantine () =
       status = Pipeline.Completed;
     }
   in
-  let d = Pipeline.check_degraded ~report m img in
+  let engine = Engine.compile m in
+  let d = Pipeline.check_degraded ~report engine img in
   let has needle =
     List.exists (fun n -> Strutil.contains_sub n needle) d.Pipeline.notes
   in
@@ -539,14 +539,14 @@ let test_degraded_notes_quarantine () =
   check Alcotest.bool "missing template classes note" true
     (has "no rules learned for template class(es)");
   check Alcotest.bool "result matches plain check" true
-    (d.Pipeline.result = Detector.check m img)
+    (d.Pipeline.result = Engine.check engine img)
 
 let test_degraded_no_spurious_notes () =
   let m = model () in
   let img =
     Population.generator_for Image.Mysql Profile.ec2 (Prng.create 4) ~id:"ok"
   in
-  let d = Pipeline.check_degraded m img in
+  let d = Pipeline.check_degraded (Engine.compile m) img in
   check Alcotest.bool "no quarantine note without report" false
     (List.exists
        (fun n -> Strutil.contains_sub n "quarantined")
@@ -564,7 +564,7 @@ let test_advisor_covers_every_warning () =
     | c :: _ -> c.Testgen.image
     | [] -> base
   in
-  let warnings = Detector.check m img in
+  let warnings = Engine.check (Engine.compile m) img in
   check Alcotest.bool "mutant raises warnings" true (warnings <> []);
   let suggestions = Advisor.advise m img warnings in
   check Alcotest.int "one suggestion per warning" (List.length warnings)
@@ -584,6 +584,7 @@ let test_advisor_covers_every_warning () =
 (* --- collector image dumps -------------------------------------------------- *)
 
 let test_image_dump_roundtrip () =
+  let engine = Engine.compile (model ()) in
   List.iter
     (fun (img : Image.t) ->
       let text = Collector.image_to_text img in
@@ -604,7 +605,7 @@ let test_image_dump_roundtrip () =
               check Alcotest.string "dump is byte-stable after restore" text'
                 (Collector.image_to_text again));
           check Alcotest.bool "same warnings from restored image" true
-            (Detector.check (model ()) img = Detector.check (model ()) restored))
+            (Engine.check engine img = Engine.check engine restored))
     (targets 2100 3)
 
 let test_image_dump_framing_survives_at_lines () =

@@ -5,6 +5,7 @@
 module Population = Encore_workloads.Population
 module Profile = Encore_workloads.Profile
 module Detector = Encore_detect.Detector
+module Engine = Encore_detect.Engine
 module Model_io = Encore_detect.Model_io
 module Advisor = Encore_detect.Advisor
 module Warning = Encore_detect.Warning
@@ -20,9 +21,13 @@ let check = Alcotest.check
 let trained =
   lazy
     (let images = Population.clean (Population.generate ~seed:11 Image.Mysql ~n:40) in
-     (Detector.learn images, images))
+     match Encore.Pipeline.learn_result images with
+     | Ok m -> (m, Engine.compile m)
+     | Error d -> Alcotest.fail d.Encore_util.Resilience.detail)
 
 let model () = fst (Lazy.force trained)
+let engine () = snd (Lazy.force trained)
+let warnings_of img = Engine.check (engine ()) img
 
 (* --- Model_io ------------------------------------------------------------- *)
 
@@ -61,8 +66,10 @@ let test_model_restored_detects () =
   let broken =
     Image.with_fs target (Fs.chown target.Image.fs datadir ~owner:"root" ~group:"root")
   in
-  let w1 = List.map (fun w -> w.Warning.message) (Detector.check m broken) in
-  let w2 = List.map (fun w -> w.Warning.message) (Detector.check m2 broken) in
+  let w1 = List.map (fun w -> w.Warning.message) (warnings_of broken) in
+  let w2 =
+    List.map (fun w -> w.Warning.message) (Engine.check (Engine.compile m2) broken)
+  in
   check (Alcotest.list Alcotest.string) "identical reports" w1 w2;
   check Alcotest.bool "fault detected" true (w1 <> [])
 
@@ -104,7 +111,7 @@ let faulted_target () =
 let test_advisor_ownership_fix () =
   let m = model () in
   let broken, datadir = faulted_target () in
-  let warnings = Detector.check m broken in
+  let warnings = warnings_of broken in
   let suggestions = Advisor.advise m broken warnings in
   check Alcotest.int "one suggestion per warning" (List.length warnings)
     (List.length suggestions);
@@ -130,7 +137,7 @@ let test_advisor_name_fix () =
           (cf.Image.text ^ "datdir = /var/lib/mysql\n")
     | None -> target
   in
-  let warnings = Detector.check m broken in
+  let warnings = warnings_of broken in
   let suggestions = Advisor.advise m broken warnings in
   check Alcotest.bool "rename suggestion" true
     (List.exists
@@ -142,7 +149,7 @@ let test_advisor_name_fix () =
 let test_advisor_report_renders () =
   let m = model () in
   let broken, _ = faulted_target () in
-  let out = Advisor.to_string (Advisor.advise m broken (Detector.check m broken)) in
+  let out = Advisor.to_string (Advisor.advise m broken (warnings_of broken)) in
   check Alcotest.bool "has fix lines" true (Strutil.contains_sub out "fix:");
   check Alcotest.bool "has why lines" true (Strutil.contains_sub out "why:")
 
@@ -168,12 +175,28 @@ let test_testgen_cases_detected () =
   let rng = Prng.create 502 in
   let img = Population.generator_for Image.Mysql Profile.ec2 rng ~id:"loop" in
   let cases = Testgen.generate m img in
-  let verified = List.filter (Testgen.verify_detected m) cases in
+  let verified = List.filter (Testgen.verify_detected (engine ())) cases in
   check Alcotest.bool
     (Printf.sprintf "most cases re-detected (%d/%d)" (List.length verified)
        (List.length cases))
     true
     (List.length verified * 10 >= List.length cases * 7)
+
+let test_testgen_verify_compiles_once () =
+  (* every case of one model is verified against one compiled engine,
+     as [encore-cli testgen] does: one compile, not one per case *)
+  let m = model () in
+  let rng = Prng.create 502 in
+  let img = Population.generator_for Image.Mysql Profile.ec2 rng ~id:"loop" in
+  let cases = Testgen.generate m img in
+  let compiles = Encore_obs.Metrics.counter "detect.compiles" in
+  let before = Encore_obs.Metrics.count compiles in
+  let engine = Engine.compile m in
+  let verified = List.filter (Testgen.verify_detected engine) cases in
+  check Alcotest.bool "several cases, some verified" true
+    (List.length cases > 5 && verified <> []);
+  check Alcotest.int "one compile for every case" 1
+    (Encore_obs.Metrics.count compiles - before)
 
 let test_testgen_skips_inapplicable () =
   (* an image with no config entries yields no cases *)
@@ -183,11 +206,16 @@ let test_testgen_skips_inapplicable () =
 
 (* --- Collector restore ------------------------------------------------------ *)
 
+(* An image shipped as its collector dump and decoded on arrival. *)
+let shipped img =
+  match Collector.image_of_text (Collector.image_to_text img) with
+  | Ok restored -> restored
+  | Error e -> Alcotest.failf "%s: %s" img.Image.image_id e
+
 let test_collector_restore_roundtrip () =
   let rng = Prng.create 91 in
   let img = Population.generator_for Image.Mysql Profile.private_cloud rng ~id:"rt" in
-  let records = Collector.collect img in
-  let restored = Collector.restore ~id:"rt" ~configs:img.Image.configs records in
+  let restored = shipped img in
   check Alcotest.string "hostname" img.Image.hostname restored.Image.hostname;
   check Alcotest.string "ip" img.Image.ip_address restored.Image.ip_address;
   check Alcotest.bool "hardware" true (restored.Image.hardware = img.Image.hardware);
@@ -210,12 +238,10 @@ let test_collector_restore_roundtrip () =
 let test_collector_restore_checks_identically () =
   (* the whole point: a dump shipped from a remote machine must check
      exactly like the original image *)
-  let m = model () in
   let broken, _ = faulted_target () in
-  let records = Collector.collect broken in
-  let restored = Collector.restore ~id:"remote" ~configs:broken.Image.configs records in
-  let w1 = List.map (fun w -> w.Warning.message) (Detector.check m broken) in
-  let w2 = List.map (fun w -> w.Warning.message) (Detector.check m restored) in
+  let restored = shipped broken in
+  let w1 = List.map (fun w -> w.Warning.message) (warnings_of broken) in
+  let w2 = List.map (fun w -> w.Warning.message) (warnings_of restored) in
   check (Alcotest.list Alcotest.string) "same verdicts" w1 w2
 
 (* --- Ablation -------------------------------------------------------------- *)
@@ -264,6 +290,8 @@ let () =
           Alcotest.test_case "generates cases" `Quick test_testgen_generates_cases;
           Alcotest.test_case "cases re-detected" `Quick test_testgen_cases_detected;
           Alcotest.test_case "skips inapplicable" `Quick test_testgen_skips_inapplicable;
+          Alcotest.test_case "one compile per model" `Quick
+            test_testgen_verify_compiles_once;
         ] );
       ( "collector-restore",
         [

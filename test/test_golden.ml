@@ -51,8 +51,8 @@ let test_model_pin (app, n, pin) () =
     pin
     (md5 (Model_io.to_string model))
 
-(* The batch learner with ingest, the resilient wrapper and the
-   mergeable-statistics learner, each against the same pin. *)
+(* The batch learner with ingest and the mergeable-statistics learner,
+   each against the same pin. *)
 let test_entry_points (app, n, pin) () =
   let images = training app ~n in
   let durable =
@@ -60,7 +60,6 @@ let test_entry_points (app, n, pin) () =
     | { Pipeline.model = Some m; _ } -> m
     | { Pipeline.model = None; _ } -> Alcotest.fail "learn_durable: no model"
   in
-  let resilient, _report = model_or_fail (Pipeline.learn_resilient images) in
   let merged =
     Pipeline.model_of_learner
       (model_or_fail (Pipeline.learner_result (Pipeline.stats_of_images images)))
@@ -71,8 +70,7 @@ let test_entry_points (app, n, pin) () =
         (Printf.sprintf "%s %s model bytes" (Image.app_to_string app) name)
         pin
         (md5 (Model_io.to_string model)))
-    [ ("learn_durable", durable); ("learn_resilient", resilient);
-      ("suffstats learner", merged) ]
+    [ ("learn_durable", durable); ("suffstats learner", merged) ]
 
 (* A model per app checked against held-out images, every third
    carrying one ConfErr error; the pin covers every streamed report

@@ -782,7 +782,7 @@ let seeded_snapshot () =
   let images =
     Population.images (Population.generate ~profile ~seed:11 Image.Mysql ~n:12)
   in
-  match Encore.Pipeline.learn_resilient images with
+  match Encore.Pipeline.learn_durable images with
   | Ok _ -> Jsonenc.to_string (Metrics.snapshot_to_json (Metrics.snapshot ()))
   | Error d ->
       Alcotest.failf "learn failed: %s"

@@ -9,6 +9,7 @@ module Population = Encore_workloads.Population
 module Profile = Encore_workloads.Profile
 module Cases = Encore_workloads.Cases
 module Detector = Encore_detect.Detector
+module Engine = Encore_detect.Engine
 module Report = Encore_detect.Report
 module Warning = Encore_detect.Warning
 module Conferr = Encore_inject.Conferr
@@ -23,17 +24,24 @@ let scale = Experiments.test_scale
 
 let training app n = Population.clean (Population.generate ~seed:77 app ~n)
 
+let learn ?config ?custom images =
+  match Pipeline.learn_result ?config ?custom images with
+  | Ok model -> model
+  | Error d ->
+      Alcotest.failf "learning failed: %s"
+        (Encore_util.Resilience.diagnostic_to_string d)
+
 (* --- pipeline ----------------------------------------------------------- *)
 
 let test_learn_produces_rules_and_types () =
-  let model = Pipeline.learn (training Image.Mysql 30) in
+  let model = learn (training Image.Mysql 30) in
   check Alcotest.bool "rules learned" true (List.length model.Detector.rules > 5);
   check Alcotest.bool "types inferred" true (List.length model.Detector.types > 30);
   check Alcotest.bool "value stats recorded" true
     (List.length model.Detector.value_stats > 30)
 
 let test_learn_finds_flagship_rules () =
-  let model = Pipeline.learn (training Image.Mysql 30) in
+  let model = learn (training Image.Mysql 30) in
   let rendered =
     String.concat "\n"
       (List.map Encore_rules.Template.rule_to_string model.Detector.rules)
@@ -51,11 +59,15 @@ let test_learn_finds_flagship_rules () =
     (Encore_util.Strutil.contains_sub rendered "mysql/mysqld/net_buffer_length <#")
 
 let test_check_clean_target_quiet () =
-  let model = Pipeline.learn (training Image.Mysql 30) in
+  let model = learn (training Image.Mysql 30) in
   let target =
     Population.generator_for Image.Mysql Profile.ec2 (Prng.create 555) ~id:"held-out"
   in
-  let detections = Pipeline.detections model target in
+  let detections =
+    List.filter
+      (fun w -> w.Warning.score >= Config.default.Config.detection_score)
+      (Engine.check (Engine.compile model) target)
+  in
   check Alcotest.bool "few strong warnings on a clean image" true
     (List.length detections <= 2)
 
@@ -66,7 +78,7 @@ let test_jobs_model_identical () =
   let images = training Image.Mysql 25 in
   let model_at jobs =
     let config = { Config.default with Config.jobs } in
-    Encore_detect.Model_io.to_string (Pipeline.learn ~config images)
+    Encore_detect.Model_io.to_string (learn ~config images)
   in
   let baseline = model_at 1 in
   List.iter
@@ -80,8 +92,10 @@ let test_jobs_resilient_identical () =
   let images = training Image.Sshd 20 in
   let run jobs =
     let config = { Config.default with Config.jobs } in
-    match Pipeline.learn_resilient ~config images with
-    | Ok (model, report) -> (Encore_detect.Model_io.to_string model, report)
+    match Pipeline.learn_durable ~config images with
+    | Ok { Pipeline.model = Some model; report; _ } ->
+        (Encore_detect.Model_io.to_string model, report)
+    | Ok { Pipeline.model = None; _ } -> Alcotest.fail "resilient learn: no model"
     | Error d ->
         Alcotest.failf "resilient learn failed: %s"
           (Encore_util.Resilience.diagnostic_to_string d)
@@ -119,13 +133,13 @@ let prop_jobs_identical_random =
       in
       let model_at jobs =
         let config = { Config.default with Config.jobs } in
-        Encore_detect.Model_io.to_string (Pipeline.learn ~config images)
+        Encore_detect.Model_io.to_string (learn ~config images)
       in
       let m1 = model_at 1 in
       String.equal m1 (model_at 2) && String.equal m1 (model_at 8))
 
 let test_end_to_end_injection_detected () =
-  let model = Pipeline.learn (training Image.Mysql 30) in
+  let model = learn (training Image.Mysql 30) in
   let target =
     Population.generator_for Image.Mysql Profile.ec2 (Prng.create 556) ~id:"victim"
   in
@@ -135,7 +149,7 @@ let test_end_to_end_injection_detected () =
       (Encore_inject.Fault.Env_fault Encore_inject.Fault.Chown_flip)
   with
   | Some (faulted, injection) ->
-      let warnings = Pipeline.check model faulted in
+      let warnings = Engine.check (Engine.compile model) faulted in
       let base = Encore_confparse.Kv.key_basename injection.Encore_inject.Fault.target_attr in
       check Alcotest.bool "chown detected end to end" true
         (Report.rank_of_attr warnings base <> None)
@@ -149,7 +163,7 @@ let test_custom_template_used () =
     "$$TypeDeclaration\nMysqlLog\n$$TypeInference\nMysqlLog: regex /var/log.+\\.log\n\
      $$TypeValidation\nMysqlLog: is_file\n$$Template\n[A:MysqlLog] => [B:UserName]\n"
   in
-  let model = Pipeline.learn ~custom (training Image.Mysql 30) in
+  let model = learn ~custom (training Image.Mysql 30) in
   let custom_rules =
     List.filter
       (fun (r : Encore_rules.Template.rule) ->
@@ -165,7 +179,8 @@ let test_training_soundness () =
      from; checking the model against its own training set must respect
      that bound for every rule *)
   let images = training Image.Mysql 30 in
-  let model = Pipeline.learn images in
+  let model = learn images in
+  let engine = Engine.compile model in
   let violations = Hashtbl.create 32 in
   List.iter
     (fun img ->
@@ -177,7 +192,7 @@ let test_training_soundness () =
               Hashtbl.replace violations key
                 (1 + Option.value ~default:0 (Hashtbl.find_opt violations key))
           | _ -> ())
-        (Detector.check model img))
+        (Engine.check engine img))
     images;
   let n = float_of_int (List.length images) in
   List.iter
@@ -262,7 +277,7 @@ let test_quarantined_twin_not_trained () =
       check Alcotest.int "statistics hold the survivors" report.Pipeline.ok
         (Suffstats.n_images stats);
       check Alcotest.string "model = the clean population's model"
-        (Model_io.to_string (Pipeline.learn clean))
+        (Model_io.to_string (learn clean))
         (Model_io.to_string model)
   | Ok _ -> Alcotest.fail "durable run returned no model or statistics"
   | Error d ->
@@ -332,10 +347,16 @@ let test_exit_code_failed () =
   check Alcotest.bool "empty population is Error" true (Result.is_error result);
   check Alcotest.int "failed run is 1" 1 (Pipeline.exit_code result)
 
-let test_custom_file_error_raised () =
-  Alcotest.check_raises "invalid custom file"
-    (Invalid_argument "customization file, line 2: unknown operator: %%")
-    (fun () -> ignore (Pipeline.learn ~custom:"$$Template\n[A] %% [B]\n" (training Image.Mysql 6)))
+let test_custom_file_error () =
+  match
+    Pipeline.learn_result ~custom:"$$Template\n[A] %% [B]\n"
+      (training Image.Mysql 6)
+  with
+  | Ok _ -> Alcotest.fail "a malformed customization file was accepted"
+  | Error d ->
+      check Alcotest.string "invalid custom file"
+        "[custom-rule-error] customization file: line 2: unknown operator: %%"
+        (Encore_util.Resilience.diagnostic_to_string d)
 
 (* --- experiment shapes ---------------------------------------------------- *)
 
@@ -445,7 +466,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_jobs_identical_random;
           Alcotest.test_case "custom template" `Quick test_custom_template_used;
           Alcotest.test_case "training soundness bound" `Quick test_training_soundness;
-          Alcotest.test_case "custom file error" `Quick test_custom_file_error_raised;
+          Alcotest.test_case "custom file error" `Quick test_custom_file_error;
         ] );
       ( "statistics",
         [

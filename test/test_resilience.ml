@@ -350,10 +350,22 @@ let test_flaky_drops_records_with_diags () =
 
 (* --- resilient learning ---------------------------------------------------- *)
 
-let test_learn_resilient_clean_matches_learn () =
+(* [learn_durable] without a deadline: the model and its ingest report. *)
+let learn_with_report ?mode images =
+  match Pipeline.learn_durable ?mode images with
+  | Ok { Pipeline.model = Some model; report; _ } -> Ok (model, report)
+  | Ok { Pipeline.model = None; _ } -> Alcotest.fail "no deadline, yet no model"
+  | Error d -> Error d
+
+let learn images =
+  match Pipeline.learn_result images with
+  | Ok model -> model
+  | Error d -> Alcotest.failf "learn failed: %s" (Res.diagnostic_to_string d)
+
+let test_durable_clean_matches_learn () =
   let images = training ~seed:7 10 in
-  let strict = Pipeline.learn images in
-  match Pipeline.learn_resilient images with
+  let strict = learn images in
+  match learn_with_report images with
   | Error d -> Alcotest.failf "clean learn failed: %s" (Res.diagnostic_to_string d)
   | Ok (model, report) ->
       check Alcotest.int "same rules" (List.length strict.Detector.rules)
@@ -376,7 +388,7 @@ let storm_and_learn ~fault ~seed ~n ~fraction =
   let images = training ~seed n in
   let rng = Prng.create (seed + 1) in
   let stormed = Chaos.storm ~fraction ~faults:[ fault ] ~rng images in
-  (stormed, Pipeline.learn_resilient stormed.Chaos.images)
+  (stormed, learn_with_report stormed.Chaos.images)
 
 let assert_chaos_contained fault seed =
   let stormed, outcome = storm_and_learn ~fault ~seed ~n:10 ~fraction:0.3 in
@@ -435,7 +447,7 @@ let test_fail_fast_surfaces_first_fault () =
     Chaos.storm ~fraction:0.3 ~faults:[ Fault.Garbage_bytes ] ~rng images
   in
   match
-    Pipeline.learn_resilient ~mode:Pipeline.Fail_fast stormed.Chaos.images
+    learn_with_report ~mode:Pipeline.Fail_fast stormed.Chaos.images
   with
   | Error d ->
       check Alcotest.string "fatal kind surfaced" "corrupt-image"
@@ -444,7 +456,7 @@ let test_fail_fast_surfaces_first_fault () =
 
 let test_all_quarantined_is_error_not_raise () =
   let images = List.map (fun img -> Image.with_flakiness img 1.0) (training ~seed:43 4) in
-  match Pipeline.learn_resilient images with
+  match learn_with_report images with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a fully-flapping population cannot train"
 
@@ -458,7 +470,7 @@ let test_conferr_ignores_pipeline_faults () =
 
 let test_model_io_roundtrips_overflowed () =
   let images = training ~seed:7 6 in
-  let model = { (Pipeline.learn images) with Detector.overflowed = true } in
+  let model = { (learn images) with Detector.overflowed = true } in
   match Encore_detect.Model_io.of_string (Encore_detect.Model_io.to_string model) with
   | Ok restored ->
       check Alcotest.bool "overflowed preserved" true restored.Detector.overflowed
@@ -535,7 +547,7 @@ let () =
         ] );
       ( "resilient-learn",
         [
-          Alcotest.test_case "clean matches strict learn" `Quick test_learn_resilient_clean_matches_learn;
+          Alcotest.test_case "clean matches strict learn" `Quick test_durable_clean_matches_learn;
           Alcotest.test_case "custom file typed error" `Quick test_learn_result_custom_file_error;
           Alcotest.test_case "truncated-file storm" `Quick test_chaos_truncated_file;
           Alcotest.test_case "garbage-bytes storm" `Quick test_chaos_garbage_bytes;

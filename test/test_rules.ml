@@ -133,7 +133,7 @@ let test_rule_holds_in_context () =
     { Template.template = ownership; attr_a = "m/datadir"; attr_b = "m/user";
       support = 10; confidence = 1.0 }
   in
-  let holds row = Template.rule_holds rule (env_image ()) (Row.of_list row) in
+  let holds row = Oracle.rule_holds rule (env_image ()) (Row.of_list row) in
   check some_bool "holds" (Some true)
     (holds [ ("m/datadir", "/data"); ("m/user", "mysql") ]);
   check some_bool "violated" (Some false)

@@ -6,7 +6,6 @@
    crashes with breaker backoff, graceful drain, partial verdicts under
    deadline) and the 10k-request chaos soak. *)
 
-module Detector = Encore_detect.Detector
 module Engine = Encore_detect.Engine
 module Warning = Encore_detect.Warning
 module Image = Encore_sysenv.Image
@@ -30,8 +29,12 @@ let check = Alcotest.check
 
 let model =
   lazy
-    (Detector.learn
-       (Population.clean (Population.generate ~seed:11 Image.Mysql ~n:40)))
+    (match
+       Encore.Pipeline.learn_result
+         (Population.clean (Population.generate ~seed:11 Image.Mysql ~n:40))
+     with
+     | Ok m -> m
+     | Error d -> Alcotest.fail d.Encore_util.Resilience.detail)
 
 let target seed id =
   Population.generator_for Image.Mysql Profile.ec2 (Prng.create seed) ~id

