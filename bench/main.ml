@@ -19,7 +19,8 @@
    dune exec bench/main.exe -- --stage checkpoint
    Fleet-checking throughput (compile-once engine vs a single-image
    loop that recompiles per check) at paper scale, plus time and words
-   per image for decoding the targets' dumps and for check_fleet:
+   per image for decoding the targets' dumps and for check_fleet, and
+   the words a decoded image keeps reachable:
    dune exec bench/main.exe -- --stage check [--jobs N]
    Serve-daemon throughput and latency under a watch change storm:
    dune exec bench/main.exe -- --stage serve
@@ -307,6 +308,7 @@ type check_measurement = {
   fleet_seq_ns : int;    (* Pipeline.check_fleet at jobs=1 *)
   decode_ns : int;       (* Collector.image_of_text of every target's dump *)
   decode_words : float;  (* words allocated per decoded dump *)
+  decode_retained : float;  (* words a decoded image keeps reachable *)
   check_words : float;   (* words allocated per image by check_fleet, jobs=1 *)
 }
 
@@ -344,7 +346,7 @@ let words_of f =
    produces identical warnings; only the throughput differs.  The
    targets' collector dumps are decoded too, so the two layers of an
    inline check, decode and check, each get a time and an allocation
-   per image. *)
+   per image, and decoding the words its image retains. *)
 let measure_check ~jobs =
   let images =
     Population.clean (Population.generate ~seed:7 Image.Mysql ~n:paper_n)
@@ -392,9 +394,17 @@ let measure_check ~jobs =
   in
   let decode_ns = best (fun () -> ignore (decode ())) in
   let per_image w = w /. float_of_int fleet_size in
+  let retained =
+    List.fold_left
+      (fun acc -> function
+        | Ok img -> acc + Obj.reachable_words (Obj.repr img)
+        | Error _ -> acc)
+      0 (decode ())
+  in
   { fleet_size; check_jobs = jobs; single_loop_ns; fleet_ns; fleet_seq_ns;
     decode_ns;
     decode_words = per_image (words_of decode);
+    decode_retained = per_image (float_of_int retained);
     check_words =
       per_image
         (words_of (fun () ->
@@ -418,9 +428,9 @@ let print_check_times ~jobs =
   Printf.printf "  parallel speedup (jobs=%d / jobs=1)     %12.2fx\n" m.check_jobs
     (fleet_parallel_speedup m);
   let per_image_us ns = float_of_int ns /. 1e3 /. float_of_int m.fleet_size in
-  Printf.printf "\n  per image                 time (us)    words\n";
-  Printf.printf "  decode (image_of_text)    %9.1f  %7.0f\n"
-    (per_image_us m.decode_ns) m.decode_words;
+  Printf.printf "\n  per image                 time (us)    words  retained\n";
+  Printf.printf "  decode (image_of_text)    %9.1f  %7.0f  %8.0f\n"
+    (per_image_us m.decode_ns) m.decode_words m.decode_retained;
   Printf.printf "  check_fleet, jobs=1       %9.1f  %7.0f\n"
     (per_image_us m.fleet_seq_ns) m.check_words
 
@@ -886,6 +896,7 @@ let write_json ~jobs path =
              ("fleet_seq_ns", Json.Int chk.fleet_seq_ns);
              ("decode_ns", Json.Int chk.decode_ns);
              ("decode_words_per_image", Json.Float chk.decode_words);
+             ("decode_retained_words_per_image", Json.Float chk.decode_retained);
              ("check_words_per_image", Json.Float chk.check_words);
              ("fleet_parallel_speedup",
               Json.Float (fleet_parallel_speedup chk)) ]);

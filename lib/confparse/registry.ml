@@ -35,14 +35,14 @@ let resolve app =
 
 let lens_for app = Option.map fst (resolve app)
 
+let parse_config (cf : Encore_sysenv.Image.config_file) =
+  let app = Encore_sysenv.Image.app_to_string cf.app in
+  match lens_for app with None -> [] | Some lens -> lens.parse ~app cf.text
+
 let parse_image (img : Encore_sysenv.Image.t) =
-  List.concat_map
-    (fun (cf : Encore_sysenv.Image.config_file) ->
-      let app = Encore_sysenv.Image.app_to_string cf.app in
-      match lens_for app with
-      | None -> []
-      | Some lens -> lens.parse ~app cf.text)
-    img.configs
+  match img.configs with
+  | [ cf ] -> parse_config cf
+  | configs -> List.concat_map parse_config configs
 
 type image_parse = {
   kvs : Kv.t list;

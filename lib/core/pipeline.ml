@@ -467,7 +467,12 @@ let check_fleet ?(config = Config.default) ?pool
   (* compile once; the engine is immutable, so the worker domains share
      it without copies *)
   let engine = Encore_detect.Engine.compile model in
+  (* one span per image around the engine's own [check] span: it also
+     covers the image's report record and the inner span's close, where
+     a minor collection these allocations trigger would otherwise run
+     outside every span *)
   let check_one img =
+    Otrace.with_span "fleet-image" @@ fun () ->
     let ws = Encore_detect.Engine.check engine img in
     {
       fi_image = img.Image.image_id;

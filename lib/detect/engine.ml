@@ -44,16 +44,19 @@ type typed_column = {
   tc_type_name : string;
   tc_agreement : float;
   tc_syntactic : string -> bool;
+  tc_image_free : bool;  (* the semantic verdict needs no image *)
 }
 
 (* A target value against its column's training values. *)
 type seen = Unseen | Seen_valid | Seen_invalid
 
 (* One column's training-value statistics: hashed membership with the
-   value's precomputed syntactic verdict as payload (valid when the
-   column has no non-trivial matcher), plus the cardinality the ICF
-   score needs.  Caching the verdict at compile time means the check
-   never runs a regex on a training-seen value. *)
+   value's precomputed verdict as payload, plus the cardinality the ICF
+   score needs.  The verdict is the syntactic one, joined with the
+   semantic one when the column's type is image-free; every value is
+   valid in a column with no non-trivial type.  Caching it at compile
+   time means the check never runs a regex on a training-seen value,
+   nor the semantic check of an image-free type. *)
 type value_column = {
   vc_seen : (string, seen) Hashtbl.t;
   vc_cardinality : int;
@@ -78,12 +81,14 @@ let unnamed =
   { id = -1; known = false; typed = None; values = None; augmentation = None;
     slot = -1 }
 
-(* A rule with its slot-A and slot-B indices and its fired counter. *)
+(* A rule with its slot-A and slot-B indices, its fired counter and
+   the warning it raises, which depends on the rule alone. *)
 type compiled_rule = {
   rule : Template.rule;
   slot_a : int;
   slot_b : int;
   fired : Ometrics.counter;
+  violation : Warning.t;
 }
 
 (* The near-miss and suspicious-value counters of one app label. *)
@@ -118,6 +123,14 @@ let rule_fired_counter rule =
     (Ometrics.labeled "detect.rule_fired"
        [ ("rule", rule.Template.attr_a ^ "->" ^ rule.Template.attr_b) ])
 
+let rule_violation rule =
+  {
+    Warning.kind = Warning.Correlation_violation rule;
+    attrs = [ rule.Template.attr_a; rule.Template.attr_b ];
+    message = "correlation violated: " ^ Template.rule_to_string rule;
+    score = 0.5 +. (0.5 *. rule.Template.confidence);
+  }
+
 let app_counters app =
   let by_app name = Ometrics.counter (Ometrics.labeled name [ ("app", app) ]) in
   { near_miss = by_app "detect.near_miss"; suspicious = by_app "detect.suspicious" }
@@ -132,19 +145,23 @@ let typed_column (d : Tinfer.decision) =
     tc_syntactic =
       (if Ctype.equal d.Tinfer.ctype Ctype.String_t then fun _ -> true
        else Syntactic.matcher d.Tinfer.ctype);
+    tc_image_free = Semantic.image_free d.Tinfer.ctype;
   }
 
-(* precompute each training value's syntactic verdict under the
-   column's matcher, so checking a seen value costs one probe *)
+(* precompute each training value's verdict under the column's type,
+   so checking a seen value costs one probe *)
 let value_column typed values =
-  let syn =
+  let valid =
     match typed with
-    | Some tc when not (Ctype.equal tc.tc_type Ctype.String_t) -> tc.tc_syntactic
+    | Some tc when not (Ctype.equal tc.tc_type Ctype.String_t) ->
+        if tc.tc_image_free then fun v ->
+          tc.tc_syntactic v && Semantic.verify_value tc.tc_type v
+        else tc.tc_syntactic
     | Some _ | None -> fun _ -> true
   in
   let vc_seen = Hashtbl.create (2 * List.length values + 1) in
   List.iter
-    (fun v -> Hashtbl.replace vc_seen v (if syn v then Seen_valid else Seen_invalid))
+    (fun v -> Hashtbl.replace vc_seen v (if valid v then Seen_valid else Seen_invalid))
     values;
   { vc_seen; vc_cardinality = List.length values }
 
@@ -176,7 +193,7 @@ let compile source =
          (fun (rule : Template.rule) ->
            let slot_a = slot_of rule.Template.attr_a in
            { rule; slot_a; slot_b = slot_of rule.Template.attr_b;
-             fired = rule_fired_counter rule })
+             fired = rule_fired_counter rule; violation = rule_violation rule })
          source.rules)
   in
   let entries = Hashtbl.create 512 in
@@ -362,10 +379,9 @@ let name_warning t attr e =
     let message =
       match nearest_name with
       | Some n when distance <= 2 ->
-          Printf.sprintf "unknown entry '%s': possible misspelling of '%s'"
-            attr n
-      | Some _ | None ->
-          Printf.sprintf "unknown entry '%s': never seen in training" attr
+          String.concat ""
+            [ "unknown entry '"; attr; "': possible misspelling of '"; n; "'" ]
+      | Some _ | None -> "unknown entry '" ^ attr ^ "': never seen in training"
     in
     Some
       {
@@ -382,22 +398,13 @@ let name_warning t attr e =
    slot attribute is absent there ([Relation.eval] skips an empty
    instance list). *)
 let rule_warning img s cr =
-  let rule = cr.rule in
   match
-    Relation.eval rule.Template.template.Template.relation img
+    Relation.eval cr.rule.Template.template.Template.relation img
       ~a:(slot s cr.slot_a) ~b:(slot s cr.slot_b)
   with
   | Some false ->
       Ometrics.incr cr.fired;
-      Some
-        {
-          Warning.kind = Warning.Correlation_violation rule;
-          attrs = [ rule.Template.attr_a; rule.Template.attr_b ];
-          message =
-            Printf.sprintf "correlation violated: %s"
-              (Template.rule_to_string rule);
-          score = 0.5 +. (0.5 *. rule.Template.confidence);
-        }
+      Some cr.violation
   | Some true | None -> None
 
 (* --- checks 3 and 4: data types + suspicious values ----------------------- *)
@@ -418,22 +425,22 @@ let column_pair ~types ~values img rev_types rev_values attr value e =
   (if types then
      match e.typed with
      | Some tc when not (Ctype.equal tc.tc_type Ctype.String_t) ->
-         let syn_ok =
+         let valid =
            match cached with
-           | Seen_valid -> true
+           | Seen_valid -> tc.tc_image_free || Semantic.verify img tc.tc_type value
            | Seen_invalid -> false
-           | Unseen -> tc.tc_syntactic value
+           | Unseen -> tc.tc_syntactic value && Semantic.verify img tc.tc_type value
          in
-         if syn_ok && Semantic.verify img tc.tc_type value then ()
-         else
+         if not valid then
            rev_types :=
              {
                Warning.kind =
                  Warning.Type_violation { attr; expected = tc.tc_type; value };
                attrs = [ attr ];
                message =
-                 Printf.sprintf "type violation: %s='%s' fails %s check" attr
-                   value tc.tc_type_name;
+                 String.concat ""
+                   [ "type violation: "; attr; "='"; value; "' fails ";
+                     tc.tc_type_name; " check" ];
                score = 0.4 +. (0.5 *. tc.tc_agreement);
              }
              :: !rev_types
@@ -454,10 +461,10 @@ let column_pair ~types ~values img rev_types rev_values attr value e =
                   { attr; value; training_cardinality = vc.vc_cardinality };
               attrs = [ attr ];
               message =
-                Printf.sprintf
-                  "suspicious value: %s='%s' unseen in training (%d distinct \
-                   values seen)"
-                  attr value vc.vc_cardinality;
+                String.concat ""
+                  [ "suspicious value: "; attr; "='"; value;
+                    "' unseen in training ("; string_of_int vc.vc_cardinality;
+                    " distinct values seen)" ];
               score = 0.2 +. (0.6 *. icf);
             }
             :: !rev_values

@@ -10,18 +10,19 @@
     - whether training knew the name (the misspelling check);
     - its type decision, with the syntactic matcher resolved to a
       closure ({!Encore_typing.Syntactic.matcher});
-    - its training-value hash set, each seen value's syntactic verdict
-      precomputed, and the cardinality the Inverse-Change-Frequency
-      score needs;
+    - its training-value hash set, each seen value's verdict
+      precomputed (syntactic, joined with the semantic one when the
+      type is image-free, see {!Encore_typing.Semantic.image_free}),
+      and the cardinality the Inverse-Change-Frequency score needs;
     - how a parsed entry of it augments
       ({!Encore_dataset.Augment.typed} under the training types);
     - its rule slot, when some rule names it.
 
     Beside the table, compile builds a near-miss index (attribute
     basenames precomputed), the rules in learned order with their slot
-    indices, and every labelled counter a check may bump: each rule's
-    fired counter and each app's near-miss and suspicious-value
-    counters.  An unknown key is first scanned with edit distances cut
+    indices and the warning each raises when violated, and every
+    labelled counter a check may bump: each rule's fired counter and
+    each app's near-miss and suspicious-value counters.  An unknown key is first scanned with edit distances cut
     off at 3, which finds any 1-2 edit misspelling; only a key far from
     every known name is scanned again without the cut-off, to name its
     nearest entry.

@@ -165,19 +165,23 @@ let rec slices_down v first i acc =
 (* slices [first] to the last, as a list *)
 let slices_from v first = slices_down v first (v.n - 1) []
 
-(* Restoration state, filled one record at a time.  Host facts are
-   first-match-wins: [seen] has bit [i] set once a record for [facts.(i)]
-   was applied, whose first field (if any) replaced the default. *)
+(* Restoration state, filled one record at a time.  FS records go
+   straight into the tree's arrays; accounts and services are collected
+   newest first and built once, in [finish].  Host facts are
+   first-match-wins: [seen] has bit [i] set once a record for
+   [facts.(i)] was applied, whose first field (if any) replaced the
+   default. *)
 type restoring = {
-  mutable fs_rev : (string * Fs.meta) list;  (* FS records, newest first *)
-  mutable accounts : Accounts.t;
+  fs : Fs.builder;
+  mutable groups_rev : Accounts.group list;
   mutable users_rev : Accounts.user list;
-  mutable services : Services.t;
+  mutable services_rev : (int * string) list;
   mutable env_rev : (string * string) list;
   facts : string array;
   mutable seen : int;
   mutable owner : string;
   mutable group : string;
+  mutable meta : Fs.meta;  (* the last FS record's *)
 }
 
 (* (section, key, default) of each host fact, indexed as in [facts] *)
@@ -190,12 +194,15 @@ let fact_keys =
     ("HW", "DiskSize", "");
   |]
 
+(* the [meta] before the first FS record: it matches no record *)
+let no_meta = Fs.file_meta ~owner:"" ~group:"" ~perm:(-1) ~size:(-1)
+
 let new_restoring () =
   {
-    fs_rev = []; accounts = Accounts.empty; users_rev = [];
-    services = Services.empty; env_rev = [];
+    fs = Fs.builder (); groups_rev = []; users_rev = []; services_rev = [];
+    env_rev = [];
     facts = Array.map (fun (_, _, default) -> default) fact_keys;
-    seen = 0; owner = "root"; group = "root";
+    seen = 0; owner = "root"; group = "root"; meta = no_meta;
   }
 
 let rec fact_index v i =
@@ -204,9 +211,34 @@ let rec fact_index v i =
     let section, key, _ = fact_keys.(i) in
     if slice_is v 0 section && slice_is v 1 key then i else fact_index v (i + 1)
 
+(* The metadata of one FS record: [prev], the previous record's, when
+   the fields match it (owner and group are shared strings, see
+   [slice_shared]), so a run of alike records keeps one value. *)
+let dir_meta (prev : Fs.meta) ~owner ~group ~perm =
+  match prev.kind with
+  | Fs.Directory when prev.perm = perm && prev.owner == owner && prev.group == group ->
+      prev
+  | Fs.Directory | Fs.Regular | Fs.Symlink _ -> Fs.dir_meta ~owner ~group ~perm
+
+let file_meta (prev : Fs.meta) ~owner ~group ~perm ~size =
+  match prev.kind with
+  | Fs.Regular
+    when prev.perm = perm && prev.size = size && prev.owner == owner
+         && prev.group == group ->
+      prev
+  | Fs.Directory | Fs.Regular | Fs.Symlink _ -> Fs.file_meta ~owner ~group ~perm ~size
+
+let symlink_meta (prev : Fs.meta) v ~owner ~group =
+  match prev.kind with
+  | Fs.Symlink target
+    when slice_is v 7 target && prev.owner == owner && prev.group == group ->
+      prev
+  | Fs.Directory | Fs.Regular | Fs.Symlink _ ->
+      Fs.symlink_meta ~owner ~group ~target:(slice v 7)
+
 (* An FS record has exactly six fields: kind, owner, group, octal
-   permission, size and symlink target.  The tree is built once, in
-   [finish], where a bad path raises [Invalid_argument]. *)
+   permission, size and symlink target.  A path that does not
+   canonicalize raises [Invalid_argument] here. *)
 let apply_fs r v =
   let dir = slice_is v 2 "dir" and file = slice_is v 2 "file" in
   if dir || file || slice_is v 2 "symlink" then begin
@@ -215,13 +247,14 @@ let apply_fs r v =
     r.owner <- owner;
     r.group <- group;
     let meta =
-      if dir then Fs.dir_meta ~owner ~group ~perm:(slice_perm_or v 5 ~default:0o644)
+      if dir then dir_meta r.meta ~owner ~group ~perm:(slice_perm_or v 5 ~default:0o644)
       else if file then
-        Fs.file_meta ~owner ~group ~perm:(slice_perm_or v 5 ~default:0o644)
+        file_meta r.meta ~owner ~group ~perm:(slice_perm_or v 5 ~default:0o644)
           ~size:(slice_int_or v 6 ~default:0)
-      else Fs.symlink_meta ~owner ~group ~target:(slice v 7)
+      else symlink_meta r.meta v ~owner ~group
     in
-    r.fs_rev <- (slice v 1, meta) :: r.fs_rev
+    r.meta <- meta;
+    Fs.push r.fs (slice v 1) meta
   end
 
 let apply r v =
@@ -229,17 +262,16 @@ let apply r v =
   else if slice_is v 0 "Service" then begin
     if v.n = 3 then
       match slice_int v 1 with
-      | Some port -> r.services <- Services.add r.services ~port ~name:(slice v 2)
+      | Some port -> r.services_rev <- (port, slice v 2) :: r.services_rev
       | None -> ()
   end
   else if slice_is v 0 "Acct.Group" then begin
-    (* applied as read: every group lands before any user, see [finish] *)
     if v.n >= 3 then
       match slice_int v 2 with
       | Some ggid ->
-          r.accounts <-
-            Accounts.add_group r.accounts
-              { Accounts.gname = slice v 1; ggid; members = slices_from v 3 }
+          r.groups_rev <-
+            { Accounts.gname = slice v 1; ggid; members = slices_from v 3 }
+            :: r.groups_rev
       | None -> ()
   end
   else if slice_is v 0 "Acct.User" then begin
@@ -263,12 +295,13 @@ let apply r v =
     end
 
 let finish r ~id ~configs =
-  (* users last: [Accounts.add_user] invents a group when the user's
-     gid has none yet, so replaying a user before the dumped groups
-     would materialize groups the serialized image never had and break
-     the image_to_text/image_of_text round trip *)
+  (* every group before any user, wherever the records sat: a user
+     invents a group when its gid has none yet, so replaying a user
+     before the dumped groups would materialize groups the serialized
+     image never had and break the image_to_text/image_of_text round
+     trip *)
   let accounts =
-    List.fold_left Accounts.add_user r.accounts (List.rev r.users_rev)
+    Accounts.of_list ~groups:(List.rev r.groups_rev) ~users:(List.rev r.users_rev)
   in
   let fact i = r.facts.(i) in
   let os =
@@ -290,8 +323,9 @@ let finish r ~id ~configs =
     | _ -> None
   in
   Image.make ~hostname:(fact 0) ~ip_address:(fact 1) ~fs_type:(fact 2)
-    ~fs:(Fs.of_list (List.rev r.fs_rev))
-    ~accounts ~services:r.services ~env_vars:(List.rev r.env_rev)
+    ~fs:(Fs.build r.fs) ~accounts
+    ~services:(Services.of_list (List.rev r.services_rev))
+    ~env_vars:(List.rev r.env_rev)
     ~hardware ~os ~id configs
 
 (* --- the line scanner -------------------------------------------------------- *)

@@ -76,10 +76,13 @@ let canonicalize path =
       | Ok [] -> Ok "/"
       | Ok comps -> Ok ("/" ^ String.concat "/" comps)
 
+(* a canonical path is its own normal form, with no [Ok] to allocate *)
 let normalize path =
-  match canonicalize path with
-  | Ok p -> p
-  | Error e -> invalid_arg ("Fs: " ^ e)
+  if is_canonical path then path
+  else
+    match canonicalize path with
+    | Ok p -> p
+    | Error e -> invalid_arg ("Fs: " ^ e)
 
 (* --- sorted-array search ---------------------------------------------------- *)
 
@@ -181,9 +184,17 @@ let add fs path meta =
     in
     insert fs (with_missing path [ (path, meta) ])
 
+(* Whether [q] is the first [k] bytes of [p] or a descendant of them. *)
+let on_chain q p k =
+  let lq = String.length q in
+  (lq = k || (lq > k && String.unsafe_get q k = '/')) && equal_from q p 0 k
+
 (* Whether the parent of [paths.(i)], its first [k] bytes, is among
-   the ascending paths before it. *)
-let parent_listed paths i k = k = 1 || index_below paths i paths.(i) k >= 0
+   the ascending paths before it.  Every ancestor of a listed path is
+   listed, so a parent that is the previous path or one of its
+   ancestors needs no search. *)
+let parent_listed paths i k =
+  k = 1 || on_chain paths.(i - 1) paths.(i) k || index_below paths i paths.(i) k >= 0
 
 (* Records that ascend strictly from the root, each after its parent:
    the order of every [Collector.image_to_text] dump.  [paths.(0)] is
@@ -221,16 +232,47 @@ let of_unordered paths metas =
   in
   { paths = Array.map fst sorted; metas = Array.map snd sorted }
 
-let of_list records =
-  let n = List.length records + 1 in
-  let paths = Array.make n "/" and metas = Array.make n root_meta in
-  List.iteri
-    (fun i (p, m) ->
-      paths.(i + 1) <- normalize p;
-      metas.(i + 1) <- m)
-    records;
+(* Records in arrival order, index 0 the root sentinel; the arrays
+   double as they fill. *)
+type builder = {
+  mutable b_paths : string array;
+  mutable b_metas : meta array;
+  mutable b_n : int;
+}
+
+let builder_of_capacity cap =
+  { b_paths = Array.make cap "/"; b_metas = Array.make cap root_meta; b_n = 1 }
+
+let builder () = builder_of_capacity 64
+
+let grow a n =
+  let g = Array.make (2 * n) a.(0) in
+  Array.blit a 0 g 0 n;
+  g
+
+let push b path meta =
+  let path = normalize path in
+  let n = b.b_n in
+  if n = Array.length b.b_paths then begin
+    b.b_paths <- grow b.b_paths n;
+    b.b_metas <- grow b.b_metas n
+  end;
+  b.b_paths.(n) <- path;
+  b.b_metas.(n) <- meta;
+  b.b_n <- n + 1
+
+(* Full arrays are taken as they are: a later [push] writes only into
+   grown copies. *)
+let build b =
+  let take a = if Array.length a = b.b_n then a else Array.sub a 0 b.b_n in
+  let paths = take b.b_paths and metas = take b.b_metas in
   if ascends_parents_first paths then { paths; metas }
   else of_unordered paths metas
+
+let of_list records =
+  let b = builder_of_capacity (List.length records + 1) in
+  List.iter (fun (p, m) -> push b p m) records;
+  build b
 
 let dir_meta ~owner ~group ~perm = { owner; group; perm; size = 0; kind = Directory }
 let file_meta ~owner ~group ~perm ~size = { owner; group; perm; size; kind = Regular }

@@ -15,10 +15,11 @@
     contiguous run of paths under its directory.  The arrays are
     immutable, so every update copies them: {!add} costs O(n) in the
     size of the tree, and folding it over n records costs O(n{^2}).
-    A whole tree is built with {!of_list} in O(n log n): records that
-    ascend parent first (every collector dump does) are taken in one
-    pass, with a binary search for each record's parent; any other
-    order is sorted. *)
+    A whole tree is built with {!of_list}, or record by record with a
+    {!builder}, in O(n log n): records that ascend parent first (every
+    collector dump does) are taken in one pass, and any other order is
+    sorted.  A record's parent is found without a search when it is the
+    previous record or one of its ancestors, else by binary search. *)
 
 type kind = Regular | Directory | Symlink of string
 
@@ -57,6 +58,21 @@ val of_list : (string * meta) list -> t
     in one pass; any other order is sorted.
     @raise Invalid_argument at the first path that does not
     canonicalize, with {!add}'s message. *)
+
+type builder
+(** A tree under construction: records go into growable arrays in
+    arrival order, and {!build} hands them to the tree, trimmed to
+    size, sorting them only when they are out of order. *)
+
+val builder : unit -> builder
+
+val push : builder -> string -> meta -> unit
+(** Append one record.
+    @raise Invalid_argument if the path does not canonicalize, with
+    {!add}'s message. *)
+
+val build : builder -> t
+(** [of_list] of the records pushed so far, in order; O(n log n). *)
 
 (** {2 Metadata by kind}
 

@@ -18,26 +18,29 @@ let known_languages =
   [ "en"; "fr"; "de"; "es"; "it"; "pt"; "nl"; "ru"; "ja"; "zh"; "ko"; "sv";
     "no"; "da"; "fi"; "pl"; "cs"; "tr"; "ar"; "he"; "hi" ]
 
-let verify (img : Image.t) (t : Ctype.t) value =
+let image_free (t : Ctype.t) =
+  match t with
+  | Ctype.File_path | Ctype.User_name | Ctype.Group_name | Ctype.Port_number
+  | Ctype.Custom _ ->
+      false
+  | Ctype.Partial_file_path | Ctype.File_name | Ctype.Ip_address | Ctype.Url
+  | Ctype.Mime_type | Ctype.Charset | Ctype.Language | Ctype.Size | Ctype.Bool_t
+  | Ctype.Permission | Ctype.Enum _ | Ctype.Number | Ctype.String_t ->
+      true
+
+let verify_value (t : Ctype.t) value =
   let v = String.trim value in
   match t with
-  | Ctype.File_path -> Fs.exists img.fs v
+  | Ctype.File_path | Ctype.User_name | Ctype.Group_name | Ctype.Port_number
+  | Ctype.Custom _ ->
+      false
   | Ctype.Partial_file_path ->
       (* fragment: verifiable only when some mount point completes it;
          accept if it resolves under any directory of the tree or under
          the common roots.  Cheap approximation: accept shape. *)
       not (Encore_util.Strutil.starts_with ~prefix:"/" v)
   | Ctype.File_name -> not (Encore_util.Strutil.contains_char v '/')
-  | Ctype.User_name -> Accounts.user_exists img.accounts v
-  | Ctype.Group_name -> Accounts.group_exists img.accounts v
   | Ctype.Ip_address -> true (* shape-checked syntactically *)
-  | Ctype.Port_number -> (
-      match int_of_string_opt v with
-      | None -> false
-      | Some p ->
-          (* must be registered in the image's /etc/services; plain
-             numbers otherwise stay Number *)
-          Services.known_port img.services p)
   | Ctype.Url -> true
   | Ctype.Mime_type ->
       List.exists
@@ -63,9 +66,26 @@ let verify (img : Image.t) (t : Ctype.t) value =
       | Some _ -> true
       | None -> false)
   | Ctype.Enum allowed -> List.mem v allowed
-  | Ctype.Custom name -> Custom_registry.verify img name v
   | Ctype.Number -> Encore_util.Strutil.parse_number v <> None
   | Ctype.String_t -> true
+
+let verify (img : Image.t) (t : Ctype.t) value =
+  match t with
+  | Ctype.File_path -> Fs.exists img.fs (String.trim value)
+  | Ctype.User_name -> Accounts.user_exists img.accounts (String.trim value)
+  | Ctype.Group_name -> Accounts.group_exists img.accounts (String.trim value)
+  | Ctype.Port_number -> (
+      match int_of_string_opt (String.trim value) with
+      | None -> false
+      | Some p ->
+          (* must be registered in the image's /etc/services; plain
+             numbers otherwise stay Number *)
+          Services.known_port img.services p)
+  | Ctype.Custom name -> Custom_registry.verify img name (String.trim value)
+  | Ctype.Partial_file_path | Ctype.File_name | Ctype.Ip_address | Ctype.Url
+  | Ctype.Mime_type | Ctype.Charset | Ctype.Language | Ctype.Size | Ctype.Bool_t
+  | Ctype.Permission | Ctype.Enum _ | Ctype.Number | Ctype.String_t ->
+      verify_value t value
 
 let infer_value img value =
   let rec first = function

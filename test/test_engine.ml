@@ -360,6 +360,69 @@ let test_equivalence_repeated_attrs () =
           warnings));
   check_equivalent ~ctx:"repeated attributes" m img
 
+(* Columns of image-free types, each trained with one malformed value
+   beside a good one.  The engine settles a training value's verdict
+   for such a type at compile time, semantic check included, so a
+   target that repeats the malformed value must still get the
+   reference checker's type warning: a Number column trained with
+   "12x", a Size column with an overflowing count (its pattern matches,
+   its semantic check fails), a Permission column with "0999" and a
+   Charset column with an unregistered name. *)
+let test_cached_image_free_verdicts () =
+  let columns =
+    [ ("pin_number", Ctype.Number, "12x", "151");
+      ("pin_size", Ctype.Size, "99999999999999999999K", "16M");
+      ("pin_permission", Ctype.Permission, "0999", "0644");
+      ("pin_charset", Ctype.Charset, "klingon8", "utf8") ]
+  in
+  let attr key = "mysql/mysqld/" ^ key in
+  let m = model () in
+  let m =
+    {
+      m with
+      Detector.types =
+        List.map
+          (fun (key, ctype, _, _) ->
+            (attr key, { Tinfer.ctype; agreement = 0.5; samples = 2 }))
+          columns
+        @ m.Detector.types;
+      value_stats =
+        List.map (fun (key, _, bad, good) -> (attr key, [ bad; good ])) columns
+        @ m.Detector.value_stats;
+      known_attrs = List.map (fun (key, _, _, _) -> attr key) columns @ m.Detector.known_attrs;
+    }
+  in
+  let base =
+    Population.generator_for Image.Mysql Profile.ec2 (Prng.create 47) ~id:"cached"
+  in
+  let text =
+    match Image.config_for base Image.Mysql with
+    | Some c -> c.Image.text
+    | None -> Alcotest.fail "fixture has no mysql config"
+  in
+  let img =
+    Image.set_config base Image.Mysql
+      (text ^ "[mysqld]\n"
+      ^ String.concat ""
+          (List.map (fun (key, _, bad, _) -> key ^ " = " ^ bad ^ "\n") columns))
+  in
+  let type_warnings =
+    List.filter_map
+      (fun (w : Warning.t) ->
+        match w.Warning.kind with
+        | Warning.Type_violation { attr; value; _ } -> Some (attr, value)
+        | _ -> None)
+      (Engine.check (Engine.compile m) img)
+  in
+  List.iter
+    (fun (key, ctype, bad, _) ->
+      check Alcotest.bool
+        (Printf.sprintf "%s=%s fails %s" key bad (Ctype.to_string ctype))
+        true
+        (List.mem (attr key, bad) type_warnings))
+    columns;
+  check_equivalent ~ctx:"cached image-free verdicts" m img
+
 (* The deadline is polled once per pair of the target's row, once per
    distinct attribute and once per rule: a budget of exactly that many
    polls completes, one fewer does not. *)
@@ -648,6 +711,8 @@ let () =
             test_equivalence_far_key;
           Alcotest.test_case "apache and php targets" `Quick
             test_equivalence_other_apps;
+          Alcotest.test_case "cached image-free verdicts" `Quick
+            test_cached_image_free_verdicts;
           Alcotest.test_case "repeated attributes" `Quick
             test_equivalence_repeated_attrs;
           Alcotest.test_case "deadline polls per unit" `Quick

@@ -122,7 +122,14 @@ let splice_lines =
     "FS|/q|dir|r|r|755|0"; "FS|/q|dir|r|r|755|0||"; "FS||dir|r|r|755|0|";
     "Acct.User|u|1001|1001|/home/u|/bin/sh"; "Acct.User|u|x|1|/h|/s";
     "Acct.Group|g|1001|u|v"; "Acct.Group|g|"; "Service|8080|http-alt";
-    "Service|x|y"; "Env|LANG|C"; "Env|PATH"; "Sys|HostName"; "Sys|HostName|h2";
+    "Service|x|y";
+    (* out of order, repeated, or a user whose gid no group holds: the
+       account and service builders' fallback paths *)
+    "Acct.User|aaa|7|7|/h|/s"; "Acct.User|root|0|0|/root|/bin/sh";
+    "Acct.User|mysql|4242|4242|/h|/s"; "Acct.Group|aaa|7";
+    "Acct.Group|root|0|aaa"; "Acct.Group|mysql|27"; "Service|1|tcpmux";
+    "Service|22|ssh2"; "Service|3306|mysql";
+    "Env|LANG|C"; "Env|PATH"; "Sys|HostName"; "Sys|HostName|h2";
     "HW|Cores|abc"; "HW|Cores|8"; "Sec|SELinux|enforcing"; "OS|Version|";
     " |k|v"; "|k|v"; "FS"; "[mysqld]"; "[]"; "[ a ]"; "= v"; "k = \"v\"";
     "k=\" a \""; "key # c"; "\"a;b\" = c"; "!include x"; "<Directory /x>";

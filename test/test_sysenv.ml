@@ -7,6 +7,9 @@ module Services = Encore_sysenv.Services
 module Hostinfo = Encore_sysenv.Hostinfo
 module Image = Encore_sysenv.Image
 module Collector = Encore_sysenv.Collector
+module Population = Encore_workloads.Population
+module Profile = Encore_workloads.Profile
+module Prng = Encore_util.Prng
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -285,7 +288,104 @@ let test_accounts_user_in_group () =
   check Alcotest.bool "own group" true (Accounts.user_in_group t ~user:"app" ~group:"app");
   check Alcotest.bool "not wheel" false (Accounts.user_in_group t ~user:"app" ~group:"wheel")
 
+(* Names and gids from small pools, so records repeat names, users
+   miss their gid's group, and a user's invented primary group replaces
+   a group of the same name.  Half the inputs ascend strictly, which is
+   the bulk builder's one-pass path. *)
+let prop_accounts_of_list_matches_add =
+  let open QCheck.Gen in
+  let name = oneofl [ "adm"; "bin"; "mysql"; "root"; "www" ] in
+  let gid = int_bound 5 in
+  let group =
+    map3
+      (fun gname ggid members -> { Accounts.gname; ggid; members })
+      name gid
+      (list_size (int_bound 2) name)
+  in
+  let user =
+    map3
+      (fun name uid gid ->
+        { Accounts.name; uid; gid; home = "/home/" ^ name; shell = "/bin/sh" })
+      name (int_bound 3) gid
+  in
+  let ascending key records =
+    List.sort_uniq (fun a b -> String.compare (key a) (key b)) records
+  in
+  let records =
+    map3
+      (fun sorted groups users ->
+        if sorted then
+          ( ascending (fun (g : Accounts.group) -> g.gname) groups,
+            ascending (fun (u : Accounts.user) -> u.name) users )
+        else (groups, users))
+      bool
+      (list_size (int_bound 8) group)
+      (list_size (int_bound 8) user)
+  in
+  let print (groups, users) =
+    String.concat "; "
+      (List.map
+         (fun (g : Accounts.group) -> Printf.sprintf "group %s:%d" g.gname g.ggid)
+         groups
+      @ List.map
+          (fun (u : Accounts.user) -> Printf.sprintf "user %s:%d" u.name u.gid)
+          users)
+  in
+  QCheck.Test.make ~name:"Accounts.of_list equals folding add" ~count:1000
+    (QCheck.make ~print records)
+    (fun (groups, users) ->
+      let folded =
+        List.fold_left Accounts.add_user
+          (List.fold_left Accounts.add_group Accounts.empty groups)
+          users
+      in
+      let built = Accounts.of_list ~groups ~users in
+      Accounts.users built = Accounts.users folded
+      && Accounts.groups built = Accounts.groups folded
+      && built = folded)
+
+let test_accounts_invented_group_replaces () =
+  (* the user mysql finds no group with gid 999 and invents mysql:999,
+     which replaces mysql:27; x then finds no gid 27 and invents x:27 *)
+  let groups = [ { Accounts.gname = "mysql"; ggid = 27; members = [] } ] in
+  let user name gid = { Accounts.name; uid = gid; gid; home = "/"; shell = "/bin/sh" } in
+  let t = Accounts.of_list ~groups ~users:[ user "mysql" 999; user "x" 27 ] in
+  check
+    Alcotest.(list (pair string int))
+    "groups" [ ("mysql", 999); ("x", 27) ]
+    (List.map (fun (g : Accounts.group) -> (g.gname, g.ggid)) (Accounts.groups t));
+  check (Alcotest.option Alcotest.string) "x's primary group" (Some "x")
+    (Accounts.primary_group t "x")
+
 (* --- Services ----------------------------------------------------------- *)
+
+let prop_services_of_list_matches_add =
+  let open QCheck.Gen in
+  let record = pair (oneofl [ 22; 80; 443; 3306; 8080 ]) (oneofl [ "a"; "b"; "c" ]) in
+  let records =
+    map2
+      (fun sorted rs ->
+        if sorted then List.sort_uniq (fun (p, _) (q, _) -> Int.compare p q) rs
+        else rs)
+      bool
+      (list_size (int_bound 10) record)
+  in
+  QCheck.Test.make ~name:"Services.of_list equals folding add" ~count:1000
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair int string))
+       records)
+    (fun records ->
+      let folded =
+        List.fold_left
+          (fun t (port, name) -> Services.add t ~port ~name)
+          Services.empty records
+      in
+      let built = Services.of_list records in
+      Services.ports built = Services.ports folded
+      && List.for_all
+           (fun p -> Services.service_of_port built p = Services.service_of_port folded p)
+           (Services.ports folded)
+      && built = folded)
 
 let test_services_base () =
   check Alcotest.bool "ssh" true (Services.known_port Services.base 22);
@@ -363,6 +463,32 @@ let test_collector_no_hardware_when_dormant () =
   check Alcotest.bool "no HW record" true
     (Oracle.Dump_ref.find records ~section:"HW" ~key:"Cores" = None)
 
+(* Decoding one fixed paper-scale mysql dump allocates and keeps a
+   deterministic number of words.  Measured on OCaml 5.1 native code:
+   1,621 words allocated and 976 retained (2,875 and 1,273 when the
+   decoder built maps one record at a time and gave every FS record its
+   own metadata); the bounds sit about 15% above. *)
+let test_decode_allocation () =
+  let img =
+    Population.generator_for Image.Mysql Profile.ec2 (Prng.create 5000)
+      ~id:"fleet-000"
+  in
+  let dump = Collector.image_to_text img in
+  ignore (Collector.image_of_text dump);
+  let w0 = Gc.minor_words () in
+  let decoded = Collector.image_of_text dump in
+  let allocated = Gc.minor_words () -. w0 in
+  match decoded with
+  | Error e -> Alcotest.fail e
+  | Ok decoded ->
+      let retained = Obj.reachable_words (Obj.repr decoded) in
+      check Alcotest.bool
+        (Printf.sprintf "allocated %.0f words <= 1860" allocated)
+        true (allocated <= 1860.);
+      check Alcotest.bool
+        (Printf.sprintf "retained %d words <= 1120" retained)
+        true (retained <= 1120)
+
 let test_selinux_string_roundtrip () =
   List.iter
     (fun s ->
@@ -402,11 +528,15 @@ let () =
           Alcotest.test_case "is_admin" `Quick test_accounts_is_admin;
           Alcotest.test_case "is_root_group" `Quick test_accounts_is_root_group;
           Alcotest.test_case "user_in_group" `Quick test_accounts_user_in_group;
+          Alcotest.test_case "invented group replaces" `Quick
+            test_accounts_invented_group_replaces;
+          qtest prop_accounts_of_list_matches_add;
         ] );
       ( "services",
         [
           Alcotest.test_case "base ports" `Quick test_services_base;
           Alcotest.test_case "add" `Quick test_services_add;
+          qtest prop_services_of_list_matches_add;
         ] );
       ( "image",
         [
@@ -422,5 +552,6 @@ let () =
           Alcotest.test_case "dormant has no hardware" `Quick
             test_collector_no_hardware_when_dormant;
           Alcotest.test_case "selinux roundtrip" `Quick test_selinux_string_roundtrip;
+          Alcotest.test_case "decode allocation" `Quick test_decode_allocation;
         ] );
     ]
